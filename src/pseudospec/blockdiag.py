@@ -5,6 +5,17 @@ Jordan chains of generalized eigenvectors, the change of basis ``A`` with
 ``H = A H0 inv(A)``, the exactly block-Jordan ``H0``, and the biorthonormal
 complement ``inv(A)^+``.
 
+One eigensolve serves two purposes.  Its eigenvalues are clustered, and its
+eigenvectors are the basis columns of every simple, well-separated cluster:
+multiplicity 1, nearest other eigenvalue farther than ``tol (|H|_F + |E|)``,
+and a first-order perturbation disc (radius ``kappa n eps |H|_F``, with
+``kappa`` the eigenvalue condition number) that overlaps no other
+eigenvalue's disc.  Every other cluster runs the SVD rank staircase of
+Kagstrom & Ruhe (ACM TOMS 6, 1980) on ``H - E``.  With no close clusters a
+decomposition therefore costs O(n^3): one eigensolve, one inversion of the
+eigenvectors, and one SVD plus one inversion of ``A``, whose inverse and
+condition number travel with the result.
+
 Canonical ordering, frozen so downstream operators are reproducible:
 
 * clusters are sorted by ``(Re E, Im E)``;
@@ -20,11 +31,18 @@ deterministically by the top-down construction below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, as_matrix, cond, eigenvalues, fro, inverse
+from .linalg import (
+    EPS,
+    SingularMatrixError,
+    as_matrix,
+    eigensystem,
+    fro,
+    inverse_and_cond,
+)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_COND_LIMIT = 1e12
@@ -95,17 +113,27 @@ class ClusteredSpectrum:
 @dataclass(frozen=True)
 class BlockDiagonalization:
     """The triple (A, H0, table); columns of A are the Jordan basis in
-    canonical label order and H0 is exactly block-Jordan."""
+    canonical label order and H0 is exactly block-Jordan.
+
+    ``A_inv`` and ``cond_A`` come from one SVD and one inversion of A.  A
+    caller that builds the triple from its own basis may leave them out;
+    they are then computed on construction, which raises
+    :class:`~pseudospec.linalg.SingularMatrixError` for a singular basis.
+    """
 
     A: np.ndarray
     H0: np.ndarray
     table: SpectralTable
     label_order: tuple[tuple[int, int, int], ...]
     recon_residual: float  # |H - A H0 inv(A)| / |H|
+    A_inv: np.ndarray | None = field(default=None, repr=False)
+    cond_A: float | None = None
 
-    @property
-    def cond_A(self) -> float:
-        return cond(self.A)
+    def __post_init__(self):
+        if self.A_inv is None or self.cond_A is None:
+            A_inv, cA = inverse_and_cond(self.A)
+            object.__setattr__(self, "A_inv", A_inv)
+            object.__setattr__(self, "cond_A", cA)
 
 
 def cluster_eigenvalues(raw, tol: float) -> ClusteredSpectrum:
@@ -158,8 +186,9 @@ def cluster_eigenvalues(raw, tol: float) -> ClusteredSpectrum:
     centers = [centers[i] for i in order]
     counts = [counts[i] for i in order]
 
-    spread = float(np.abs(vals[:, None] - vals[None, :]).max())
-    warning = len(centers) == 1 and n > 1 and spread > 1e3 * tol
+    warning = False
+    if len(centers) == 1 and n > 1:
+        warning = float(np.abs(vals[:, None] - vals[None, :]).max()) > 1e3 * tol
     return ClusteredSpectrum(tuple(centers), tuple(counts), tol, warning)
 
 
@@ -173,24 +202,28 @@ def _kernel_staircase(N: np.ndarray, tol: float, parent_scale: float):
     so a threshold relative to ``smax(N^l)`` alone would misread exactly
     nilpotent powers, and one without the parent floor would misread a
     fully degenerate cluster, where N itself is pure round-off.
+
+    Returns the kernels, their dimensions, the power at which they
+    stabilize, and ``s_eff``.
     """
     n = N.shape[0]
-    smax = float(np.linalg.norm(N, 2))
+    svd_N = np.linalg.svd(N)
     floor = 64 * n * EPS * parent_scale
-    s_eff = max(smax, floor)
+    s_eff = max(float(svd_N[1][0]), floor)
     kernels = {0: np.zeros((n, 0), dtype=complex)}
     dims = [0]
     if s_eff == 0.0:
         kernels[1] = np.eye(n, dtype=complex)
-        return kernels, [0, n], 1
+        return kernels, [0, n], 1, s_eff
 
-    P = np.eye(n, dtype=complex)
+    P = N
     l = 0
     while True:
         l += 1
-        P = P @ N
+        if l > 1:
+            P = P @ N
         cutoff = max((tol * s_eff) ** l, floor * s_eff ** (l - 1))
-        u, s, vh = np.linalg.svd(P)
+        u, s, vh = svd_N if l == 1 else np.linalg.svd(P)
         k = int(np.count_nonzero(s <= cutoff))
         if l == 1 and k == 0:
             raise JordanStructureError(
@@ -200,12 +233,26 @@ def _kernel_staircase(N: np.ndarray, tol: float, parent_scale: float):
         kernels[l] = vh[n - k:, :].conj().T if k else np.zeros((n, 0), dtype=complex)
         dims.append(k)
         if k == dims[l - 1]:
-            return kernels, dims, l - 1
+            return kernels, dims, l - 1, s_eff
         if l > n:
             raise JordanStructureError("kernel staircase failed to stabilize")
 
 
-def jordan_chains(H, center, tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]:
+def _canonical_gauge(chain: list[np.ndarray]) -> list[np.ndarray]:
+    """Rescale a chain as a whole so that its head has unit norm with the
+    first significant component real positive (the frozen head rule)."""
+    head = chain[0]
+    scale = 1.0 / float(np.linalg.norm(head))
+    mags = np.abs(head)
+    sig = np.nonzero(mags > 1e-12 * mags.max())[0][0]
+    pivot = head[sig] * scale
+    scale *= np.conj(pivot) / abs(pivot)
+    return [scale * v for v in chain]
+
+
+def jordan_chains(
+    H, center, tol: float = DEFAULT_TOL, *, _parent_scale: float | None = None
+) -> list[list[np.ndarray]]:
     """Jordan chains of ``H`` at an eigenvalue cluster center.
 
     Returns a list of chains, each chain a list ``[v_1, ..., v_p]`` with
@@ -213,13 +260,14 @@ def jordan_chains(H, center, tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]
     construction for ``i >= 2``.  Chains are built top-down: a basis of
     ``ker N^l`` modulo ``ker N^{l-1}`` and the already-descended tops is
     picked at the largest power first, then descendants are generated by
-    applying ``N``.
+    applying ``N``.  ``_parent_scale`` is ``|H|_2`` when the caller already
+    has it, as :func:`block_diagonalize` does for all its clusters.
     """
     A = as_matrix(H, square=True)
     n = A.shape[0]
     N = A - complex(center) * np.eye(n)
-    parent_scale = float(np.linalg.norm(A, 2))
-    kernels, dims, q = _kernel_staircase(N, tol, parent_scale)
+    parent_scale = float(np.linalg.norm(A, 2)) if _parent_scale is None else _parent_scale
+    kernels, dims, q, s_eff = _kernel_staircase(N, tol, parent_scale)
 
     increments = [dims[l] - dims[l - 1] for l in range(1, q + 1)]
     for l in range(1, q):
@@ -259,7 +307,6 @@ def jordan_chains(H, center, tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]
             Q = new[:, None] if Q is None else np.hstack([Q, new[:, None]])
 
     floor = 64 * n * EPS * parent_scale
-    s_eff = max(float(np.linalg.norm(N, 2)), floor)
     head_cutoff = 10 * max(tol * s_eff, floor)  # matches the kernel cutoff at power 1
     chains: list[list[np.ndarray]] = []
     for p, t in tops:
@@ -271,15 +318,62 @@ def jordan_chains(H, center, tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]
         hnorm = float(np.linalg.norm(head))
         if hnorm == 0.0 or float(np.linalg.norm(N @ head)) > head_cutoff:
             raise JordanStructureError("chain head failed the eigenvector residual check")
-        scale = 1.0 / hnorm
-        mags = np.abs(head)
-        sig = np.nonzero(mags > 1e-12 * mags.max())[0][0]
-        pivot = head[sig] * scale
-        scale *= np.conj(pivot) / abs(pivot)
-        chains.append([scale * v for v in chain])
+        chains.append(_canonical_gauge(chain))
 
     chains.sort(key=lambda c: (-len(c), int(np.argmax(np.abs(c[0])))))
     return chains
+
+
+def _simple_heads(
+    H: np.ndarray, values: np.ndarray, vectors: np.ndarray, skel: ClusteredSpectrum,
+    tol: float, scale: float,
+) -> dict[int, np.ndarray]:
+    """Canonical eigenvectors of the simple, well-separated clusters, keyed
+    by cluster index and read straight from the eigensolve.
+
+    A cluster qualifies when its multiplicity is 1, its nearest other
+    eigenvalue is farther than ``tol * (|H|_F + |E|)``, and its first-order
+    perturbation disc, of radius ``kappa_k n eps |H|_F``, overlaps no other
+    eigenvalue's disc.  ``kappa_k`` is the norm of row k of ``inv(V)`` for
+    unit columns of V: the eigenvalue condition number.  A Jordan chain
+    that rounding split into nearby simple eigenvalues has a huge
+    ``kappa`` on each of them, so the disc test sends it to the staircase
+    (Edelman, Elmroth & Kagstrom, SIAM J. Matrix Anal. Appl. 18, 1997).
+    The vector must also pass the staircase's eigenvector-residual check,
+    ``|(H - E) v| <= 10 max(tol |H - E|_2, 64 n eps |H|_2)``, evaluated
+    with the lower bounds ``rho(H - E)`` and ``|H|_F / sqrt(n)`` in place
+    of the 2-norms, so its cutoff is never looser.
+    """
+    singles = [k for k, m in enumerate(skel.multiplicities) if m == 1]
+    if not singles or not np.isfinite(scale):
+        return {}
+    n = values.size
+    m = len(singles)
+    centers = np.array([skel.centers[k] for k in singles])
+    dist = np.abs(centers[:, None] - values[None, :])
+    idx = np.argmin(dist, axis=1)  # a simple cluster's center is its one member
+    rho = dist.max(axis=1)  # spectral radius of H - E
+    dist[np.arange(m), idx] = np.inf
+    try:
+        Vinv = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:  # exactly repeated eigenvectors
+        return {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        radius = np.linalg.norm(Vinv, axis=1) * (n * EPS * scale)
+        ok = dist.min(axis=1) > tol * (scale + np.abs(centers))
+        ok &= np.all(dist > radius[idx, None] + radius[None, :], axis=1)
+    V = vectors[:, idx]
+    resid = np.linalg.norm(H @ V - V * centers, axis=0)
+    floor = 64 * n * EPS * scale / np.sqrt(n)
+    ok &= resid <= 10 * np.maximum(tol * rho, floor)
+    return {k: _canonical_gauge([V[:, j]])[0] for j, k in enumerate(singles) if ok[j]}
+
+
+def _check_condition(cA: float, cond_limit: float) -> None:
+    if not np.isfinite(cA) or cA > cond_limit:
+        raise IllConditionedBasisError(
+            f"Jordan basis condition number {cA:.3e} exceeds limit {cond_limit:.1e}"
+        )
 
 
 def block_diagonalize(
@@ -290,29 +384,38 @@ def block_diagonalize(
     """Full Jordan decomposition ``H = A H0 inv(A)`` in canonical order.
 
     ``tol`` is relative to ``|H|_F`` and controls both eigenvalue clustering
-    and rank decisions.  Raises :class:`JordanStructureError` when the
-    staircase is inconsistent (including a cluster whose chain census does
-    not reproduce its eigenvalue count) and
-    :class:`IllConditionedBasisError` when ``cond(A)`` exceeds
-    ``cond_limit``.
+    and rank decisions.  Simple, well-separated clusters take their basis
+    vector from the eigensolve; the rest run :func:`jordan_chains`.  Raises
+    :class:`JordanStructureError` when the staircase is inconsistent
+    (including a cluster whose chain census does not reproduce its
+    eigenvalue count) and :class:`IllConditionedBasisError` when ``cond(A)``
+    exceeds ``cond_limit``.
     """
     A_in = as_matrix(H, square=True)
     n = A_in.shape[0]
     if n == 0:
         raise ValueError("cannot decompose an empty matrix")
     scale = fro(A_in)
-    skel = cluster_eigenvalues(eigenvalues(A_in), tol * scale if scale else tol)
+    values, vectors = eigensystem(A_in)
+    skel = cluster_eigenvalues(values, tol * scale if scale else tol)
+    heads = _simple_heads(A_in, values, vectors, skel, tol, scale)
 
+    parent_scale = None
     clusters = []
     chain_sets = []
-    for center, count in zip(skel.centers, skel.multiplicities):
-        chains = jordan_chains(A_in, center, tol)
-        alg = sum(len(c) for c in chains)
-        if alg != count:
-            raise JordanStructureError(
-                f"cluster at {center}: staircase algebraic multiplicity {alg} "
-                f"disagrees with the clustered eigenvalue count {count}"
-            )
+    for k, (center, count) in enumerate(zip(skel.centers, skel.multiplicities)):
+        if k in heads:
+            chains = [[heads[k]]]
+        else:
+            if parent_scale is None:
+                parent_scale = float(np.linalg.norm(A_in, 2))
+            chains = jordan_chains(A_in, center, tol, _parent_scale=parent_scale)
+            alg = sum(len(c) for c in chains)
+            if alg != count:
+                raise JordanStructureError(
+                    f"cluster at {center}: staircase algebraic multiplicity {alg} "
+                    f"disagrees with the clustered eigenvalue count {count}"
+                )
         clusters.append(EigenCluster(center, tuple(len(c) for c in chains)))
         chain_sets.append(chains)
 
@@ -335,16 +438,17 @@ def block_diagonalize(
             assert col - start == len(chain)
     A = np.column_stack(columns)
 
-    cA = cond(A)
-    if not np.isfinite(cA) or cA > cond_limit:
-        raise IllConditionedBasisError(
-            f"Jordan basis condition number {cA:.3e} exceeds limit {cond_limit:.1e}"
-        )
-    recon = fro(A_in - A @ H0 @ inverse(A)) / (scale if scale else 1.0)
-    return BlockDiagonalization(A, H0, table, tuple(labels), recon)
+    try:
+        A_inv, cA = inverse_and_cond(A)
+    except SingularMatrixError as exc:
+        _check_condition(exc.cond_estimate, cond_limit)
+        raise
+    _check_condition(cA, cond_limit)
+    recon = fro(A_in - A @ H0 @ A_inv) / (scale if scale else 1.0)
+    return BlockDiagonalization(A, H0, table, tuple(labels), recon, A_inv, cA)
 
 
 def biorthonormal_complement(bd: BlockDiagonalization) -> np.ndarray:
     """Columns are the dual basis: ``inv(A)^+`` applied to the canonical
     basis, biorthonormal to the Jordan basis and complete."""
-    return inverse(bd.A).conj().T
+    return bd.A_inv.conj().T

@@ -3,8 +3,9 @@
 Exit codes of ``analyze``: 0 pseudo-Hermitian, 1 not, 2 inconclusive,
 3 input error.  Sweep commands emit CSV with a fixed column order; float
 cells use shortest round-trip repr, so identical inputs give byte-identical
-output.  ``PSEUDOSPEC_THREADS`` caps internal parallelism of the sweeps
-(0 or unset = auto); rows are always assembled in input order.
+output.  The sweeps compute their rows in the calling thread; setting
+``PSEUDOSPEC_THREADS`` to N > 1 spreads them over a pool of N threads.
+Rows are always assembled in input order.
 """
 from __future__ import annotations
 
@@ -64,7 +65,10 @@ def _thread_count() -> int:
         raise SystemExit(f"PSEUDOSPEC_THREADS must be an integer, got {raw!r}")
     if n < 0:
         raise SystemExit("PSEUDOSPEC_THREADS must be non-negative")
-    return n if n > 0 else (os.cpu_count() or 1)
+    # A sweep row is small 2x2 or 8x8 work that holds the GIL, so rows run
+    # serially by default: a pool only adds lock hand-offs between threads,
+    # which slow the sweep and make its timing depend on scheduling.
+    return max(n, 1)
 
 
 def _parallel_map(fn, items):

@@ -47,40 +47,36 @@ def fro(M) -> float:
     return float(np.linalg.norm(M, "fro"))
 
 
-def cond(M) -> float:
-    """2-norm condition number; ``inf`` for a singular matrix."""
-    s = np.linalg.svd(as_matrix(M), compute_uv=False)
-    if s.size == 0 or s[-1] == 0.0:
-        return float("inf")
-    return float(s[0] / s[-1])
-
-
 class EigenPair(NamedTuple):
     value: complex
     vector: np.ndarray  # unit Euclidean norm
 
 
-def eigen_decompose(M) -> list[EigenPair]:
-    """Full eigendecomposition of a square complex matrix.
+def eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and unit-norm eigenvector columns from one eigensolve.
 
-    Returns one (value, unit vector) pair per row.  For defective input the
-    vectors may (nearly) repeat; resolving that into Jordan chains is the
-    job of :mod:`pseudospec.blockdiag`.  Backed by the LAPACK Hessenberg/QR
-    triangularization, which stays stable on defective matrices.
+    Column ``k`` of the vector array belongs to eigenvalue ``k``.  For
+    defective input the columns may (nearly) repeat; resolving that into
+    Jordan chains is the job of :mod:`pseudospec.blockdiag`.  Backed by the
+    LAPACK Hessenberg/QR triangularization, which stays stable on defective
+    matrices.
     """
     A = as_matrix(M, square=True)
     try:
         values, vectors = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:  # non-convergence is reported, never silent
         raise EigensolveError(f"eigenvalue iteration did not converge: {exc}") from exc
-    pairs = []
-    for i in range(A.shape[0]):
-        v = vectors[:, i]
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            raise EigensolveError("eigensolver returned a zero vector")
-        pairs.append(EigenPair(complex(values[i]), v / nrm))
-    return pairs
+    norms = np.linalg.norm(vectors, axis=0)
+    if np.any(norms == 0.0):
+        raise EigensolveError("eigensolver returned a zero vector")
+    return values, vectors / norms
+
+
+def eigen_decompose(M) -> list[EigenPair]:
+    """Full eigendecomposition of a square complex matrix, one (value, unit
+    vector) pair per row; see :func:`eigensystem`."""
+    values, vectors = eigensystem(M)
+    return [EigenPair(complex(values[i]), vectors[:, i].copy()) for i in range(values.size)]
 
 
 def eigenvalues(M) -> np.ndarray:
@@ -110,8 +106,8 @@ def numerical_rank(M, tol_rank: float | None = None) -> int:
     return int(np.count_nonzero(s > tol_rank * s[0]))
 
 
-def inverse(M) -> np.ndarray:
-    """Matrix inverse with an explicit singularity check.
+def inverse_and_cond(M) -> tuple[np.ndarray, float]:
+    """Matrix inverse and 2-norm condition number from one SVD.
 
     Raises :class:`SingularMatrixError` (carrying the condition estimate)
     when the smallest singular value is below ``SINGULARITY_CUTOFF`` times
@@ -119,11 +115,17 @@ def inverse(M) -> np.ndarray:
     """
     A = as_matrix(M, square=True)
     if A.size == 0:
-        return A.copy()
+        return A.copy(), float("inf")
     s = np.linalg.svd(A, compute_uv=False)
+    est = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
     if s[-1] <= SINGULARITY_CUTOFF * s[0] or s[0] == 0.0:
-        est = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
         raise SingularMatrixError(
             f"matrix is singular to working tolerance (cond >= {est:.3e})", est
         )
-    return np.linalg.inv(A)
+    return np.linalg.inv(A), est
+
+
+def inverse(M) -> np.ndarray:
+    """Matrix inverse with an explicit singularity check; see
+    :func:`inverse_and_cond`."""
+    return inverse_and_cond(M)[0]

@@ -23,7 +23,7 @@ def matrix_to_doc(M) -> dict:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise FormatError(f"expected a 2-d matrix, got shape {A.shape}")
-    entries = [[float(z.real), float(z.imag)] for z in A.ravel()]
+    entries = np.column_stack((A.real.ravel(), A.imag.ravel())).tolist()
     return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "entries": entries}
 
 

@@ -216,14 +216,13 @@ def build_X0(eta0: np.ndarray, tau0: AntilinearOp) -> AntilinearOp:
 def build_X(bd: BlockDiagonalization, X0: AntilinearOp) -> AntilinearOp:
     """Similarity lift ``X = A X0 inv(A)`` (antilinear, so the inverse
     factor enters conjugated): involution commuting with ``H``."""
-    return AntilinearOp(bd.A @ X0.matrix @ np.conj(inverse(bd.A)))
+    return AntilinearOp(bd.A @ X0.matrix @ np.conj(bd.A_inv))
 
 
 def build_metric_eta(bd: BlockDiagonalization, eta0: np.ndarray) -> np.ndarray:
     """Hermitian invertible metric ``eta = inv(A)^+ eta0 inv(A)`` with
     ``H^+ eta = eta H``; Hermiticity is exact by construction."""
-    Ainv = inverse(bd.A)
-    M = Ainv.conj().T @ eta0 @ Ainv
+    M = bd.A_inv.conj().T @ eta0 @ bd.A_inv
     return (M + M.conj().T) / 2.0
 
 

@@ -33,7 +33,7 @@ from .blockdiag import (
     EigenCluster,
     SpectralTable,
 )
-from .linalg import inverse
+from .linalg import inverse_and_cond
 from .symmetry import SymmetryOperators, build_tau
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -302,8 +302,9 @@ def closed_form_block_diagonalization(spec: ModelSpec) -> BlockDiagonalization:
     table = SpectralTable(tuple(clusters), cluster_tol=0.0)
     H = build_H(spec)
     scale = np.linalg.norm(H, "fro")
-    recon = float(np.linalg.norm(H - A @ H0 @ inverse(A), "fro") / (scale if scale else 1.0))
-    return BlockDiagonalization(A, H0, table, tuple(labels), recon)
+    A_inv, cA = inverse_and_cond(A)
+    recon = float(np.linalg.norm(H - A @ H0 @ A_inv, "fro") / (scale if scale else 1.0))
+    return BlockDiagonalization(A, H0, table, tuple(labels), recon, A_inv, cA)
 
 
 def reference_gauge_tau(spec: ModelSpec) -> AntilinearOp:

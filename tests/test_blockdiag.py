@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pseudospec import blockdiag
+from pseudospec.certify import INCONCLUSIVE, NOT_PSEUDO_HERMITIAN, decide
 from pseudospec.blockdiag import (
     IllConditionedBasisError,
     JordanStructureError,
@@ -9,7 +11,7 @@ from pseudospec.blockdiag import (
     cluster_eigenvalues,
     jordan_chains,
 )
-from pseudospec.linalg import fro
+from pseudospec.linalg import EigensolveError, fro
 
 
 def jordan_matrix(structure):
@@ -207,3 +209,98 @@ class TestBiorthonormalComplement:
             phi = biorthonormal_complement(ref)
             want = np.column_stack([D @ [0.0, -1.0], D @ [1.0, 1.0]])
             assert np.max(np.abs(phi - want)) < 1e-12
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a pass-through wrapper; returns its call list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestEigensolverHeads:
+    def test_simple_spectrum_skips_the_staircase(self, monkeypatch):
+        H = np.random.default_rng(64).standard_normal((64, 64))
+        calls = count_calls(monkeypatch, blockdiag, "jordan_chains")
+        bd = block_diagonalize(H)
+        assert calls == []
+        assert all(c.p_list == (1,) for c in bd.table.clusters)
+        assert bd.recon_residual < 1e-12
+        # the frozen head rule: unit norm, first significant component real positive
+        for col in range(64):
+            v = bd.A[:, col]
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-14
+            pivot = v[np.nonzero(np.abs(v) > 1e-12 * np.abs(v).max())[0][0]]
+            assert pivot.real > 0 and abs(pivot.imag) < 1e-15
+
+    def test_heads_match_the_staircase(self):
+        rng = np.random.default_rng(5)
+        H = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        bd = block_diagonalize(H)
+        for col, cluster in enumerate(bd.table.clusters):
+            (chain,) = jordan_chains(H, cluster.value)
+            assert np.linalg.norm(bd.A[:, col] - chain[0]) < 1e-12
+
+    def test_split_jordan_chain_goes_to_the_staircase(self, monkeypatch):
+        # a J3(E) + J1(E) cluster behind a complex basis, normalized to
+        # |H|_F = 1, like the real clusters of the jordan-census benchmark:
+        # rounding splits it into simple eigenvalues about eps**(1/3) apart,
+        # whose perturbation discs overlap, so none of them may take an
+        # eigenvector as a one-slot chain and leave an unpaired complex value
+        J = jordan_matrix([(0.75, [3, 1])])
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            W = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            H = W @ J @ np.linalg.inv(W)
+            H /= np.linalg.norm(H)
+            calls = count_calls(monkeypatch, blockdiag, "jordan_chains")
+            assert decide(H).verdict != NOT_PSEUDO_HERMITIAN
+            assert calls
+            monkeypatch.undo()
+
+    def test_eigensolver_failure_is_inconclusive(self, monkeypatch):
+        def no_convergence(M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
+        with pytest.raises(EigensolveError):
+            block_diagonalize(np.diag([1.0, 2.0]))
+        assert decide(np.diag([1.0, 2.0])).verdict == INCONCLUSIVE
+
+
+class TestStoredInverse:
+    def test_cond_A_is_stored(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        bd = block_diagonalize(rng.standard_normal((8, 8)))
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        first, second = bd.cond_A, bd.cond_A
+        assert svds == []
+        assert first == second
+        assert first == pytest.approx(np.linalg.cond(bd.A), rel=1e-12)
+
+    def test_A_inv_inverts_A(self):
+        rng = np.random.default_rng(9)
+        structure = [(1.0, [2, 1]), (0.5j, [1]), (-0.5j, [1])]
+        J = jordan_matrix(structure)
+        A0 = well_conditioned(rng, J.shape[0])
+        bd = block_diagonalize(A0 @ J @ np.linalg.inv(A0), tol=1e-6)
+        n = J.shape[0]
+        assert fro(bd.A_inv @ bd.A - np.eye(n)) < 1e-12
+        assert np.array_equal(biorthonormal_complement(bd), bd.A_inv.conj().T)
+
+    def test_one_inversion_per_decide(self, monkeypatch):
+        # A is inverted once in block_diagonalize; the only other inversions
+        # are of the eigenvector matrix and of A S A^T for tau
+        rng = np.random.default_rng(10)
+        H = rng.standard_normal((16, 16))
+        invs = count_calls(monkeypatch, np.linalg, "inv")
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        assert decide(H).verdict == "pseudo_hermitian"
+        assert len(invs) == 3
+        assert len(svds) == 2

@@ -22,6 +22,21 @@ def test_matrix_round_trip():
     assert np.array_equal(out, M)  # float repr round-trips losslessly
 
 
+def test_matrix_to_doc_matches_per_entry_encoding():
+    tiny = 5e-324  # smallest subnormal
+    M = np.array(
+        [
+            [-0.0 + 0.0j, complex(0.0, -0.0), complex(tiny, -tiny)],
+            [complex(1e300, -1e300), complex(-1e300, 2.2250738585072014e-308), 1 / 3 + 0.1j],
+        ]
+    )
+    reference = [[float(z.real), float(z.imag)] for z in M.ravel()]
+    doc = matrix_to_doc(M)
+    assert all(type(x) is float for pair in doc["entries"] for x in pair)
+    assert dumps_canonical(doc["entries"]) == dumps_canonical(reference)
+    assert "-0.0" in dumps_canonical(doc["entries"])
+
+
 def test_matrix_file_round_trip(tmp_path):
     path = tmp_path / "m.json"
     M = np.array([[1.0 + 2.0j, 0.5], [-1.0, 3.0 - 0.25j]])
