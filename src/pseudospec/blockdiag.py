@@ -401,7 +401,6 @@ def block_diagonalize(
     heads = _simple_heads(A_in, values, vectors, skel, tol, scale)
 
     parent_scale = None
-    clusters = []
     chain_sets = []
     for k, (center, count) in enumerate(zip(skel.centers, skel.multiplicities)):
         if k in heads:
@@ -416,36 +415,44 @@ def block_diagonalize(
                     f"cluster at {center}: staircase algebraic multiplicity {alg} "
                     f"disagrees with the clustered eigenvalue count {count}"
                 )
-        clusters.append(EigenCluster(center, tuple(len(c) for c in chains)))
         chain_sets.append(chains)
 
-    table = SpectralTable(tuple(clusters), skel.tol, skel.merge_warning)
-
-    columns = []
-    labels = []
-    H0 = np.zeros((n, n), dtype=complex)
-    col = 0
-    for nidx, (cluster, chains) in enumerate(zip(clusters, chain_sets)):
-        for aidx, chain in enumerate(chains):
-            start = col
-            for i, v in enumerate(chain, start=1):
-                columns.append(v)
-                labels.append((nidx, aidx, i))
-                H0[col, col] = cluster.value
-                if i >= 2:
-                    H0[col - 1, col] = 1.0
-                col += 1
-            assert col - start == len(chain)
-    A = np.column_stack(columns)
-
     try:
-        A_inv, cA = inverse_and_cond(A)
+        bd = from_chains(A_in, skel.centers, chain_sets, skel.tol, skel.merge_warning)
     except SingularMatrixError as exc:
         _check_condition(exc.cond_estimate, cond_limit)
         raise
-    _check_condition(cA, cond_limit)
-    recon = fro(A_in - A @ H0 @ A_inv) / (scale if scale else 1.0)
-    return BlockDiagonalization(A, H0, table, tuple(labels), recon, A_inv, cA)
+    _check_condition(bd.cond_A, cond_limit)
+    return bd
+
+
+def from_chains(
+    H: np.ndarray, centers, chain_sets, cluster_tol: float, merge_warning: bool = False
+) -> BlockDiagonalization:
+    """Assemble the triple (A, H0, table) from the Jordan chains of each
+    cluster, given in canonical order: ``chain_sets[k]`` holds the chains
+    at ``centers[k]``, each head first.
+
+    The columns of A follow the labels of :meth:`SpectralTable.labels`, H0
+    is the block-Jordan form those labels describe, A is inverted once, and
+    the reconstruction residual is taken relative to ``|H|_F``.  Raises
+    :class:`~pseudospec.linalg.SingularMatrixError` for a singular basis.
+    """
+    clusters = tuple(
+        EigenCluster(E, tuple(len(c) for c in chains)) for E, chains in zip(centers, chain_sets)
+    )
+    table = SpectralTable(clusters, cluster_tol, merge_warning)
+    labels = tuple(table.labels())
+    A = np.column_stack([v for chains in chain_sets for chain in chains for v in chain])
+    H0 = np.zeros(A.shape, dtype=complex)
+    for col, (n, _, i) in enumerate(labels):
+        H0[col, col] = table.clusters[n].value
+        if i >= 2:
+            H0[col - 1, col] = 1.0
+    A_inv, cA = inverse_and_cond(A)
+    scale = fro(H)
+    recon = fro(H - A @ H0 @ A_inv) / (scale if scale else 1.0)
+    return BlockDiagonalization(A, H0, table, labels, recon, A_inv, cA)
 
 
 def biorthonormal_complement(bd: BlockDiagonalization) -> np.ndarray:

@@ -9,11 +9,11 @@ binary lie.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .antilinear import AntilinearOp
+from .antilinear import AntilinearOp, is_involution
 from .blockdiag import (
     BlockDiagonalization,
     IllConditionedBasisError,
@@ -40,30 +40,30 @@ def _safe(x: float) -> float:
     return x if x > 0.0 else 1.0
 
 
+def _relative_residual(A: np.ndarray, K: np.ndarray, left, right) -> float:
+    """``|left K - K right| / (|A| |K|)``: the relative residual of every
+    intertwining and commutation identity between ``A`` and ``K`` below."""
+    if A.shape != K.shape:
+        raise ValueError("dimension mismatch")
+    return fro(left @ K - K @ right) / (_safe(fro(A)) * _safe(fro(K)))
+
+
 def residual_intertwine_antilinear(H, L: AntilinearOp) -> float:
     """Relative residual of ``H^+ L = L H`` as antilinear maps, i.e. of the
     matrix identity ``H^+ K = K conj(H)``.  Zero iff ``H^+ = L H inv(L)``."""
     A = as_matrix(H, square=True)
-    K = L.matrix
-    if A.shape != K.shape:
-        raise ValueError("dimension mismatch")
-    num = fro(A.conj().T @ K - K @ np.conj(A))
-    return num / (_safe(fro(A)) * _safe(fro(K)))
+    return _relative_residual(A, L.matrix, A.conj().T, np.conj(A))
 
 
 def residual_commute_antilinear(H, L: AntilinearOp) -> float:
     """Relative residual of ``[H, L] = 0``: ``H K = K conj(H)``."""
     A = as_matrix(H, square=True)
-    K = L.matrix
-    if A.shape != K.shape:
-        raise ValueError("dimension mismatch")
-    num = fro(A @ K - K @ np.conj(A))
-    return num / (_safe(fro(A)) * _safe(fro(K)))
+    return _relative_residual(A, L.matrix, A, np.conj(A))
 
 
 def residual_involution(L: AntilinearOp) -> float:
     """``|K conj(K) - I|``."""
-    return fro(L.matrix @ np.conj(L.matrix) - np.eye(L.dim))
+    return is_involution(L)[1]
 
 
 def residual_hermitian_metric(H, eta) -> tuple[float, float]:
@@ -71,19 +71,14 @@ def residual_hermitian_metric(H, eta) -> tuple[float, float]:
     ``|eta - eta^+| / |eta|`` and ``|H^+ eta - eta H| / (|H| |eta|)``."""
     A = as_matrix(H, square=True)
     G = as_matrix(eta, square=True)
-    if A.shape != G.shape:
-        raise ValueError("dimension mismatch")
     herm = fro(G - G.conj().T) / _safe(fro(G))
-    inter = fro(A.conj().T @ G - G @ A) / (_safe(fro(A)) * _safe(fro(G)))
-    return herm, inter
+    return herm, _relative_residual(A, G, A.conj().T, A)
 
 
 def residual_intertwine_linear(H, G) -> float:
     """Relative residual of ``H^+ G = G H`` for a linear automorphism G."""
     A = as_matrix(H, square=True)
-    M = as_matrix(G, square=True)
-    num = fro(A.conj().T @ M - M @ A)
-    return num / (_safe(fro(A)) * _safe(fro(M)))
+    return _relative_residual(A, as_matrix(G, square=True), A.conj().T, A)
 
 
 @dataclass(frozen=True)
@@ -103,14 +98,9 @@ class ToleranceProfile:
     cond_limit: float = 1e12
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "cluster_tol": self.cluster_tol,
-            "real_tol": self.real_tol,
-            "pair_tol": self.pair_tol,
-            "reconstruction_tol": self.reconstruction_tol,
-            "witness_tol": self.witness_tol,
-            "cond_limit": self.cond_limit,
-        }
+        # not dataclasses.asdict: it deep-copies every value, which makes it
+        # about 20 times slower, and decide calls this for every certificate
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -160,58 +150,25 @@ def decide(H, tol: ToleranceProfile = ToleranceProfile()) -> Certificate:
     labeling = classify_spectrum(bd.table, tol.real_tol, tol.pair_tol)
     report = check_pairing(labeling, bd.table)
     residuals = {"reconstruction": bd.recon_residual}
-    if not report.ok:
+
+    def certificate(verdict, diagnostics=None, witnesses=None):
         return Certificate(
-            NOT_PSEUDO_HERMITIAN,
-            False,
-            residuals,
-            tol.as_dict(),
-            table=bd.table,
-            labeling=labeling,
-            cond_A=bd.cond_A,
-            diagnostics=report.detail,
-            decomposition=bd,
+            verdict, report.ok, residuals, tol.as_dict(), table=bd.table,
+            labeling=labeling, witnesses=witnesses, cond_A=bd.cond_A,
+            diagnostics=diagnostics, decomposition=bd,
         )
+
+    if not report.ok:
+        return certificate(NOT_PSEUDO_HERMITIAN, report.detail)
 
     try:
         ops = synthesize_operators(bd, labeling)
     except SingularMatrixError as exc:
-        return Certificate(
-            INCONCLUSIVE,
-            True,
-            residuals,
-            tol.as_dict(),
-            table=bd.table,
-            labeling=labeling,
-            cond_A=bd.cond_A,
-            diagnostics=f"witness synthesis hit a singular sandwich: {exc}",
-            decomposition=bd,
-        )
+        return certificate(INCONCLUSIVE, f"witness synthesis hit a singular sandwich: {exc}")
     residuals.update(witness_residuals(A, ops))
 
     failed = {k: v for k, v in residuals.items() if k != "reconstruction" and v > tol.witness_tol}
     if bd.recon_residual > tol.reconstruction_tol or failed:
         detail = ", ".join(f"{k}={v:.3e}" for k, v in residuals.items())
-        return Certificate(
-            INCONCLUSIVE,
-            True,
-            residuals,
-            tol.as_dict(),
-            table=bd.table,
-            labeling=labeling,
-            cond_A=bd.cond_A,
-            diagnostics=f"witness residuals exceeded tolerance: {detail}",
-            decomposition=bd,
-        )
-
-    return Certificate(
-        PSEUDO_HERMITIAN,
-        True,
-        residuals,
-        tol.as_dict(),
-        table=bd.table,
-        labeling=labeling,
-        witnesses=ops,
-        cond_A=bd.cond_A,
-        decomposition=bd,
-    )
+        return certificate(INCONCLUSIVE, f"witness residuals exceeded tolerance: {detail}")
+    return certificate(PSEUDO_HERMITIAN, witnesses=ops)

@@ -3,17 +3,13 @@
 Exit codes of ``analyze``: 0 pseudo-Hermitian, 1 not, 2 inconclusive,
 3 input error.  Sweep commands emit CSV with a fixed column order; float
 cells use shortest round-trip repr, so identical inputs give byte-identical
-output.  The sweeps compute their rows in the calling thread; setting
-``PSEUDOSPEC_THREADS`` to N > 1 spreads them over a pool of N threads.
-Rows are always assembled in input order.
+output.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -55,29 +51,6 @@ RESIDUAL_COLUMNS = (
     "gamma_intertwine",
     "reconstruction",
 )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("PSEUDOSPEC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit(f"PSEUDOSPEC_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise SystemExit("PSEUDOSPEC_THREADS must be non-negative")
-    # A sweep row is small 2x2 or 8x8 work that holds the GIL, so rows run
-    # serially by default: a pool only adds lock hand-offs between threads,
-    # which slow the sweep and make its timing depend on scheduling.
-    return max(n, 1)
-
-
-def _parallel_map(fn, items):
-    workers = _thread_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(value) -> str:
@@ -185,7 +158,7 @@ def cmd_scatter_sweep(args) -> int:
         row += [float(cert.residuals.get(name, np.nan)) for name in RESIDUAL_COLUMNS]
         return row
 
-    rows = _parallel_map(one, xs)
+    rows = [one(x) for x in xs]
     _write_csv(args.csv_out, _scatter_header(), rows)
     return 0
 
@@ -249,7 +222,7 @@ def cmd_model_sweep(args) -> int:
             row.append(dev)
         return row
 
-    rows = _parallel_map(one, samples)
+    rows = [one(varpi) for varpi in samples]
     _write_csv(args.csv_out, _model_header(len(lambdas), args.compare_closed_form), rows)
     return 0
 

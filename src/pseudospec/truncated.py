@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antilinear import AntilinearOp, conjugation
-from .blockdiag import (
-    BlockDiagonalization,
-    EigenCluster,
-    SpectralTable,
-)
-from .linalg import inverse_and_cond
+from .blockdiag import BlockDiagonalization, from_chains
 from .symmetry import SymmetryOperators, build_tau
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -284,27 +279,9 @@ def closed_form_block_diagonalization(spec: ModelSpec) -> BlockDiagonalization:
     entries.sort(key=lambda t: (-len(t[1]), 0))  # chains first within ties below
     entries.sort(key=lambda t: (t[0].real, t[0].imag))
 
-    clusters = []
-    columns = []
-    labels = []
-    H0 = np.zeros((2 * L, 2 * L), dtype=complex)
-    col = 0
-    for n, (value, chain) in enumerate(entries):
-        clusters.append(EigenCluster(value, (len(chain),)))
-        for i, v in enumerate(chain, start=1):
-            columns.append(v)
-            labels.append((n, 0, i))
-            H0[col, col] = value
-            if i >= 2:
-                H0[col - 1, col] = 1.0
-            col += 1
-    A = np.column_stack(columns)
-    table = SpectralTable(tuple(clusters), cluster_tol=0.0)
-    H = build_H(spec)
-    scale = np.linalg.norm(H, "fro")
-    A_inv, cA = inverse_and_cond(A)
-    recon = float(np.linalg.norm(H - A @ H0 @ A_inv, "fro") / (scale if scale else 1.0))
-    return BlockDiagonalization(A, H0, table, tuple(labels), recon, A_inv, cA)
+    return from_chains(
+        build_H(spec), [E for E, _ in entries], [[chain] for _, chain in entries], 0.0
+    )
 
 
 def reference_gauge_tau(spec: ModelSpec) -> AntilinearOp:

@@ -12,6 +12,7 @@ from pseudospec.blockdiag import (
     jordan_chains,
 )
 from pseudospec.linalg import EigensolveError, fro
+from pseudospec.truncated import ModelSpec, closed_form_block_diagonalization
 
 
 def jordan_matrix(structure):
@@ -169,6 +170,23 @@ class TestBlockDiagonalize:
             abs(c1.value - c2.value) < 1e-8
             for c1, c2 in zip(bd1.table.clusters, bd2.table.clusters)
         )
+
+    @pytest.mark.parametrize("varpi", [2.0, 1.5])
+    def test_closed_form_triple_shares_the_assembly(self, varpi):
+        # varpi = 2 is the exceptional point of level 2, where its pair
+        # coalesces into a length-2 chain; varpi = 1.5 has simple clusters only
+        bd = closed_form_block_diagonalization(ModelSpec((1.0, 4.0), varpi))
+        assert bd.label_order == tuple(bd.table.labels())
+        n = bd.A.shape[0]
+        expected = np.zeros((n, n), dtype=complex)
+        for col, (c, _, i) in enumerate(bd.label_order):
+            expected[col, col] = bd.table.clusters[c].value
+            if i >= 2:
+                expected[col - 1, col] = 1.0
+        assert np.array_equal(bd.H0, expected)
+        chains = [p for c in bd.table.clusters for p in c.p_list]
+        assert chains.count(2) == (1 if varpi == 2.0 else 0)
+        assert bd.recon_residual < 1e-12
 
     def test_ill_conditioned_basis_is_reported(self):
         # a length-2 chain with a huge superdiagonal scale forces cond(A)

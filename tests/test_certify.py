@@ -11,7 +11,10 @@ from pseudospec.certify import (
     residual_commute_antilinear,
     residual_hermitian_metric,
     residual_intertwine_antilinear,
+    residual_intertwine_linear,
+    residual_involution,
 )
+from pseudospec.linalg import fro
 from tests.test_blockdiag import jordan_matrix, scatter_hamiltonian, well_conditioned
 
 EP_PROFILE = ToleranceProfile(cluster_tol=1e-6)
@@ -49,6 +52,41 @@ class TestResiduals:
             spec = ModelSpec((1.0, 4.0), w)
             eta = np.kron(np.diag([1.0, -1.0]), np.eye(2))
             assert residual_hermitian_metric(build_H(spec), eta) == (0.0, 0.0)
+
+
+def _complex_5x5(rng):
+    return rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+
+
+class TestResidualFormulas:
+    """Each public residual against its formula written out in full."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_formulas_are_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        H, K = _complex_5x5(rng), _complex_5x5(rng)
+        L = AntilinearOp(K)
+        scale = fro(H) * fro(K)
+        assert residual_intertwine_antilinear(H, L) == fro(H.conj().T @ K - K @ np.conj(H)) / scale
+        assert residual_commute_antilinear(H, L) == fro(H @ K - K @ np.conj(H)) / scale
+        assert residual_involution(L) == fro(K @ np.conj(K) - np.eye(5))
+        assert residual_hermitian_metric(H, K) == (
+            fro(K - K.conj().T) / fro(K), fro(H.conj().T @ K - K @ H) / scale
+        )
+        assert residual_intertwine_linear(H, K) == fro(H.conj().T @ K - K @ H) / scale
+
+    @pytest.mark.parametrize("residual, wrap", [
+        (residual_intertwine_antilinear, AntilinearOp),
+        (residual_commute_antilinear, AntilinearOp),
+        (residual_hermitian_metric, np.asarray),
+        (residual_intertwine_linear, np.asarray),
+    ])
+    def test_dimension_mismatch_raises(self, residual, wrap):
+        rng = np.random.default_rng(7)
+        H = _complex_5x5(rng)
+        K = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        with pytest.raises(ValueError):
+            residual(H, wrap(K))
 
 
 class TestDecide:

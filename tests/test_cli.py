@@ -96,11 +96,14 @@ class TestScatterSweep:
         v = header.index("verdict")
         assert all(row[v] == "pseudo_hermitian" for row in rows_a)
 
-    def test_deterministic_output(self, tmp_path):
-        args = [
+    @pytest.mark.parametrize("args", [
+        [
             "scatter-sweep", "--potential", "rectangular:0.5,0,1", "--k", "0.8",
             "--x-range", "0", "1", "--samples", "4", "--steps", "100",
-        ]
+        ],
+        ["model-sweep", "--lambdas", "1,4", "--varpi-range", "0.5", "3", "--samples", "6"],
+    ], ids=["scatter-sweep", "model-sweep"])
+    def test_deterministic_output(self, tmp_path, args):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--csv-out", str(out1)]) == 0
         assert main(args + ["--csv-out", str(out2)]) == 0
@@ -150,26 +153,3 @@ class TestModelSweep:
     def test_bad_lambdas_exit_code(self, capsys):
         assert main(["model-sweep", "--lambdas", "4,1", "--varpi-range", "1", "2"]) == 3
         assert "increasing" in capsys.readouterr().err
-
-
-class TestThreadCap:
-    def test_env_var_controls_parallelism(self, tmp_path, monkeypatch):
-        args = [
-            "model-sweep", "--lambdas", "1,4", "--varpi-range", "0.5", "3",
-            "--samples", "6",
-        ]
-        monkeypatch.setenv("PSEUDOSPEC_THREADS", "2")
-        out1 = tmp_path / "a.csv"
-        assert main(args + ["--csv-out", str(out1)]) == 0
-        monkeypatch.setenv("PSEUDOSPEC_THREADS", "1")
-        out2 = tmp_path / "b.csv"
-        assert main(args + ["--csv-out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_invalid_env_var(self, monkeypatch):
-        monkeypatch.setenv("PSEUDOSPEC_THREADS", "lots")
-        with pytest.raises(SystemExit):
-            main([
-                "model-sweep", "--lambdas", "1,4", "--varpi-range", "0.5", "3",
-                "--samples", "2",
-            ])
