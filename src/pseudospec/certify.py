@@ -161,10 +161,7 @@ def decide(H, tol: ToleranceProfile = ToleranceProfile()) -> Certificate:
     if not report.ok:
         return certificate(NOT_PSEUDO_HERMITIAN, report.detail)
 
-    try:
-        ops = synthesize_operators(bd, labeling)
-    except SingularMatrixError as exc:
-        return certificate(INCONCLUSIVE, f"witness synthesis hit a singular sandwich: {exc}")
+    ops = synthesize_operators(bd, labeling)
     residuals.update(witness_residuals(A, ops))
 
     failed = {k: v for k, v in residuals.items() if k != "reconstruction" and v > tol.witness_tol}

@@ -1,9 +1,9 @@
 """Command line surface: ``analyze``, ``scatter-sweep``, ``model-sweep``.
 
 Exit codes of ``analyze``: 0 pseudo-Hermitian, 1 not, 2 inconclusive,
-3 input error.  Sweep commands emit CSV with a fixed column order; float
-cells use shortest round-trip repr, so identical inputs give byte-identical
-output.
+3 input error.  Every command exits 3 on a malformed command line.  Sweep
+commands emit CSV with a fixed column order; float cells use shortest
+round-trip repr, so identical inputs give byte-identical output.
 """
 from __future__ import annotations
 
@@ -100,7 +100,7 @@ def _parse_potential(text: str):
     if kind == "rectangular":
         parts = rest.split(",")
         if len(parts) != 3:
-            raise SystemExit("rectangular potential needs v0,x_start,x_end")
+            raise ValueError("rectangular potential needs v0,x_start,x_end")
         v0, a, b = (float(p) for p in parts)
         return RectangularBarrier(v0, a, b)
     if kind == "sampled":
@@ -114,7 +114,7 @@ def _parse_potential(text: str):
                 xs.append(float(x))
                 vs.append(float(v))
         return SampledPotential(tuple(xs), tuple(vs))
-    raise SystemExit(f"unknown potential kind {kind!r}")
+    raise ValueError(f"unknown potential kind {kind!r}")
 
 
 def _scatter_header():
@@ -183,7 +183,7 @@ def cmd_model_sweep(args) -> int:
         return EXIT_INPUT_ERROR
     lo, hi = args.varpi_range
     samples = np.linspace(lo, hi, args.samples)
-    if np.any(samples <= 0):
+    if not np.all(samples > 0):  # also refuses a NaN bound
         print("error: varpi must stay positive over the sweep", file=sys.stderr)
         return EXIT_INPUT_ERROR
     eps_set = np.sqrt(lambdas)
@@ -227,8 +227,27 @@ def cmd_model_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with the input-error code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """A sample or step count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pseudospec",
         description="Block-diagonalization and pseudo-Hermiticity certificates "
         "for dense complex operators",
@@ -248,15 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rectangular:v0,x_start,x_end or sampled:path")
     p.add_argument("--k", type=float, required=True, help="wavenumber")
     p.add_argument("--x-range", type=float, nargs=2, required=True, metavar=("XMIN", "XMAX"))
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--steps", type=int, default=2000, help="integrator steps over the full range")
+    p.add_argument("--samples", type=_count, default=50)
+    p.add_argument("--steps", type=_count, default=2000, help="integrator steps over the full range")
     p.add_argument("--csv-out", default=None)
     p.set_defaults(func=cmd_scatter_sweep)
 
     p = sub.add_parser("model-sweep", help="parameter sweep of the two-band lattice model")
     p.add_argument("--lambdas", required=True, help="comma-separated increasing positive list")
     p.add_argument("--varpi-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--csv-out", default=None)
     p.add_argument("--compare-closed-form", action="store_true")
     p.set_defaults(func=cmd_model_sweep)

@@ -17,8 +17,9 @@ Closed forms, in the gauge whose Jordan basis is
     X  = exp(-2ikx sigma3) . conj,
     tau = [[0, -1], [-1, -2 exp(2ikx)]] . conj
 
-The matrix part of ``tau`` is ``conj(inv(A sigma1 A^T))``; it is symmetric
-(Hermitian) but not an involution, as a witness of this kind need not be.
+Here ``tau = inv(A)^+ tau0 inv(A)``, whose matrix part is
+``conj(inv(A)^T sigma1 inv(A))``; it is symmetric (Hermitian) but not an
+involution, as a witness of this kind need not be.
 """
 from __future__ import annotations
 

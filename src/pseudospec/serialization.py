@@ -9,10 +9,13 @@ documents, and parse -> serialize round-trips are lossless.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
+from .antilinear import AntilinearOp
 from .certify import Certificate, PSEUDO_HERMITIAN
+from .symmetry import SymmetryOperators
 
 
 class FormatError(ValueError):
@@ -93,18 +96,13 @@ def certificate_to_doc(cert: Certificate) -> dict:
     if np.isfinite(cert.cond_A):
         doc["cond_A"] = float(cert.cond_A)
     if cert.verdict == PSEUDO_HERMITIAN and cert.witnesses is not None:
-        w = cert.witnesses
-        doc["witnesses"] = {
-            "S": matrix_to_doc(w.S),
-            "Theta": matrix_to_doc(w.Theta.matrix),
-            "tau0": matrix_to_doc(w.tau0.matrix),
-            "tau": matrix_to_doc(w.tau.matrix),
-            "C0": matrix_to_doc(w.C0),
-            "eta0": matrix_to_doc(w.eta0),
-            "X0": matrix_to_doc(w.X0.matrix),
-            "X": matrix_to_doc(w.X.matrix),
-            "eta": matrix_to_doc(w.eta),
-        }
+        witnesses = {}
+        for f in fields(SymmetryOperators):
+            value = getattr(cert.witnesses, f.name)
+            witnesses[f.name] = matrix_to_doc(
+                value.matrix if isinstance(value, AntilinearOp) else value
+            )
+        doc["witnesses"] = witnesses
     return doc
 
 

@@ -6,8 +6,8 @@ there:
 
 * ``S`` flips every chain end to end, slot ``(n, a, i) -> (n, a, p-i+1)``;
 * ``tau0 = S . conjugation`` relates ``H0`` to its adjoint;
-* ``tau = inv(A tau0 A^+)`` relates any block-diagonalizable ``H`` to its
-  adjoint, pairing or not;
+* ``tau = inv(A tau0 A^+) = inv(A)^+ tau0 inv(A)`` relates any
+  block-diagonalizable ``H`` to its adjoint, pairing or not;
 * ``C0`` fixes real-class slots and swaps conjugate-paired clusters, and
   exists precisely when the spectrum passes the pairing test;
 * ``eta0 = S C0`` and ``X0 = eta0 . tau0`` commute into the generalized
@@ -24,7 +24,6 @@ import numpy as np
 
 from .antilinear import AntilinearOp, compose_antilinear_antilinear, conjugation
 from .blockdiag import BlockDiagonalization, SpectralTable
-from .linalg import inverse
 
 DEFAULT_REAL_TOL = 1e-8
 DEFAULT_PAIR_TOL = 1e-8
@@ -129,17 +128,14 @@ def check_pairing(labeling: SpectralLabeling, table: SpectralTable) -> PairingRe
     return PairingReport(True, None)
 
 
-def _chain_offsets(table: SpectralTable) -> list[list[int]]:
-    """Starting slot of chain (n, a) in the canonical basis."""
-    offsets = []
-    col = 0
-    for c in table.clusters:
-        row = []
-        for p in c.p_list:
-            row.append(col)
-            col += p
-        offsets.append(row)
-    return offsets
+def _slot_permutation(table: SpectralTable, image) -> np.ndarray:
+    """Permutation matrix sending the basis slot labelled ``(n, a, i)`` to
+    the slot labelled ``image(n, a, i)``, in the canonical label order."""
+    labels = table.labels()
+    column = {label: k for k, label in enumerate(labels)}
+    P = np.zeros((len(labels), len(labels)))
+    P[[column[image(*label)] for label in labels], np.arange(len(labels))] = 1.0
+    return P
 
 
 def build_S(table: SpectralTable) -> np.ndarray:
@@ -148,13 +144,9 @@ def build_S(table: SpectralTable) -> np.ndarray:
     Hermitian, unitary, and involutive exactly; it is the identity precisely
     when every chain has length 1.
     """
-    dim = table.dimension
-    S = np.zeros((dim, dim))
-    for offs, c in zip(_chain_offsets(table), table.clusters):
-        for start, p in zip(offs, c.p_list):
-            for i in range(p):
-                S[start + p - 1 - i, start + i] = 1.0
-    return S
+    return _slot_permutation(
+        table, lambda n, a, i: (n, a, table.clusters[n].p_list[a] - i + 1)
+    )
 
 
 def build_Theta(dim: int) -> AntilinearOp:
@@ -170,13 +162,13 @@ def build_tau0(table: SpectralTable) -> AntilinearOp:
 def build_tau(bd: BlockDiagonalization) -> AntilinearOp:
     """Antilinear Hermitian bijection with ``H^+ tau = tau H``.
 
-    Defined as the inverse of ``A tau0 A^+`` whose matrix part is
-    ``A S A^T``; no spectral pairing is needed, so this witness exists for
-    every block-diagonalizable input.  The matrix part is symmetrized to
-    keep Hermiticity exact against inversion round-off.
+    Defined as ``inv(A tau0 A^+) = inv(A)^+ tau0 inv(A)``, whose matrix part
+    is ``conj(inv(A)^T S inv(A))``: the dual-basis sandwich of ``tau0``, built
+    from the stored inverse of A.  No spectral pairing is needed, so this
+    witness exists for every block-diagonalizable input.  The matrix part is
+    symmetrized to keep Hermiticity exact against round-off.
     """
-    W = bd.A @ build_S(bd.table) @ bd.A.T
-    K = np.conj(inverse(W))
+    K = np.conj(bd.A_inv.T @ build_S(bd.table) @ bd.A_inv)
     return AntilinearOp((K + K.T) / 2.0)
 
 
@@ -188,19 +180,10 @@ def build_C0(labeling: SpectralLabeling, table: SpectralTable) -> np.ndarray:
     report = check_pairing(labeling, table)
     if not report.ok:
         raise PairingError(report.detail)
-    dim = table.dimension
-    offsets = _chain_offsets(table)
-    C = np.zeros((dim, dim))
-    for n in labeling.real_clusters:
-        for start, p in zip(offsets[n], table.clusters[n].p_list):
-            for i in range(p):
-                C[start + i, start + i] = 1.0
+    partner = {n: n for n in labeling.real_clusters}
     for n, m in labeling.pairs:
-        for sa, sb, p in zip(offsets[n], offsets[m], table.clusters[n].p_list):
-            for i in range(p):
-                C[sb + i, sa + i] = 1.0
-                C[sa + i, sb + i] = 1.0
-    return C
+        partner[n], partner[m] = m, n
+    return _slot_permutation(table, lambda n, a, i: (partner[n], a, i))
 
 
 def build_eta0(S: np.ndarray, C0: np.ndarray) -> np.ndarray:
@@ -246,7 +229,7 @@ def synthesize_operators(
         labeling = classify_spectrum(bd.table, real_tol, pair_tol)
     S = build_S(bd.table)
     Theta = build_Theta(bd.table.dimension)
-    tau0 = build_tau0(bd.table)
+    tau0 = AntilinearOp(S)
     tau = build_tau(bd)
     C0 = build_C0(labeling, bd.table)
     eta0 = build_eta0(S, C0)

@@ -107,33 +107,46 @@ def _assemble(spec: ModelSpec, blocks) -> np.ndarray:
     return M
 
 
+def _eigenvector_block(r) -> list[list]:
+    """``[[1 - r, 1 + r], [1 + r, 1 - r]] / 2``."""
+    a, b = 1 - r, 1 + r
+    return [[a / 2, b / 2], [b / 2, a / 2]]
+
+
+def _closed_form_basis(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form Jordan basis A and its inverse, level by level.
+
+    A level off the exceptional set carries the eigenvector block with
+    ``r = E/w`` in A and ``r = w/E`` in inv(A).  At ``varpi = sqrt(lambda_l)``
+    the coalesced level carries the chain block ``[[1, -2/s], [1, 0]] / 2``
+    in A and ``[[0, 2], [-s, s]]`` in inv(A), with ``s = sqrt(lambda_l)``.
+    """
+    w = spec.varpi
+    star = exceptional_index(spec)
+    basis, inverse = [], []
+    for l, E in enumerate(energies(spec)):
+        if l == star:
+            s = np.sqrt(spec.lambdas[l])
+            basis.append([[0.5, -1.0 / s], [0.5, 0.0]])
+            inverse.append([[0.0, 2.0], [-s, s]])
+        else:
+            basis.append(_eigenvector_block(E / w))
+            inverse.append(_eigenvector_block(w / E))
+    return _assemble(spec, basis), _assemble(spec, inverse)
+
+
 def closed_form_A(spec: ModelSpec) -> np.ndarray:
     """Eigenvector basis A = [[1 - E/w, 1 + E/w], [1 + E/w, 1 - E/w]] / 2
     per level; valid away from the exceptional set, where it degenerates."""
     if is_exceptional(spec):
         raise ValueError("A degenerates at an exceptional point; use closed_form_A_star")
-    w = spec.varpi
-    blocks = []
-    for E in energies(spec):
-        a, b = 1 - E / w, 1 + E / w
-        blocks.append([[a / 2, b / 2], [b / 2, a / 2]])
-    return _assemble(spec, blocks)
+    return _closed_form_basis(spec)[0]
 
 
 def closed_form_A_inv(spec: ModelSpec) -> np.ndarray:
     if is_exceptional(spec):
         raise ValueError("A degenerates at an exceptional point; use closed_form_A_star")
-    w = spec.varpi
-    blocks = []
-    for E in energies(spec):
-        a, b = 1 - w / E, 1 + w / E
-        blocks.append([[a / 2, b / 2], [b / 2, a / 2]])
-    return _assemble(spec, blocks)
-
-
-def _ep_block(lam_star: float) -> np.ndarray:
-    s = np.sqrt(lam_star)
-    return np.array([[0.5, -1.0 / s], [0.5, 0.0]])
+    return _closed_form_basis(spec)[1]
 
 
 def closed_form_A_star(spec: ModelSpec, ell_star: int) -> np.ndarray:
@@ -143,30 +156,13 @@ def closed_form_A_star(spec: ModelSpec, ell_star: int) -> np.ndarray:
     blocks."""
     if exceptional_index(spec) != ell_star:
         raise ValueError("varpi does not sit at the exceptional point of that level")
-    w = spec.varpi
-    blocks = []
-    for l, E in enumerate(energies(spec)):
-        if l == ell_star:
-            blocks.append(_ep_block(spec.lambdas[l]))
-        else:
-            a, b = 1 - E / w, 1 + E / w
-            blocks.append([[a / 2, b / 2], [b / 2, a / 2]])
-    return _assemble(spec, blocks)
+    return _closed_form_basis(spec)[0]
 
 
 def closed_form_A_star_inv(spec: ModelSpec, ell_star: int) -> np.ndarray:
     if exceptional_index(spec) != ell_star:
         raise ValueError("varpi does not sit at the exceptional point of that level")
-    w = spec.varpi
-    s = np.sqrt(spec.lambdas[ell_star])
-    blocks = []
-    for l, E in enumerate(energies(spec)):
-        if l == ell_star:
-            blocks.append([[0.0, 2.0], [-s, s]])
-        else:
-            a, b = 1 - w / E, 1 + w / E
-            blocks.append([[a / 2, b / 2], [b / 2, a / 2]])
-    return _assemble(spec, blocks)
+    return _closed_form_basis(spec)[1]
 
 
 def closed_form_H0(spec: ModelSpec) -> np.ndarray:
@@ -199,9 +195,7 @@ def closed_form_tau(spec: ModelSpec) -> AntilinearOp:
             s = np.sqrt(lam)
             blocks.append([[0.0, -2 * s], [-2 * s, 4 * s]])
         else:
-            e2 = w2 - lam  # E_l^2, real with either sign
-            a, b = 1 + w2 / e2, 1 - w2 / e2
-            blocks.append([[a / 2, b / 2], [b / 2, a / 2]])
+            blocks.append(_eigenvector_block(-w2 / (w2 - lam)))  # w2 - lam = E_l^2
     return AntilinearOp(_assemble(spec, blocks))
 
 
@@ -239,12 +233,7 @@ def closed_form_operators(spec: ModelSpec) -> SymmetryOperators:
     C_blocks = [np.eye(2) if _real_class(spec, l) else SIGMA_1 for l in range(spec.L)]
     C0 = _assemble(spec, C_blocks)
     eta0 = S @ C0
-    if star is None:
-        A = closed_form_A(spec)
-        Ainv = closed_form_A_inv(spec)
-    else:
-        A = closed_form_A_star(spec, star)
-        Ainv = closed_form_A_star_inv(spec, star)
+    Ainv = _closed_form_basis(spec)[1]
     eta = Ainv.conj().T @ eta0 @ Ainv
     eta = (eta + eta.conj().T) / 2.0
     return SymmetryOperators(
@@ -265,7 +254,7 @@ def closed_form_block_diagonalization(spec: ModelSpec) -> BlockDiagonalization:
     clusters in the canonical (Re, Im) order so it is interchangeable with
     the generic pipeline's output up to the chain gauge."""
     star = exceptional_index(spec)
-    A_eps = closed_form_A_star(spec, star) if star is not None else closed_form_A(spec)
+    A_eps = _closed_form_basis(spec)[0]
     E = energies(spec)
     L = spec.L
 

@@ -153,3 +153,31 @@ class TestModelSweep:
     def test_bad_lambdas_exit_code(self, capsys):
         assert main(["model-sweep", "--lambdas", "4,1", "--varpi-range", "1", "2"]) == 3
         assert "increasing" in capsys.readouterr().err
+
+
+SWEEP = ["scatter-sweep", "--k", "1", "--x-range", "0", "1"]
+MODEL = ["model-sweep", "--lambdas", "1,4", "--varpi-range", "0.5", "3"]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        SWEEP + ["--potential", "rectangular:1,2"],
+        SWEEP + ["--potential", "triangle:1"],
+        ["model-sweep", "--lambdas", "1,4", "--varpi-range", "nan", "3"],
+    ], ids=["rectangular-arity", "unknown-kind", "nan-varpi"])
+    def test_bad_value_exits_three(self, argv, capsys):
+        assert main(argv) == 3
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        SWEEP + ["--potential", "rectangular:1,0,1", "--samples", "-2"],
+        MODEL + ["--samples", "-2"],
+        SWEEP + ["--potential", "rectangular:1,0,1", "--steps", "-5"],
+        ["analyze", "m.json", "--tol-cluster", "abc"],
+        ["model-sweep", "--lambdas", "1,4"],
+    ], ids=["scatter-samples", "model-samples", "steps", "tol-cluster", "missing-range"])
+    def test_malformed_command_line_exits_three(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 3
+        assert "error:" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pseudospec.certify import ToleranceProfile, decide
+from pseudospec.scattering import hamiltonian
 from pseudospec.serialization import (
     FormatError,
     certificate_to_doc,
@@ -103,3 +104,22 @@ def test_canonical_dump_round_trips_bytewise():
     text = dumps_canonical(doc)
     again = dumps_canonical(json.loads(text))
     assert again == text
+
+
+def test_witnesses_follow_the_operator_fields():
+    # x = 0, k = 1, v = 2: one length-2 chain at E = 0
+    cert = decide(hamiltonian(0.0, 1.0, 2.0), ToleranceProfile(cluster_tol=1e-6))
+    assert cert.verdict == "pseudo_hermitian"
+    assert cert.table.clusters[0].p_list == (2,)
+    w = cert.witnesses
+    assert certificate_to_doc(cert)["witnesses"] == {
+        "S": matrix_to_doc(w.S),
+        "Theta": matrix_to_doc(w.Theta.matrix),
+        "tau0": matrix_to_doc(w.tau0.matrix),
+        "tau": matrix_to_doc(w.tau.matrix),
+        "C0": matrix_to_doc(w.C0),
+        "eta0": matrix_to_doc(w.eta0),
+        "X0": matrix_to_doc(w.X0.matrix),
+        "X": matrix_to_doc(w.X.matrix),
+        "eta": matrix_to_doc(w.eta),
+    }

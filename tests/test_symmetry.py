@@ -3,7 +3,10 @@ import pytest
 
 from pseudospec.antilinear import AntilinearOp, is_hermitian, is_involution
 from pseudospec.blockdiag import EigenCluster, SpectralTable, block_diagonalize
+from pseudospec.linalg import SingularMatrixError, fro, inverse
 from pseudospec.certify import (
+    PSEUDO_HERMITIAN,
+    decide,
     residual_commute_antilinear,
     residual_hermitian_metric,
     residual_intertwine_antilinear,
@@ -26,7 +29,7 @@ from pseudospec.symmetry import (
     gamma_from_tau_X,
     synthesize_operators,
 )
-from tests.test_blockdiag import jordan_matrix, scatter_hamiltonian, well_conditioned
+from tests.test_blockdiag import count_calls, jordan_matrix, scatter_hamiltonian, well_conditioned
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -263,3 +266,103 @@ class TestSynthesis:
         gamma = gamma_from_tau_X(tau, X)
         assert np.array_equal(gamma, tau.matrix)
         assert residual_intertwine_linear(H, gamma) < 1e-15
+
+
+def offset_S(t):
+    """Chain reversal written with explicit starting offsets per chain."""
+    S = np.zeros((t.dimension, t.dimension))
+    start = 0
+    for c in t.clusters:
+        for p in c.p_list:
+            for i in range(p):
+                S[start + p - 1 - i, start + i] = 1.0
+            start += p
+    return S
+
+
+def offset_C0(lab, t):
+    """Pair swap written with explicit starting offsets per chain."""
+    offsets, start = [], 0
+    for c in t.clusters:
+        offsets.append([])
+        for p in c.p_list:
+            offsets[-1].append(start)
+            start += p
+    C = np.zeros((t.dimension, t.dimension))
+    for n in lab.real_clusters:
+        for sa, p in zip(offsets[n], t.clusters[n].p_list):
+            for i in range(p):
+                C[sa + i, sa + i] = 1.0
+    for n, m in lab.pairs:
+        for sa, sb, p in zip(offsets[n], offsets[m], t.clusters[n].p_list):
+            for i in range(p):
+                C[sb + i, sa + i] = 1.0
+                C[sa + i, sb + i] = 1.0
+    return C
+
+
+def sandwich_tau(bd):
+    """tau as the symmetrized inverse of the sandwich ``A S A^T``."""
+    K = np.conj(np.linalg.inv(bd.A @ offset_S(bd.table) @ bd.A.T))
+    return (K + K.T) / 2.0
+
+
+def graded_instance(seed, n, decades):
+    """Real simple spectrum 1..n behind a basis with singular values
+    spread over ``decades`` decades."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    W = U @ np.diag(np.logspace(0, -decades, n)) @ V
+    return W @ np.diag(np.arange(1.0, n + 1)) @ np.linalg.inv(W)
+
+
+class TestWitnessesFromTheDecomposition:
+    @pytest.mark.parametrize("clusters", [
+        [(1.0, [3, 1, 1]), (0.5 + 1j, [2, 1]), (0.5 - 1j, [2, 1]), (-2.0, [2, 2])],
+        [(0.5 - 1j, [2, 1]), (0.0, [1]), (0.5 + 1j, [2, 1]), (3.0, [2, 1])],
+        [(-1j, [2, 1]), (-2j, [3, 2, 2]), (1j, [2, 1]), (2j, [3, 2, 2])],
+    ])
+    def test_S_and_C0_match_the_offset_loops(self, clusters):
+        t = table(*clusters)
+        lab = classify_spectrum(t)
+        assert np.array_equal(build_S(t), offset_S(t))
+        assert np.array_equal(build_C0(lab, t), offset_C0(lab, t))
+
+    @pytest.mark.parametrize("structure", [
+        [(0.0, [3]), (1.0 + 0.5j, [1]), (1.0 - 0.5j, [1])],  # defective
+        [(0.5 + 1j, [2, 1]), (0.5 - 1j, [2, 1])],  # paired chains
+        [(0.3 + 0.7j, [2]), (1.0, [1])],  # unpaired
+    ])
+    def test_tau_matches_the_inverted_sandwich(self, structure):
+        rng = np.random.default_rng(sum(len(p) for _, p in structure))
+        bd = block_diagonalize(paired_instance(rng, structure), tol=1e-5)
+        want = sandwich_tau(bd)
+        assert fro(build_tau(bd).matrix - want) <= 1e-12 * fro(want)
+
+    def test_synthesis_factorizes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        bd = block_diagonalize(paired_instance(rng, PAIRED_STRUCTURES[2]), tol=1e-5)
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        invs = count_calls(monkeypatch, np.linalg, "inv")
+        synthesize_operators(bd)
+        assert svds == [] and invs == []
+
+    def test_ill_conditioned_basis_is_certified(self):
+        # cond(A S A^T) is about cond(A)^2 here, past the singularity cutoff
+        # of an explicit inversion, while inv(A) itself is stored
+        H = graded_instance(0, 4, 8)
+        cert = decide(H)
+        assert 1e7 < cert.cond_A < 1e12
+        with pytest.raises(SingularMatrixError):
+            inverse(cert.decomposition.A @ cert.witnesses.S @ cert.decomposition.A.T)
+        assert cert.verdict == PSEUDO_HERMITIAN
+        nH = np.linalg.norm(H)
+        tau, X, eta = cert.witnesses.tau.matrix, cert.witnesses.X.matrix, cert.witnesses.eta
+        Hh = H.conj().T
+        assert np.linalg.norm(Hh @ tau - tau @ H.conj()) < 1e-8 * nH * np.linalg.norm(tau)
+        assert np.linalg.norm(tau - tau.T) < 1e-12 * np.linalg.norm(tau)
+        assert np.linalg.norm(X @ X.conj() - np.eye(4)) < 1e-8
+        assert np.linalg.norm(H @ X - X @ H.conj()) < 1e-8 * nH * np.linalg.norm(X)
+        assert np.linalg.norm(Hh @ eta - eta @ H) < 1e-8 * nH * np.linalg.norm(eta)
+        assert np.array_equal(eta, eta.conj().T)

@@ -23,6 +23,7 @@ from pseudospec.truncated import (
     closed_form_H0,
     closed_form_X,
     closed_form_X0,
+    closed_form_block_diagonalization,
     closed_form_operators,
     closed_form_tau,
     energies,
@@ -265,3 +266,78 @@ class TestPipelineAgreement:
             cert = decide(H, EP_PROFILE)
             assert cert.residuals["anti_ph"] < 1e-10
             assert residual_intertwine_antilinear(H, closed_form_tau(spec)) < 1e-10
+
+
+def place(spec, blocks):
+    """Per-level 2x2 blocks on the (l, L + l) slots of a 2L x 2L matrix."""
+    L = spec.L
+    M = np.zeros((2 * L, 2 * L), dtype=complex)
+    for l, B in enumerate(blocks):
+        for i, r in enumerate((l, L + l)):
+            for j, c in enumerate((l, L + l)):
+                M[r, c] = B[i][j]
+    return M
+
+
+def written_out_basis(spec, star):
+    """A and inv(A) from the block formulas, each regime written apart."""
+    w = spec.varpi
+    A_blocks, inv_blocks = [], []
+    for l, E in enumerate(energies(spec)):
+        if l == star:
+            s = np.sqrt(spec.lambdas[l])
+            A_blocks.append(np.array([[0.5, -1.0 / s], [0.5, 0.0]]))
+            inv_blocks.append([[0.0, 2.0], [-s, s]])
+        else:
+            a, b = 1 - E / w, 1 + E / w
+            A_blocks.append([[a / 2, b / 2], [b / 2, a / 2]])
+            a, b = 1 - w / E, 1 + w / E
+            inv_blocks.append([[a / 2, b / 2], [b / 2, a / 2]])
+    return place(spec, A_blocks), place(spec, inv_blocks)
+
+
+def written_out_tau(spec, star):
+    w2 = spec.varpi**2
+    blocks = []
+    for l, lam in enumerate(spec.lambdas):
+        if l == star:
+            s = np.sqrt(lam)
+            blocks.append([[0.0, -2 * s], [-2 * s, 4 * s]])
+        else:
+            e2 = w2 - lam
+            a, b = 1 + w2 / e2, 1 - w2 / e2
+            blocks.append([[a / 2, b / 2], [b / 2, a / 2]])
+    return place(spec, blocks)
+
+
+def canonical_columns(spec, A, star):
+    """Columns of A reordered into clusters sorted by (Re E, Im E)."""
+    E, L = energies(spec), spec.L
+    entries = []
+    for l in range(L):
+        if l == star:
+            entries.append((0j, [l, L + l]))
+        else:
+            entries += [(complex(E[l]), [l]), (complex(-E[l]), [L + l])]
+    entries.sort(key=lambda t: (t[0].real, t[0].imag))
+    return A[:, [col for _, cols in entries for col in cols]]
+
+
+class TestClosedFormParity:
+    @pytest.mark.parametrize("w", [1.0, 2.0, 3.0, 0.5, 1.5, 3.5])
+    def test_outputs_equal_the_written_out_blocks(self, w):
+        spec = ModelSpec((1.0, 4.0, 9.0), w)
+        star = exceptional_index(spec)
+        A, Ainv = written_out_basis(spec, star)
+        if star is None:
+            assert np.array_equal(closed_form_A(spec), A)
+            assert np.array_equal(closed_form_A_inv(spec), Ainv)
+        else:
+            assert np.array_equal(closed_form_A_star(spec, star), A)
+            assert np.array_equal(closed_form_A_star_inv(spec, star), Ainv)
+        ops = closed_form_operators(spec)
+        eta = Ainv.conj().T @ ops.eta0 @ Ainv
+        assert np.array_equal(ops.eta, (eta + eta.conj().T) / 2.0)
+        assert np.array_equal(ops.tau.matrix, written_out_tau(spec, star))
+        bd = closed_form_block_diagonalization(spec)
+        assert np.array_equal(bd.A, canonical_columns(spec, A, star))
