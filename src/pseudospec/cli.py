@@ -128,27 +128,21 @@ def _scatter_header():
 
 
 def cmd_scatter_sweep(args) -> int:
+    x_lo, x_hi = args.x_range
     try:
         potential = _parse_potential(args.potential)
         spec = PotentialSpec(potential, args.k)
+        if not (np.isfinite(x_lo) and np.isfinite(x_hi) and x_lo < x_hi):
+            raise ValueError("x-range must be finite and increasing")
+        potential.value(np.array([x_lo, x_hi]))  # a sampled grid must cover the range
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    x_lo, x_hi = args.x_range
-    if not x_lo < x_hi:
-        print("error: x-range must be increasing", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     xs = np.linspace(x_lo, x_hi, args.samples)
-    total = x_hi - x_lo
+    res = evolve_transfer(spec, x_lo, x_hi, args.steps, at=xs)
     profile = ToleranceProfile(cluster_tol=EP_CLUSTER_TOL)
 
-    def one(x):
-        if x > x_lo:
-            steps = max(1, round(args.steps * (x - x_lo) / total))
-            res = evolve_transfer(spec, x_lo, x, steps)
-            U, drift = res.U, res.det_drift
-        else:
-            U, drift = np.eye(2, dtype=complex), 0.0
+    def one(x, U, drift):
         cert = decide(hamiltonian_at(x, spec), profile)
         row = [float(x), float(spec.k)]
         for i in range(2):
@@ -158,7 +152,7 @@ def cmd_scatter_sweep(args) -> int:
         row += [float(cert.residuals.get(name, np.nan)) for name in RESIDUAL_COLUMNS]
         return row
 
-    rows = [one(x) for x in xs]
+    rows = [one(*sample) for sample in zip(xs, res.sample_U, res.sample_drift)]
     _write_csv(args.csv_out, _scatter_header(), rows)
     return 0
 

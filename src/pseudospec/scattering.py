@@ -6,9 +6,13 @@ At wavenumber ``k`` and potential value ``v(x)`` the effective Hamiltonian
 
 is traceless and nilpotent; the transfer matrix of the potential is the
 full-line evolution operator of ``i dU/dx = H(x) U``.  This module builds
-``H(x)``, integrates the transfer matrix with a fixed-step classical
-fourth-order scheme, and carries the closed-form symmetry witnesses of this
-family for cross-checking the generic pipeline.
+``H(x)``, one point or a whole grid per call, and integrates the transfer
+matrix with a fixed-step classical fourth-order scheme.  A sweep is one
+integration whose step grid has every sample point as a node, so it costs
+O(steps + samples) steps rather than one integration per sample.  For a
+rectangular barrier the module also gives the exact transfer matrix, the
+oracle for the integrator, and it carries the closed-form symmetry
+witnesses of this family for cross-checking the generic pipeline.
 
 Closed forms, in the gauge whose Jordan basis is
 ``A = exp(-ikx sigma3) [[1, 1], [-1, 0]]`` (chain head ``(1, -1)^T``):
@@ -41,6 +45,10 @@ SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 #: point, beyond the generic default
 EP_CLUSTER_TOL = 1e-6
 
+#: integrator steps whose increments one numpy call forms; bounds the
+#: scratch memory of an integration for any step count
+BLOCK_STEPS = 1024
+
 
 @dataclass(frozen=True)
 class RectangularBarrier:
@@ -52,8 +60,9 @@ class RectangularBarrier:
         if not self.x_start < self.x_end:
             raise ValueError("rectangular barrier needs x_start < x_end")
 
-    def value(self, x: float) -> float:
-        return self.v0 if self.x_start <= x <= self.x_end else 0.0
+    def value(self, x):
+        """v at x, elementwise for an array x."""
+        return np.where((self.x_start <= x) & (x <= self.x_end), self.v0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -74,10 +83,14 @@ class SampledPotential:
         object.__setattr__(self, "xs", tuple(float(x) for x in xs))
         object.__setattr__(self, "vs", tuple(float(v) for v in vs))
 
-    def value(self, x: float) -> float:
-        if x < self.xs[0] or x > self.xs[-1]:
-            raise ValueError(f"x={x} is outside the sampled grid [{self.xs[0]}, {self.xs[-1]}]")
-        return float(np.interp(x, self.xs, self.vs))
+    def value(self, x):
+        """v at x, elementwise for an array x; every x must lie on the grid."""
+        outside = np.asarray(x)[(x < self.xs[0]) | (x > self.xs[-1])]
+        if outside.size:
+            raise ValueError(
+                f"x={outside.flat[0]} is outside the sampled grid [{self.xs[0]}, {self.xs[-1]}]"
+            )
+        return np.interp(x, self.xs, self.vs)
 
 
 @dataclass(frozen=True)
@@ -92,49 +105,122 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class TransferResult:
+    """U and its drift |det U - 1| at x_plus after ``steps`` integrator
+    steps, and both at each sample point the integration was asked for."""
+
     U: np.ndarray
     det_drift: float
     steps: int
+    sample_U: np.ndarray
+    sample_drift: np.ndarray
 
 
-def hamiltonian(x: float, k: float, v: float) -> np.ndarray:
-    """The traceless two-level Hamiltonian at position x."""
+def hamiltonian(x, k: float, v) -> np.ndarray:
+    """The traceless two-level Hamiltonian at position x.
+
+    Array-valued x and v give one 2x2 block per entry of their broadcast,
+    bit for bit equal to the blocks of separate scalar calls.
+    """
     if not k > 0:
         raise ValueError("wavenumber k must be positive")
-    u = np.exp(-2j * k * x)
-    return (v / (2.0 * k)) * np.array([[1.0, u], [-1.0 / u, -1.0]])
+    u = np.exp(-2j * k * np.asarray(x, dtype=float))
+    M = np.empty(u.shape + (2, 2), dtype=complex)
+    M[..., 0, 0] = 1.0
+    M[..., 0, 1] = u
+    M[..., 1, 0] = -1.0 / u
+    M[..., 1, 1] = -1.0
+    return (np.asarray(v, dtype=float) / (2.0 * k))[..., None, None] * M
 
 
-def hamiltonian_at(x: float, spec: PotentialSpec) -> np.ndarray:
+def hamiltonian_at(x, spec: PotentialSpec) -> np.ndarray:
     return hamiltonian(x, spec.k, spec.potential.value(x))
 
 
-def evolve_transfer(spec: PotentialSpec, x_minus: float, x_plus: float, steps: int) -> TransferResult:
+def _rk4_increments(spec: PotentialSpec, x0: np.ndarray, h: float) -> np.ndarray:
+    """The classical RK4 step from each x0 as U <- U + Delta U.
+
+    The equation is linear, so each stage is a matrix K_i times U and the
+    step's increment is the 2x2 matrix Delta = (h/6)(K1 + 2 K2 + 2 K3 + K4).
+    H comes from one call on the stage points of every step.
+    """
+    m = x0.size
+    xs = np.concatenate((x0, x0 + h / 2, x0 + h))
+    A = -1j * hamiltonian(xs, spec.k, spec.potential.value(xs))
+    A1, A2, A3 = A[:m], A[m:2 * m], A[2 * m:]
+    K2 = A2 + (h / 2) * (A2 @ A1)
+    K3 = A2 + (h / 2) * (A2 @ K2)
+    K4 = A3 + h * (A3 @ K3)
+    return (h / 6) * (A1 + 2 * K2 + 2 * K3 + K4)
+
+
+def evolve_transfer(
+    spec: PotentialSpec, x_minus: float, x_plus: float, steps: int, at=()
+) -> TransferResult:
     """Integrate ``i dU/dx = H(x) U`` from x_minus to x_plus.
 
     Fixed-step classical fourth-order scheme; deterministic and clean for
-    order-of-convergence checks.  Since tr H = 0, det U = 1 is preserved up
-    to the integrator's own O(h^4) drift, which is reported.
+    order-of-convergence checks.  The sample points ``at`` (nondecreasing,
+    inside the range) are nodes of the step grid, and the result holds U at
+    each of them: the stretch between consecutive nodes gets
+    ``max(1, round(steps * length / (x_plus - x_minus)))`` equal steps, so a
+    sweep is one integration of at most ``steps + len(at) + 1`` steps.
+    Increments are formed BLOCK_STEPS steps per numpy call and applied as
+    ``U <- U + Delta U``; forming ``I + Delta`` first would round away the
+    small increment's low digits.  Since tr H = 0, det U = 1 is preserved
+    up to the integrator's own O(h^4) drift, which is reported.  A step
+    that straddles a jump of v, such as a barrier edge, is only first
+    order.
     """
     if not x_minus < x_plus:
         raise ValueError("need x_minus < x_plus")
     if steps < 1:
         raise ValueError("need at least one step")
-    h = (x_plus - x_minus) / steps
+    nodes = np.concatenate(([x_minus], at, [x_plus]))
+    if not np.all(np.diff(nodes) >= 0):
+        raise ValueError("sample points must be nondecreasing inside [x_minus, x_plus]")
+    total = x_plus - x_minus
     U = np.eye(2, dtype=complex)
+    snapshots = []
+    taken = 0
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        if b > a:
+            n = max(1, round(steps * (b - a) / total))
+            h = (b - a) / n
+            for start in range(0, n, BLOCK_STEPS):
+                x0 = a + np.arange(start, min(n, start + BLOCK_STEPS)) * h
+                for delta in _rk4_increments(spec, x0, h):
+                    U = U + delta @ U
+            taken += n
+        snapshots.append(U)
+    Us = np.array(snapshots)
+    drift = np.abs(np.linalg.det(Us) - 1.0)
+    return TransferResult(U, float(drift[-1]), taken, Us[:-1], drift[:-1])
 
-    def rhs(x, M):
-        return -1j * (hamiltonian_at(x, spec) @ M)
 
-    for j in range(steps):
-        x0 = x_minus + j * h
-        k1 = rhs(x0, U)
-        k2 = rhs(x0 + h / 2, U + (h / 2) * k1)
-        k3 = rhs(x0 + h / 2, U + (h / 2) * k2)
-        k4 = rhs(x0 + h, U + h * k3)
-        U = U + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    drift = abs(np.linalg.det(U) - 1.0)
-    return TransferResult(U, float(drift), steps)
+def barrier_transfer(spec: PotentialSpec, x_minus: float, x: float) -> np.ndarray:
+    """Exact transfer matrix U(x <- x_minus) of a rectangular barrier.
+
+    Where v is constant, H(y) = D(y) N D(y)^-1 with D(y) = exp(-iky sigma3)
+    and N = (v/2k)[[1, 1], [-1, -1]], so U = D(y1) exp(-iG(y1 - y0)) D(y0)^-1
+    over [y0, y1] with G = N - k sigma3.  G^2 = (k^2 - v) I gives
+    exp(-iGt) = cos(qt) I - i t sinc(qt) G with q = sqrt(k^2 - v), imaginary
+    above the barrier top.  The inner D factors cancel at the barrier edges.
+    """
+    barrier = spec.potential
+    if not isinstance(barrier, RectangularBarrier):
+        raise TypeError("the closed-form transfer matrix needs a rectangular barrier")
+    if not x_minus <= x:
+        raise ValueError("need x_minus <= x")
+    k = spec.k
+    edges = np.clip([x_minus, barrier.x_start, barrier.x_end, x], x_minus, x)
+    U = np.diag([np.exp(1j * k * x_minus), np.exp(-1j * k * x_minus)])
+    for y0, y1, v in zip(edges[:-1], edges[1:], (0.0, barrier.v0, 0.0)):
+        t = y1 - y0
+        G = (v / (2.0 * k)) * np.array([[1.0, 1.0], [-1.0, -1.0]]) - k * SIGMA_3
+        qt = np.sqrt(complex(k * k - v)) * t
+        sinc = np.sin(qt) / qt if qt != 0 else 1.0
+        U = (np.cos(qt) * np.eye(2) - 1j * t * sinc * G) @ U
+    return np.diag([np.exp(-1j * k * x), np.exp(1j * k * x)]) @ U
 
 
 def closed_form_jordan_basis(x: float, k: float, v: float = 1.0) -> np.ndarray:

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from pseudospec import cli, scattering
 from pseudospec.cli import main
-from pseudospec.scattering import hamiltonian
+from pseudospec.scattering import PotentialSpec, RectangularBarrier, barrier_transfer, hamiltonian
 from pseudospec.serialization import dump_matrix
 
 
@@ -19,6 +20,12 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def transfer_columns(header, row):
+    i11 = header.index("re_U11")
+    re_im = np.array([float(c) for c in row[i11:i11 + 8]])
+    return (re_im[0::2] + 1j * re_im[1::2]).reshape(2, 2)
 
 
 class TestAnalyze:
@@ -109,6 +116,63 @@ class TestScatterSweep:
         assert main(args + ["--csv-out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("v0, k", [(1.0, 1.0), (0.8, 1.3), (2.0, 0.7)])
+    def test_rows_match_the_closed_form_barrier_transfer(self, tmp_path, v0, k):
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "scatter-sweep", "--potential", f"rectangular:{v0},-1,2", "--k", str(k),
+            "--x-range", "0", "1", "--csv-out", str(out),
+        ]) == 0
+        header, rows = read_csv(str(out))
+        spec = PotentialSpec(RectangularBarrier(v0, -1.0, 2.0), k)
+        for row in rows:
+            exact = barrier_transfer(spec, 0.0, float(row[0]))
+            assert np.max(np.abs(transfer_columns(header, row) - exact)) <= 1e-12
+
+    def test_one_integration_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            res = scattering.evolve_transfer(*args, **kwargs)
+            calls.append(res.steps)
+            return res
+
+        monkeypatch.setattr(cli, "evolve_transfer", counted)
+        assert main([
+            "scatter-sweep", "--potential", "rectangular:1,0,1", "--k", "1.0",
+            "--x-range", "0", "1", "--samples", "50", "--steps", "2000",
+            "--csv-out", str(tmp_path / "sweep.csv"),
+        ]) == 0
+        assert len(calls) == 1 and calls[0] <= 2000 + 50
+
+    def test_increments_are_formed_in_bounded_blocks(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def recorded(spec, x0, h):
+            sizes.append(x0.size)
+            return increments(spec, x0, h)
+
+        increments = scattering._rk4_increments
+        monkeypatch.setattr(scattering, "_rk4_increments", recorded)
+        assert main([
+            "scatter-sweep", "--potential", "rectangular:1,0,1", "--k", "1.0",
+            "--x-range", "0", "1", "--samples", "2", "--steps", "100000",
+            "--csv-out", str(tmp_path / "sweep.csv"),
+        ]) == 0
+        assert sum(sizes) == 100000 and max(sizes) <= scattering.BLOCK_STEPS
+
+    def test_more_samples_than_steps(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "scatter-sweep", "--potential", "rectangular:1,0,1", "--k", "1.0",
+            "--x-range", "0", "1", "--samples", "50", "--steps", "10",
+            "--csv-out", str(out),
+        ]) == 0
+        header, rows = read_csv(str(out))
+        drift = header.index("det_drift")
+        assert len(rows) == 50
+        assert all(float(row[drift]) <= 1e-9 for row in rows)
+
     def test_sampled_potential_file(self, tmp_path):
         table = tmp_path / "pot.csv"
         table.write_text("0.0 0.0\n0.5 1.0\n1.0 0.0\n")
@@ -164,10 +228,18 @@ class TestInputErrors:
         SWEEP + ["--potential", "rectangular:1,2"],
         SWEEP + ["--potential", "triangle:1"],
         ["model-sweep", "--lambdas", "1,4", "--varpi-range", "nan", "3"],
-    ], ids=["rectangular-arity", "unknown-kind", "nan-varpi"])
+        ["scatter-sweep", "--k", "1", "--x-range", "0", "inf", "--potential", "rectangular:1,0,1"],
+    ], ids=["rectangular-arity", "unknown-kind", "nan-varpi", "infinite-x-range"])
     def test_bad_value_exits_three(self, argv, capsys):
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_sampled_grid_must_cover_the_x_range(self, tmp_path, capsys):
+        table = tmp_path / "pot.csv"
+        table.write_text("0.0 0.0\n0.5 1.0\n1.0 0.0\n")
+        argv = ["scatter-sweep", "--potential", f"sampled:{table}", "--k", "1", "--x-range", "0", "2"]
+        assert main(argv) == 3
+        assert "outside the sampled grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         SWEEP + ["--potential", "rectangular:1,0,1", "--samples", "-2"],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pseudospec.scattering import (
     PotentialSpec,
     RectangularBarrier,
     SampledPotential,
+    barrier_transfer,
     certify_hamiltonian,
     closed_form_operators,
     evolve_transfer,
@@ -52,7 +55,20 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             pot.value(2.5)
         with pytest.raises(ValueError):
+            pot.value(np.array([0.5, 2.5]))
+        with pytest.raises(ValueError):
             SampledPotential((0.0, 0.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("potential", [
+        RectangularBarrier(0.8, 0.25, 0.75),
+        SampledPotential((0.0, 0.3, 0.6, 1.0), (0.0, 1.5, -0.4, 0.2)),
+    ], ids=["rectangular", "sampled"])
+    def test_batched_generator_equals_scalar_calls_bit_for_bit(self, potential):
+        spec = PotentialSpec(potential, k=1.3)
+        xs = np.concatenate((np.linspace(0.0, 1.0, 41), [0.25, 0.75, 0.3]))
+        batched = hamiltonian_at(xs, spec)
+        assert batched.shape == (xs.size, 2, 2)
+        assert np.array_equal(batched, np.array([hamiltonian_at(x, spec) for x in xs]))
 
 
 class TestTransferEvolution:
@@ -93,6 +109,33 @@ class TestTransferEvolution:
             evolve_transfer(BARRIER, 1.0, 0.0, 10)
         with pytest.raises(ValueError):
             evolve_transfer(BARRIER, 0.0, 1.0, 0)
+
+
+class TestExactBarrierTransfer:
+    @pytest.mark.parametrize("v0, k", [(1.0, 1.0), (0.8, 1.3), (2.0, 0.7)])
+    def test_integrator_matches_closed_form_inside_the_barrier(self, v0, k):
+        # v0 = k^2 is the q = 0 limit of the closed form, v0 > k^2 the
+        # evanescent case
+        spec = PotentialSpec(RectangularBarrier(v0, -1.0, 2.0), k=k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = barrier_transfer(spec, 0.0, 1.0)
+        assert abs(np.linalg.det(exact) - 1.0) < 1e-14
+        assert np.max(np.abs(evolve_transfer(spec, 0.0, 1.0, 2000).U - exact)) <= 1e-12
+
+    def test_free_stretches_and_edges(self):
+        spec = PotentialSpec(RectangularBarrier(1.5, 0.25, 0.75), k=0.9)
+        assert np.max(np.abs(barrier_transfer(spec, -2.0, 0.2) - np.eye(2))) < 1e-14
+        assert np.max(np.abs(barrier_transfer(spec, 0.4, 0.4) - np.eye(2))) < 1e-15
+        # across both edges the integrator is only first order
+        exact = barrier_transfer(spec, 0.0, 1.0)
+        errs = [np.max(np.abs(evolve_transfer(spec, 0.0, 1.0, n).U - exact)) for n in (1001, 2003)]
+        assert errs[1] < 1e-3 and errs[1] < errs[0]
+
+    def test_rejects_other_potentials(self):
+        spec = PotentialSpec(SampledPotential((0.0, 1.0), (1.0, 1.0)), k=1.0)
+        with pytest.raises(TypeError):
+            barrier_transfer(spec, 0.0, 1.0)
 
 
 class TestClosedForms:
