@@ -22,7 +22,7 @@ J = np.array([
 Q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
 H = Q @ J @ Q.conj().T
 
-bd = block_diagonalize(H, tol=1e-6)
+bd = block_diagonalize(H)
 
 print("eigenvalue clusters (canonical order):")
 for cluster in bd.table.clusters:

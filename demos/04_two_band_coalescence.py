@@ -10,7 +10,6 @@ witnesses stay valid straight through the coalescence.
 import numpy as np
 
 from pseudospec.certify import (
-    ToleranceProfile,
     decide,
     residual_commute_antilinear,
     residual_intertwine_antilinear,
@@ -30,10 +29,9 @@ roots = [float(r) for r in exceptional_set(ModelSpec(lambdas, 1.5))]
 print(f"coalescence parameters: varpi in {roots}")
 
 print("\nsweep across the regimes:")
-EP = ToleranceProfile(cluster_tol=1e-6)
 for w in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
     spec = ModelSpec(lambdas, w)
-    cert = decide(build_H(spec), EP)
+    cert = decide(build_H(spec))
     real = sum(cert.table.clusters[n].algebraic for n in cert.labeling.real_clusters)
     plists = " ".join(str(list(c.p_list)) for c in cert.table.clusters)
     print(f"  varpi = {w:3.1f}   verdict = {cert.verdict:17s} "

@@ -5,16 +5,17 @@ Jordan chains of generalized eigenvectors, the change of basis ``A`` with
 ``H = A H0 inv(A)``, the exactly block-Jordan ``H0``, and the biorthonormal
 complement ``inv(A)^+``.
 
-One eigensolve serves two purposes.  Its eigenvalues are clustered, and its
-eigenvectors are the basis columns of every simple, well-separated cluster:
-multiplicity 1, nearest other eigenvalue farther than ``tol (|H|_F + |E|)``,
-and a first-order perturbation disc (radius ``kappa n eps |H|_F``, with
-``kappa`` the eigenvalue condition number) that overlaps no other
-eigenvalue's disc.  Every other cluster runs the SVD rank staircase of
-Kagstrom & Ruhe (ACM TOMS 6, 1980) on ``H - E``.  With no close clusters a
-decomposition therefore costs O(n^3): one eigensolve, one inversion of the
-eigenvectors, and one SVD plus one inversion of ``A``, whose inverse and
-condition number travel with the result.
+One eigensolve serves two purposes.  Its eigenvalues are clustered by one
+rule: two join when they lie within ``tol |H|_F``, or when their first-order
+perturbation discs overlap and one pseudospectral component holds both, so
+a Jordan chain that rounding split is one cluster again (Edelman, Elmroth &
+Kagstrom, SIAM J. Matrix Anal. Appl. 18, 1997).  Its eigenvectors are the
+basis columns of every simple, well-separated cluster.  Every other cluster
+runs the SVD rank staircase of Kagstrom & Ruhe (ACM TOMS 6, 1980) on
+``H - E``.  With no close clusters a decomposition therefore costs O(n^3):
+one eigensolve, one inversion of the eigenvectors, and one SVD plus one
+inversion of ``A``, whose inverse and condition number travel with the
+result.
 
 Canonical ordering, frozen so downstream operators are reproducible:
 
@@ -84,8 +85,6 @@ class EigenCluster:
 @dataclass(frozen=True)
 class SpectralTable:
     clusters: tuple[EigenCluster, ...]
-    cluster_tol: float
-    merge_warning: bool = False
 
     @property
     def dimension(self) -> int:
@@ -106,8 +105,6 @@ class ClusteredSpectrum:
 
     centers: tuple[complex, ...]
     multiplicities: tuple[int, ...]
-    tol: float
-    merge_warning: bool
 
 
 @dataclass(frozen=True)
@@ -136,15 +133,21 @@ class BlockDiagonalization:
             object.__setattr__(self, "cond_A", cA)
 
 
-def cluster_eigenvalues(raw, tol: float) -> ClusteredSpectrum:
-    """Greedy union-find clustering of raw eigenvalues.
+def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
+    """Union-find clustering of the raw eigenvalues of ``H``, whose unit
+    eigenvector columns ``V`` are ``vectors``.
 
     Two values join a cluster when they are within the absolute tolerance
-    ``tol`` of each other; cluster centers are the member means.  Input is
-    sorted lexicographically by (Re, Im) first, so the result does not
-    depend on the eigensolver's output order.  If everything merges into a
-    single cluster whose spread exceeds ``1e3 * tol`` the result carries a
-    warning flag instead of failing.
+    ``tol`` of each other, or when their first-order perturbation discs
+    overlap and ``sigma_min(H - zI) <= sqrt(n eps) |H|_F`` at their midpoint
+    ``z`` confirms that one component of the pseudospectrum holds both
+    (Trefethen & Embree, Spectra and Pseudospectra, 2005).  A disc has
+    radius ``kappa_k n eps |H|_F``, with ``kappa_k`` the norm of row k of
+    ``inv(V)``: the eigenvalue condition number.  Overlapping pairs are
+    tried nearest first, one SVD each, and a pair already in one cluster is
+    skipped.  Cluster centers are the member means.  Input is sorted
+    lexicographically by (Re, Im) first, so the result does not depend on
+    the eigensolver's output order.
     """
     vals = np.asarray(raw, dtype=complex).ravel()
     if vals.size == 0:
@@ -163,14 +166,32 @@ def cluster_eigenvalues(raw, tol: float) -> ClusteredSpectrum:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if vals[j].real - vals[i].real > tol:
-                break  # sorted by real part; no later value can be closer
-            if abs(vals[i] - vals[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    def join(i, j):
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+
+    dist = np.abs(vals[:, None] - vals[None, :]).ravel()  # pair (i, j) at i * n + j
+    for k in np.flatnonzero(dist <= tol).tolist():
+        join(*divmod(k, n))
+    scale = fro(H)
+    try:
+        Vinv = np.linalg.inv(vectors)[order]
+    except np.linalg.LinAlgError:
+        # exactly repeated eigenvectors come with exactly repeated values,
+        # which the floor has joined; unbounded discs would send every pair
+        # to a midpoint test that a third eigenvalue there can fool
+        Vinv = np.zeros((n, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.linalg.norm(Vinv, axis=1) * (n * EPS * scale)
+        overlap = np.flatnonzero(dist <= (r[:, None] + r[None, :]).ravel())
+    cutoff = np.sqrt(n * EPS) * scale
+    eye = np.eye(n)
+    for k in overlap[np.argsort(dist[overlap], kind="stable")].tolist():
+        i, j = divmod(k, n)
+        if i < j and find(i) != find(j):
+            z = (vals[i] + vals[j]) / 2
+            if np.linalg.svd(H - z * eye, compute_uv=False)[-1] <= cutoff:
+                join(i, j)
 
     groups: dict[int, list[int]] = {}
     for i in range(n):
@@ -183,13 +204,7 @@ def cluster_eigenvalues(raw, tol: float) -> ClusteredSpectrum:
         centers.append(complex(np.mean(members)))
         counts.append(len(members))
     order = sorted(range(len(centers)), key=lambda i: (centers[i].real, centers[i].imag))
-    centers = [centers[i] for i in order]
-    counts = [counts[i] for i in order]
-
-    warning = False
-    if len(centers) == 1 and n > 1:
-        warning = float(np.abs(vals[:, None] - vals[None, :]).max()) > 1e3 * tol
-    return ClusteredSpectrum(tuple(centers), tuple(counts), tol, warning)
+    return ClusteredSpectrum(tuple(centers[i] for i in order), tuple(counts[i] for i in order))
 
 
 def _kernel_staircase(N: np.ndarray, tol: float, parent_scale: float):
@@ -331,15 +346,11 @@ def _simple_heads(
     """Canonical eigenvectors of the simple, well-separated clusters, keyed
     by cluster index and read straight from the eigensolve.
 
-    A cluster qualifies when its multiplicity is 1, its nearest other
-    eigenvalue is farther than ``tol * (|H|_F + |E|)``, and its first-order
-    perturbation disc, of radius ``kappa_k n eps |H|_F``, overlaps no other
-    eigenvalue's disc.  ``kappa_k`` is the norm of row k of ``inv(V)`` for
-    unit columns of V: the eigenvalue condition number.  A Jordan chain
-    that rounding split into nearby simple eigenvalues has a huge
-    ``kappa`` on each of them, so the disc test sends it to the staircase
-    (Edelman, Elmroth & Kagstrom, SIAM J. Matrix Anal. Appl. 18, 1997).
-    The vector must also pass the staircase's eigenvector-residual check,
+    A cluster qualifies when its multiplicity is 1 and its nearest other
+    eigenvalue is farther than ``tol * (|H|_F + |E|)``.  A Jordan chain
+    that rounding split into nearby simple eigenvalues does not qualify:
+    :func:`cluster_eigenvalues` has merged it back into one cluster.  The
+    vector must also pass the staircase's eigenvector-residual check,
     ``|(H - E) v| <= 10 max(tol |H - E|_2, 64 n eps |H|_2)``, evaluated
     with the lower bounds ``rho(H - E)`` and ``|H|_F / sqrt(n)`` in place
     of the 2-norms, so its cutoff is never looser.
@@ -354,14 +365,7 @@ def _simple_heads(
     idx = np.argmin(dist, axis=1)  # a simple cluster's center is its one member
     rho = dist.max(axis=1)  # spectral radius of H - E
     dist[np.arange(m), idx] = np.inf
-    try:
-        Vinv = np.linalg.inv(vectors)
-    except np.linalg.LinAlgError:  # exactly repeated eigenvectors
-        return {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        radius = np.linalg.norm(Vinv, axis=1) * (n * EPS * scale)
-        ok = dist.min(axis=1) > tol * (scale + np.abs(centers))
-        ok &= np.all(dist > radius[idx, None] + radius[None, :], axis=1)
+    ok = dist.min(axis=1) > tol * (scale + np.abs(centers))
     V = vectors[:, idx]
     resid = np.linalg.norm(H @ V - V * centers, axis=0)
     floor = 64 * n * EPS * scale / np.sqrt(n)
@@ -383,13 +387,15 @@ def block_diagonalize(
 ) -> BlockDiagonalization:
     """Full Jordan decomposition ``H = A H0 inv(A)`` in canonical order.
 
-    ``tol`` is relative to ``|H|_F`` and controls both eigenvalue clustering
-    and rank decisions.  Simple, well-separated clusters take their basis
-    vector from the eigensolve; the rest run :func:`jordan_chains`.  Raises
-    :class:`JordanStructureError` when the staircase is inconsistent
-    (including a cluster whose chain census does not reproduce its
-    eigenvalue count) and :class:`IllConditionedBasisError` when ``cond(A)``
-    exceeds ``cond_limit``.
+    ``tol`` is relative to ``|H|_F`` and controls both the clustering floor
+    and rank decisions; split Jordan chains merge through the disc rule of
+    :func:`cluster_eigenvalues` at any ``tol``.  Simple, well-separated
+    clusters take their basis vector from the eigensolve; the rest run
+    :func:`jordan_chains`.  Raises :class:`JordanStructureError` when the
+    staircase is inconsistent (including a cluster whose chain census does
+    not reproduce its eigenvalue count) and
+    :class:`IllConditionedBasisError` when ``cond(A)`` exceeds
+    ``cond_limit``.
     """
     A_in = as_matrix(H, square=True)
     n = A_in.shape[0]
@@ -397,7 +403,7 @@ def block_diagonalize(
         raise ValueError("cannot decompose an empty matrix")
     scale = fro(A_in)
     values, vectors = eigensystem(A_in)
-    skel = cluster_eigenvalues(values, tol * scale if scale else tol)
+    skel = cluster_eigenvalues(values, tol * scale if scale else tol, A_in, vectors)
     heads = _simple_heads(A_in, values, vectors, skel, tol, scale)
 
     parent_scale = None
@@ -418,7 +424,7 @@ def block_diagonalize(
         chain_sets.append(chains)
 
     try:
-        bd = from_chains(A_in, skel.centers, chain_sets, skel.tol, skel.merge_warning)
+        bd = from_chains(A_in, skel.centers, chain_sets)
     except SingularMatrixError as exc:
         _check_condition(exc.cond_estimate, cond_limit)
         raise
@@ -426,9 +432,7 @@ def block_diagonalize(
     return bd
 
 
-def from_chains(
-    H: np.ndarray, centers, chain_sets, cluster_tol: float, merge_warning: bool = False
-) -> BlockDiagonalization:
+def from_chains(H: np.ndarray, centers, chain_sets) -> BlockDiagonalization:
     """Assemble the triple (A, H0, table) from the Jordan chains of each
     cluster, given in canonical order: ``chain_sets[k]`` holds the chains
     at ``centers[k]``, each head first.
@@ -441,7 +445,7 @@ def from_chains(
     clusters = tuple(
         EigenCluster(E, tuple(len(c) for c in chains)) for E, chains in zip(centers, chain_sets)
     )
-    table = SpectralTable(clusters, cluster_tol, merge_warning)
+    table = SpectralTable(clusters)
     labels = tuple(table.labels())
     A = np.column_stack([v for chains in chain_sets for chain in chains for v in chain])
     H0 = np.zeros(A.shape, dtype=complex)

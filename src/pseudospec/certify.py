@@ -21,7 +21,7 @@ from .blockdiag import (
     SpectralTable,
     block_diagonalize,
 )
-from .linalg import EigensolveError, SingularMatrixError, as_matrix, fro
+from .linalg import EigensolveError, as_matrix, fro
 from .symmetry import (
     SpectralLabeling,
     SymmetryOperators,
@@ -85,9 +85,11 @@ def residual_intertwine_linear(H, G) -> float:
 class ToleranceProfile:
     """All knobs of the decision procedure, serialized into certificates.
 
-    ``cluster_tol`` is relative to ``|H|_F``; studies near exceptional
-    points should widen it per sweep step, since coalescing eigenvalues of a
-    length-p chain scatter like ``eps**(1/p)`` in floating point.
+    ``cluster_tol`` is relative to ``|H|_F`` and is only the clustering
+    floor: the eigenvalues of a length-p chain, which rounding scatters like
+    ``eps**(1/p)``, merge through overlapping perturbation discs at any
+    value (see :func:`~pseudospec.blockdiag.cluster_eigenvalues`), so no
+    study near exceptional points needs to widen it.
     """
 
     cluster_tol: float = 1e-8
@@ -142,7 +144,7 @@ def decide(H, tol: ToleranceProfile = ToleranceProfile()) -> Certificate:
     try:
         bd = block_diagonalize(A, tol.cluster_tol, tol.cond_limit)
     except (JordanStructureError, IllConditionedBasisError, EigensolveError,
-            SingularMatrixError) as exc:
+            np.linalg.LinAlgError) as exc:
         return Certificate(
             INCONCLUSIVE, False, {}, tol.as_dict(), diagnostics=str(exc)
         )

@@ -21,7 +21,6 @@ from .certify import (
     decide,
 )
 from .scattering import (
-    EP_CLUSTER_TOL,
     PotentialSpec,
     RectangularBarrier,
     SampledPotential,
@@ -140,10 +139,9 @@ def cmd_scatter_sweep(args) -> int:
         return EXIT_INPUT_ERROR
     xs = np.linspace(x_lo, x_hi, args.samples)
     res = evolve_transfer(spec, x_lo, x_hi, args.steps, at=xs)
-    profile = ToleranceProfile(cluster_tol=EP_CLUSTER_TOL)
 
     def one(x, U, drift):
-        cert = decide(hamiltonian_at(x, spec), profile)
+        cert = decide(hamiltonian_at(x, spec))
         row = [float(x), float(spec.k)]
         for i in range(2):
             for j in range(2):
@@ -186,9 +184,7 @@ def cmd_model_sweep(args) -> int:
         spec = ModelSpec(lambdas, float(varpi))
         H = build_H(spec)
         near_ep = bool(np.min(np.abs(varpi - eps_set)) < 1e-6)
-        # clustering must absorb the sqrt(eps) scatter of a coalescing pair
-        profile = ToleranceProfile(cluster_tol=1e-6 if near_ep else 1e-8)
-        cert = decide(H, profile)
+        cert = decide(H)
         row = [float(varpi)]
         if cert.table is not None and cert.labeling is not None:
             real_count = sum(

@@ -33,17 +33,11 @@ import numpy as np
 
 from .antilinear import AntilinearOp, conjugation
 from .blockdiag import BlockDiagonalization, block_diagonalize
-from .certify import ToleranceProfile, decide
 from .linalg import as_matrix, inverse
 from .symmetry import SymmetryOperators, synthesize_operators
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-#: clustering tolerance used when certifying H(x), which is exactly
-#: defective: its double eigenvalue scatters like sqrt(eps) in floating
-#: point, beyond the generic default
-EP_CLUSTER_TOL = 1e-6
 
 #: integrator steps whose increments one numpy call forms; bounds the
 #: scratch memory of an integration for any step count
@@ -57,6 +51,8 @@ class RectangularBarrier:
     x_end: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.v0, self.x_start, self.x_end])):
+            raise ValueError("rectangular barrier needs finite v0, x_start and x_end")
         if not self.x_start < self.x_end:
             raise ValueError("rectangular barrier needs x_start < x_end")
 
@@ -78,6 +74,8 @@ class SampledPotential:
         vs = np.asarray(self.vs, dtype=float)
         if xs.size != vs.size or xs.size < 2:
             raise ValueError("sampled potential needs matching x and v grids of length >= 2")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+            raise ValueError("sampled potential needs finite x and v values")
         if not np.all(np.diff(xs) > 0):
             raise ValueError("sample grid must be strictly increasing in x")
         object.__setattr__(self, "xs", tuple(float(x) for x in xs))
@@ -99,8 +97,8 @@ class PotentialSpec:
     k: float
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError("wavenumber k must be positive")
+        if not 0 < self.k < np.inf:
+            raise ValueError("wavenumber k must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -259,7 +257,7 @@ def closed_form_operators(x: float, k: float) -> SymmetryOperators:
 
 
 def pipeline_operators_reference_gauge(
-    x: float, k: float, v: float = 1.0, tol: float = EP_CLUSTER_TOL
+    x: float, k: float, v: float = 1.0
 ) -> tuple[SymmetryOperators, BlockDiagonalization]:
     """Run the generic pipeline on H(x) and synthesize its witnesses in the
     reference chain gauge.
@@ -273,7 +271,7 @@ def pipeline_operators_reference_gauge(
     before any operator is built from it.
     """
     H = hamiltonian(x, k, v)
-    bd = block_diagonalize(H, tol=tol)
+    bd = block_diagonalize(H)
     table = bd.table
     if len(table.clusters) != 1 or table.clusters[0].p_list != (2,):
         raise RuntimeError(f"unexpected spectral table for H(x): {table.clusters}")
@@ -291,11 +289,6 @@ def pipeline_operators_reference_gauge(
 
     bd_ref = BlockDiagonalization(A_ref, bd.H0, table, bd.label_order, bd.recon_residual)
     return synthesize_operators(bd_ref), bd_ref
-
-
-def certify_hamiltonian(x: float, k: float, v: float = 1.0):
-    """Certificate of H(x) with the defect-aware clustering tolerance."""
-    return decide(hamiltonian(x, k, v), ToleranceProfile(cluster_tol=EP_CLUSTER_TOL))
 
 
 def reflection_transmission(result: TransferResult) -> dict[str, complex]:

@@ -268,9 +268,7 @@ def closed_form_block_diagonalization(spec: ModelSpec) -> BlockDiagonalization:
     entries.sort(key=lambda t: (-len(t[1]), 0))  # chains first within ties below
     entries.sort(key=lambda t: (t[0].real, t[0].imag))
 
-    return from_chains(
-        build_H(spec), [E for E, _ in entries], [[chain] for _, chain in entries], 0.0
-    )
+    return from_chains(build_H(spec), [E for E, _ in entries], [[chain] for _, chain in entries])
 
 
 def reference_gauge_tau(spec: ModelSpec) -> AntilinearOp:

@@ -50,7 +50,6 @@ from pseudospec.truncated import (
 )
 from tests.test_blockdiag import jordan_matrix, well_conditioned
 
-EP_PROFILE = ToleranceProfile(cluster_tol=1e-6)
 LOOSE_CLUSTER = ToleranceProfile(cluster_tol=1e-4)
 
 SCATTER_KS = (0.5, 1.0, 2.0)
@@ -88,7 +87,7 @@ def test_criterion_2_two_level_structural_claim():
     with criterion(2, "two-level spectral structure"):
         for k in SCATTER_KS:
             for x in SCATTER_XS:
-                cert = decide(hamiltonian(x, k, v=1.0), EP_PROFILE)
+                cert = decide(hamiltonian(x, k, v=1.0))
                 assert cert.verdict == PSEUDO_HERMITIAN
                 assert len(cert.table.clusters) == 1
                 c = cert.table.clusters[0]
@@ -117,7 +116,7 @@ def test_criterion_4_exceptional_point_detection():
         lams = (1.0, 4.0)
         transitions = []
         for w in (2.0 - 1e-2, 2.0, 2.0 + 1e-2):
-            cert = decide(build_H(ModelSpec(lams, w)), EP_PROFILE)
+            cert = decide(build_H(ModelSpec(lams, w)))
             assert cert.verdict == PSEUDO_HERMITIAN
             near_zero = sorted(
                 c.p_list for c in cert.table.clusters if abs(c.value) < 0.5
@@ -180,14 +179,12 @@ def test_criterion_5_closed_form_oracle_agreement():
                 assert residual_commute_antilinear(closed_form_H0(spec), ops.X0) <= 1e-9
                 herm, inter = residual_hermitian_metric(H, ops.eta)
                 assert herm <= 1e-9 and inter <= 1e-9
+                cert = decide(H)
+                assert cert.verdict == PSEUDO_HERMITIAN
                 if not at_ep:
-                    cert = decide(H)
-                    assert cert.verdict == PSEUDO_HERMITIAN
                     dev = np.max(np.abs(cert.witnesses.X.matrix - X.matrix))
                     assert dev <= 1e-9
                 else:
-                    cert = decide(H, EP_PROFILE)
-                    assert cert.verdict == PSEUDO_HERMITIAN
                     assert cert.residuals["X_commute"] <= 1e-9
                     assert cert.residuals["anti_ph"] <= 1e-9
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pseudospec import blockdiag
-from pseudospec.certify import INCONCLUSIVE, NOT_PSEUDO_HERMITIAN, decide
+from pseudospec.certify import INCONCLUSIVE, NOT_PSEUDO_HERMITIAN, PSEUDO_HERMITIAN, decide
 from pseudospec.blockdiag import (
     IllConditionedBasisError,
     JordanStructureError,
@@ -12,7 +12,7 @@ from pseudospec.blockdiag import (
     jordan_chains,
 )
 from pseudospec.linalg import EigensolveError, fro
-from pseudospec.truncated import ModelSpec, closed_form_block_diagonalization
+from pseudospec.truncated import ModelSpec, build_H, closed_form_block_diagonalization
 
 
 def jordan_matrix(structure):
@@ -41,21 +41,25 @@ def scatter_hamiltonian(x, k, v=1.0):
     return (v / (2 * k)) * np.array([[1.0, u], [-1.0 / u, -1.0]])
 
 
+def cluster_diagonal(raw, tol):
+    """Clusters of diag(raw), whose eigenvectors are the unit vectors."""
+    return cluster_eigenvalues(raw, tol, np.diag(raw), np.eye(len(raw)))
+
+
 class TestClusterEigenvalues:
     def test_basic_merge(self):
-        out = cluster_eigenvalues([1.0, 1.0 + 1e-14, 2.0], 1e-10)
+        out = cluster_diagonal([1.0, 1.0 + 1e-14, 2.0], 1e-10)
         assert out.centers == (pytest.approx(1.0), pytest.approx(2.0))
         assert out.multiplicities == (2, 1)
-        assert not out.merge_warning
 
     def test_order_is_canonical(self):
-        out = cluster_eigenvalues([2.0, 1.0 + 1j, 1.0 - 1j], 1e-12)
+        out = cluster_diagonal([2.0, 1.0 + 1j, 1.0 - 1j], 1e-12)
         assert out.centers == (1.0 - 1j, 1.0 + 1j, 2.0)
 
     def test_scatter_hamiltonian_spectrum_is_one_cluster(self):
         H = scatter_hamiltonian(0.4, 1.3)
-        raw = np.linalg.eigvals(H)
-        out = cluster_eigenvalues(raw, 1e-6 * fro(H))
+        values, vectors = np.linalg.eig(H)
+        out = cluster_eigenvalues(values, 1e-6 * fro(H), H, vectors)
         assert out.multiplicities == (2,)
         assert abs(out.centers[0]) < 1e-10
 
@@ -64,22 +68,21 @@ class TestClusterEigenvalues:
         lam = np.diag([1.0, 4.0])
         I = np.eye(2)
         H = np.vstack([np.hstack([lam - 8 * I, lam]), np.hstack([-lam, -lam + 8 * I])]) / 4.0
-        out = cluster_eigenvalues(np.linalg.eigvals(H), 1e-6 * fro(H))
+        values, vectors = np.linalg.eig(H)
+        out = cluster_eigenvalues(values, 1e-6 * fro(H), H, vectors)
         assert out.multiplicities == (1, 2, 1)
         assert abs(out.centers[0] + np.sqrt(3)) < 1e-10
         assert abs(out.centers[1]) < 1e-10
         assert abs(out.centers[2] - np.sqrt(3)) < 1e-10
 
-    def test_merge_warning_flag(self):
-        out = cluster_eigenvalues([0.0, 1.0], tol=2.0)
+    def test_merge_is_transitive(self):
+        out = cluster_diagonal([0.0, 1.0], 2.0)
         assert out.multiplicities == (2,)
-        assert out.merge_warning is False
         # a long chain of nearby values merges into one cluster whose spread
-        # dwarfs the tolerance; that is flagged, not failed
+        # dwarfs the tolerance
         chain = np.arange(1500) * 9e-4
-        out = cluster_eigenvalues(chain, tol=1e-3)
+        out = cluster_diagonal(chain, 1e-3)
         assert out.multiplicities == (1500,)
-        assert out.merge_warning
 
 
 class TestJordanChains:
@@ -130,7 +133,7 @@ class TestBlockDiagonalize:
 
     def test_scatter_hamiltonian_structure(self):
         for x, k in [(0.0, 1.0), (0.7, 0.5), (np.pi / 4, 2.0)]:
-            bd = block_diagonalize(scatter_hamiltonian(x, k), tol=1e-6)
+            bd = block_diagonalize(scatter_hamiltonian(x, k))
             assert len(bd.table.clusters) == 1
             c = bd.table.clusters[0]
             assert abs(c.value) < 1e-10
@@ -220,7 +223,7 @@ class TestBiorthonormalComplement:
         from pseudospec.blockdiag import BlockDiagonalization
 
         for x, k in [(0.0, 1.0), (0.6, 0.8)]:
-            bd = block_diagonalize(scatter_hamiltonian(x, k, v=2 * k), tol=1e-6)
+            bd = block_diagonalize(scatter_hamiltonian(x, k, v=2 * k))
             D = np.diag([np.exp(-1j * k * x), np.exp(1j * k * x)])
             A_ref = D @ np.array([[1.0, 1.0], [-1.0, 0.0]])
             ref = BlockDiagonalization(A_ref, bd.H0, bd.table, bd.label_order, bd.recon_residual)
@@ -269,8 +272,9 @@ class TestEigensolverHeads:
         # a J3(E) + J1(E) cluster behind a complex basis, normalized to
         # |H|_F = 1, like the real clusters of the jordan-census benchmark:
         # rounding splits it into simple eigenvalues about eps**(1/3) apart,
-        # whose perturbation discs overlap, so none of them may take an
-        # eigenvector as a one-slot chain and leave an unpaired complex value
+        # whose perturbation discs overlap, so they merge into one cluster
+        # and none of them may take an eigenvector as a one-slot chain and
+        # leave an unpaired complex value
         J = jordan_matrix([(0.75, [3, 1])])
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -290,6 +294,56 @@ class TestEigensolverHeads:
         with pytest.raises(EigensolveError):
             block_diagonalize(np.diag([1.0, 2.0]))
         assert decide(np.diag([1.0, 2.0])).verdict == INCONCLUSIVE
+
+
+def split_chain_pair(seed):
+    """J3(z) + J3(conj z) behind a complex Gaussian basis, |H|_F = 1: rounding
+    splits each chain into three simple eigenvalues about 2e-6 apart."""
+    z = 0.6 + 0.9j
+    J = jordan_matrix([(z, [3]), (np.conj(z), [3])])
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    H = W @ J @ np.linalg.inv(W)
+    return H / np.linalg.norm(H)
+
+
+class TestDiscClustering:
+    def test_split_chains_merge_on_the_default_profile(self):
+        # the floor alone (1e-8 |H|_F) leaves six clusters here, of which
+        # the staircase finds no conjugate partners
+        cert = decide(split_chain_pair(0))
+        assert cert.verdict == PSEUDO_HERMITIAN
+        assert [c.p_list for c in cert.table.clusters] == [(3,), (3,)]
+
+    def test_one_svd_per_join(self, monkeypatch):
+        # three pieces per chain overlap pairwise: two joins make one
+        # cluster, and the third pair is skipped without an SVD
+        H = split_chain_pair(0)
+        values, vectors = np.linalg.eig(H)
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        out = cluster_eigenvalues(values, 1e-8 * fro(H), H, vectors)
+        assert out.multiplicities == (3, 3)
+        assert len(svds) == 4
+
+    def test_repeated_eigenvectors_leave_the_floor_to_decide(self):
+        # eig can return an exactly coalesced pair with two equal vectors,
+        # as at lambda = (1.6, 12.96), varpi = sqrt(12.96); inv(V) then does
+        # not exist.  Unbounded discs would test the midpoint 0 of -1 and 1,
+        # where the pair itself makes sigma_min vanish, and merge them
+        H = jordan_matrix([(-1.0, [1]), (1.0, [1]), (0.0, [2])])
+        vectors = np.eye(4)
+        vectors[:, 3] = vectors[:, 2]
+        out = cluster_eigenvalues([-1.0, 1.0, 0.0, 0.0], 1e-8 * fro(H), H, vectors)
+        assert out.multiplicities == (1, 2, 1)
+
+    def test_overlap_needs_pseudospectral_confirmation(self):
+        # lambda = (1, 4), varpi = 2: the coalesced pair at 0 has kappa near
+        # 6e15, so its disc (radius 18) covers +-sqrt(3), but sigma_min of
+        # H - z at the midpoints is far above sqrt(n eps) |H|_F
+        cert = decide(build_H(ModelSpec((1.0, 4.0), 2.0)))
+        assert cert.verdict == PSEUDO_HERMITIAN
+        assert [c.algebraic for c in cert.table.clusters] == [1, 2, 1]
+        assert cert.table.clusters[1].p_list == (2,)
 
 
 class TestStoredInverse:

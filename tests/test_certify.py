@@ -17,8 +17,6 @@ from pseudospec.certify import (
 from pseudospec.linalg import fro
 from tests.test_blockdiag import jordan_matrix, scatter_hamiltonian, well_conditioned
 
-EP_PROFILE = ToleranceProfile(cluster_tol=1e-6)
-
 
 class TestResiduals:
     def test_real_symmetric_with_conjugation(self):
@@ -100,7 +98,7 @@ class TestDecide:
     def test_scatter_hamiltonian_certificates(self):
         for x in (0.0, 0.3, np.pi / 4, 1.0):
             for k in (0.5, 1.0, 2.0):
-                cert = decide(scatter_hamiltonian(x, k), EP_PROFILE)
+                cert = decide(scatter_hamiltonian(x, k))
                 assert cert.verdict == PSEUDO_HERMITIAN
                 c = cert.table.clusters[0]
                 assert len(cert.table.clusters) == 1 and c.p_list == (2,)
@@ -145,8 +143,8 @@ class TestDecide:
         A = well_conditioned(rng, 4)
         H = A @ paired @ np.linalg.inv(A)
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        cert1 = decide(H, ToleranceProfile(cluster_tol=1e-6))
-        cert2 = decide(q @ H @ q.conj().T, ToleranceProfile(cluster_tol=1e-6))
+        cert1 = decide(H)
+        cert2 = decide(q @ H @ q.conj().T)
         assert cert1.verdict == cert2.verdict == PSEUDO_HERMITIAN
         for key in cert1.residuals:
             assert abs(cert1.residuals[key] - cert2.residuals[key]) < 1e-10
@@ -161,6 +159,17 @@ class TestDecide:
         assert cert1.verdict == cert3.verdict == PSEUDO_HERMITIAN
         assert np.max(np.abs(cert1.witnesses.X.matrix - cert3.witnesses.X.matrix)) < 1e-10
         assert decide(-2.0 * H).verdict == PSEUDO_HERMITIAN
+
+    def test_staircase_svd_failure_is_inconclusive(self, monkeypatch):
+        # an exact double eigenvalue merges at the clustering floor with no
+        # confirmation SVD, so the first SVD to fail is the staircase's
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        cert = decide(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert cert.verdict == INCONCLUSIVE
+        assert "SVD did not converge" in cert.diagnostics
 
     def test_over_clustered_input_is_inconclusive(self):
         # a huge clustering tolerance merges two genuinely distinct

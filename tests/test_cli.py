@@ -40,7 +40,7 @@ class TestAnalyze:
         # x = 0, k = 1, v = 2; the commuting witness X degenerates to
         # plain conjugation there, so its matrix part is the identity
         path = write_matrix(tmp_path, hamiltonian(0.0, 1.0, 2.0))
-        assert main(["analyze", path, "--tol-cluster", "1e-6"]) == 0
+        assert main(["analyze", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         (row,) = doc["spectral_table"]
         assert row["d"] == 1 and row["p_list"] == [2]
@@ -229,7 +229,10 @@ class TestInputErrors:
         SWEEP + ["--potential", "triangle:1"],
         ["model-sweep", "--lambdas", "1,4", "--varpi-range", "nan", "3"],
         ["scatter-sweep", "--k", "1", "--x-range", "0", "inf", "--potential", "rectangular:1,0,1"],
-    ], ids=["rectangular-arity", "unknown-kind", "nan-varpi", "infinite-x-range"])
+        ["scatter-sweep", "--k", "inf", "--x-range", "0", "1", "--potential", "rectangular:1,0,1"],
+        SWEEP + ["--potential", "rectangular:inf,0,1"],
+    ], ids=["rectangular-arity", "unknown-kind", "nan-varpi", "infinite-x-range",
+            "infinite-k", "infinite-barrier"])
     def test_bad_value_exits_three(self, argv, capsys):
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err
@@ -240,6 +243,12 @@ class TestInputErrors:
         argv = ["scatter-sweep", "--potential", f"sampled:{table}", "--k", "1", "--x-range", "0", "2"]
         assert main(argv) == 3
         assert "outside the sampled grid" in capsys.readouterr().err
+
+    def test_sampled_table_must_be_finite(self, tmp_path, capsys):
+        table = tmp_path / "pot.csv"
+        table.write_text("0.0 0.0\n0.5 inf\n1.0 0.0\n")
+        assert main(SWEEP + ["--potential", f"sampled:{table}"]) == 3
+        assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         SWEEP + ["--potential", "rectangular:1,0,1", "--samples", "-2"],

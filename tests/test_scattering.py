@@ -6,6 +6,7 @@ import pytest
 from pseudospec.antilinear import is_involution
 from pseudospec.certify import (
     PSEUDO_HERMITIAN,
+    decide,
     residual_commute_antilinear,
     residual_intertwine_antilinear,
 )
@@ -15,7 +16,6 @@ from pseudospec.scattering import (
     RectangularBarrier,
     SampledPotential,
     barrier_transfer,
-    certify_hamiltonian,
     closed_form_operators,
     evolve_transfer,
     hamiltonian,
@@ -179,7 +179,7 @@ class TestPipelineAgainstClosedForms:
 
     def test_certificates_along_a_sweep(self):
         for x in np.linspace(-0.5, 1.5, 7):
-            cert = certify_hamiltonian(x, k=1.3, v=0.8)
+            cert = decide(hamiltonian(x, 1.3, 0.8))
             assert cert.verdict == PSEUDO_HERMITIAN
             c = cert.table.clusters[0]
             assert c.p_list == (2,) and c.d == 1 and abs(c.value) < 1e-10

@@ -108,7 +108,7 @@ def test_canonical_dump_round_trips_bytewise():
 
 def test_witnesses_follow_the_operator_fields():
     # x = 0, k = 1, v = 2: one length-2 chain at E = 0
-    cert = decide(hamiltonian(0.0, 1.0, 2.0), ToleranceProfile(cluster_tol=1e-6))
+    cert = decide(hamiltonian(0.0, 1.0, 2.0))
     assert cert.verdict == "pseudo_hermitian"
     assert cert.table.clusters[0].p_list == (2,)
     w = cert.witnesses

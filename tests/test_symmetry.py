@@ -35,7 +35,7 @@ SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def table(*clusters):
-    return SpectralTable(tuple(EigenCluster(v, tuple(p)) for v, p in clusters), 1e-8)
+    return SpectralTable(tuple(EigenCluster(v, tuple(p)) for v, p in clusters))
 
 
 class TestClassify:
@@ -248,7 +248,7 @@ class TestSynthesis:
         # the synthesized eta intertwines, and so does the unrelated
         # constant metric diag(1, -1): metrics are not unique
         H = scatter_hamiltonian(0.4, 1.0)
-        bd = block_diagonalize(H, tol=1e-6)
+        bd = block_diagonalize(H)
         ops = synthesize_operators(bd)
         herm, inter = residual_hermitian_metric(H, ops.eta)
         assert herm < 1e-12 and inter < 1e-10

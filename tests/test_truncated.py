@@ -5,7 +5,6 @@ from pseudospec.antilinear import is_hermitian, is_involution
 from pseudospec.blockdiag import block_diagonalize
 from pseudospec.certify import (
     PSEUDO_HERMITIAN,
-    ToleranceProfile,
     decide,
     residual_commute_antilinear,
     residual_hermitian_metric,
@@ -35,8 +34,6 @@ from pseudospec.truncated import (
 from tests.test_linalg import assert_multiset_close
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-EP_PROFILE = ToleranceProfile(cluster_tol=1e-6)
 
 
 def spectrum(spec):
@@ -226,7 +223,7 @@ class TestPipelineAgreement:
 
     def test_table_and_X_at_coalescence(self):
         spec = ModelSpec((1.0, 4.0), 2.0)
-        cert = decide(build_H(spec), EP_PROFILE)
+        cert = decide(build_H(spec))
         assert cert.verdict == PSEUDO_HERMITIAN
         plists = sorted(c.p_list for c in cert.table.clusters)
         assert plists == [(1,), (1,), (2,)]
@@ -238,7 +235,7 @@ class TestPipelineAgreement:
     def test_jordan_table_flips_across_coalescence(self):
         for offset, want in [(-1e-3, [(1,), (1,)]), (0.0, [(2,)]), (1e-3, [(1,), (1,)])]:
             spec = ModelSpec((1.0, 4.0), 2.0 + offset)
-            cert = decide(build_H(spec), EP_PROFILE)
+            cert = decide(build_H(spec))
             near_zero = sorted(
                 c.p_list for c in cert.table.clusters if abs(c.value) < 0.5
             )
@@ -263,7 +260,7 @@ class TestPipelineAgreement:
         for w in (0.5, 1.5, 2.0, 3.0):
             spec = ModelSpec((1.0, 4.0), w)
             H = build_H(spec)
-            cert = decide(H, EP_PROFILE)
+            cert = decide(H)
             assert cert.residuals["anti_ph"] < 1e-10
             assert residual_intertwine_antilinear(H, closed_form_tau(spec)) < 1e-10
 
