@@ -42,7 +42,7 @@ com = np.linalg.norm(bd.A @ phi.conj().T - np.eye(4))
 print(f"biorthonormality |phi^+ psi - I| = {bio:.2e}, completeness = {com:.2e}")
 
 print("\nchain relations, straight from the assembled columns:")
-for col, (n, a, i) in enumerate(bd.label_order):
+for col, (n, a, i) in enumerate(bd.table.labels()):
     E = bd.table.clusters[n].value
     v = bd.A[:, col]
     if i == 1:

@@ -38,14 +38,7 @@ from .certify import (
     residual_intertwine_linear,
     residual_involution,
 )
-from .linalg import (
-    EigenPair,
-    EigensolveError,
-    SingularMatrixError,
-    eigen_decompose,
-    inverse,
-    numerical_rank,
-)
+from .linalg import EigensolveError, SingularMatrixError, inverse
 from .symmetry import (
     PairingError,
     SpectralLabeling,

@@ -109,28 +109,20 @@ class ClusteredSpectrum:
 
 @dataclass(frozen=True)
 class BlockDiagonalization:
-    """The triple (A, H0, table); columns of A are the Jordan basis in
-    canonical label order and H0 is exactly block-Jordan.
+    """The triple (A, H0, table); columns of A are the Jordan basis in the
+    canonical label order of :meth:`SpectralTable.labels` and H0 is exactly
+    block-Jordan.
 
-    ``A_inv`` and ``cond_A`` come from one SVD and one inversion of A.  A
-    caller that builds the triple from its own basis may leave them out;
-    they are then computed on construction, which raises
-    :class:`~pseudospec.linalg.SingularMatrixError` for a singular basis.
+    Built only by :func:`from_chains`, which inverts A once: ``A_inv`` and
+    ``cond_A`` come from that one SVD and inversion.
     """
 
     A: np.ndarray
     H0: np.ndarray
     table: SpectralTable
-    label_order: tuple[tuple[int, int, int], ...]
     recon_residual: float  # |H - A H0 inv(A)| / |H|
-    A_inv: np.ndarray | None = field(default=None, repr=False)
-    cond_A: float | None = None
-
-    def __post_init__(self):
-        if self.A_inv is None or self.cond_A is None:
-            A_inv, cA = inverse_and_cond(self.A)
-            object.__setattr__(self, "A_inv", A_inv)
-            object.__setattr__(self, "cond_A", cA)
+    A_inv: np.ndarray = field(repr=False)
+    cond_A: float
 
 
 def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
@@ -446,17 +438,16 @@ def from_chains(H: np.ndarray, centers, chain_sets) -> BlockDiagonalization:
         EigenCluster(E, tuple(len(c) for c in chains)) for E, chains in zip(centers, chain_sets)
     )
     table = SpectralTable(clusters)
-    labels = tuple(table.labels())
     A = np.column_stack([v for chains in chain_sets for chain in chains for v in chain])
     H0 = np.zeros(A.shape, dtype=complex)
-    for col, (n, _, i) in enumerate(labels):
+    for col, (n, _, i) in enumerate(table.labels()):
         H0[col, col] = table.clusters[n].value
         if i >= 2:
             H0[col - 1, col] = 1.0
     A_inv, cA = inverse_and_cond(A)
     scale = fro(H)
     recon = fro(H - A @ H0 @ A_inv) / (scale if scale else 1.0)
-    return BlockDiagonalization(A, H0, table, labels, recon, A_inv, cA)
+    return BlockDiagonalization(A, H0, table, recon, A_inv, cA)
 
 
 def biorthonormal_complement(bd: BlockDiagonalization) -> np.ndarray:

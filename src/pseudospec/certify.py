@@ -15,6 +15,8 @@ import numpy as np
 
 from .antilinear import AntilinearOp, is_involution
 from .blockdiag import (
+    DEFAULT_COND_LIMIT,
+    DEFAULT_TOL,
     BlockDiagonalization,
     IllConditionedBasisError,
     JordanStructureError,
@@ -23,6 +25,8 @@ from .blockdiag import (
 )
 from .linalg import EigensolveError, as_matrix, fro
 from .symmetry import (
+    DEFAULT_PAIR_TOL,
+    DEFAULT_REAL_TOL,
     SpectralLabeling,
     SymmetryOperators,
     check_pairing,
@@ -92,12 +96,12 @@ class ToleranceProfile:
     study near exceptional points needs to widen it.
     """
 
-    cluster_tol: float = 1e-8
-    real_tol: float = 1e-8
-    pair_tol: float = 1e-8
+    cluster_tol: float = DEFAULT_TOL
+    real_tol: float = DEFAULT_REAL_TOL
+    pair_tol: float = DEFAULT_PAIR_TOL
     reconstruction_tol: float = 1e-8
     witness_tol: float = 1e-8
-    cond_limit: float = 1e12
+    cond_limit: float = DEFAULT_COND_LIMIT
 
     def as_dict(self) -> dict[str, float]:
         # not dataclasses.asdict: it deep-copies every value, which makes it

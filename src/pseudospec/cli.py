@@ -28,7 +28,7 @@ from .scattering import (
     hamiltonian_at,
 )
 from .serialization import FormatError, certificate_to_doc, dumps_canonical, load_matrix
-from .truncated import ModelSpec, build_H, closed_form_X, exceptional_set
+from .truncated import ModelSpec, build_H, closed_form_X, is_exceptional
 
 EXIT_PSEUDO_HERMITIAN = 0
 EXIT_NOT_PSEUDO_HERMITIAN = 1
@@ -178,13 +178,10 @@ def cmd_model_sweep(args) -> int:
     if not np.all(samples > 0):  # also refuses a NaN bound
         print("error: varpi must stay positive over the sweep", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    eps_set = np.sqrt(lambdas)
 
     def one(varpi):
         spec = ModelSpec(lambdas, float(varpi))
-        H = build_H(spec)
-        near_ep = bool(np.min(np.abs(varpi - eps_set)) < 1e-6)
-        cert = decide(H)
+        cert = decide(build_H(spec))
         row = [float(varpi)]
         if cert.table is not None and cert.labeling is not None:
             real_count = sum(
@@ -196,7 +193,7 @@ def cmd_model_sweep(args) -> int:
             )
         else:
             real_count, evs, p_lists = -1, [0j] * (2 * spec.L), ""
-        row += [real_count, int(near_ep)]
+        row += [real_count, int(is_exceptional(spec))]
         for z in evs:
             row += [float(z.real), float(z.imag)]
         row += [p_lists, float(cert.cond_A) if np.isfinite(cert.cond_A) else float("inf")]
@@ -246,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="certify a matrix from a JSON file")
     p.add_argument("input", help="path to a matrix JSON document")
-    p.add_argument("--tol-cluster", type=float, default=1e-8)
-    p.add_argument("--tol-pair", type=float, default=1e-8)
-    p.add_argument("--tol-real", type=float, default=1e-8)
+    p.add_argument("--tol-cluster", type=float, default=ToleranceProfile.cluster_tol)
+    p.add_argument("--tol-pair", type=float, default=ToleranceProfile.pair_tol)
+    p.add_argument("--tol-real", type=float, default=ToleranceProfile.real_tol)
     p.add_argument("--json-out", default=None, help="write the certificate here instead of stdout")
     p.set_defaults(func=cmd_analyze)
 

@@ -1,13 +1,13 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (Jordan structure, symmetry synthesis, certificates)
-is built on the four primitives here: eigendecomposition, numerical rank,
-inversion, and Frobenius norms.  All operators are dense complex numpy
-arrays; tolerances are relative unless stated otherwise.
+is built on the primitives here: input validation, one eigensolve for
+values and unit vectors, inversion checked against a condition number from
+one SVD, and the Frobenius norm.  All operators are dense complex numpy
+arrays; the one tolerance, the singularity cutoff, is relative to the
+largest singular value.
 """
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,11 +47,6 @@ def fro(M) -> float:
     return float(np.linalg.norm(M, "fro"))
 
 
-class EigenPair(NamedTuple):
-    value: complex
-    vector: np.ndarray  # unit Euclidean norm
-
-
 def eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit-norm eigenvector columns from one eigensolve.
 
@@ -70,40 +65,6 @@ def eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
     if np.any(norms == 0.0):
         raise EigensolveError("eigensolver returned a zero vector")
     return values, vectors / norms
-
-
-def eigen_decompose(M) -> list[EigenPair]:
-    """Full eigendecomposition of a square complex matrix, one (value, unit
-    vector) pair per row; see :func:`eigensystem`."""
-    values, vectors = eigensystem(M)
-    return [EigenPair(complex(values[i]), vectors[:, i].copy()) for i in range(values.size)]
-
-
-def eigenvalues(M) -> np.ndarray:
-    A = as_matrix(M, square=True)
-    try:
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveError(f"eigenvalue iteration did not converge: {exc}") from exc
-
-
-def numerical_rank(M, tol_rank: float | None = None) -> int:
-    """Number of singular values above ``tol_rank`` times the largest one.
-
-    The default tolerance is the usual rank-revealing convention
-    ``max(rows, cols) * machine epsilon``.  The zero matrix has rank 0.
-    """
-    A = as_matrix(M)
-    if tol_rank is None:
-        tol_rank = max(A.shape) * EPS
-    if tol_rank < 0:
-        raise ValueError("tol_rank must be non-negative")
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol_rank * s[0]))
 
 
 def inverse_and_cond(M) -> tuple[np.ndarray, float]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antilinear import AntilinearOp, conjugation
-from .blockdiag import BlockDiagonalization, block_diagonalize
+from .blockdiag import BlockDiagonalization, block_diagonalize, from_chains
 from .linalg import as_matrix, inverse
 from .symmetry import SymmetryOperators, synthesize_operators
 
@@ -287,7 +287,7 @@ def pipeline_operators_reference_gauge(
     if np.linalg.norm(H @ A_ref - A_ref @ bd.H0) > 1e-10 * max(np.linalg.norm(H), 1.0):
         raise RuntimeError("reference basis fails the chain relations for this H")
 
-    bd_ref = BlockDiagonalization(A_ref, bd.H0, table, bd.label_order, bd.recon_residual)
+    bd_ref = from_chains(H, [table.clusters[0].value], [[[A_ref[:, 0], A_ref[:, 1]]]])
     return synthesize_operators(bd_ref), bd_ref
 
 

@@ -37,7 +37,8 @@ def matrix_from_doc(doc) -> np.ndarray:
         if key not in doc:
             raise FormatError(f"matrix document is missing the '{key}' field")
     rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows <= 0 or cols <= 0:
+    # type(), not isinstance(): JSON true and false load as bool, an int subclass
+    if not (type(rows) is int and type(cols) is int) or rows <= 0 or cols <= 0:
         raise FormatError("'rows' and 'cols' must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise FormatError(
@@ -48,21 +49,28 @@ def matrix_from_doc(doc) -> np.ndarray:
     for i, pair in enumerate(entries):
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise FormatError(f"entry {i} is not a [re, im] pair")
-        re, im = pair
-        if not all(isinstance(p, (int, float)) and np.isfinite(p) for p in (re, im)):
+        if not all(type(p) in (int, float) for p in pair):
+            raise FormatError(f"entry {i} is not a [re, im] pair of numbers")
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except OverflowError as exc:  # an integer beyond the float range
+            raise FormatError(f"entry {i} is not finite") from exc
+        if not (np.isfinite(re) and np.isfinite(im)):
             raise FormatError(f"entry {i} is not finite")
         flat.append(complex(re, im))
     return np.array(flat, dtype=complex).reshape(rows, cols)
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(
-                f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(
+            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer too long to convert
+        raise FormatError(f"{path}: {exc}") from exc
     return matrix_from_doc(doc)
 
 

@@ -159,7 +159,7 @@ def build_tau0(table: SpectralTable) -> AntilinearOp:
     return AntilinearOp(build_S(table))
 
 
-def build_tau(bd: BlockDiagonalization) -> AntilinearOp:
+def build_tau(bd: BlockDiagonalization, tau0: AntilinearOp) -> AntilinearOp:
     """Antilinear Hermitian bijection with ``H^+ tau = tau H``.
 
     Defined as ``inv(A tau0 A^+) = inv(A)^+ tau0 inv(A)``, whose matrix part
@@ -168,7 +168,7 @@ def build_tau(bd: BlockDiagonalization) -> AntilinearOp:
     witness exists for every block-diagonalizable input.  The matrix part is
     symmetrized to keep Hermiticity exact against round-off.
     """
-    K = np.conj(bd.A_inv.T @ build_S(bd.table) @ bd.A_inv)
+    K = np.conj(bd.A_inv.T @ tau0.matrix @ bd.A_inv)
     return AntilinearOp((K + K.T) / 2.0)
 
 
@@ -230,7 +230,7 @@ def synthesize_operators(
     S = build_S(bd.table)
     Theta = build_Theta(bd.table.dimension)
     tau0 = AntilinearOp(S)
-    tau = build_tau(bd)
+    tau = build_tau(bd, tau0)
     C0 = build_C0(labeling, bd.table)
     eta0 = build_eta0(S, C0)
     X0 = build_X0(eta0, tau0)

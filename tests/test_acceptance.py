@@ -37,7 +37,7 @@ from pseudospec.scattering import (
     hamiltonian,
     pipeline_operators_reference_gauge,
 )
-from pseudospec.symmetry import build_tau
+from pseudospec.symmetry import build_tau, build_tau0
 from pseudospec.truncated import (
     ModelSpec,
     build_H,
@@ -261,10 +261,10 @@ def test_criterion_6_property_suite():
         for _ in range(500):  # (c) the adjoint witness needs no pairing
             H = _paired_instance(rng)
             bd = block_diagonalize(H, tol=1e-4)
-            assert residual_intertwine_antilinear(H, build_tau(bd)) <= 1e-8
+            assert residual_intertwine_antilinear(H, build_tau(bd, build_tau0(bd.table))) <= 1e-8
         for H in unpaired:
             bd = block_diagonalize(H, tol=1e-4)
-            assert residual_intertwine_antilinear(H, build_tau(bd)) <= 1e-8
+            assert residual_intertwine_antilinear(H, build_tau(bd, build_tau0(bd.table))) <= 1e-8
 
         for _ in range(500):  # (d) antilinear algebra laws
             n = int(rng.integers(2, 6))

@@ -9,6 +9,7 @@ from pseudospec.blockdiag import (
     biorthonormal_complement,
     block_diagonalize,
     cluster_eigenvalues,
+    from_chains,
     jordan_chains,
 )
 from pseudospec.linalg import EigensolveError, fro
@@ -139,7 +140,7 @@ class TestBlockDiagonalize:
             assert abs(c.value) < 1e-10
             assert c.p_list == (2,)
             assert np.allclose(bd.H0, np.array([[0.0, 1.0], [0.0, 0.0]]))
-            assert bd.label_order == ((0, 0, 1), (0, 0, 2))
+            assert bd.table.labels() == [(0, 0, 1), (0, 0, 2)]
 
     def test_reconstruction_and_chain_identities(self):
         rng = np.random.default_rng(42)
@@ -151,7 +152,7 @@ class TestBlockDiagonalize:
         scale = fro(H)
         assert bd.recon_residual <= 1e-8 * bd.cond_A
         # head and link identities in the assembled basis
-        for col, (n, a, i) in enumerate(bd.label_order):
+        for col, (n, a, i) in enumerate(bd.table.labels()):
             E = bd.table.clusters[n].value
             v = bd.A[:, col]
             if i == 1:
@@ -179,10 +180,9 @@ class TestBlockDiagonalize:
         # varpi = 2 is the exceptional point of level 2, where its pair
         # coalesces into a length-2 chain; varpi = 1.5 has simple clusters only
         bd = closed_form_block_diagonalization(ModelSpec((1.0, 4.0), varpi))
-        assert bd.label_order == tuple(bd.table.labels())
         n = bd.A.shape[0]
         expected = np.zeros((n, n), dtype=complex)
-        for col, (c, _, i) in enumerate(bd.label_order):
+        for col, (c, _, i) in enumerate(bd.table.labels()):
             expected[col, col] = bd.table.clusters[c].value
             if i >= 2:
                 expected[col - 1, col] = 1.0
@@ -220,13 +220,12 @@ class TestBiorthonormalComplement:
     def test_scatter_dual_basis_in_reference_gauge(self):
         # dual columns of the reference chain basis; the value is fixed by
         # biorthonormality against A = exp(-ikx sigma3) [[1,1],[-1,0]]
-        from pseudospec.blockdiag import BlockDiagonalization
-
         for x, k in [(0.0, 1.0), (0.6, 0.8)]:
-            bd = block_diagonalize(scatter_hamiltonian(x, k, v=2 * k))
+            H = scatter_hamiltonian(x, k, v=2 * k)
+            bd = block_diagonalize(H)
             D = np.diag([np.exp(-1j * k * x), np.exp(1j * k * x)])
             A_ref = D @ np.array([[1.0, 1.0], [-1.0, 0.0]])
-            ref = BlockDiagonalization(A_ref, bd.H0, bd.table, bd.label_order, bd.recon_residual)
+            ref = from_chains(H, [bd.table.clusters[0].value], [[[A_ref[:, 0], A_ref[:, 1]]]])
             phi = biorthonormal_complement(ref)
             want = np.column_stack([D @ [0.0, -1.0], D @ [1.0, 1.0]])
             assert np.max(np.abs(phi - want)) < 1e-12

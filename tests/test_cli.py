@@ -7,7 +7,8 @@ import pytest
 from pseudospec import cli, scattering
 from pseudospec.cli import main
 from pseudospec.scattering import PotentialSpec, RectangularBarrier, barrier_transfer, hamiltonian
-from pseudospec.serialization import dump_matrix
+from pseudospec.serialization import dump_matrix, load_matrix
+from pseudospec.truncated import ModelSpec, is_exceptional
 
 
 def write_matrix(tmp_path, M, name="m.json"):
@@ -214,6 +215,21 @@ class TestModelSweep:
         for row in rows:
             assert float(row[dev]) < 1e-9
 
+    def test_exceptional_flag_is_the_model_rule(self, tmp_path):
+        # 1e-9 off the exceptional point varpi = 1 the pair is split: the
+        # flag follows truncated.is_exceptional, as p_lists does
+        out = tmp_path / "model.csv"
+        assert main([
+            "model-sweep", "--lambdas", "1,4", "--varpi-range", "1.000000001", "1.5",
+            "--samples", "2", "--csv-out", str(out),
+        ]) == 0
+        header, rows = read_csv(str(out))
+        row = rows[0]
+        assert float(row[header.index("varpi")]) == 1.000000001
+        assert row[header.index("is_exceptional")] == "0"
+        assert not is_exceptional(ModelSpec((1.0, 4.0), 1.000000001))
+        assert row[header.index("p_lists")] == "1;1;1;1"
+
     def test_bad_lambdas_exit_code(self, capsys):
         assert main(["model-sweep", "--lambdas", "4,1", "--varpi-range", "1", "2"]) == 3
         assert "increasing" in capsys.readouterr().err
@@ -236,6 +252,24 @@ class TestInputErrors:
     def test_bad_value_exits_three(self, argv, capsys):
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        b'{"rows": 1, "cols": 1, "entries": [[1' + b"0" * 400 + b", 0]]}",
+        b'{"rows": 1, "cols": 1, "entries": [[' + b"1" * 5000 + b", 0]]}",
+        b'{"rows": 1, "cols": 1, "entries": [[1, 0]]} \xff',
+        b'{"rows": 1, "cols": 1, "entries": [[true, 0]]}',
+        b'{"rows": true, "cols": 1, "entries": [[1, 0]]}',
+    ], ids=["beyond-float-range", "too-many-digits", "not-utf8", "boolean-entry", "boolean-rows"])
+    def test_malformed_matrix_file_exits_three(self, tmp_path, payload, capsys):
+        path = tmp_path / "m.json"
+        path.write_bytes(payload)
+        assert main(["analyze", str(path)]) == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_large_integer_entry_loads_as_float(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": 1, "cols": 1, "entries": [[100000000000000000000, 0]]}')
+        assert load_matrix(path)[0, 0] == 1e20
 
     def test_sampled_grid_must_cover_the_x_range(self, tmp_path, capsys):
         table = tmp_path / "pot.csv"

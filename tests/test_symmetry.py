@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pseudospec import symmetry
 from pseudospec.antilinear import AntilinearOp, is_hermitian, is_involution
 from pseudospec.blockdiag import EigenCluster, SpectralTable, block_diagonalize
 from pseudospec.linalg import SingularMatrixError, fro, inverse
@@ -165,7 +166,7 @@ class TestSynthesis:
     def test_tau_on_hermitian_matrix(self):
         H = np.diag([2.0, -1.0, 0.5])
         bd = block_diagonalize(H)
-        tau = build_tau(bd)
+        tau = build_tau(bd, build_tau0(bd.table))
         assert residual_intertwine_antilinear(H, tau) < 1e-12
         assert is_hermitian(tau)[1] < 1e-12
 
@@ -231,7 +232,7 @@ class TestSynthesis:
         structure = [(0.3 + 0.7j, [2]), (1.0, [1])]  # unpaired complex cluster
         H = paired_instance(rng, structure)
         bd = block_diagonalize(H, tol=1e-5)
-        tau = build_tau(bd)
+        tau = build_tau(bd, build_tau0(bd.table))
         assert residual_intertwine_antilinear(H, tau) < 1e-8
         assert is_hermitian(tau)[1] < 1e-10
         with pytest.raises(PairingError):
@@ -338,7 +339,7 @@ class TestWitnessesFromTheDecomposition:
         rng = np.random.default_rng(sum(len(p) for _, p in structure))
         bd = block_diagonalize(paired_instance(rng, structure), tol=1e-5)
         want = sandwich_tau(bd)
-        assert fro(build_tau(bd).matrix - want) <= 1e-12 * fro(want)
+        assert fro(build_tau(bd, build_tau0(bd.table)).matrix - want) <= 1e-12 * fro(want)
 
     def test_synthesis_factorizes_nothing(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -347,6 +348,14 @@ class TestWitnessesFromTheDecomposition:
         invs = count_calls(monkeypatch, np.linalg, "inv")
         synthesize_operators(bd)
         assert svds == [] and invs == []
+
+    def test_synthesis_builds_S_once(self, monkeypatch):
+        # tau is lifted from the tau0 that synthesis already holds
+        rng = np.random.default_rng(12)
+        bd = block_diagonalize(paired_instance(rng, PAIRED_STRUCTURES[2]), tol=1e-5)
+        calls = count_calls(monkeypatch, symmetry, "build_S")
+        synthesize_operators(bd)
+        assert len(calls) == 1
 
     def test_ill_conditioned_basis_is_certified(self):
         # cond(A S A^T) is about cond(A)^2 here, past the singularity cutoff
