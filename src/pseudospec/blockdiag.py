@@ -137,9 +137,10 @@ def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
     radius ``kappa_k n eps |H|_F``, with ``kappa_k`` the norm of row k of
     ``inv(V)``: the eigenvalue condition number.  Overlapping pairs are
     tried nearest first, one SVD each, and a pair already in one cluster is
-    skipped.  Cluster centers are the member means.  Input is sorted
-    lexicographically by (Re, Im) first, so the result does not depend on
-    the eigensolver's output order.
+    skipped, as is a midpoint that a rejected SVD nearby already settles:
+    ``sigma_min(H - zI)`` is 1-Lipschitz in ``z``.  Cluster centers are the
+    member means.  Input is sorted lexicographically by (Re, Im) first, so
+    the result does not depend on the eigensolver's output order.
     """
     vals = np.asarray(raw, dtype=complex).ravel()
     if vals.size == 0:
@@ -178,12 +179,19 @@ def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
         overlap = np.flatnonzero(dist <= (r[:, None] + r[None, :]).ravel())
     cutoff = np.sqrt(n * EPS) * scale
     eye = np.eye(n)
+    rejected = []  # (z, m): sigma_min(H - z'I) > cutoff wherever |z' - z| < m
     for k in overlap[np.argsort(dist[overlap], kind="stable")].tolist():
         i, j = divmod(k, n)
         if i < j and find(i) != find(j):
             z = (vals[i] + vals[j]) / 2
-            if np.linalg.svd(H - z * eye, compute_uv=False)[-1] <= cutoff:
+            if any(abs(z - z0) < m for z0, m in rejected):
+                continue
+            s_min = np.linalg.svd(H - z * eye, compute_uv=False)[-1]
+            if s_min <= cutoff:
                 join(i, j)
+            else:
+                # sigma_min is 1-Lipschitz in z; n eps |H|_F allows for rounding
+                rejected.append((z, s_min - cutoff - n * EPS * scale))
 
     groups: dict[int, list[int]] = {}
     for i in range(n):

@@ -1,9 +1,10 @@
 """Command line surface: ``analyze``, ``scatter-sweep``, ``model-sweep``.
 
-Exit codes of ``analyze``: 0 pseudo-Hermitian, 1 not, 2 inconclusive,
-3 input error.  Every command exits 3 on a malformed command line.  Sweep
-commands emit CSV with a fixed column order; float cells use shortest
-round-trip repr, so identical inputs give byte-identical output.
+Exit codes of ``analyze``: 0 pseudo-Hermitian, 1 not, 2 inconclusive
+(also when ``decide`` fails with an arithmetic error), 3 input error.
+Every command exits 3 on a malformed command line.  Sweep commands emit
+CSV with a fixed column order; float cells use shortest round-trip repr,
+so identical inputs give byte-identical output.
 """
 from __future__ import annotations
 
@@ -84,6 +85,9 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ArithmeticError as exc:  # e.g. an overflow deep in the staircase
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     text = dumps_canonical(certificate_to_doc(cert))
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:

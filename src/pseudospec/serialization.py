@@ -5,11 +5,17 @@ in row-major order; complex numbers are always [re, im] pairs, never
 strings.  Serialization is deterministic (fixed key order, shortest
 round-trip float formatting) so identical inputs produce byte-identical
 documents, and parse -> serialize round-trips are lossless.
+
+The key ``"entries"`` is reserved for matrix pair lists: in any document
+given to :func:`dumps_canonical`, an ``"entries"`` list of flat rows of
+numbers is laid out by the fast path there.  Other values under that key
+are still encoded correctly, only at the standard library's speed.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +36,22 @@ def matrix_to_doc(M) -> dict:
     return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "entries": entries}
 
 
+def _pair_array(entries: list):
+    """``entries`` as an (m, 2) float array when every entry is a list of
+    two finite JSON numbers, else None.  The type checks are C-level set
+    passes, and conversion and finiteness are one numpy call each."""
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    # type(), not isinstance(): bools are refused
+    if not set(map(type, chain.from_iterable(entries))) <= {int, float}:
+        return None
+    try:
+        pairs = np.array(entries, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return pairs if np.isfinite(pairs).all() else None
+
+
 def matrix_from_doc(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise FormatError("matrix document must be a JSON object")
@@ -45,6 +67,10 @@ def matrix_from_doc(doc) -> np.ndarray:
             f"'entries' must hold exactly rows*cols = {rows * cols} pairs, "
             f"got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
+    pairs = _pair_array(entries)
+    if pairs is not None:
+        return pairs.view(complex).reshape(rows, cols)
+    # some entry breaks a rule: the per-entry pass names the first one
     flat = []
     for i, pair in enumerate(entries):
         if (not isinstance(pair, list)) or len(pair) != 2:
@@ -114,7 +140,75 @@ def certificate_to_doc(cert: Certificate) -> dict:
     return doc
 
 
+#: stands in for an entries block in the skeleton; a document whose own
+#: text holds its JSON makes the block count disagree and falls back whole
+_BLOCK = "\x00entries\x00"
+_BLOCK_JSON = json.dumps(_BLOCK)
+
+
+def _is_flat_rows(text: str, k: int) -> bool:
+    """Whether ``text``, the C encoding of a k-item list, holds k non-empty
+    rows of scalars.  Without strings (object keys are strings too, and
+    ``{}`` lays out like a number) every ``[`` opens a list; k + 1 lists of
+    which k - 1 pairs meet at ``], [`` leave no room for a scalar item or a
+    nested list.  Number reprs contain no separator."""
+    return (
+        '"' not in text
+        and "[]" not in text
+        and text.count("[") == k + 1
+        and text.count("], [") == k - 1
+    )
+
+
+def _stub_entries(value, blocks: list[str]):
+    """A copy of ``value`` in which every ``"entries"`` list of flat rows is
+    replaced by ``_BLOCK``; the C encodings go to ``blocks`` in document
+    order, which is the order ``json.dumps`` writes them in."""
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            if key == "entries" and isinstance(item, list) and item:
+                text = json.dumps(item, allow_nan=False)
+                if _is_flat_rows(text, len(item)):
+                    blocks.append(text)
+                    out[key] = _BLOCK
+                    continue
+            out[key] = _stub_entries(item, blocks)
+        return out
+    if isinstance(value, (list, tuple)):
+        return [_stub_entries(item, blocks) for item in value]
+    return value
+
+
+def _indent_block(text: str, pad: int) -> str:
+    """The ``indent=2`` layout of a flat-rows block whose key line is
+    indented by ``pad`` spaces."""
+    outer, row, item = ("\n" + " " * (pad + d) for d in (0, 2, 4))
+    body = text[2:-2].replace("], [", row + "]," + row + "[" + item).replace(", ", "," + item)
+    return "[" + row + "[" + item + body + row + "]" + outer + "]"
+
+
 def dumps_canonical(doc) -> str:
     """Deterministic JSON text: insertion-ordered keys, 2-space indent,
-    shortest round-trip float repr (at most 17 significant digits)."""
-    return json.dumps(doc, indent=2, allow_nan=False)
+    shortest round-trip float repr (at most 17 significant digits).
+
+    Byte for byte ``json.dumps(doc, indent=2, allow_nan=False)``.  With an
+    indent the standard library encodes in pure Python, so each
+    ``"entries"`` block of flat rows is encoded by the C encoder instead,
+    its separators are rewritten into the indented layout, and only the
+    small rest of the document takes the indenting encoder.
+    """
+    blocks: list[str] = []
+    try:
+        skeleton = json.dumps(_stub_entries(doc, blocks), indent=2, allow_nan=False)
+    except RecursionError:  # too deep or circular: the standard library says which
+        return json.dumps(doc, indent=2, allow_nan=False)
+    parts = skeleton.split(_BLOCK_JSON)
+    if len(parts) != len(blocks) + 1:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    out = [parts[0]]
+    for before, block, after in zip(parts, blocks, parts[1:]):
+        line = before[before.rfind("\n") + 1:]  # the key's own line
+        out.append(_indent_block(block, len(line) - len(line.lstrip(" "))))
+        out.append(after)
+    return "".join(out)

@@ -324,6 +324,18 @@ class TestDiscClustering:
         assert out.multiplicities == (3, 3)
         assert len(svds) == 4
 
+    def test_a_rejection_settles_the_midpoints_near_it(self, monkeypatch):
+        # lambda = (1, 4), varpi = 2: both pieces of the coalesced pair at 0
+        # overlap -sqrt(3) and +sqrt(3), so there are four midpoints, two at
+        # each of +-sqrt(3)/2.  sigma_min there is about 3.4e6 times the
+        # cutoff, and sigma_min is 1-Lipschitz in z: one SVD per side settles both
+        H = build_H(ModelSpec((1.0, 4.0), 2.0))
+        values, vectors = np.linalg.eig(H)
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        out = cluster_eigenvalues(values, 1e-8 * fro(H), H, vectors)
+        assert out.multiplicities == (1, 2, 1)
+        assert len(svds) == 2
+
     def test_repeated_eigenvectors_leave_the_floor_to_decide(self):
         # eig can return an exactly coalesced pair with two equal vectors,
         # as at lambda = (1.6, 12.96), varpi = sqrt(12.96); inv(V) then does

@@ -71,6 +71,17 @@ class TestAnalyze:
         assert main(["analyze", path, "--json-out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_arithmetic_failure_is_inconclusive_not_a_refusal(self, tmp_path, capsys):
+        # a J2(0.5) chain at |H|_F = 1e150: the staircase cutoff (tol |N|)**2
+        # overflows a Python float, and decide raises OverflowError
+        J = np.array([[0.5, 1.0], [0.0, 0.5]])
+        path = write_matrix(tmp_path, J * (1e150 / np.linalg.norm(J)))
+        assert main(["analyze", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
 
 class TestScatterSweep:
     def test_free_potential_rows_are_identity(self, tmp_path):

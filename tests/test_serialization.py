@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pseudospec import serialization
 from pseudospec.certify import ToleranceProfile, decide
 from pseudospec.scattering import hamiltonian
 from pseudospec.serialization import (
@@ -123,3 +124,133 @@ def test_witnesses_follow_the_operator_fields():
         "X": matrix_to_doc(w.X.matrix),
         "eta": matrix_to_doc(w.eta),
     }
+
+
+def stdlib_dumps(doc) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+EDGE_ENTRIES = [
+    [-0.0, 0.0],
+    [0.0, -0.0],
+    [5e-324, -5e-324],
+    [2.2250738585072014e-308, -2.2250738585072014e-308],
+    [1e300, -1e300],
+    [3, -7],
+    [0, 2**53 + 1],
+    [10**20, 0.1],
+]
+
+NOT_PAIR_LISTS = [
+    ["a, b], [c", "d"],
+    [["x", 1.0], [2.0, 3.0]],
+    [["x, y", 1.0]],
+    [[[1.0]], 2.0],
+    [[1.0, 2.0], [], [3.0, 4.0]],
+    [[1.0, [2.0, 3.0]], [4.0, 5.0]],
+    [[[1.0], [2.0]], 3.0],
+    [1.0, 2.0, 3.0],
+    [[1.0, 2.0], 3.0, [4.0, 5.0]],
+    [[1.0, 2.0, 3.0], [4.0]],
+    [[True, None], [False, 1.0]],
+    [[{}, 1.0], [2.0, {}]],
+    [{"entries": [[1.0, 2.0]]}, [3.0, 4.0]],
+    [(1.0, 2.0), (3.0, 4.0)],
+    [[serialization._BLOCK, 1.0]],
+]
+
+
+def seeded_certificates():
+    for seed in (1, 2):
+        for n in (2, 8, 32, 64):
+            rng = np.random.default_rng([seed, n])
+            real = rng.standard_normal((n, n))
+            for H in (real, real + 1j * rng.standard_normal((n, n))):
+                yield certificate_to_doc(decide(H))
+
+
+class TestCanonicalEncoder:
+    def test_number_edge_cases(self):
+        doc = {"rows": 4, "cols": 2, "entries": EDGE_ENTRIES}
+        assert dumps_canonical(doc) == stdlib_dumps(doc)
+        assert dumps_canonical([doc, {"k": doc}]) == stdlib_dumps([doc, {"k": doc}])
+
+    def test_empty_tables(self):
+        doc = {"verdict": "inconclusive", "spectral_table": [], "entries": [],
+               "m": {"rows": 0, "cols": 0, "entries": []}}
+        assert dumps_canonical(doc) == stdlib_dumps(doc)
+
+    def test_entries_at_several_depths(self):
+        doc = {
+            "entries": [[1.0, 2.0]],
+            "a": {
+                "entries": [[3, 4], [-0.0, 5e-324]],
+                "b": [
+                    {"entries": [[5.0, -6.0], [7.0, 8.0]]},
+                    {"c": {"d": {"rows": 1, "entries": [[0.5, 0.25]]}}},
+                ],
+            },
+            "z": [[{"entries": [[1e300, -1e300]]}]],
+        }
+        assert dumps_canonical(doc) == stdlib_dumps(doc)
+
+    @pytest.mark.parametrize("value", NOT_PAIR_LISTS + ["text", 3.5, None, {"entries": [[1, 2]]}])
+    def test_entries_that_are_not_pair_lists(self, value):
+        doc = {"w": {"rows": 1, "entries": value}, "v": {"entries": [[1.0, 2.0]]}}
+        assert dumps_canonical(doc) == stdlib_dumps(doc)
+
+    def test_seeded_certificates(self):
+        verdicts = set()
+        for doc in seeded_certificates():
+            verdicts.add(doc["verdict"])
+            assert dumps_canonical(doc) == stdlib_dumps(doc)
+        assert verdicts == {"pseudo_hermitian", "not_pseudo_hermitian"}
+
+    @pytest.mark.parametrize("doc", [
+        {"entries": [[1.0, float("nan")]]},
+        {"entries": [[1.0, 2.0]], "cond_A": float("nan")},
+        {"entries": [[float("inf"), 0.0]]},
+    ])
+    def test_non_finite_numbers_still_raise(self, doc):
+        with pytest.raises(ValueError):
+            dumps_canonical(doc)
+
+
+def per_entry_reference(doc) -> np.ndarray:
+    flat = [complex(float(re), float(im)) for re, im in doc["entries"]]
+    return np.array(flat, dtype=complex).reshape(doc["rows"], doc["cols"])
+
+
+#: one bad entry per kind, and the message that names it
+DEFECTS = {
+    "bool": ([0.0, True], "is not a [re, im] pair of numbers"),
+    "string": ([0.0, "1.5"], "is not a [re, im] pair of numbers"),
+    "short pair": ([1.0], "is not a [re, im] pair"),
+    "beyond float range": ([0.0, 10**400], "is not finite"),
+    "nan": ([0.0, float("nan")], "is not finite"),
+}
+
+
+class TestMatrixDecoder:
+    @pytest.mark.parametrize("entries", [EDGE_ENTRIES, [[1.0, 2.0]], [[0, 0]] * 6])
+    def test_matches_the_per_entry_reference(self, entries):
+        doc = {"rows": len(entries) // 2 or 1, "cols": 2 if len(entries) > 1 else 1,
+               "entries": entries}
+        got, want = matrix_from_doc(doc), per_entry_reference(doc)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # signs of zero included
+
+    def test_seeded_witnesses_match_the_reference(self):
+        for doc in seeded_certificates():
+            for w in doc.get("witnesses", {}).values():
+                w = json.loads(json.dumps(w))
+                assert matrix_from_doc(w).tobytes() == per_entry_reference(w).tobytes()
+
+    @pytest.mark.parametrize("first", sorted(DEFECTS))
+    @pytest.mark.parametrize("second", sorted(DEFECTS))
+    def test_error_names_the_first_offending_entry(self, first, second):
+        entries = [[float(k), 0.0] for k in range(6)]
+        entries[1], entries[4] = DEFECTS[first][0], DEFECTS[second][0]
+        with pytest.raises(FormatError) as err:
+            matrix_from_doc({"rows": 2, "cols": 3, "entries": entries})
+        assert str(err.value) == f"entry 1 {DEFECTS[first][1]}"
