@@ -32,6 +32,7 @@ from .certify import (
     PSEUDO_HERMITIAN,
     ToleranceProfile,
     decide,
+    decide_many,
     residual_commute_antilinear,
     residual_hermitian_metric,
     residual_intertwine_antilinear,

@@ -33,6 +33,14 @@ class AntilinearOp:
         K = as_matrix(self.matrix, square=True)
         object.__setattr__(self, "matrix", K)
 
+    @classmethod
+    def trusted(cls, K: np.ndarray) -> "AntilinearOp":
+        """The operator with matrix part ``K``, a complex square ndarray
+        with finite entries that the caller has already validated."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "matrix", K)
+        return op
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

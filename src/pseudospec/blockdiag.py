@@ -38,11 +38,14 @@ import numpy as np
 
 from .linalg import (
     EPS,
-    SingularMatrixError,
+    EigensolveError,
     as_matrix,
-    eigensystem,
+    eigensystem_stack,
     fro,
-    inverse_and_cond,
+    fro_rows,
+    inverse_and_cond_stack,
+    singular_error,
+    take_rows,
 )
 
 DEFAULT_TOL = 1e-8
@@ -147,9 +150,57 @@ def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
         raise ValueError("cannot cluster an empty eigenvalue list")
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
+    H = np.asarray(H)
+    vectors = np.asarray(vectors)
+    scale = np.array([fro(H)])
+    screen = _merge_screen(vals[None], _condition_numbers(vectors[None]), np.array([tol]), scale)
+    return _cluster_row(screen, 0, H)
+
+
+def _condition_numbers(vectors: np.ndarray) -> np.ndarray:
+    """Row norms of ``inv(V)`` for each row of a stack of eigenvector
+    matrices, one stacked inversion; zero for a singular ``V``.
+
+    Exactly repeated eigenvectors come with exactly repeated values, which
+    the floor joins; unbounded discs would send every pair to a midpoint
+    test that a third eigenvalue there can fool.
+    """
+    try:
+        Vinv = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:
+        if len(vectors) == 1:
+            return np.zeros(vectors.shape[:2])
+        return np.concatenate([_condition_numbers(V[None]) for V in vectors])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(Vinv, axis=-1)
+
+
+def _merge_screen(values, kappa, tol, scale) -> tuple:
+    """Sort each row of ``values`` by (Re, Im) and find its pairs within
+    the absolute floor ``tol`` or with overlapping perturbation discs;
+    ``kappa`` holds the condition numbers in raw order.  Returns the
+    sorted values, their distances, both pair masks, ``scale`` and the
+    rows with a pair that may merge."""
+    m, n = values.shape
+    by_value = (np.arange(m)[:, None], np.lexsort((values.imag, values.real), axis=-1))
+    vals = values[by_value]
+    dist = np.abs(vals[:, :, None] - vals[:, None, :])
+    floor = dist <= tol[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = kappa[by_value] * (n * EPS * scale)[:, None]
+        overlap = dist <= r[:, :, None] + r[:, None, :]
+    candidates = ((floor | overlap) & ~np.eye(n, dtype=bool)).any(axis=(1, 2))
+    return vals, dist, floor, overlap, scale, candidates
+
+
+def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> ClusteredSpectrum:
+    """Union-find clustering of one row of a merge screen; see
+    :func:`cluster_eigenvalues`."""
+    vals, dist, floor, overlap, scale, candidate = (a[row] for a in screen)
     n = vals.size
+    if not candidate:
+        # the mean of one member, as np.mean forms it: 0 + v, then / 1
+        return ClusteredSpectrum(tuple((vals + 0.0).tolist()), (1,) * n)
 
     parent = list(range(n))
 
@@ -163,20 +214,10 @@ def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
         ri, rj = find(i), find(j)
         parent[max(ri, rj)] = min(ri, rj)
 
-    dist = np.abs(vals[:, None] - vals[None, :]).ravel()  # pair (i, j) at i * n + j
-    for k in np.flatnonzero(dist <= tol).tolist():
+    dist = dist.ravel()  # pair (i, j) at i * n + j
+    for k in np.flatnonzero(floor.ravel()).tolist():
         join(*divmod(k, n))
-    scale = fro(H)
-    try:
-        Vinv = np.linalg.inv(vectors)[order]
-    except np.linalg.LinAlgError:
-        # exactly repeated eigenvectors come with exactly repeated values,
-        # which the floor has joined; unbounded discs would send every pair
-        # to a midpoint test that a third eigenvalue there can fool
-        Vinv = np.zeros((n, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = np.linalg.norm(Vinv, axis=1) * (n * EPS * scale)
-        overlap = np.flatnonzero(dist <= (r[:, None] + r[None, :]).ravel())
+    overlap = np.flatnonzero(overlap.ravel())
     cutoff = np.sqrt(n * EPS) * scale
     eye = np.eye(n)
     rejected = []  # (z, m): sigma_min(H - z'I) > cutoff wherever |z' - z| < m
@@ -276,9 +317,10 @@ def jordan_chains(
     ``ker N^l`` modulo ``ker N^{l-1}`` and the already-descended tops is
     picked at the largest power first, then descendants are generated by
     applying ``N``.  ``_parent_scale`` is ``|H|_2`` when the caller already
-    has it, as :func:`block_diagonalize` does for all its clusters.
+    has it, as :func:`block_diagonalize` does for all its clusters; ``H``
+    is then taken as validated.
     """
-    A = as_matrix(H, square=True)
+    A = as_matrix(H, square=True) if _parent_scale is None else H
     n = A.shape[0]
     N = A - complex(center) * np.eye(n)
     parent_scale = float(np.linalg.norm(A, 2)) if _parent_scale is None else _parent_scale
@@ -339,45 +381,39 @@ def jordan_chains(
     return chains
 
 
-def _simple_heads(
-    H: np.ndarray, values: np.ndarray, vectors: np.ndarray, skel: ClusteredSpectrum,
-    tol: float, scale: float,
-) -> dict[int, np.ndarray]:
-    """Canonical eigenvectors of the simple, well-separated clusters, keyed
-    by cluster index and read straight from the eigensolve.
+def _simple_heads(H, values, vectors, centers, tol: float, scale):
+    """Which simple clusters of each row of a stack may take their basis
+    vector straight from the eigensolve, and those vectors.
 
-    A cluster qualifies when its multiplicity is 1 and its nearest other
-    eigenvalue is farther than ``tol * (|H|_F + |E|)``.  A Jordan chain
-    that rounding split into nearby simple eigenvalues does not qualify:
+    ``centers`` holds k simple cluster centers per row, each its one raw
+    eigenvalue.  A cluster qualifies when its nearest other eigenvalue is
+    farther than ``tol * (|H|_F + |E|)``.  A Jordan chain that rounding
+    split into nearby simple eigenvalues does not qualify:
     :func:`cluster_eigenvalues` has merged it back into one cluster.  The
     vector must also pass the staircase's eigenvector-residual check,
     ``|(H - E) v| <= 10 max(tol |H - E|_2, 64 n eps |H|_2)``, evaluated
     with the lower bounds ``rho(H - E)`` and ``|H|_F / sqrt(n)`` in place
-    of the 2-norms, so its cutoff is never looser.
+    of the 2-norms, so its cutoff is never looser.  Rows need a finite
+    ``|H|_F``.  Returns the (m, k) verdicts and the (m, n, k) vectors.
     """
-    singles = [k for k, m in enumerate(skel.multiplicities) if m == 1]
-    if not singles or not np.isfinite(scale):
-        return {}
-    n = values.size
-    m = len(singles)
-    centers = np.array([skel.centers[k] for k in singles])
-    dist = np.abs(centers[:, None] - values[None, :])
-    idx = np.argmin(dist, axis=1)  # a simple cluster's center is its one member
-    rho = dist.max(axis=1)  # spectral radius of H - E
-    dist[np.arange(m), idx] = np.inf
-    ok = dist.min(axis=1) > tol * (scale + np.abs(centers))
-    V = vectors[:, idx]
-    resid = np.linalg.norm(H @ V - V * centers, axis=0)
+    m, n = values.shape
+    dist = np.abs(centers[:, :, None] - values[:, None, :])
+    idx = np.argmin(dist, axis=2)  # a simple cluster's center is its one member
+    rho = dist.max(axis=2)  # spectral radius of H - E
+    row = np.arange(m)[:, None]
+    dist[row, np.arange(idx.shape[1]), idx] = np.inf
+    ok = dist.min(axis=2) > tol * (scale[:, None] + np.abs(centers))
+    V = vectors[row[:, :, None], np.arange(n)[:, None], idx[:, None, :]]
+    resid = np.linalg.norm(H @ V - V * centers[:, None, :], axis=1)
     floor = 64 * n * EPS * scale / np.sqrt(n)
-    ok &= resid <= 10 * np.maximum(tol * rho, floor)
-    return {k: _canonical_gauge([V[:, j]])[0] for j, k in enumerate(singles) if ok[j]}
+    ok &= resid <= 10 * np.maximum(tol * rho, floor[:, None])
+    return ok, V
 
 
-def _check_condition(cA: float, cond_limit: float) -> None:
-    if not np.isfinite(cA) or cA > cond_limit:
-        raise IllConditionedBasisError(
-            f"Jordan basis condition number {cA:.3e} exceeds limit {cond_limit:.1e}"
-        )
+#: failures that make one decomposition, and only that one, inconclusive
+DECOMPOSITION_ERRORS = (
+    JordanStructureError, IllConditionedBasisError, EigensolveError, np.linalg.LinAlgError,
+)
 
 
 def block_diagonalize(
@@ -395,41 +431,101 @@ def block_diagonalize(
     staircase is inconsistent (including a cluster whose chain census does
     not reproduce its eigenvalue count) and
     :class:`IllConditionedBasisError` when ``cond(A)`` exceeds
-    ``cond_limit``.
+    ``cond_limit``.  The one-row case of :func:`decompose_stack`.
     """
-    A_in = as_matrix(H, square=True)
-    n = A_in.shape[0]
-    if n == 0:
+    A = as_matrix(H, square=True)
+    if A.shape[0] == 0:
         raise ValueError("cannot decompose an empty matrix")
-    scale = fro(A_in)
-    values, vectors = eigensystem(A_in)
-    skel = cluster_eigenvalues(values, tol * scale if scale else tol, A_in, vectors)
-    heads = _simple_heads(A_in, values, vectors, skel, tol, scale)
-
-    parent_scale = None
-    chain_sets = []
-    for k, (center, count) in enumerate(zip(skel.centers, skel.multiplicities)):
-        if k in heads:
-            chains = [[heads[k]]]
-        else:
-            if parent_scale is None:
-                parent_scale = float(np.linalg.norm(A_in, 2))
-            chains = jordan_chains(A_in, center, tol, _parent_scale=parent_scale)
-            alg = sum(len(c) for c in chains)
-            if alg != count:
-                raise JordanStructureError(
-                    f"cluster at {center}: staircase algebraic multiplicity {alg} "
-                    f"disagrees with the clustered eigenvalue count {count}"
-                )
-        chain_sets.append(chains)
-
-    try:
-        bd = from_chains(A_in, skel.centers, chain_sets)
-    except SingularMatrixError as exc:
-        _check_condition(exc.cond_estimate, cond_limit)
-        raise
-    _check_condition(bd.cond_A, cond_limit)
+    (bd,) = decompose_stack(A[None], tol, cond_limit)
+    if isinstance(bd, Exception):
+        raise bd
     return bd
+
+
+def decompose_stack(Hs: np.ndarray, tol: float, cond_limit: float, scale=None) -> list:
+    """:func:`block_diagonalize` of each row of a validated (m, n, n) stack,
+    n >= 1, given ``|H|_F`` per row in ``scale`` or computing it.
+
+    The eigensolve, the inversion of the eigenvectors, the clustering
+    screen, the simple-head checks and the assembly are stacked; only a
+    row with a candidate merge runs the union-find, and only a cluster that
+    is not simple and well separated the staircase.  Returns per row a
+    :class:`BlockDiagonalization` or the error of
+    :data:`DECOMPOSITION_ERRORS` that ended it.  When a stacked LAPACK call
+    fails, the rows are decomposed one by one, so a failure stays with its
+    own row.
+    """
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    if scale is None:
+        scale = fro_rows(Hs)
+    try:
+        return _decompose(Hs, tol, cond_limit, scale)
+    except (EigensolveError, np.linalg.LinAlgError) as exc:
+        if len(Hs) == 1:
+            return [exc]
+        return [decompose_stack(Hs[i:i + 1], tol, cond_limit, scale[i:i + 1])[0]
+                for i in range(len(Hs))]
+
+
+def _decompose(Hs, tol, cond_limit, scale) -> list:
+    m, n = Hs.shape[:2]
+    values, vectors = eigensystem_stack(Hs)
+    floor_tol = np.array([tol * s if s else tol for s in scale.tolist()])
+    screen = _merge_screen(values, _condition_numbers(vectors), floor_tol, scale)
+    finite = np.isfinite(scale)
+    # the head checks of each row's simple clusters; rows whose clusters
+    # are all simple take them in one pass
+    simple = {}
+    fast = np.flatnonzero(~screen[-1] & finite)
+    if fast.size:
+        centers = take_rows(screen[0], fast) + 0.0  # the one-member means of _cluster_row
+        checked = _simple_heads(*(take_rows(a, fast) for a in (Hs, values, vectors)),
+                                centers, tol, take_rows(scale, fast))
+        simple = dict(zip(fast.tolist(), zip(*checked)))
+
+    out: list = [None] * m
+    rows, centers_list, chain_sets = [], [], []
+    for i, finite_i in enumerate(finite.tolist()):
+        H, row = Hs[i], slice(i, i + 1)
+        try:
+            skel = _cluster_row(screen, i, H)
+            singles = [k for k, c in enumerate(skel.multiplicities) if c == 1]
+            if i not in simple and singles and finite_i:
+                c = np.array([skel.centers[k] for k in singles])[None]
+                ok, V = _simple_heads(Hs[row], values[row], vectors[row], c, tol, scale[row])
+                simple[i] = (ok[0], V[0])
+            ok, V = simple.get(i, ((False,) * len(singles), None))
+            heads = {k: _canonical_gauge([V[:, j]])[0] for j, k in enumerate(singles) if ok[j]}
+            parent_scale = None
+            chains_here = []
+            for k, (center, count) in enumerate(zip(skel.centers, skel.multiplicities)):
+                if k in heads:
+                    chains = [[heads[k]]]
+                else:
+                    if parent_scale is None:
+                        parent_scale = float(np.linalg.norm(H, 2))
+                    chains = jordan_chains(H, center, tol, _parent_scale=parent_scale)
+                    alg = sum(len(c) for c in chains)
+                    if alg != count:
+                        raise JordanStructureError(
+                            f"cluster at {center}: staircase algebraic multiplicity {alg} "
+                            f"disagrees with the clustered eigenvalue count {count}"
+                        )
+                chains_here.append(chains)
+        except DECOMPOSITION_ERRORS as exc:
+            out[i] = exc.with_traceback(None)  # its frames hold out: a cycle
+            continue
+        rows.append(i)
+        centers_list.append(skel.centers)
+        chain_sets.append(chains_here)
+
+    if rows:
+        bds = _assemble(take_rows(Hs, rows), take_rows(scale, rows), centers_list, chain_sets,
+                        cond_limit)
+        for i, bd in zip(rows, bds):
+            out[i] = bd
+    return out
 
 
 def from_chains(H: np.ndarray, centers, chain_sets) -> BlockDiagonalization:
@@ -442,20 +538,51 @@ def from_chains(H: np.ndarray, centers, chain_sets) -> BlockDiagonalization:
     the reconstruction residual is taken relative to ``|H|_F``.  Raises
     :class:`~pseudospec.linalg.SingularMatrixError` for a singular basis.
     """
-    clusters = tuple(
-        EigenCluster(E, tuple(len(c) for c in chains)) for E, chains in zip(centers, chain_sets)
-    )
-    table = SpectralTable(clusters)
-    A = np.column_stack([v for chains in chain_sets for chain in chains for v in chain])
+    H = np.asarray(H)
+    (bd,) = _assemble(H[None], np.array([fro(H)]), [centers], [chain_sets])
+    if isinstance(bd, Exception):
+        raise bd
+    return bd
+
+
+def _assemble(Hs, scale, centers_list, chain_sets, cond_limit=None) -> list:
+    """:func:`from_chains` for each row of a stack, one stacked SVD and
+    inversion for all bases.  A row whose basis is singular gets a
+    :class:`~pseudospec.linalg.SingularMatrixError`, or with ``cond_limit``
+    given an :class:`IllConditionedBasisError` when its condition estimate
+    exceeds the limit, as does a regular basis."""
+    tables, columns = [], []
+    for centers, chains_at in zip(centers_list, chain_sets):
+        tables.append(SpectralTable(tuple(
+            EigenCluster(E, tuple(len(c) for c in chains)) for E, chains in zip(centers, chains_at)
+        )))
+        columns.append([v for chains in chains_at for chain in chains for v in chain])
+    A = np.array(columns).mT.copy()
+    if A.shape[1] != A.shape[2]:
+        raise ValueError(f"the chains span {A.shape[2]} columns of dimension {A.shape[1]}")
     H0 = np.zeros(A.shape, dtype=complex)
-    for col, (n, _, i) in enumerate(table.labels()):
-        H0[col, col] = table.clusters[n].value
-        if i >= 2:
-            H0[col - 1, col] = 1.0
-    A_inv, cA = inverse_and_cond(A)
-    scale = fro(H)
-    recon = fro(H - A @ H0 @ A_inv) / (scale if scale else 1.0)
-    return BlockDiagonalization(A, H0, table, recon, A_inv, cA)
+    for H0_r, table in zip(H0, tables):
+        for col, (n, _, i) in enumerate(table.labels()):
+            H0_r[col, col] = table.clusters[n].value
+            if i >= 2:
+                H0_r[col - 1, col] = 1.0
+    A_inv, rows, cond = inverse_and_cond_stack(A.astype(complex, copy=False))
+    recon = []
+    if rows:
+        R = take_rows(Hs, rows) - take_rows(A, rows) @ take_rows(H0, rows) @ A_inv
+        recon = [f / (s if s else 1.0) for f, s in zip(fro_rows(R).tolist(), scale[rows].tolist())]
+    regular = dict(zip(rows, zip(recon, A_inv)))
+    out: list = []
+    for r, cA in enumerate(cond):
+        if cond_limit is not None and not cA <= cond_limit:  # also inf and NaN
+            out.append(IllConditionedBasisError(
+                f"Jordan basis condition number {cA:.3e} exceeds limit {cond_limit:.1e}"
+            ))
+        elif r in regular:
+            out.append(BlockDiagonalization(A[r], H0[r], tables[r], *regular[r], cA))
+        else:
+            out.append(singular_error(cA))
+    return out
 
 
 def biorthonormal_complement(bd: BlockDiagonalization) -> np.ndarray:

@@ -9,21 +9,20 @@ binary lie.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .antilinear import AntilinearOp, is_involution
+from .antilinear import AntilinearOp
 from .blockdiag import (
     DEFAULT_COND_LIMIT,
     DEFAULT_TOL,
     BlockDiagonalization,
-    IllConditionedBasisError,
-    JordanStructureError,
     SpectralTable,
-    block_diagonalize,
+    decompose_stack,
 )
-from .linalg import EigensolveError, as_matrix, fro
+from .linalg import as_matrix, as_stack, fro_rows, stack, take_rows
 from .symmetry import (
     DEFAULT_PAIR_TOL,
     DEFAULT_REAL_TOL,
@@ -31,8 +30,7 @@ from .symmetry import (
     SymmetryOperators,
     check_pairing,
     classify_spectrum,
-    gamma_from_tau_X,
-    synthesize_operators,
+    synthesize_stack,
 )
 
 PSEUDO_HERMITIAN = "pseudo_hermitian"
@@ -40,49 +38,68 @@ NOT_PSEUDO_HERMITIAN = "not_pseudo_hermitian"
 INCONCLUSIVE = "inconclusive"
 
 
-def _safe(x: float) -> float:
-    return x if x > 0.0 else 1.0
+def _safe(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x, 1.0)
 
 
-def _relative_residual(A: np.ndarray, K: np.ndarray, left, right) -> float:
-    """``|left K - K right| / (|A| |K|)``: the relative residual of every
-    intertwining and commutation identity between ``A`` and ``K`` below."""
-    if A.shape != K.shape:
+def _relative_residuals(scale_A, terms) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """``|left K - K right| / (|A| |K|)`` for each ``(K, left, right)`` in
+    ``terms``, stacks over the rows of ``A`` whose norms are ``scale_A``:
+    the relative residual of every intertwining and commutation identity
+    between ``A`` and ``K`` below.  One norm pass serves all terms; the
+    norms ``|K|``, with 0 read as 1, are returned as well."""
+    k = len(terms)
+    R = [left @ K - K @ right for K, left, right in terms]
+    norms = fro_rows(np.concatenate(R + [K for K, _, _ in terms])).reshape(2 * k, -1)
+    sizes = _safe(norms[k:])
+    with np.errstate(all="ignore"):  # inf and NaN without a warning, as Python floats
+        return list(norms[:k] / (_safe(scale_A) * sizes)), list(sizes)
+
+
+def _one_row(H, K) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A validated matrix and a partner, each as a one-row stack, and
+    ``|H|_F``."""
+    A = as_matrix(H, square=True)
+    if K.shape != A.shape:
         raise ValueError("dimension mismatch")
-    return fro(left @ K - K @ right) / (_safe(fro(A)) * _safe(fro(K)))
+    return A[None], fro_rows(A[None]), K[None]
 
 
 def residual_intertwine_antilinear(H, L: AntilinearOp) -> float:
     """Relative residual of ``H^+ L = L H`` as antilinear maps, i.e. of the
     matrix identity ``H^+ K = K conj(H)``.  Zero iff ``H^+ = L H inv(L)``."""
-    A = as_matrix(H, square=True)
-    return _relative_residual(A, L.matrix, A.conj().T, np.conj(A))
+    A, fA, K = _one_row(H, L.matrix)
+    return float(_relative_residuals(fA, [(K, A.conj().mT, np.conj(A))])[0][0][0])
 
 
 def residual_commute_antilinear(H, L: AntilinearOp) -> float:
     """Relative residual of ``[H, L] = 0``: ``H K = K conj(H)``."""
-    A = as_matrix(H, square=True)
-    return _relative_residual(A, L.matrix, A, np.conj(A))
+    A, fA, K = _one_row(H, L.matrix)
+    return float(_relative_residuals(fA, [(K, A, np.conj(A))])[0][0][0])
+
+
+def _involution(K: np.ndarray) -> np.ndarray:
+    """``|K conj(K) - I|`` for each row of a stack of matrix parts."""
+    return fro_rows(K @ np.conj(K) - np.eye(K.shape[-1]))
 
 
 def residual_involution(L: AntilinearOp) -> float:
     """``|K conj(K) - I|``."""
-    return is_involution(L)[1]
+    return float(_involution(L.matrix[None])[0])
 
 
 def residual_hermitian_metric(H, eta) -> tuple[float, float]:
     """(Hermiticity, intertwining) residuals of a metric candidate:
     ``|eta - eta^+| / |eta|`` and ``|H^+ eta - eta H| / (|H| |eta|)``."""
-    A = as_matrix(H, square=True)
-    G = as_matrix(eta, square=True)
-    herm = fro(G - G.conj().T) / _safe(fro(G))
-    return herm, _relative_residual(A, G, A.conj().T, A)
+    A, fA, G = _one_row(H, as_matrix(eta, square=True))
+    (res,), (size,) = _relative_residuals(fA, [(G, A.conj().mT, A)])
+    return float(fro_rows(G - G.conj().mT)[0]) / float(size[0]), float(res[0])
 
 
 def residual_intertwine_linear(H, G) -> float:
     """Relative residual of ``H^+ G = G H`` for a linear automorphism G."""
-    A = as_matrix(H, square=True)
-    return _relative_residual(A, as_matrix(G, square=True), A.conj().T, A)
+    A, fA, K = _one_row(H, as_matrix(G, square=True))
+    return float(_relative_residuals(fA, [(K, A.conj().mT, A)])[0][0][0])
 
 
 @dataclass(frozen=True)
@@ -102,6 +119,11 @@ class ToleranceProfile:
     reconstruction_tol: float = 1e-8
     witness_tol: float = 1e-8
     cond_limit: float = DEFAULT_COND_LIMIT
+
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not 0.0 <= value < np.inf:  # also refuses NaN
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
     def as_dict(self) -> dict[str, float]:
         # not dataclasses.asdict: it deep-copies every value, which makes it
@@ -123,16 +145,35 @@ class Certificate:
     decomposition: BlockDiagonalization | None = field(default=None, repr=False)
 
 
-def witness_residuals(H, ops: SymmetryOperators) -> dict[str, float]:
-    eta_h, eta_i = residual_hermitian_metric(H, ops.eta)
-    return {
-        "anti_ph": residual_intertwine_antilinear(H, ops.tau),
-        "X_involution": residual_involution(ops.X),
-        "X_commute": residual_commute_antilinear(H, ops.X),
-        "eta_hermitian": eta_h,
-        "eta_intertwine": eta_i,
-        "gamma_intertwine": residual_intertwine_linear(H, gamma_from_tau_X(ops.tau, ops.X)),
+#: rows that :func:`decide_many` decides at once: enough to share each
+#: LAPACK and numpy call among many rows, few enough that a block's arrays
+#: and certificates add little to peak memory
+BLOCK_ROWS = 16
+
+
+def _witness_residuals(A, scale_A, ops: list[SymmetryOperators]) -> list[dict[str, float]]:
+    """The six witness residuals of each row of a stack, given ``|H|_F``."""
+    tau = stack([o.tau.matrix for o in ops])
+    X = stack([o.X.matrix for o in ops])
+    eta = stack([o.eta for o in ops])
+    gamma = tau @ np.conj(X)  # gamma_from_tau_X, row by row
+    Ah, Ac = A.conj().mT, np.conj(A)
+    (anti, commute, intertwine, gamma_res), (_, _, eta_size, _) = _relative_residuals(
+        scale_A, [(tau, Ah, Ac), (X, A, Ac), (eta, Ah, A), (gamma, Ah, A)]
+    )
+    hermitian = fro_rows(eta - eta.conj().mT)
+    with np.errstate(all="ignore"):  # see _relative_residuals
+        hermitian = hermitian / eta_size
+    columns = {
+        "anti_ph": anti,
+        "X_involution": _involution(X),
+        "X_commute": commute,
+        "eta_hermitian": hermitian,
+        "eta_intertwine": intertwine,
+        "gamma_intertwine": gamma_res,
     }
+    values = {k: v.tolist() for k, v in columns.items()}
+    return [{k: v[r] for k, v in values.items()} for r in range(len(ops))]
 
 
 def decide(H, tol: ToleranceProfile = ToleranceProfile()) -> Certificate:
@@ -142,36 +183,74 @@ def decide(H, tol: ToleranceProfile = ToleranceProfile()) -> Certificate:
     the pairing holds the full witness set is synthesized and attached; when
     it fails the certificate names the violating cluster or pair.
     Structural failures land in the ``inconclusive`` verdict with
-    diagnostics, never in an exception.
+    diagnostics, never in an exception.  The one-row case of
+    :func:`decide_many`.
     """
     A = as_matrix(H, square=True)
-    try:
-        bd = block_diagonalize(A, tol.cluster_tol, tol.cond_limit)
-    except (JordanStructureError, IllConditionedBasisError, EigensolveError,
-            np.linalg.LinAlgError) as exc:
-        return Certificate(
-            INCONCLUSIVE, False, {}, tol.as_dict(), diagnostics=str(exc)
-        )
+    if A.shape[0] == 0:
+        raise ValueError("cannot decompose an empty matrix")
+    return _decide_block(A[None], tol)[0]
 
-    labeling = classify_spectrum(bd.table, tol.real_tol, tol.pair_tol)
-    report = check_pairing(labeling, bd.table)
-    residuals = {"reconstruction": bd.recon_residual}
 
-    def certificate(verdict, diagnostics=None, witnesses=None):
-        return Certificate(
-            verdict, report.ok, residuals, tol.as_dict(), table=bd.table,
-            labeling=labeling, witnesses=witnesses, cond_A=bd.cond_A,
-            diagnostics=diagnostics, decomposition=bd,
-        )
+def decide_many(stack, tol: ToleranceProfile = ToleranceProfile()) -> Iterator[Certificate]:
+    """:func:`decide` for each row of an (m, n, n) stack, certificates in
+    row order, bit for bit equal to one :func:`decide` per row.
 
-    if not report.ok:
-        return certificate(NOT_PSEUDO_HERMITIAN, report.detail)
+    The input is validated at once, and a non-finite entry raises a
+    ``ValueError`` that names its row.  Rows are then decided
+    :data:`BLOCK_ROWS` at a time: one stacked decomposition, then one
+    stacked synthesis and one set of stacked residual products for the
+    rows whose pairing holds.  Certificates are yielded as each block
+    completes, so only one block of them need be alive.
+    """
+    Hs = as_stack(stack)
+    if Hs.shape[1] == 0 and len(Hs):
+        raise ValueError("cannot decompose an empty matrix")
+    return _blocks(Hs, tol)
 
-    ops = synthesize_operators(bd, labeling)
-    residuals.update(witness_residuals(A, ops))
 
-    failed = {k: v for k, v in residuals.items() if k != "reconstruction" and v > tol.witness_tol}
-    if bd.recon_residual > tol.reconstruction_tol or failed:
-        detail = ", ".join(f"{k}={v:.3e}" for k, v in residuals.items())
-        return certificate(INCONCLUSIVE, f"witness residuals exceeded tolerance: {detail}")
-    return certificate(PSEUDO_HERMITIAN, witnesses=ops)
+def _blocks(Hs: np.ndarray, tol: ToleranceProfile) -> Iterator[Certificate]:
+    # yield from binds no name, so a block's certificates die with the block
+    for start in range(0, len(Hs), BLOCK_ROWS):
+        yield from _decide_block(Hs[start:start + BLOCK_ROWS], tol)
+
+
+def _decide_block(Hs: np.ndarray, tol: ToleranceProfile) -> list[Certificate]:
+    scale = fro_rows(Hs)
+    certs: list = [None] * len(Hs)
+    paired = []  # (row, decomposition, labeling)
+    for r, bd in enumerate(decompose_stack(Hs, tol.cluster_tol, tol.cond_limit, scale)):
+        if isinstance(bd, Exception):
+            certs[r] = Certificate(INCONCLUSIVE, False, {}, tol.as_dict(), diagnostics=str(bd))
+            continue
+        labeling = classify_spectrum(bd.table, tol.real_tol, tol.pair_tol)
+        report = check_pairing(labeling, bd.table)
+        if report.ok:
+            paired.append((r, bd, labeling))
+        else:
+            certs[r] = _certificate(tol, bd, labeling, {"reconstruction": bd.recon_residual},
+                                    NOT_PSEUDO_HERMITIAN, report.detail)
+    if paired:
+        rows = [r for r, _, _ in paired]
+        ops = synthesize_stack([bd for _, bd, _ in paired], [lab for _, _, lab in paired])
+        for (r, bd, labeling), w, res in zip(
+            paired, ops, _witness_residuals(take_rows(Hs, rows), take_rows(scale, rows), ops)
+        ):
+            residuals = {"reconstruction": bd.recon_residual, **res}
+            failed = {k: v for k, v in res.items() if v > tol.witness_tol}
+            if bd.recon_residual > tol.reconstruction_tol or failed:
+                detail = ", ".join(f"{k}={v:.3e}" for k, v in residuals.items())
+                certs[r] = _certificate(tol, bd, labeling, residuals, INCONCLUSIVE,
+                                        f"witness residuals exceeded tolerance: {detail}")
+            else:
+                certs[r] = _certificate(tol, bd, labeling, residuals, PSEUDO_HERMITIAN,
+                                        witnesses=w)
+    return certs
+
+
+def _certificate(tol, bd, labeling, residuals, verdict, diagnostics=None, witnesses=None):
+    return Certificate(
+        verdict, verdict != NOT_PSEUDO_HERMITIAN, residuals, tol.as_dict(), table=bd.table,
+        labeling=labeling, witnesses=witnesses, cond_A=bd.cond_A,
+        diagnostics=diagnostics, decomposition=bd,
+    )

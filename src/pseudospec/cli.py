@@ -20,6 +20,7 @@ from .certify import (
     PSEUDO_HERMITIAN,
     ToleranceProfile,
     decide,
+    decide_many,
 )
 from .scattering import (
     PotentialSpec,
@@ -77,10 +78,10 @@ def cmd_analyze(args) -> int:
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    profile = ToleranceProfile(
-        cluster_tol=args.tol_cluster, real_tol=args.tol_real, pair_tol=args.tol_pair
-    )
     try:
+        profile = ToleranceProfile(
+            cluster_tol=args.tol_cluster, real_tol=args.tol_real, pair_tol=args.tol_pair
+        )
         cert = decide(H, profile)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -144,8 +145,7 @@ def cmd_scatter_sweep(args) -> int:
     xs = np.linspace(x_lo, x_hi, args.samples)
     res = evolve_transfer(spec, x_lo, x_hi, args.steps, at=xs)
 
-    def one(x, U, drift):
-        cert = decide(hamiltonian_at(x, spec))
+    def one(x, U, drift, cert):
         row = [float(x), float(spec.k)]
         for i in range(2):
             for j in range(2):
@@ -154,7 +154,10 @@ def cmd_scatter_sweep(args) -> int:
         row += [float(cert.residuals.get(name, np.nan)) for name in RESIDUAL_COLUMNS]
         return row
 
-    rows = [one(*sample) for sample in zip(xs, res.sample_U, res.sample_drift)]
+    # map, unlike a loop variable, holds no certificate while the next
+    # block is decided, so one block of them is alive at a time
+    certs = decide_many(hamiltonian_at(xs, spec))
+    rows = list(map(one, xs, res.sample_U, res.sample_drift, certs))
     _write_csv(args.csv_out, _scatter_header(), rows)
     return 0
 
@@ -183,9 +186,8 @@ def cmd_model_sweep(args) -> int:
         print("error: varpi must stay positive over the sweep", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    def one(varpi):
+    def one(varpi, cert):
         spec = ModelSpec(lambdas, float(varpi))
-        cert = decide(build_H(spec))
         row = [float(varpi)]
         if cert.table is not None and cert.labeling is not None:
             real_count = sum(
@@ -213,7 +215,10 @@ def cmd_model_sweep(args) -> int:
             row.append(dev)
         return row
 
-    rows = [one(varpi) for varpi in samples]
+    Hs = np.empty((len(samples), 2 * len(lambdas), 2 * len(lambdas)), dtype=complex)
+    for H, varpi in zip(Hs, samples):
+        H[...] = build_H(ModelSpec(lambdas, float(varpi)))
+    rows = list(map(one, samples, decide_many(Hs)))  # one block alive; see scatter-sweep
     _write_csv(args.csv_out, _model_header(len(lambdas), args.compare_closed_form), rows)
     return 0
 

@@ -5,7 +5,9 @@ is built on the primitives here: input validation, one eigensolve for
 values and unit vectors, inversion checked against a condition number from
 one SVD, and the Frobenius norm.  All operators are dense complex numpy
 arrays; the one tolerance, the singularity cutoff, is relative to the
-largest singular value.
+largest singular value.  The eigensolve, the inversion and the norm also
+take an (m, n, n) stack and treat its rows as separate matrices, bit for
+bit equal to one call per row.
 """
 from __future__ import annotations
 
@@ -42,9 +44,44 @@ def as_matrix(M, square: bool = False) -> np.ndarray:
     return A
 
 
+def as_stack(M) -> np.ndarray:
+    """Validate and return ``M`` as an (m, n, n) complex ndarray with finite
+    entries; an error names the first offending row."""
+    A = np.asarray(M, dtype=complex)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError(f"expected an (m, n, n) stack of square matrices, got shape {A.shape}")
+    if A.size:
+        bad = ~np.isfinite(A).reshape(A.shape[0], -1).all(axis=1)
+        if bad.any():
+            raise ValueError(
+                f"row {int(np.argmax(bad))}: matrix entries must be finite (no NaN or Inf)"
+            )
+    return A
+
+
+def stack(arrays) -> np.ndarray:
+    """``np.stack`` of equal-shape arrays: a view when there is one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def take_rows(a: np.ndarray, rows) -> np.ndarray:
+    """The given increasing rows of a stack: the stack itself when they are
+    all of its rows."""
+    return a if len(rows) == len(a) else a[rows]
+
+
 def fro(M) -> float:
     """Frobenius norm, the norm every relative tolerance refers to."""
     return float(np.linalg.norm(M, "fro"))
+
+
+def fro_rows(M) -> np.ndarray:
+    """Frobenius norm of each row of a stack, bit for bit :func:`fro` of
+    that row: the same two strided BLAS dot products per row, which
+    overflow, and warn, alike."""
+    x = M.reshape(M.shape[0], -1)
+    re, im = x.real, x.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
@@ -56,37 +93,55 @@ def eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
     LAPACK Hessenberg/QR triangularization, which stays stable on defective
     matrices.
     """
-    A = as_matrix(M, square=True)
+    return eigensystem_stack(as_matrix(M, square=True))
+
+
+def eigensystem_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eigensystem` of a validated matrix or (m, n, n) stack, one
+    eigensolve for all rows; a failure on any row fails the call."""
     try:
         values, vectors = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:  # non-convergence is reported, never silent
         raise EigensolveError(f"eigenvalue iteration did not converge: {exc}") from exc
-    norms = np.linalg.norm(vectors, axis=0)
+    norms = np.linalg.norm(vectors, axis=-2)
     if np.any(norms == 0.0):
         raise EigensolveError("eigensolver returned a zero vector")
-    return values, vectors / norms
+    return values, vectors / norms[..., None, :]
 
 
-def inverse_and_cond(M) -> tuple[np.ndarray, float]:
-    """Matrix inverse and 2-norm condition number from one SVD.
+def singular_error(est: float) -> SingularMatrixError:
+    """The error for a matrix singular to working tolerance."""
+    return SingularMatrixError(
+        f"matrix is singular to working tolerance (cond >= {est:.3e})", float(est)
+    )
 
-    Raises :class:`SingularMatrixError` (carrying the condition estimate)
-    when the smallest singular value is below ``SINGULARITY_CUTOFF`` times
-    the largest.
+
+def inverse_and_cond_stack(A: np.ndarray) -> tuple[np.ndarray, list[int], list[float]]:
+    """Inverses and 2-norm condition numbers of the rows of a validated
+    (m, n, n) stack, n >= 1, from one stacked SVD and one stacked inversion.
+
+    Returns the inverses of the rows that are not singular to working
+    tolerance, the indices of those rows, and every row's condition
+    estimate.
     """
-    A = as_matrix(M, square=True)
-    if A.size == 0:
-        return A.copy(), float("inf")
     s = np.linalg.svd(A, compute_uv=False)
-    est = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
-    if s[-1] <= SINGULARITY_CUTOFF * s[0] or s[0] == 0.0:
-        raise SingularMatrixError(
-            f"matrix is singular to working tolerance (cond >= {est:.3e})", est
-        )
-    return np.linalg.inv(A), est
+    est, rows = [], []
+    for r, (smax, smin) in enumerate(s[:, [0, -1]].tolist()):
+        est.append(float("inf") if smin == 0.0 else smax / smin)
+        if smin > SINGULARITY_CUTOFF * smax and smax != 0.0:
+            rows.append(r)
+    return np.linalg.inv(take_rows(A, rows)) if rows else A[:0], rows, est
 
 
 def inverse(M) -> np.ndarray:
-    """Matrix inverse with an explicit singularity check; see
-    :func:`inverse_and_cond`."""
-    return inverse_and_cond(M)[0]
+    """Matrix inverse with an explicit singularity check: raises
+    :class:`SingularMatrixError` (carrying the condition estimate) when the
+    smallest singular value is below ``SINGULARITY_CUTOFF`` times the
+    largest."""
+    A = as_matrix(M, square=True)
+    if A.size == 0:
+        return A.copy()
+    inv, rows, est = inverse_and_cond_stack(A[None])
+    if not rows:
+        raise singular_error(est[0])
+    return inv[0]

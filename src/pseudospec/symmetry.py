@@ -24,6 +24,7 @@ import numpy as np
 
 from .antilinear import AntilinearOp, compose_antilinear_antilinear, conjugation
 from .blockdiag import BlockDiagonalization, SpectralTable
+from .linalg import stack
 
 DEFAULT_REAL_TOL = 1e-8
 DEFAULT_PAIR_TOL = 1e-8
@@ -168,8 +169,13 @@ def build_tau(bd: BlockDiagonalization, tau0: AntilinearOp) -> AntilinearOp:
     witness exists for every block-diagonalizable input.  The matrix part is
     symmetrized to keep Hermiticity exact against round-off.
     """
-    K = np.conj(bd.A_inv.T @ tau0.matrix @ bd.A_inv)
-    return AntilinearOp((K + K.T) / 2.0)
+    return AntilinearOp.trusted(_tau(bd.A_inv, tau0.matrix))
+
+
+def _tau(A_inv: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Matrix part of :func:`build_tau`, also for stacks."""
+    K = np.conj(A_inv.mT @ S @ A_inv)
+    return (K + K.mT) / 2.0
 
 
 def build_C0(labeling: SpectralLabeling, table: SpectralTable) -> np.ndarray:
@@ -199,14 +205,24 @@ def build_X0(eta0: np.ndarray, tau0: AntilinearOp) -> AntilinearOp:
 def build_X(bd: BlockDiagonalization, X0: AntilinearOp) -> AntilinearOp:
     """Similarity lift ``X = A X0 inv(A)`` (antilinear, so the inverse
     factor enters conjugated): involution commuting with ``H``."""
-    return AntilinearOp(bd.A @ X0.matrix @ np.conj(bd.A_inv))
+    return AntilinearOp.trusted(_lift(bd.A, X0.matrix, bd.A_inv))
+
+
+def _lift(A: np.ndarray, K0: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
+    """Matrix part of :func:`build_X`, also for stacks."""
+    return A @ K0 @ np.conj(A_inv)
 
 
 def build_metric_eta(bd: BlockDiagonalization, eta0: np.ndarray) -> np.ndarray:
     """Hermitian invertible metric ``eta = inv(A)^+ eta0 inv(A)`` with
     ``H^+ eta = eta H``; Hermiticity is exact by construction."""
-    M = bd.A_inv.conj().T @ eta0 @ bd.A_inv
-    return (M + M.conj().T) / 2.0
+    return _metric(bd.A_inv, eta0)
+
+
+def _metric(A_inv: np.ndarray, eta0: np.ndarray) -> np.ndarray:
+    """:func:`build_metric_eta`, also for stacks."""
+    M = A_inv.conj().mT @ eta0 @ A_inv
+    return (M + M.conj().mT) / 2.0
 
 
 def gamma_from_tau_X(tau: AntilinearOp, X: AntilinearOp) -> np.ndarray:
@@ -227,13 +243,29 @@ def synthesize_operators(
     """
     if labeling is None:
         labeling = classify_spectrum(bd.table, real_tol, pair_tol)
-    S = build_S(bd.table)
-    Theta = build_Theta(bd.table.dimension)
-    tau0 = AntilinearOp(S)
-    tau = build_tau(bd, tau0)
-    C0 = build_C0(labeling, bd.table)
+    return synthesize_stack([bd], [labeling])[0]
+
+
+def synthesize_stack(bds, labelings) -> list[SymmetryOperators]:
+    """:func:`synthesize_operators` for decompositions of one dimension:
+    the permutations row by row, every similarity lift as one stacked
+    product.  Raises :class:`PairingError` when a pairing test fails."""
+    S = stack([build_S(bd.table) for bd in bds])
+    C0 = stack([build_C0(lab, bd.table) for bd, lab in zip(bds, labelings)])
+    A = stack([bd.A for bd in bds])
+    A_inv = stack([bd.A_inv for bd in bds])
+    tau0 = S.astype(complex)
     eta0 = build_eta0(S, C0)
-    X0 = build_X0(eta0, tau0)
-    X = build_X(bd, X0)
-    eta = build_metric_eta(bd, eta0)
-    return SymmetryOperators(S, Theta, tau0, tau, C0, eta0, X0, X, eta)
+    X0 = eta0 @ tau0
+    tau = _tau(A_inv, tau0)
+    X = _lift(A, X0, A_inv)
+    eta = _metric(A_inv, eta0)
+    n = S.shape[1]
+    trusted = AntilinearOp.trusted
+    return [
+        SymmetryOperators(
+            S[r], trusted(np.eye(n, dtype=complex)), trusted(tau0[r]), trusted(tau[r]),
+            C0[r], eta0[r], trusted(X0[r]), trusted(X[r]), eta[r],
+        )
+        for r in range(len(bds))
+    ]

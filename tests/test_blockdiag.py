@@ -86,6 +86,16 @@ class TestClusterEigenvalues:
         assert out.multiplicities == (1500,)
 
 
+    def test_centers_are_member_means_with_their_signed_zeros(self):
+        # a center is its members' mean as np.mean forms it, 0 + sum / count,
+        # so a negative zero part turns positive; simple clusters skip the
+        # union-find and must agree
+        raw = [complex(-0.0, -0.0), complex(-0.0, 1.0), complex(2.0, -0.0)]
+        expected = ["0j", "1j", "(2+0j)"]
+        assert [repr(c) for c in cluster_diagonal(raw, 1e-8).centers] == expected
+        assert [repr(c) for c in cluster_diagonal(raw + raw, 1e-8).centers] == expected
+
+
 class TestJordanChains:
     def test_diagonal_double_eigenvalue(self):
         chains = jordan_chains(np.diag([5.0, 5.0]), 5.0)

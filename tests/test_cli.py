@@ -277,6 +277,19 @@ class TestInputErrors:
         assert main(["analyze", str(path)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--tol-real", "-1", "real_tol"),
+        ("--tol-pair", "nan", "pair_tol"),
+        ("--tol-cluster", "inf", "cluster_tol"),
+    ], ids=["negative-tol-real", "nan-tol-pair", "infinite-tol-cluster"])
+    def test_tolerance_out_of_range_exits_three(self, tmp_path, flag, value, field, capsys):
+        # diag(1, 2) is Hermitian: a negative real_tol used to refuse it
+        # firmly, and a NaN or infinite tolerance ended in an encoder traceback
+        path = write_matrix(tmp_path, np.diag([1.0, 2.0]))
+        assert main(["analyze", path, flag, value]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be finite and non-negative")
+
     def test_large_integer_entry_loads_as_float(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"rows": 1, "cols": 1, "entries": [[100000000000000000000, 0]]}')

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudospec.linalg import SingularMatrixError, eigensystem, fro, inverse
+from pseudospec.linalg import SingularMatrixError, eigensystem, fro, fro_rows, inverse
 
 
 def random_similarity(rng, n, spread=(0.5, 2.0)):
@@ -86,3 +86,14 @@ def test_inverse_rejects_singular_with_condition_estimate():
     with pytest.raises(SingularMatrixError) as err:
         inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert err.value.cond_estimate > 1e12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+def test_fro_rows_is_fro_of_each_row_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((7, n, n)) * 10.0 ** rng.uniform(-200, 200, (7, 1, 1))
+    M = M + 1j * rng.standard_normal((7, n, n))
+    M[3] = 0.0
+    M[4, 0, 0] = 1e300  # its squares overflow to inf in both
+    with np.errstate(over="ignore"):
+        assert [float(f) for f in fro_rows(M)] == [fro(row) for row in M]
