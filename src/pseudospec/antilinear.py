@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, fro, inverse
+from .linalg import as_matrix, fro, fro_rows, inverse
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class AntilinearOp:
 
 def conjugation(dim: int) -> AntilinearOp:
     """Componentwise complex conjugation (matrix part is the identity)."""
-    return AntilinearOp(np.eye(dim))
+    return AntilinearOp.trusted(np.eye(dim, dtype=complex))
 
 
 def apply(L: AntilinearOp, v) -> np.ndarray:
@@ -65,7 +65,13 @@ def compose_antilinear_antilinear(L1: AntilinearOp, L2: AntilinearOp) -> np.ndar
     """The linear map ``v -> L1(L2(v))``; two antilinears compose to a linear."""
     if L1.dim != L2.dim:
         raise ValueError("dimension mismatch")
-    return L1.matrix @ np.conj(L2.matrix)
+    return product(L1.matrix, L2.matrix)
+
+
+def product(K1: np.ndarray, K2: np.ndarray) -> np.ndarray:
+    """``K1 conj(K2)``: the linear map composed of two antilinear operators
+    from their matrix parts, also for stacks of them."""
+    return K1 @ np.conj(K2)
 
 
 def compose_linear_antilinear(M, L: AntilinearOp) -> AntilinearOp:
@@ -99,8 +105,13 @@ def is_hermitian(L: AntilinearOp, tol: float = 1e-10) -> tuple[bool, float]:
 
 def is_involution(L: AntilinearOp, tol: float = 1e-10) -> tuple[bool, float]:
     """Involution test.  Returns (verdict, residual ``|K conj(K) - I|``)."""
-    res = fro(L.matrix @ np.conj(L.matrix) - np.eye(L.dim))
+    res = float(involution_residual(L.matrix[None])[0])
     return res <= tol, res
+
+
+def involution_residual(K: np.ndarray) -> np.ndarray:
+    """``|K conj(K) - I|`` for each row of a stack of matrix parts."""
+    return fro_rows(product(K, K) - np.eye(K.shape[-1]))
 
 
 def is_antiunitary(L: AntilinearOp, tol: float = 1e-10) -> tuple[bool, float]:

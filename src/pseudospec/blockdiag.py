@@ -45,7 +45,6 @@ from .linalg import (
     fro_rows,
     inverse_and_cond_stack,
     singular_error,
-    take_rows,
 )
 
 DEFAULT_TOL = 1e-8
@@ -154,7 +153,7 @@ def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
     vectors = np.asarray(vectors)
     scale = np.array([fro(H)])
     screen = _merge_screen(vals[None], _condition_numbers(vectors[None]), np.array([tol]), scale)
-    return _cluster_row(screen, 0, H)
+    return _cluster_row(screen, 0, H)[0]
 
 
 def _condition_numbers(vectors: np.ndarray) -> np.ndarray:
@@ -193,14 +192,15 @@ def _merge_screen(values, kappa, tol, scale) -> tuple:
     return vals, dist, floor, overlap, scale, candidates
 
 
-def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> ClusteredSpectrum:
+def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> tuple[ClusteredSpectrum, list[int]]:
     """Union-find clustering of one row of a merge screen; see
-    :func:`cluster_eigenvalues`."""
+    :func:`cluster_eigenvalues`.  Also returns, per cluster, the index of
+    its first member among the sorted values."""
     vals, dist, floor, overlap, scale, candidate = (a[row] for a in screen)
     n = vals.size
     if not candidate:
         # the mean of one member, as np.mean forms it: 0 + v, then / 1
-        return ClusteredSpectrum(tuple((vals + 0.0).tolist()), (1,) * n)
+        return ClusteredSpectrum(tuple((vals + 0.0).tolist()), (1,) * n), list(range(n))
 
     parent = list(range(n))
 
@@ -245,7 +245,9 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> ClusteredSpectrum:
         centers.append(complex(np.mean(members)))
         counts.append(len(members))
     order = sorted(range(len(centers)), key=lambda i: (centers[i].real, centers[i].imag))
-    return ClusteredSpectrum(tuple(centers[i] for i in order), tuple(counts[i] for i in order))
+    roots = list(groups)
+    return (ClusteredSpectrum(tuple(centers[i] for i in order), tuple(counts[i] for i in order)),
+            [groups[roots[i]][0] for i in order])
 
 
 def _kernel_staircase(N: np.ndarray, tol: float, parent_scale: float):
@@ -381,33 +383,36 @@ def jordan_chains(
     return chains
 
 
-def _simple_heads(H, values, vectors, centers, tol: float, scale):
-    """Which simple clusters of each row of a stack may take their basis
-    vector straight from the eigensolve, and those vectors.
+def _simple_heads(H, values, vectors, sorted_values, tol: float, scale):
+    """Which eigenvalues of each row of a stack, as simple clusters, may
+    take their basis vector straight from the eigensolve, and where it is.
 
-    ``centers`` holds k simple cluster centers per row, each its one raw
-    eigenvalue.  A cluster qualifies when its nearest other eigenvalue is
-    farther than ``tol * (|H|_F + |E|)``.  A Jordan chain that rounding
-    split into nearby simple eigenvalues does not qualify:
-    :func:`cluster_eigenvalues` has merged it back into one cluster.  The
-    vector must also pass the staircase's eigenvector-residual check,
-    ``|(H - E) v| <= 10 max(tol |H - E|_2, 64 n eps |H|_2)``, evaluated
-    with the lower bounds ``rho(H - E)`` and ``|H|_F / sqrt(n)`` in place
-    of the 2-norms, so its cutoff is never looser.  Rows need a finite
-    ``|H|_F``.  Returns the (m, k) verdicts and the (m, n, k) vectors.
+    ``sorted_values`` holds each row's eigenvalues in the order of
+    :func:`_cluster_row`, which centers a simple cluster at its one member
+    plus 0.0, as ``np.mean`` forms it.  A cluster qualifies when its
+    nearest other eigenvalue is farther than ``tol * (|H|_F + |E|)``.  A
+    Jordan chain that rounding split into nearby simple eigenvalues does
+    not qualify: :func:`cluster_eigenvalues` has merged it back into one
+    cluster.  The vector must also pass the staircase's
+    eigenvector-residual check, ``|(H - E) v| <= 10 max(tol |H - E|_2,
+    64 n eps |H|_2)``, evaluated with the lower bounds ``rho(H - E)`` and
+    ``|H|_F / sqrt(n)`` in place of the 2-norms, so its cutoff is never
+    looser.  Rows need a finite ``|H|_F``.  Returns the (m, n) verdicts
+    and the column of ``vectors`` that holds each value's vector.
     """
     m, n = values.shape
+    centers = sorted_values + 0.0
     dist = np.abs(centers[:, :, None] - values[:, None, :])
     idx = np.argmin(dist, axis=2)  # a simple cluster's center is its one member
     rho = dist.max(axis=2)  # spectral radius of H - E
     row = np.arange(m)[:, None]
-    dist[row, np.arange(idx.shape[1]), idx] = np.inf
+    dist[row, np.arange(n), idx] = np.inf
     ok = dist.min(axis=2) > tol * (scale[:, None] + np.abs(centers))
     V = vectors[row[:, :, None], np.arange(n)[:, None], idx[:, None, :]]
     resid = np.linalg.norm(H @ V - V * centers[:, None, :], axis=1)
     floor = 64 * n * EPS * scale / np.sqrt(n)
     ok &= resid <= 10 * np.maximum(tol * rho, floor[:, None])
-    return ok, V
+    return ok, idx
 
 
 #: failures that make one decomposition, and only that one, inconclusive
@@ -469,39 +474,37 @@ def decompose_stack(Hs: np.ndarray, tol: float, cond_limit: float, scale=None) -
 
 
 def _decompose(Hs, tol, cond_limit, scale) -> list:
-    m, n = Hs.shape[:2]
+    m = len(Hs)
     values, vectors = eigensystem_stack(Hs)
     floor_tol = np.array([tol * s if s else tol for s in scale.tolist()])
     screen = _merge_screen(values, _condition_numbers(vectors), floor_tol, scale)
-    finite = np.isfinite(scale)
-    # the head checks of each row's simple clusters; rows whose clusters
-    # are all simple take them in one pass
-    simple = {}
-    fast = np.flatnonzero(~screen[-1] & finite)
-    if fast.size:
-        centers = take_rows(screen[0], fast) + 0.0  # the one-member means of _cluster_row
-        checked = _simple_heads(*(take_rows(a, fast) for a in (Hs, values, vectors)),
-                                centers, tol, take_rows(scale, fast))
-        simple = dict(zip(fast.tolist(), zip(*checked)))
-
     out: list = [None] * m
-    rows, centers_list, chain_sets = [], [], []
-    for i, finite_i in enumerate(finite.tolist()):
-        H, row = Hs[i], slice(i, i + 1)
+    skels = {}
+    for i in range(m):
         try:
-            skel = _cluster_row(screen, i, H)
-            singles = [k for k, c in enumerate(skel.multiplicities) if c == 1]
-            if i not in simple and singles and finite_i:
-                c = np.array([skel.centers[k] for k in singles])[None]
-                ok, V = _simple_heads(Hs[row], values[row], vectors[row], c, tol, scale[row])
-                simple[i] = (ok[0], V[0])
-            ok, V = simple.get(i, ((False,) * len(singles), None))
-            heads = {k: _canonical_gauge([V[:, j]])[0] for j, k in enumerate(singles) if ok[j]}
+            skels[i] = _cluster_row(screen, i, Hs[i])
+        except DECOMPOSITION_ERRORS as exc:
+            out[i] = exc.with_traceback(None)  # its frames hold out: a cycle
+    # one head check of all values of the rows with a finite |H|_F and a
+    # simple cluster
+    finite = np.isfinite(scale).tolist()
+    check = [i for i, (skel, _) in skels.items() if finite[i] and 1 in skel.multiplicities]
+    ok = np.zeros(values.shape, dtype=bool)
+    column = np.zeros(values.shape, dtype=int)
+    if check:
+        ok[check], column[check] = _simple_heads(
+            Hs[check], values[check], vectors[check], screen[0][check], tol, scale[check]
+        )
+
+    rows, centers_list, chain_sets = [], [], []
+    for i, (skel, first) in skels.items():
+        H = Hs[i]
+        try:
             parent_scale = None
             chains_here = []
-            for k, (center, count) in enumerate(zip(skel.centers, skel.multiplicities)):
-                if k in heads:
-                    chains = [[heads[k]]]
+            for center, count, j in zip(skel.centers, skel.multiplicities, first):
+                if count == 1 and ok[i, j]:
+                    chains = [_canonical_gauge([vectors[i][:, column[i, j]]])]
                 else:
                     if parent_scale is None:
                         parent_scale = float(np.linalg.norm(H, 2))
@@ -514,15 +517,14 @@ def _decompose(Hs, tol, cond_limit, scale) -> list:
                         )
                 chains_here.append(chains)
         except DECOMPOSITION_ERRORS as exc:
-            out[i] = exc.with_traceback(None)  # its frames hold out: a cycle
+            out[i] = exc.with_traceback(None)
             continue
         rows.append(i)
         centers_list.append(skel.centers)
         chain_sets.append(chains_here)
 
     if rows:
-        bds = _assemble(take_rows(Hs, rows), take_rows(scale, rows), centers_list, chain_sets,
-                        cond_limit)
+        bds = _assemble(Hs[rows], scale[rows], centers_list, chain_sets, cond_limit)
         for i, bd in zip(rows, bds):
             out[i] = bd
     return out
@@ -557,7 +559,7 @@ def _assemble(Hs, scale, centers_list, chain_sets, cond_limit=None) -> list:
             EigenCluster(E, tuple(len(c) for c in chains)) for E, chains in zip(centers, chains_at)
         )))
         columns.append([v for chains in chains_at for chain in chains for v in chain])
-    A = np.array(columns).mT.copy()
+    A = np.swapaxes(np.array(columns), 1, 2).copy()
     if A.shape[1] != A.shape[2]:
         raise ValueError(f"the chains span {A.shape[2]} columns of dimension {A.shape[1]}")
     H0 = np.zeros(A.shape, dtype=complex)
@@ -569,7 +571,7 @@ def _assemble(Hs, scale, centers_list, chain_sets, cond_limit=None) -> list:
     A_inv, rows, cond = inverse_and_cond_stack(A.astype(complex, copy=False))
     recon = []
     if rows:
-        R = take_rows(Hs, rows) - take_rows(A, rows) @ take_rows(H0, rows) @ A_inv
+        R = Hs[rows] - A[rows] @ H0[rows] @ A_inv
         recon = [f / (s if s else 1.0) for f, s in zip(fro_rows(R).tolist(), scale[rows].tolist())]
     regular = dict(zip(rows, zip(recon, A_inv)))
     out: list = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .antilinear import AntilinearOp
+from .antilinear import AntilinearOp, involution_residual, is_involution, product
 from .blockdiag import (
     DEFAULT_COND_LIMIT,
     DEFAULT_TOL,
@@ -22,7 +22,7 @@ from .blockdiag import (
     SpectralTable,
     decompose_stack,
 )
-from .linalg import as_matrix, as_stack, fro_rows, stack, take_rows
+from .linalg import as_matrix, as_stack, dagger, fro_rows
 from .symmetry import (
     DEFAULT_PAIR_TOL,
     DEFAULT_REAL_TOL,
@@ -46,11 +46,14 @@ def _relative_residuals(scale_A, terms) -> tuple[list[np.ndarray], list[np.ndarr
     """``|left K - K right| / (|A| |K|)`` for each ``(K, left, right)`` in
     ``terms``, stacks over the rows of ``A`` whose norms are ``scale_A``:
     the relative residual of every intertwining and commutation identity
-    between ``A`` and ``K`` below.  One norm pass serves all terms; the
-    norms ``|K|``, with 0 read as 1, are returned as well."""
+    between ``A`` and ``K`` below.  One norm pass over one buffer serves
+    all terms; the norms ``|K|``, with 0 read as 1, are returned as well."""
     k = len(terms)
-    R = [left @ K - K @ right for K, left, right in terms]
-    norms = fro_rows(np.concatenate(R + [K for K, _, _ in terms])).reshape(2 * k, -1)
+    parts = np.empty((2 * k,) + terms[0][0].shape, dtype=complex)
+    for t, (K, left, right) in enumerate(terms):
+        np.subtract(left @ K, K @ right, out=parts[t])
+        parts[k + t] = K
+    norms = fro_rows(parts.reshape(2 * k * parts.shape[1], -1)).reshape(2 * k, -1)
     sizes = _safe(norms[k:])
     with np.errstate(all="ignore"):  # inf and NaN without a warning, as Python floats
         return list(norms[:k] / (_safe(scale_A) * sizes)), list(sizes)
@@ -69,7 +72,7 @@ def residual_intertwine_antilinear(H, L: AntilinearOp) -> float:
     """Relative residual of ``H^+ L = L H`` as antilinear maps, i.e. of the
     matrix identity ``H^+ K = K conj(H)``.  Zero iff ``H^+ = L H inv(L)``."""
     A, fA, K = _one_row(H, L.matrix)
-    return float(_relative_residuals(fA, [(K, A.conj().mT, np.conj(A))])[0][0][0])
+    return float(_relative_residuals(fA, [(K, dagger(A), np.conj(A))])[0][0][0])
 
 
 def residual_commute_antilinear(H, L: AntilinearOp) -> float:
@@ -78,28 +81,23 @@ def residual_commute_antilinear(H, L: AntilinearOp) -> float:
     return float(_relative_residuals(fA, [(K, A, np.conj(A))])[0][0][0])
 
 
-def _involution(K: np.ndarray) -> np.ndarray:
-    """``|K conj(K) - I|`` for each row of a stack of matrix parts."""
-    return fro_rows(K @ np.conj(K) - np.eye(K.shape[-1]))
-
-
 def residual_involution(L: AntilinearOp) -> float:
     """``|K conj(K) - I|``."""
-    return float(_involution(L.matrix[None])[0])
+    return is_involution(L)[1]
 
 
 def residual_hermitian_metric(H, eta) -> tuple[float, float]:
     """(Hermiticity, intertwining) residuals of a metric candidate:
     ``|eta - eta^+| / |eta|`` and ``|H^+ eta - eta H| / (|H| |eta|)``."""
     A, fA, G = _one_row(H, as_matrix(eta, square=True))
-    (res,), (size,) = _relative_residuals(fA, [(G, A.conj().mT, A)])
-    return float(fro_rows(G - G.conj().mT)[0]) / float(size[0]), float(res[0])
+    (res,), (size,) = _relative_residuals(fA, [(G, dagger(A), A)])
+    return float(fro_rows(G - dagger(G))[0]) / float(size[0]), float(res[0])
 
 
 def residual_intertwine_linear(H, G) -> float:
     """Relative residual of ``H^+ G = G H`` for a linear automorphism G."""
     A, fA, K = _one_row(H, as_matrix(G, square=True))
-    return float(_relative_residuals(fA, [(K, A.conj().mT, A)])[0][0][0])
+    return float(_relative_residuals(fA, [(K, dagger(A), A)])[0][0][0])
 
 
 @dataclass(frozen=True)
@@ -151,29 +149,27 @@ class Certificate:
 BLOCK_ROWS = 16
 
 
-def _witness_residuals(A, scale_A, ops: list[SymmetryOperators]) -> list[dict[str, float]]:
-    """The six witness residuals of each row of a stack, given ``|H|_F``."""
-    tau = stack([o.tau.matrix for o in ops])
-    X = stack([o.X.matrix for o in ops])
-    eta = stack([o.eta for o in ops])
-    gamma = tau @ np.conj(X)  # gamma_from_tau_X, row by row
-    Ah, Ac = A.conj().mT, np.conj(A)
+def _witness_residuals(A, scale_A, tau, X, eta) -> list[dict[str, float]]:
+    """The six witness residuals of each row of a stack, given ``|H|_F``
+    and the stacked matrix parts of tau and X and the stacked eta."""
+    gamma = product(tau, X)  # gamma_from_tau_X of each row
+    Ah, Ac = dagger(A), np.conj(A)
     (anti, commute, intertwine, gamma_res), (_, _, eta_size, _) = _relative_residuals(
         scale_A, [(tau, Ah, Ac), (X, A, Ac), (eta, Ah, A), (gamma, Ah, A)]
     )
-    hermitian = fro_rows(eta - eta.conj().mT)
+    hermitian = fro_rows(eta - dagger(eta))
     with np.errstate(all="ignore"):  # see _relative_residuals
         hermitian = hermitian / eta_size
     columns = {
         "anti_ph": anti,
-        "X_involution": _involution(X),
+        "X_involution": involution_residual(X),
         "X_commute": commute,
         "eta_hermitian": hermitian,
         "eta_intertwine": intertwine,
         "gamma_intertwine": gamma_res,
     }
     values = {k: v.tolist() for k, v in columns.items()}
-    return [{k: v[r] for k, v in values.items()} for r in range(len(ops))]
+    return [{k: v[r] for k, v in values.items()} for r in range(len(A))]
 
 
 def decide(H, tol: ToleranceProfile = ToleranceProfile()) -> Certificate:
@@ -232,9 +228,9 @@ def _decide_block(Hs: np.ndarray, tol: ToleranceProfile) -> list[Certificate]:
                                     NOT_PSEUDO_HERMITIAN, report.detail)
     if paired:
         rows = [r for r, _, _ in paired]
-        ops = synthesize_stack([bd for _, bd, _ in paired], [lab for _, _, lab in paired])
+        ops, stacks = synthesize_stack([bd for _, bd, _ in paired], [lab for _, _, lab in paired])
         for (r, bd, labeling), w, res in zip(
-            paired, ops, _witness_residuals(take_rows(Hs, rows), take_rows(scale, rows), ops)
+            paired, ops, _witness_residuals(Hs[rows], scale[rows], *stacks)
         ):
             residuals = {"reconstruction": bd.recon_residual, **res}
             failed = {k: v for k, v in res.items() if v > tol.witness_tol}

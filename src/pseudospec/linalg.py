@@ -59,15 +59,9 @@ def as_stack(M) -> np.ndarray:
     return A
 
 
-def stack(arrays) -> np.ndarray:
-    """``np.stack`` of equal-shape arrays: a view when there is one."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def take_rows(a: np.ndarray, rows) -> np.ndarray:
-    """The given increasing rows of a stack: the stack itself when they are
-    all of its rows."""
-    return a if len(rows) == len(a) else a[rows]
+def dagger(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each row of a stack."""
+    return np.swapaxes(M.conj(), -1, -2)
 
 
 def fro(M) -> float:
@@ -77,11 +71,11 @@ def fro(M) -> float:
 
 def fro_rows(M) -> np.ndarray:
     """Frobenius norm of each row of a stack, bit for bit :func:`fro` of
-    that row: the same two strided BLAS dot products per row, which
-    overflow, and warn, alike."""
-    x = M.reshape(M.shape[0], -1)
+    that row: matmul of a vector with a vector is the same strided BLAS dot
+    product, which overflows, and warns, alike."""
+    x = M.reshape(len(M), 1, -1)
     re, im = x.real, x.imag
-    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
 
 
 def eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +124,7 @@ def inverse_and_cond_stack(A: np.ndarray) -> tuple[np.ndarray, list[int], list[f
         est.append(float("inf") if smin == 0.0 else smax / smin)
         if smin > SINGULARITY_CUTOFF * smax and smax != 0.0:
             rows.append(r)
-    return np.linalg.inv(take_rows(A, rows)) if rows else A[:0], rows, est
+    return np.linalg.inv(A[rows]) if rows else A[:0], rows, est
 
 
 def inverse(M) -> np.ndarray:

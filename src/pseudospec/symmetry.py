@@ -24,7 +24,7 @@ import numpy as np
 
 from .antilinear import AntilinearOp, compose_antilinear_antilinear, conjugation
 from .blockdiag import BlockDiagonalization, SpectralTable
-from .linalg import stack
+from .linalg import dagger
 
 DEFAULT_REAL_TOL = 1e-8
 DEFAULT_PAIR_TOL = 1e-8
@@ -157,7 +157,12 @@ def build_Theta(dim: int) -> AntilinearOp:
 
 def build_tau0(table: SpectralTable) -> AntilinearOp:
     """``tau0 = S . conjugation``: a Hermitian unitary antilinear involution."""
-    return AntilinearOp(build_S(table))
+    return AntilinearOp.trusted(_tau0(build_S(table)))
+
+
+def _tau0(S: np.ndarray) -> np.ndarray:
+    """Matrix part of :func:`build_tau0` from ``S``, also for stacks."""
+    return S.astype(complex)
 
 
 def build_tau(bd: BlockDiagonalization, tau0: AntilinearOp) -> AntilinearOp:
@@ -174,8 +179,8 @@ def build_tau(bd: BlockDiagonalization, tau0: AntilinearOp) -> AntilinearOp:
 
 def _tau(A_inv: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Matrix part of :func:`build_tau`, also for stacks."""
-    K = np.conj(A_inv.mT @ S @ A_inv)
-    return (K + K.mT) / 2.0
+    K = np.conj(np.swapaxes(A_inv, -1, -2) @ S @ A_inv)
+    return (K + np.swapaxes(K, -1, -2)) / 2.0
 
 
 def build_C0(labeling: SpectralLabeling, table: SpectralTable) -> np.ndarray:
@@ -199,7 +204,12 @@ def build_eta0(S: np.ndarray, C0: np.ndarray) -> np.ndarray:
 
 def build_X0(eta0: np.ndarray, tau0: AntilinearOp) -> AntilinearOp:
     """``X0 = eta0 . tau0``: antilinear involution commuting with ``H0``."""
-    return AntilinearOp(eta0 @ tau0.matrix)
+    return AntilinearOp(_X0(eta0, tau0.matrix))
+
+
+def _X0(eta0: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Matrix part of :func:`build_X0` from that of ``tau0``, also for stacks."""
+    return eta0 @ K
 
 
 def build_X(bd: BlockDiagonalization, X0: AntilinearOp) -> AntilinearOp:
@@ -221,8 +231,8 @@ def build_metric_eta(bd: BlockDiagonalization, eta0: np.ndarray) -> np.ndarray:
 
 def _metric(A_inv: np.ndarray, eta0: np.ndarray) -> np.ndarray:
     """:func:`build_metric_eta`, also for stacks."""
-    M = A_inv.conj().mT @ eta0 @ A_inv
-    return (M + M.conj().mT) / 2.0
+    M = dagger(A_inv) @ eta0 @ A_inv
+    return (M + dagger(M)) / 2.0
 
 
 def gamma_from_tau_X(tau: AntilinearOp, X: AntilinearOp) -> np.ndarray:
@@ -243,29 +253,31 @@ def synthesize_operators(
     """
     if labeling is None:
         labeling = classify_spectrum(bd.table, real_tol, pair_tol)
-    return synthesize_stack([bd], [labeling])[0]
+    return synthesize_stack([bd], [labeling])[0][0]
 
 
-def synthesize_stack(bds, labelings) -> list[SymmetryOperators]:
+def synthesize_stack(bds, labelings) -> tuple[list[SymmetryOperators], tuple]:
     """:func:`synthesize_operators` for decompositions of one dimension:
     the permutations row by row, every similarity lift as one stacked
-    product.  Raises :class:`PairingError` when a pairing test fails."""
-    S = stack([build_S(bd.table) for bd in bds])
-    C0 = stack([build_C0(lab, bd.table) for bd, lab in zip(bds, labelings)])
-    A = stack([bd.A for bd in bds])
-    A_inv = stack([bd.A_inv for bd in bds])
-    tau0 = S.astype(complex)
+    product.  Also returns the stacks of the matrix parts of tau and X and
+    of eta, which the operators view.  Raises :class:`PairingError` when a
+    pairing test fails."""
+    S = np.stack([build_S(bd.table) for bd in bds])
+    C0 = np.stack([build_C0(lab, bd.table) for bd, lab in zip(bds, labelings)])
+    A = np.stack([bd.A for bd in bds])
+    A_inv = np.stack([bd.A_inv for bd in bds])
+    tau0 = _tau0(S)
     eta0 = build_eta0(S, C0)
-    X0 = eta0 @ tau0
+    X0 = _X0(eta0, tau0)
     tau = _tau(A_inv, tau0)
     X = _lift(A, X0, A_inv)
     eta = _metric(A_inv, eta0)
-    n = S.shape[1]
     trusted = AntilinearOp.trusted
-    return [
+    ops = [
         SymmetryOperators(
-            S[r], trusted(np.eye(n, dtype=complex)), trusted(tau0[r]), trusted(tau[r]),
-            C0[r], eta0[r], trusted(X0[r]), trusted(X[r]), eta[r],
+            S[r], build_Theta(S.shape[1]), trusted(tau0[r]), trusted(tau[r]), C0[r], eta0[r],
+            trusted(X0[r]), trusted(X[r]), eta[r],
         )
         for r in range(len(bds))
     ]
+    return ops, (tau, X, eta)

@@ -295,6 +295,20 @@ class TestEigensolverHeads:
             assert calls
             monkeypatch.undo()
 
+    def test_simple_clusters_beside_a_split_chain_skip_the_staircase(self, monkeypatch):
+        # a row whose split J2 chain must merge still takes its two simple
+        # eigenvalues straight from the eigensolve: one staircase, at the chain
+        J = jordan_matrix([(0.75, [2]), (3.0, [1]), (-2.0, [1])])
+        rng = np.random.default_rng(11)
+        W = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        H = W @ J @ np.linalg.inv(W)
+        scale = np.linalg.norm(H)
+        calls = count_calls(monkeypatch, blockdiag, "jordan_chains")
+        bd = block_diagonalize(H / scale)
+        assert [c.p_list for c in bd.table.clusters] == [(1,), (2,), (1,)]
+        assert len(calls) == 1 and abs(calls[0][1] - 0.75 / scale) < 1e-6
+        assert bd.recon_residual < 1e-10
+
     def test_eigensolver_failure_is_inconclusive(self, monkeypatch):
         def no_convergence(M):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

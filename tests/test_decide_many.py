@@ -75,11 +75,12 @@ def scatter(m):
 
 def mixed(m):
     """4x4 rows that take every path: defective census-style chains (real
-    and conjugate-paired), simple Gaussians, a zero matrix, an unpaired row."""
+    and conjugate-paired, and a chain beside two simple eigenvalues),
+    simple Gaussians, a zero matrix, an unpaired row."""
     rng = np.random.default_rng(m)
     rows = []
     for i in range(m):
-        kind = i % 5
+        kind = i % 6
         if kind == 0:
             J = jordan_matrix([(0.4, [2]), (-0.7, [1, 1])])
         elif kind == 1:
@@ -90,8 +91,10 @@ def mixed(m):
         elif kind == 3:
             rows.append(np.zeros((4, 4)))
             continue
-        else:
+        elif kind == 4:
             J = np.diag([0.5j, 1.0, 2.0, -1.0])
+        else:
+            J = jordan_matrix([(0.4, [2]), (1.1, [1]), (-0.9, [1])])
         W = well_conditioned(rng, 4)
         H = W @ J @ np.linalg.inv(W)
         rows.append(H / np.linalg.norm(H))
