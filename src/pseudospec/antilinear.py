@@ -22,6 +22,10 @@ import numpy as np
 
 from .linalg import as_matrix, fro, fro_rows, inverse
 
+#: residual up to which :func:`is_hermitian`, :func:`is_involution` and
+#: :func:`is_antiunitary` hold
+PREDICATE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class AntilinearOp:
@@ -30,7 +34,7 @@ class AntilinearOp:
     matrix: np.ndarray
 
     def __post_init__(self):
-        K = as_matrix(self.matrix, square=True)
+        K = as_matrix(self.matrix)
         object.__setattr__(self, "matrix", K)
 
     @classmethod
@@ -75,14 +79,14 @@ def product(K1: np.ndarray, K2: np.ndarray) -> np.ndarray:
 
 
 def compose_linear_antilinear(M, L: AntilinearOp) -> AntilinearOp:
-    A = as_matrix(M, square=True)
+    A = as_matrix(M)
     if A.shape[0] != L.dim:
         raise ValueError("dimension mismatch")
     return AntilinearOp(A @ L.matrix)
 
 
 def compose_antilinear_linear(L: AntilinearOp, M) -> AntilinearOp:
-    A = as_matrix(M, square=True)
+    A = as_matrix(M)
     if A.shape[0] != L.dim:
         raise ValueError("dimension mismatch")
     return AntilinearOp(L.matrix @ np.conj(A))
@@ -96,17 +100,17 @@ def inverse_antilinear(L: AntilinearOp) -> AntilinearOp:
     return AntilinearOp(np.conj(inverse(L.matrix)))
 
 
-def is_hermitian(L: AntilinearOp, tol: float = 1e-10) -> tuple[bool, float]:
+def is_hermitian(L: AntilinearOp) -> tuple[bool, float]:
     """Hermiticity test.  Returns (verdict, residual ``|K - K^T| / |K|``)."""
     scale = fro(L.matrix)
     res = 0.0 if scale == 0.0 else fro(L.matrix - L.matrix.T) / scale
-    return res <= tol, res
+    return res <= PREDICATE_TOL, res
 
 
-def is_involution(L: AntilinearOp, tol: float = 1e-10) -> tuple[bool, float]:
+def is_involution(L: AntilinearOp) -> tuple[bool, float]:
     """Involution test.  Returns (verdict, residual ``|K conj(K) - I|``)."""
     res = float(involution_residual(L.matrix[None])[0])
-    return res <= tol, res
+    return res <= PREDICATE_TOL, res
 
 
 def involution_residual(K: np.ndarray) -> np.ndarray:
@@ -114,7 +118,7 @@ def involution_residual(K: np.ndarray) -> np.ndarray:
     return fro_rows(product(K, K) - np.eye(K.shape[-1]))
 
 
-def is_antiunitary(L: AntilinearOp, tol: float = 1e-10) -> tuple[bool, float]:
+def is_antiunitary(L: AntilinearOp) -> tuple[bool, float]:
     """Antiunitarity test.  Returns (verdict, residual ``|K^+ K - I|``)."""
     res = fro(L.matrix.conj().T @ L.matrix - np.eye(L.dim))
-    return res <= tol, res
+    return res <= PREDICATE_TOL, res

@@ -33,6 +33,7 @@ deterministically by the top-down construction below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,10 @@ from .linalg import (
 )
 
 DEFAULT_TOL = 1e-8
-DEFAULT_COND_LIMIT = 1e12
+
+#: condition number of the Jordan basis above which a decomposition is
+#: refused with :class:`IllConditionedBasisError`
+COND_LIMIT = 1e12
 
 #: residual norm below which a candidate chain top is considered linearly
 #: dependent on the structure already built (a staircase inconsistency)
@@ -92,13 +96,20 @@ class SpectralTable:
     def dimension(self) -> int:
         return sum(c.algebraic for c in self.clusters)
 
-    def labels(self) -> list[tuple[int, int, int]]:
-        """Canonical (cluster, chain, index) label of every basis slot."""
+    @cached_property
+    def slots(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(cluster, chain, index, column of the chain head) of every basis
+        slot, in canonical order; built once per table."""
         out = []
         for n, c in enumerate(self.clusters):
             for a, p in enumerate(c.p_list):
-                out.extend((n, a, i) for i in range(1, p + 1))
-        return out
+                head = len(out)
+                out.extend((n, a, i, head) for i in range(1, p + 1))
+        return tuple(out)
+
+    def labels(self) -> list[tuple[int, int, int]]:
+        """Canonical (cluster, chain, index) label of every basis slot."""
+        return [slot[:3] for slot in self.slots]
 
 
 @dataclass(frozen=True)
@@ -178,10 +189,11 @@ def _merge_screen(values, kappa, tol, scale) -> tuple:
     """Sort each row of ``values`` by (Re, Im) and find its pairs within
     the absolute floor ``tol`` or with overlapping perturbation discs;
     ``kappa`` holds the condition numbers in raw order.  Returns the
-    sorted values, their distances, both pair masks, ``scale`` and the
-    rows with a pair that may merge."""
+    sorted values, their distances, both pair masks, ``scale``, the rows
+    with a pair that may merge and the raw index of each sorted value."""
     m, n = values.shape
-    by_value = (np.arange(m)[:, None], np.lexsort((values.imag, values.real), axis=-1))
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    by_value = (np.arange(m)[:, None], order)
     vals = values[by_value]
     dist = np.abs(vals[:, :, None] - vals[:, None, :])
     floor = dist <= tol[:, None, None]
@@ -189,14 +201,14 @@ def _merge_screen(values, kappa, tol, scale) -> tuple:
         r = kappa[by_value] * (n * EPS * scale)[:, None]
         overlap = dist <= r[:, :, None] + r[:, None, :]
     candidates = ((floor | overlap) & ~np.eye(n, dtype=bool)).any(axis=(1, 2))
-    return vals, dist, floor, overlap, scale, candidates
+    return vals, dist, floor, overlap, scale, candidates, order
 
 
 def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> tuple[ClusteredSpectrum, list[int]]:
     """Union-find clustering of one row of a merge screen; see
     :func:`cluster_eigenvalues`.  Also returns, per cluster, the index of
     its first member among the sorted values."""
-    vals, dist, floor, overlap, scale, candidate = (a[row] for a in screen)
+    vals, dist, floor, overlap, scale, candidate, _ = (a[row] for a in screen)
     n = vals.size
     if not candidate:
         # the mean of one member, as np.mean forms it: 0 + v, then / 1
@@ -214,16 +226,16 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> tuple[ClusteredSpect
         ri, rj = find(i), find(j)
         parent[max(ri, rj)] = min(ri, rj)
 
-    dist = dist.ravel()  # pair (i, j) at i * n + j
-    for k in np.flatnonzero(floor.ravel()).tolist():
+    dist = dist.ravel()  # pair (i, j) at i * n + j; both masks are symmetric
+    for k in np.flatnonzero(np.triu(floor, 1)).tolist():
         join(*divmod(k, n))
-    overlap = np.flatnonzero(overlap.ravel())
+    overlap = np.flatnonzero(np.triu(overlap, 1))
     cutoff = np.sqrt(n * EPS) * scale
     eye = np.eye(n)
     rejected = []  # (z, m): sigma_min(H - z'I) > cutoff wherever |z' - z| < m
     for k in overlap[np.argsort(dist[overlap], kind="stable")].tolist():
         i, j = divmod(k, n)
-        if i < j and find(i) != find(j):
+        if find(i) != find(j):
             z = (vals[i] + vals[j]) / 2
             if any(abs(z - z0) < m for z0, m in rejected):
                 continue
@@ -322,7 +334,7 @@ def jordan_chains(
     has it, as :func:`block_diagonalize` does for all its clusters; ``H``
     is then taken as validated.
     """
-    A = as_matrix(H, square=True) if _parent_scale is None else H
+    A = as_matrix(H) if _parent_scale is None else H
     n = A.shape[0]
     N = A - complex(center) * np.eye(n)
     parent_scale = float(np.linalg.norm(A, 2)) if _parent_scale is None else _parent_scale
@@ -383,36 +395,34 @@ def jordan_chains(
     return chains
 
 
-def _simple_heads(H, values, vectors, sorted_values, tol: float, scale):
+def _simple_heads(H, vectors, vals, dist, order, tol: float, scale):
     """Which eigenvalues of each row of a stack, as simple clusters, may
-    take their basis vector straight from the eigensolve, and where it is.
+    take their basis vector straight from the eigensolve.
 
-    ``sorted_values`` holds each row's eigenvalues in the order of
-    :func:`_cluster_row`, which centers a simple cluster at its one member
-    plus 0.0, as ``np.mean`` forms it.  A cluster qualifies when its
-    nearest other eigenvalue is farther than ``tol * (|H|_F + |E|)``.  A
-    Jordan chain that rounding split into nearby simple eigenvalues does
-    not qualify: :func:`cluster_eigenvalues` has merged it back into one
-    cluster.  The vector must also pass the staircase's
-    eigenvector-residual check, ``|(H - E) v| <= 10 max(tol |H - E|_2,
-    64 n eps |H|_2)``, evaluated with the lower bounds ``rho(H - E)`` and
-    ``|H|_F / sqrt(n)`` in place of the 2-norms, so its cutoff is never
-    looser.  Rows need a finite ``|H|_F``.  Returns the (m, n) verdicts
-    and the column of ``vectors`` that holds each value's vector.
+    ``vals``, ``dist`` and ``order`` are the rows' sorted eigenvalues,
+    their pairwise distances and their raw indices, from
+    :func:`_merge_screen`; :func:`_cluster_row` centers a simple cluster at
+    its one member plus 0.0, as ``np.mean`` forms it.  A cluster qualifies
+    when its nearest other eigenvalue is farther than ``tol * (|H|_F +
+    |E|)``.  A Jordan chain that rounding split into nearby simple
+    eigenvalues does not qualify: :func:`cluster_eigenvalues` has merged it
+    back into one cluster.  The vector, column ``order`` of ``vectors``,
+    must also pass the staircase's eigenvector-residual check, ``|(H - E)
+    v| <= 10 max(tol |H - E|_2, 64 n eps |H|_2)``, evaluated with the lower
+    bounds ``rho(H - E)`` and ``|H|_F / sqrt(n)`` in place of the 2-norms,
+    so its cutoff is never looser.  Rows need a finite ``|H|_F``.  Returns
+    the (m, n) verdicts in sorted order.
     """
-    m, n = values.shape
-    centers = sorted_values + 0.0
-    dist = np.abs(centers[:, :, None] - values[:, None, :])
-    idx = np.argmin(dist, axis=2)  # a simple cluster's center is its one member
+    m, n = vals.shape
+    centers = vals + 0.0
     rho = dist.max(axis=2)  # spectral radius of H - E
-    row = np.arange(m)[:, None]
-    dist[row, np.arange(n), idx] = np.inf
-    ok = dist.min(axis=2) > tol * (scale[:, None] + np.abs(centers))
-    V = vectors[row[:, :, None], np.arange(n)[:, None], idx[:, None, :]]
+    nearest = np.where(np.eye(n, dtype=bool), np.inf, dist).min(axis=2)
+    ok = nearest > tol * (scale[:, None] + np.abs(centers))
+    V = vectors[np.arange(m)[:, None, None], np.arange(n)[:, None], order[:, None, :]]
     resid = np.linalg.norm(H @ V - V * centers[:, None, :], axis=1)
     floor = 64 * n * EPS * scale / np.sqrt(n)
     ok &= resid <= 10 * np.maximum(tol * rho, floor[:, None])
-    return ok, idx
+    return ok
 
 
 #: failures that make one decomposition, and only that one, inconclusive
@@ -421,11 +431,7 @@ DECOMPOSITION_ERRORS = (
 )
 
 
-def block_diagonalize(
-    H,
-    tol: float = DEFAULT_TOL,
-    cond_limit: float = DEFAULT_COND_LIMIT,
-) -> BlockDiagonalization:
+def block_diagonalize(H, tol: float = DEFAULT_TOL) -> BlockDiagonalization:
     """Full Jordan decomposition ``H = A H0 inv(A)`` in canonical order.
 
     ``tol`` is relative to ``|H|_F`` and controls both the clustering floor
@@ -436,18 +442,18 @@ def block_diagonalize(
     staircase is inconsistent (including a cluster whose chain census does
     not reproduce its eigenvalue count) and
     :class:`IllConditionedBasisError` when ``cond(A)`` exceeds
-    ``cond_limit``.  The one-row case of :func:`decompose_stack`.
+    :data:`COND_LIMIT`.  The one-row case of :func:`decompose_stack`.
     """
-    A = as_matrix(H, square=True)
+    A = as_matrix(H)
     if A.shape[0] == 0:
         raise ValueError("cannot decompose an empty matrix")
-    (bd,) = decompose_stack(A[None], tol, cond_limit)
+    (bd,) = decompose_stack(A[None], tol)
     if isinstance(bd, Exception):
         raise bd
     return bd
 
 
-def decompose_stack(Hs: np.ndarray, tol: float, cond_limit: float, scale=None) -> list:
+def decompose_stack(Hs: np.ndarray, tol: float, scale=None) -> list:
     """:func:`block_diagonalize` of each row of a validated (m, n, n) stack,
     n >= 1, given ``|H|_F`` per row in ``scale`` or computing it.
 
@@ -465,15 +471,15 @@ def decompose_stack(Hs: np.ndarray, tol: float, cond_limit: float, scale=None) -
     if scale is None:
         scale = fro_rows(Hs)
     try:
-        return _decompose(Hs, tol, cond_limit, scale)
+        return _decompose(Hs, tol, scale)
     except (EigensolveError, np.linalg.LinAlgError) as exc:
         if len(Hs) == 1:
             return [exc]
-        return [decompose_stack(Hs[i:i + 1], tol, cond_limit, scale[i:i + 1])[0]
+        return [decompose_stack(Hs[i:i + 1], tol, scale[i:i + 1])[0]
                 for i in range(len(Hs))]
 
 
-def _decompose(Hs, tol, cond_limit, scale) -> list:
+def _decompose(Hs, tol, scale) -> list:
     m = len(Hs)
     values, vectors = eigensystem_stack(Hs)
     floor_tol = np.array([tol * s if s else tol for s in scale.tolist()])
@@ -489,11 +495,11 @@ def _decompose(Hs, tol, cond_limit, scale) -> list:
     # simple cluster
     finite = np.isfinite(scale).tolist()
     check = [i for i, (skel, _) in skels.items() if finite[i] and 1 in skel.multiplicities]
+    vals, dist, *_, order = screen
     ok = np.zeros(values.shape, dtype=bool)
-    column = np.zeros(values.shape, dtype=int)
     if check:
-        ok[check], column[check] = _simple_heads(
-            Hs[check], values[check], vectors[check], screen[0][check], tol, scale[check]
+        ok[check] = _simple_heads(
+            Hs[check], vectors[check], vals[check], dist[check], order[check], tol, scale[check]
         )
 
     rows, centers_list, chain_sets = [], [], []
@@ -504,7 +510,7 @@ def _decompose(Hs, tol, cond_limit, scale) -> list:
             chains_here = []
             for center, count, j in zip(skel.centers, skel.multiplicities, first):
                 if count == 1 and ok[i, j]:
-                    chains = [_canonical_gauge([vectors[i][:, column[i, j]]])]
+                    chains = [_canonical_gauge([vectors[i][:, order[i, j]]])]
                 else:
                     if parent_scale is None:
                         parent_scale = float(np.linalg.norm(H, 2))
@@ -524,7 +530,7 @@ def _decompose(Hs, tol, cond_limit, scale) -> list:
         chain_sets.append(chains_here)
 
     if rows:
-        bds = _assemble(Hs[rows], scale[rows], centers_list, chain_sets, cond_limit)
+        bds = _assemble(Hs[rows], scale[rows], centers_list, chain_sets, COND_LIMIT)
         for i, bd in zip(rows, bds):
             out[i] = bd
     return out
@@ -564,7 +570,7 @@ def _assemble(Hs, scale, centers_list, chain_sets, cond_limit=None) -> list:
         raise ValueError(f"the chains span {A.shape[2]} columns of dimension {A.shape[1]}")
     H0 = np.zeros(A.shape, dtype=complex)
     for H0_r, table in zip(H0, tables):
-        for col, (n, _, i) in enumerate(table.labels()):
+        for col, (n, _, i, _) in enumerate(table.slots):
             H0_r[col, col] = table.clusters[n].value
             if i >= 2:
                 H0_r[col - 1, col] = 1.0

@@ -16,7 +16,7 @@ import numpy as np
 
 from .antilinear import AntilinearOp, involution_residual, is_involution, product
 from .blockdiag import (
-    DEFAULT_COND_LIMIT,
+    COND_LIMIT,
     DEFAULT_TOL,
     BlockDiagonalization,
     SpectralTable,
@@ -62,7 +62,7 @@ def _relative_residuals(scale_A, terms) -> tuple[list[np.ndarray], list[np.ndarr
 def _one_row(H, K) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A validated matrix and a partner, each as a one-row stack, and
     ``|H|_F``."""
-    A = as_matrix(H, square=True)
+    A = as_matrix(H)
     if K.shape != A.shape:
         raise ValueError("dimension mismatch")
     return A[None], fro_rows(A[None]), K[None]
@@ -89,20 +89,27 @@ def residual_involution(L: AntilinearOp) -> float:
 def residual_hermitian_metric(H, eta) -> tuple[float, float]:
     """(Hermiticity, intertwining) residuals of a metric candidate:
     ``|eta - eta^+| / |eta|`` and ``|H^+ eta - eta H| / (|H| |eta|)``."""
-    A, fA, G = _one_row(H, as_matrix(eta, square=True))
+    A, fA, G = _one_row(H, as_matrix(eta))
     (res,), (size,) = _relative_residuals(fA, [(G, dagger(A), A)])
     return float(fro_rows(G - dagger(G))[0]) / float(size[0]), float(res[0])
 
 
 def residual_intertwine_linear(H, G) -> float:
     """Relative residual of ``H^+ G = G H`` for a linear automorphism G."""
-    A, fA, K = _one_row(H, as_matrix(G, square=True))
+    A, fA, K = _one_row(H, as_matrix(G))
     return float(_relative_residuals(fA, [(K, dagger(A), A)])[0][0][0])
+
+
+#: largest relative reconstruction residual ``|H - A H0 inv(A)| / |H|_F``,
+#: and largest witness residual, of a ``pseudo_hermitian`` certificate
+RECONSTRUCTION_TOL = 1e-8
+WITNESS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class ToleranceProfile:
-    """All knobs of the decision procedure, serialized into certificates.
+    """The tolerances of the decision procedure that ``analyze`` sets,
+    serialized into certificates with the fixed ones.
 
     ``cluster_tol`` is relative to ``|H|_F`` and is only the clustering
     floor: the eigenvalues of a length-p chain, which rounding scatters like
@@ -114,9 +121,6 @@ class ToleranceProfile:
     cluster_tol: float = DEFAULT_TOL
     real_tol: float = DEFAULT_REAL_TOL
     pair_tol: float = DEFAULT_PAIR_TOL
-    reconstruction_tol: float = 1e-8
-    witness_tol: float = 1e-8
-    cond_limit: float = DEFAULT_COND_LIMIT
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
@@ -124,9 +128,13 @@ class ToleranceProfile:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
     def as_dict(self) -> dict[str, float]:
+        """The profile's tolerances, then the fixed ones, as every
+        certificate records them."""
         # not dataclasses.asdict: it deep-copies every value, which makes it
         # about 20 times slower, and decide calls this for every certificate
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "reconstruction_tol": RECONSTRUCTION_TOL, "witness_tol": WITNESS_TOL,
+                "cond_limit": COND_LIMIT}
 
 
 @dataclass(frozen=True)
@@ -182,7 +190,7 @@ def decide(H, tol: ToleranceProfile = ToleranceProfile()) -> Certificate:
     diagnostics, never in an exception.  The one-row case of
     :func:`decide_many`.
     """
-    A = as_matrix(H, square=True)
+    A = as_matrix(H)
     if A.shape[0] == 0:
         raise ValueError("cannot decompose an empty matrix")
     return _decide_block(A[None], tol)[0]
@@ -215,7 +223,7 @@ def _decide_block(Hs: np.ndarray, tol: ToleranceProfile) -> list[Certificate]:
     scale = fro_rows(Hs)
     certs: list = [None] * len(Hs)
     paired = []  # (row, decomposition, labeling)
-    for r, bd in enumerate(decompose_stack(Hs, tol.cluster_tol, tol.cond_limit, scale)):
+    for r, bd in enumerate(decompose_stack(Hs, tol.cluster_tol, scale)):
         if isinstance(bd, Exception):
             certs[r] = Certificate(INCONCLUSIVE, False, {}, tol.as_dict(), diagnostics=str(bd))
             continue
@@ -233,8 +241,8 @@ def _decide_block(Hs: np.ndarray, tol: ToleranceProfile) -> list[Certificate]:
             paired, ops, _witness_residuals(Hs[rows], scale[rows], *stacks)
         ):
             residuals = {"reconstruction": bd.recon_residual, **res}
-            failed = {k: v for k, v in res.items() if v > tol.witness_tol}
-            if bd.recon_residual > tol.reconstruction_tol or failed:
+            failed = {k: v for k, v in res.items() if v > WITNESS_TOL}
+            if bd.recon_residual > RECONSTRUCTION_TOL or failed:
                 detail = ", ".join(f"{k}={v:.3e}" for k, v in residuals.items())
                 certs[r] = _certificate(tol, bd, labeling, residuals, INCONCLUSIVE,
                                         f"witness residuals exceeded tolerance: {detail}")

@@ -32,12 +32,13 @@ class SingularMatrixError(np.linalg.LinAlgError):
         self.cond_estimate = cond_estimate
 
 
-def as_matrix(M, square: bool = False) -> np.ndarray:
-    """Validate and return ``M`` as a 2-d complex ndarray with finite entries."""
+def as_matrix(M) -> np.ndarray:
+    """Validate and return ``M`` as a square complex ndarray with finite
+    entries."""
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got array of shape {A.shape}")
-    if square and A.shape[0] != A.shape[1]:
+    if A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
@@ -87,7 +88,7 @@ def eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
     LAPACK Hessenberg/QR triangularization, which stays stable on defective
     matrices.
     """
-    return eigensystem_stack(as_matrix(M, square=True))
+    return eigensystem_stack(as_matrix(M))
 
 
 def eigensystem_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +133,7 @@ def inverse(M) -> np.ndarray:
     :class:`SingularMatrixError` (carrying the condition estimate) when the
     smallest singular value is below ``SINGULARITY_CUTOFF`` times the
     largest."""
-    A = as_matrix(M, square=True)
+    A = as_matrix(M)
     if A.size == 0:
         return A.copy()
     inv, rows, est = inverse_and_cond_stack(A[None])

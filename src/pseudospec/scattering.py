@@ -299,7 +299,7 @@ def reflection_transmission(result: TransferResult) -> dict[str, complex]:
     ``R_left = -M21/M22``, ``R_right = M12/M22``.  Provided as a
     convenience on top of the evolution machinery.
     """
-    M = as_matrix(result.U, square=True)
+    M = as_matrix(result.U)
     if abs(M[1, 1]) == 0.0:
         raise ValueError("transfer matrix has M22 = 0; amplitudes undefined")
     det = np.linalg.det(M)

@@ -19,6 +19,7 @@ there:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -129,25 +130,14 @@ def check_pairing(labeling: SpectralLabeling, table: SpectralTable) -> PairingRe
     return PairingReport(True, None)
 
 
-def _slot_permutation(table: SpectralTable, image) -> np.ndarray:
-    """Permutation matrix sending the basis slot labelled ``(n, a, i)`` to
-    the slot labelled ``image(n, a, i)``, in the canonical label order."""
-    labels = table.labels()
-    column = {label: k for k, label in enumerate(labels)}
-    P = np.zeros((len(labels), len(labels)))
-    P[[column[image(*label)] for label in labels], np.arange(len(labels))] = 1.0
-    return P
-
-
 def build_S(table: SpectralTable) -> np.ndarray:
     """Chain-reversal permutation: slot (n, a, i) -> (n, a, p-i+1).
 
     Hermitian, unitary, and involutive exactly; it is the identity precisely
     when every chain has length 1.
     """
-    return _slot_permutation(
-        table, lambda n, a, i: (n, a, table.clusters[n].p_list[a] - i + 1)
-    )
+    p = [c.p_list for c in table.clusters]
+    return np.eye(len(table.slots))[:, [head + p[n][a] - i for n, a, i, head in table.slots]]
 
 
 def build_Theta(dim: int) -> AntilinearOp:
@@ -191,10 +181,15 @@ def build_C0(labeling: SpectralLabeling, table: SpectralTable) -> np.ndarray:
     report = check_pairing(labeling, table)
     if not report.ok:
         raise PairingError(report.detail)
+    # partners share their Jordan dimensions, so a slot keeps its offset
+    # from the first column of its cluster
+    first = [0, *accumulate(c.algebraic for c in table.clusters)]
     partner = {n: n for n in labeling.real_clusters}
     for n, m in labeling.pairs:
         partner[n], partner[m] = m, n
-    return _slot_permutation(table, lambda n, a, i: (partner[n], a, i))
+    return np.eye(len(table.slots))[
+        :, [col - first[n] + first[partner[n]] for col, (n, *_) in enumerate(table.slots)]
+    ]
 
 
 def build_eta0(S: np.ndarray, C0: np.ndarray) -> np.ndarray:
@@ -241,19 +236,13 @@ def gamma_from_tau_X(tau: AntilinearOp, X: AntilinearOp) -> np.ndarray:
     return compose_antilinear_antilinear(tau, X)
 
 
-def synthesize_operators(
-    bd: BlockDiagonalization,
-    labeling: SpectralLabeling | None = None,
-    real_tol: float = DEFAULT_REAL_TOL,
-    pair_tol: float = DEFAULT_PAIR_TOL,
-) -> SymmetryOperators:
-    """Build the full witness set for a paired spectrum.
+def synthesize_operators(bd: BlockDiagonalization) -> SymmetryOperators:
+    """Build the full witness set for a paired spectrum, classified at the
+    default tolerances.
 
     Raises :class:`PairingError` when the pairing test fails.
     """
-    if labeling is None:
-        labeling = classify_spectrum(bd.table, real_tol, pair_tol)
-    return synthesize_stack([bd], [labeling])[0][0]
+    return synthesize_stack([bd], [classify_spectrum(bd.table)])[0][0]
 
 
 def synthesize_stack(bds, labelings) -> tuple[list[SymmetryOperators], tuple]:

@@ -78,15 +78,15 @@ def exceptional_set(spec: ModelSpec) -> np.ndarray:
     return np.sqrt(np.asarray(spec.lambdas))
 
 
-def exceptional_index(spec: ModelSpec, tol: float = EP_MATCH_TOL) -> int | None:
+def exceptional_index(spec: ModelSpec) -> int | None:
     """0-based level whose pair coalesces at this varpi, or None."""
     gaps = np.abs(spec.varpi - exceptional_set(spec))
     j = int(np.argmin(gaps))
-    return j if gaps[j] <= tol else None
+    return j if gaps[j] <= EP_MATCH_TOL else None
 
 
-def is_exceptional(spec: ModelSpec, tol: float = EP_MATCH_TOL) -> bool:
-    return exceptional_index(spec, tol) is not None
+def is_exceptional(spec: ModelSpec) -> bool:
+    return exceptional_index(spec) is not None
 
 
 def real_pair_count(spec: ModelSpec) -> int:

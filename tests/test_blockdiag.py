@@ -203,10 +203,10 @@ class TestBlockDiagonalize:
 
     def test_ill_conditioned_basis_is_reported(self):
         # a length-2 chain with a huge superdiagonal scale forces cond(A)
-        # beyond any reasonable limit
+        # to about 1e14, beyond the fixed limit of 1e12
         H = np.array([[0.0, 1e14], [0.0, 0.0]])
         with pytest.raises(IllConditionedBasisError):
-            block_diagonalize(H, cond_limit=1e10)
+            block_diagonalize(H)
 
 
 class TestBiorthonormalComplement:

@@ -93,6 +93,30 @@ def test_certificate_document_shape():
         assert set(w) == {"rows", "cols", "entries"}
 
 
+def test_certificate_pins_the_tolerance_record():
+    # literal values, not as_dict(): the record is part of the wire format,
+    # so a change to the profile or the fixed tolerances must show here
+    text = dumps_canonical(certificate_to_doc(decide(np.eye(2))))
+    assert list(json.loads(text)["tolerances"].items()) == [
+        ("cluster_tol", 1e-8),
+        ("real_tol", 1e-8),
+        ("pair_tol", 1e-8),
+        ("reconstruction_tol", 1e-8),
+        ("witness_tol", 1e-8),
+        ("cond_limit", 1e12),
+    ]
+    assert (
+        '  "tolerances": {\n'
+        '    "cluster_tol": 1e-08,\n'
+        '    "real_tol": 1e-08,\n'
+        '    "pair_tol": 1e-08,\n'
+        '    "reconstruction_tol": 1e-08,\n'
+        '    "witness_tol": 1e-08,\n'
+        '    "cond_limit": 1000000000000.0\n'
+        '  }'
+    ) in text
+
+
 def test_witnesses_absent_unless_pseudo_hermitian():
     doc = certificate_to_doc(decide(np.diag([1.0 + 1j, 2.0])))
     assert doc["verdict"] == "not_pseudo_hermitian"
