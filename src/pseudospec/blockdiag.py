@@ -312,9 +312,12 @@ def _canonical_gauge(chain: list[np.ndarray]) -> list[np.ndarray]:
     """Rescale a chain as a whole so that its head has unit norm with the
     first significant component real positive (the frozen head rule)."""
     head = chain[0]
-    scale = 1.0 / float(np.linalg.norm(head))
     mags = np.abs(head)
-    sig = np.nonzero(mags > 1e-12 * mags.max())[0][0]
+    peak = float(mags.max())
+    if not 0.0 < peak < np.inf:  # nan fails both
+        raise JordanStructureError("chain head is zero or not finite")
+    scale = 1.0 / float(np.linalg.norm(head))
+    sig = np.nonzero(mags > 1e-12 * peak)[0][0]
     pivot = head[sig] * scale
     scale *= np.conj(pivot) / abs(pivot)
     return [scale * v for v in chain]

@@ -29,7 +29,7 @@ from .scattering import (
     evolve_transfer,
     hamiltonian_at,
 )
-from .serialization import FormatError, certificate_to_doc, dumps_canonical, load_matrix
+from .serialization import FormatError, dumps_certificate, load_matrix
 from .truncated import ModelSpec, build_H, closed_form_X, is_exceptional
 
 EXIT_PSEUDO_HERMITIAN = 0
@@ -89,7 +89,7 @@ def cmd_analyze(args) -> int:
     except ArithmeticError as exc:  # e.g. an overflow deep in the staircase
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    text = dumps_canonical(certificate_to_doc(cert))
+    text = dumps_certificate(cert)
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(text)

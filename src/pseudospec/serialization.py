@@ -5,11 +5,6 @@ in row-major order; complex numbers are always [re, im] pairs, never
 strings.  Serialization is deterministic (fixed key order, shortest
 round-trip float formatting) so identical inputs produce byte-identical
 documents, and parse -> serialize round-trips are lossless.
-
-The key ``"entries"`` is reserved for matrix pair lists: in any document
-given to :func:`dumps_canonical`, an ``"entries"`` list of flat rows of
-numbers is laid out by the fast path there.  Other values under that key
-are still encoded correctly, only at the standard library's speed.
 """
 from __future__ import annotations
 
@@ -28,12 +23,27 @@ class FormatError(ValueError):
     """Malformed document."""
 
 
-def matrix_to_doc(M) -> dict:
+#: stands in for the entries of a matrix in a skeleton document
+_PLACEHOLDER = "\x00entries\x00"
+_PLACEHOLDER_JSON = json.dumps(_PLACEHOLDER)
+
+
+def _matrix_stub(M) -> tuple[dict, np.ndarray]:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise FormatError(f"expected a 2-d matrix, got shape {A.shape}")
-    entries = np.column_stack((A.real.ravel(), A.imag.ravel())).tolist()
-    return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "entries": entries}
+    return {"rows": int(A.shape[0]), "cols": int(A.shape[1]), "entries": _PLACEHOLDER}, A
+
+
+def _fill(blocks: list) -> None:
+    for stub, A in blocks:
+        stub["entries"] = np.column_stack((A.real.ravel(), A.imag.ravel())).tolist()
+
+
+def matrix_to_doc(M) -> dict:
+    stub, A = _matrix_stub(M)
+    _fill([(stub, A)])
+    return stub
 
 
 def _pair_array(entries: list):
@@ -101,16 +111,19 @@ def load_matrix(path) -> np.ndarray:
 
 
 def dump_matrix(M, path) -> None:
+    stub, A = _matrix_stub(M)
+    text = _render(stub, [(stub, A)]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(matrix_to_doc(M)))
-        fh.write("\n")
+        fh.write(text)
 
 
 def _complex_pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def certificate_to_doc(cert: Certificate) -> dict:
+def _skeleton(cert: Certificate) -> tuple[dict, list]:
+    """The certificate document with a placeholder for the entries of each
+    witness, and the witnesses' (stub, array) pairs in document order."""
     doc: dict = {"verdict": cert.verdict}
     table = []
     if cert.table is not None:
@@ -129,86 +142,65 @@ def certificate_to_doc(cert: Certificate) -> dict:
     doc["tolerances"] = {k: float(v) for k, v in cert.tolerances.items()}
     if np.isfinite(cert.cond_A):
         doc["cond_A"] = float(cert.cond_A)
+    blocks = []
     if cert.verdict == PSEUDO_HERMITIAN and cert.witnesses is not None:
         witnesses = {}
         for f in fields(SymmetryOperators):
             value = getattr(cert.witnesses, f.name)
-            witnesses[f.name] = matrix_to_doc(
-                value.matrix if isinstance(value, AntilinearOp) else value
-            )
+            stub, A = _matrix_stub(value.matrix if isinstance(value, AntilinearOp) else value)
+            witnesses[f.name] = stub
+            blocks.append((stub, A))
         doc["witnesses"] = witnesses
+    return doc, blocks
+
+
+def certificate_to_doc(cert: Certificate) -> dict:
+    doc, blocks = _skeleton(cert)
+    _fill(blocks)
     return doc
 
 
-#: stands in for an entries block in the skeleton; a document whose own
-#: text holds its JSON makes the block count disagree and falls back whole
-_BLOCK = "\x00entries\x00"
-_BLOCK_JSON = json.dumps(_BLOCK)
+def dumps_certificate(cert: Certificate) -> str:
+    """Byte for byte ``dumps_canonical(certificate_to_doc(cert))``, with
+    the witness matrices written straight from their arrays."""
+    return _render(*_skeleton(cert))
 
 
-def _is_flat_rows(text: str, k: int) -> bool:
-    """Whether ``text``, the C encoding of a k-item list, holds k non-empty
-    rows of scalars.  Without strings (object keys are strings too, and
-    ``{}`` lays out like a number) every ``[`` opens a list; k + 1 lists of
-    which k - 1 pairs meet at ``], [`` leave no room for a scalar item or a
-    nested list.  Number reprs contain no separator."""
-    return (
-        '"' not in text
-        and "[]" not in text
-        and text.count("[") == k + 1
-        and text.count("], [") == k - 1
-    )
-
-
-def _stub_entries(value, blocks: list[str]):
-    """A copy of ``value`` in which every ``"entries"`` list of flat rows is
-    replaced by ``_BLOCK``; the C encodings go to ``blocks`` in document
-    order, which is the order ``json.dumps`` writes them in."""
-    if isinstance(value, dict):
-        out = {}
-        for key, item in value.items():
-            if key == "entries" and isinstance(item, list) and item:
-                text = json.dumps(item, allow_nan=False)
-                if _is_flat_rows(text, len(item)):
-                    blocks.append(text)
-                    out[key] = _BLOCK
-                    continue
-            out[key] = _stub_entries(item, blocks)
-        return out
-    if isinstance(value, (list, tuple)):
-        return [_stub_entries(item, blocks) for item in value]
-    return value
-
-
-def _indent_block(text: str, pad: int) -> str:
-    """The ``indent=2`` layout of a flat-rows block whose key line is
-    indented by ``pad`` spaces."""
-    outer, row, item = ("\n" + " " * (pad + d) for d in (0, 2, 4))
-    body = text[2:-2].replace("], [", row + "]," + row + "[" + item).replace(", ", "," + item)
-    return "[" + row + "[" + item + body + row + "]" + outer + "]"
+def _render(skeleton: dict, blocks: list) -> str:
+    """``dumps_canonical`` of ``skeleton`` once ``_fill(blocks)`` has run,
+    with each entries block laid out from its array: one ``repr`` per
+    distinct bit pattern (``-0.0`` stays apart from ``0.0``), gathered
+    through the inverse index and joined in C.  A skeleton whose own text
+    holds the placeholder is filled and encoded whole."""
+    parts = dumps_canonical(skeleton).split(_PLACEHOLDER_JSON)
+    if len(parts) != len(blocks) + 1:
+        _fill(blocks)
+        return dumps_canonical(skeleton)
+    out = [parts[0]]
+    for before, (_, A), after in zip(parts, blocks, parts[1:]):
+        line = before[before.rfind("\n") + 1:]  # the key's own line
+        pad = " " * (len(line) - len(line.lstrip(" ")))
+        flat = np.ascontiguousarray(A).view(np.float64).ravel()
+        if not np.isfinite(flat).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        if flat.size:
+            bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+            reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+            row, item = "\n" + pad + "  ", "\n" + pad + "    "
+            text = np.empty(2 * flat.size + 1, dtype=object)  # separators and numbers
+            text[0] = "[" + row + "[" + item
+            text[1::2] = reprs[inverse]
+            text[2::4] = "," + item
+            text[4::4] = row + "]," + row + "[" + item
+            text[-1] = row + "]\n" + pad + "]"
+            out.append("".join(text.tolist()))
+        else:
+            out.append("[]")
+        out.append(after)
+    return "".join(out)
 
 
 def dumps_canonical(doc) -> str:
     """Deterministic JSON text: insertion-ordered keys, 2-space indent,
-    shortest round-trip float repr (at most 17 significant digits).
-
-    Byte for byte ``json.dumps(doc, indent=2, allow_nan=False)``.  With an
-    indent the standard library encodes in pure Python, so each
-    ``"entries"`` block of flat rows is encoded by the C encoder instead,
-    its separators are rewritten into the indented layout, and only the
-    small rest of the document takes the indenting encoder.
-    """
-    blocks: list[str] = []
-    try:
-        skeleton = json.dumps(_stub_entries(doc, blocks), indent=2, allow_nan=False)
-    except RecursionError:  # too deep or circular: the standard library says which
-        return json.dumps(doc, indent=2, allow_nan=False)
-    parts = skeleton.split(_BLOCK_JSON)
-    if len(parts) != len(blocks) + 1:
-        return json.dumps(doc, indent=2, allow_nan=False)
-    out = [parts[0]]
-    for before, block, after in zip(parts, blocks, parts[1:]):
-        line = before[before.rfind("\n") + 1:]  # the key's own line
-        out.append(_indent_block(block, len(line) - len(line.lstrip(" "))))
-        out.append(after)
-    return "".join(out)
+    shortest round-trip float repr (at most 17 significant digits)."""
+    return json.dumps(doc, indent=2, allow_nan=False)

@@ -134,6 +134,21 @@ class TestJordanChains:
         with pytest.raises(JordanStructureError):
             jordan_chains(np.diag([1.0, 2.0]), 5.0)
 
+    def test_gauge_makes_the_first_significant_head_component_positive(self):
+        head, top = np.array([0.0, 3j, 4.0]), np.array([1.0, 0.0, 0.0])
+        got = blockdiag._canonical_gauge([head, top])
+        assert np.allclose(got[0], [0.0, 0.6, -0.8j]) and np.allclose(got[1], [-0.2j, 0.0, 0.0])
+
+    @pytest.mark.parametrize("head", [
+        [0.0, 0.0, 0.0],
+        [1.0, np.nan, 0.0],
+        [np.inf, 1.0, 0.0],
+        [1.0, complex(0.0, -np.inf), 0.0],
+    ])
+    def test_gauge_refuses_a_zero_or_non_finite_head(self, head):
+        with pytest.raises(JordanStructureError, match="zero or not finite"):
+            blockdiag._canonical_gauge([np.array(head, dtype=complex), np.ones(3, complex)])
+
 
 class TestBlockDiagonalize:
     def test_hermitian_diagonal(self):

@@ -1,16 +1,19 @@
+import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
 
 from pseudospec import serialization
-from pseudospec.certify import ToleranceProfile, decide
+from pseudospec.certify import Certificate, ToleranceProfile, decide
 from pseudospec.scattering import hamiltonian
 from pseudospec.serialization import (
     FormatError,
     certificate_to_doc,
     dump_matrix,
     dumps_canonical,
+    dumps_certificate,
     load_matrix,
     matrix_from_doc,
     matrix_to_doc,
@@ -180,17 +183,19 @@ NOT_PAIR_LISTS = [
     [[{}, 1.0], [2.0, {}]],
     [{"entries": [[1.0, 2.0]]}, [3.0, 4.0]],
     [(1.0, 2.0), (3.0, 4.0)],
-    [[serialization._BLOCK, 1.0]],
 ]
 
 
-def seeded_certificates():
+@functools.cache
+def seeded_certificates() -> tuple[Certificate, ...]:
+    certs = []
     for seed in (1, 2):
         for n in (2, 8, 32, 64):
             rng = np.random.default_rng([seed, n])
             real = rng.standard_normal((n, n))
             for H in (real, real + 1j * rng.standard_normal((n, n))):
-                yield certificate_to_doc(decide(H))
+                certs.append(decide(H))
+    return tuple(certs)
 
 
 class TestCanonicalEncoder:
@@ -225,7 +230,8 @@ class TestCanonicalEncoder:
 
     def test_seeded_certificates(self):
         verdicts = set()
-        for doc in seeded_certificates():
+        for cert in seeded_certificates():
+            doc = certificate_to_doc(cert)
             verdicts.add(doc["verdict"])
             assert dumps_canonical(doc) == stdlib_dumps(doc)
         assert verdicts == {"pseudo_hermitian", "not_pseudo_hermitian"}
@@ -238,6 +244,58 @@ class TestCanonicalEncoder:
     def test_non_finite_numbers_still_raise(self, doc):
         with pytest.raises(ValueError):
             dumps_canonical(doc)
+
+
+class TestArrayWriter:
+    def test_seeded_certificates(self):
+        verdicts = set()
+        for cert in seeded_certificates():
+            verdicts.add(cert.verdict)
+            assert dumps_certificate(cert) == stdlib_dumps(certificate_to_doc(cert))
+        assert verdicts == {"pseudo_hermitian", "not_pseudo_hermitian"}
+
+    def test_inconclusive_certificate(self):
+        cert = decide(np.diag([0.3, -0.3]), ToleranceProfile(cluster_tol=1.0))
+        doc = certificate_to_doc(cert)
+        assert doc["verdict"] == "inconclusive" and "detail" in doc["pairing"]
+        assert "cond_A" not in doc and "witnesses" not in doc
+        assert dumps_certificate(cert) == stdlib_dumps(doc)
+
+    @pytest.mark.parametrize("M", [
+        np.array([[complex(*pair) for pair in EDGE_ENTRIES[:4]],
+                  [complex(*pair) for pair in EDGE_ENTRIES[4:]]]),
+        np.array([[-0.0, 1e16, 1e22], [0.1, -1e300, 5e-324]]),
+        np.array([[3, -7], [0, 2**53 + 1]]),
+        np.arange(12.0).reshape(3, 4).T + 1j * np.arange(12.0).reshape(4, 3),
+        np.array([[complex(0.0, -0.0)]]),
+        np.zeros((0, 0)),
+    ], ids=["edge-values", "float64", "int", "fortran-order", "1x1", "0x0"])
+    def test_matrix_file(self, M, tmp_path):
+        path = tmp_path / "m.json"
+        dump_matrix(M, path)
+        assert path.read_text(encoding="utf-8") == stdlib_dumps(matrix_to_doc(M)) + "\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry_raises(self, bad, tmp_path):
+        M = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ValueError):
+            dump_matrix(M, tmp_path / "m.json")
+        cert = decide(np.eye(2))
+        cert.witnesses.eta[1, 0] = bad
+        with pytest.raises(ValueError):
+            dumps_certificate(cert)
+
+    @pytest.mark.parametrize("detail", [
+        serialization._PLACEHOLDER,
+        'ends with "' + serialization._PLACEHOLDER,
+        "holds " + serialization._PLACEHOLDER + " inside",
+    ])
+    def test_placeholder_text_in_the_document(self, detail):
+        # a whole-string placeholder adds one to the count: the writer must
+        # then fall back to the standard library for the whole document
+        for cert in (decide(np.eye(2)), decide(np.diag([1.0 + 1j, 2.0]))):
+            cert = dataclasses.replace(cert, diagnostics=detail)
+            assert dumps_certificate(cert) == stdlib_dumps(certificate_to_doc(cert))
 
 
 def per_entry_reference(doc) -> np.ndarray:
@@ -265,8 +323,8 @@ class TestMatrixDecoder:
         assert got.tobytes() == want.tobytes()  # signs of zero included
 
     def test_seeded_witnesses_match_the_reference(self):
-        for doc in seeded_certificates():
-            for w in doc.get("witnesses", {}).values():
+        for cert in seeded_certificates():
+            for w in certificate_to_doc(cert).get("witnesses", {}).values():
                 w = json.loads(json.dumps(w))
                 assert matrix_from_doc(w).tobytes() == per_entry_reference(w).tobytes()
 
