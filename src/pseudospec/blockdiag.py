@@ -169,7 +169,9 @@ def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
 
 def _condition_numbers(vectors: np.ndarray) -> np.ndarray:
     """Row norms of ``inv(V)`` for each row of a stack of eigenvector
-    matrices, one stacked inversion; zero for a singular ``V``.
+    matrices, one stacked inversion.  A singular ``V`` gets zeros in a
+    one-row stack and raises ``LinAlgError`` in a larger one, which
+    :func:`decompose_stack` answers row by row.
 
     Exactly repeated eigenvectors come with exactly repeated values, which
     the floor joins; unbounded discs would send every pair to a midpoint
@@ -178,9 +180,9 @@ def _condition_numbers(vectors: np.ndarray) -> np.ndarray:
     try:
         Vinv = np.linalg.inv(vectors)
     except np.linalg.LinAlgError:
-        if len(vectors) == 1:
-            return np.zeros(vectors.shape[:2])
-        return np.concatenate([_condition_numbers(V[None]) for V in vectors])
+        if len(vectors) > 1:
+            raise
+        return np.zeros(vectors.shape[:2])
     with np.errstate(over="ignore", invalid="ignore"):
         return np.linalg.norm(Vinv, axis=-1)
 
@@ -263,7 +265,9 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> tuple[ClusteredSpect
 
 
 def _kernel_staircase(N: np.ndarray, tol: float, parent_scale: float):
-    """Kernel bases and dimensions of N, N^2, ... until they stabilize.
+    """Kernel bases of N^0, N, N^2, ... up to the power q at which they
+    stabilize, as one list ``[ker N^0, ..., ker N^q]``, and the cutoff of
+    the rank decision on N itself.
 
     Rank decisions on the l-th power use an absolute singular value cutoff
     built from the effective scale ``s = max(smax(N), floor)`` with
@@ -271,20 +275,18 @@ def _kernel_staircase(N: np.ndarray, tol: float, parent_scale: float):
     a power while float noise stays near ``n eps * parent_scale * s^(l-1)``,
     so a threshold relative to ``smax(N^l)`` alone would misread exactly
     nilpotent powers, and one without the parent floor would misread a
-    fully degenerate cluster, where N itself is pure round-off.
-
-    Returns the kernels, their dimensions, the power at which they
-    stabilize, and ``s_eff``.
+    fully degenerate cluster, where N itself is pure round-off.  A cutoff
+    beyond the float range, as ``(tol s)^l`` is for large ``|H|``, raises
+    :class:`JordanStructureError` naming the power.
     """
     n = N.shape[0]
     svd_N = np.linalg.svd(N)
     floor = 64 * n * EPS * parent_scale
     s_eff = max(float(svd_N[1][0]), floor)
-    kernels = {0: np.zeros((n, 0), dtype=complex)}
-    dims = [0]
+    cutoff = max(tol * s_eff, floor)  # the level cutoff below at power 1
+    kernels = [np.zeros((n, 0), dtype=complex)]
     if s_eff == 0.0:
-        kernels[1] = np.eye(n, dtype=complex)
-        return kernels, [0, n], 1, s_eff
+        return kernels + [np.eye(n, dtype=complex)], cutoff
 
     P = N
     l = 0
@@ -292,18 +294,22 @@ def _kernel_staircase(N: np.ndarray, tol: float, parent_scale: float):
         l += 1
         if l > 1:
             P = P @ N
-        cutoff = max((tol * s_eff) ** l, floor * s_eff ** (l - 1))
+        try:
+            level = max((tol * s_eff) ** l, floor * s_eff ** (l - 1))
+        except OverflowError:
+            level = None  # raised outside the handler, so no frames ride along
+        if level is None:
+            raise JordanStructureError(f"the rank cutoff at power {l} overflows")
         u, s, vh = svd_N if l == 1 else np.linalg.svd(P)
-        k = int(np.count_nonzero(s <= cutoff))
+        k = int(np.count_nonzero(s <= level))
         if l == 1 and k == 0:
             raise JordanStructureError(
                 "no numerical kernel at the given cluster center; "
                 "the center is not an eigenvalue at this tolerance"
             )
-        kernels[l] = vh[n - k:, :].conj().T if k else np.zeros((n, 0), dtype=complex)
-        dims.append(k)
-        if k == dims[l - 1]:
-            return kernels, dims, l - 1, s_eff
+        if k == kernels[-1].shape[1]:
+            return kernels, cutoff
+        kernels.append(vh[n - k:, :].conj().T)
         if l > n:
             raise JordanStructureError("kernel staircase failed to stabilize")
 
@@ -341,9 +347,10 @@ def jordan_chains(
     n = A.shape[0]
     N = A - complex(center) * np.eye(n)
     parent_scale = float(np.linalg.norm(A, 2)) if _parent_scale is None else _parent_scale
-    kernels, dims, q, s_eff = _kernel_staircase(N, tol, parent_scale)
+    kernels, cutoff = _kernel_staircase(N, tol, parent_scale)
 
-    increments = [dims[l] - dims[l - 1] for l in range(1, q + 1)]
+    q = len(kernels) - 1
+    increments = [kernels[l].shape[1] - kernels[l - 1].shape[1] for l in range(1, q + 1)]
     for l in range(1, q):
         if increments[l] > increments[l - 1]:
             raise JordanStructureError(
@@ -363,13 +370,12 @@ def jordan_chains(
             for _ in range(p - l):
                 v = N @ v
             blocks.append(v[:, None])
-        existing = np.hstack(blocks)
-        Q = None
-        if existing.shape[1]:
-            Q, _ = np.linalg.qr(existing)
+        Q = np.hstack(blocks)  # spans what the new tops must avoid
+        if Q.shape[1]:
+            Q, _ = np.linalg.qr(Q)
         cands = kernels[l].copy()
         for _ in range(want):
-            resid = cands if Q is None else cands - Q @ (Q.conj().T @ cands)
+            resid = cands - Q @ (Q.conj().T @ cands)
             norms = np.linalg.norm(resid, axis=0)
             j = int(np.argmax(norms))
             if norms[j] < _INDEPENDENCE_CUTOFF:
@@ -378,10 +384,8 @@ def jordan_chains(
                 )
             new = resid[:, j] / norms[j]
             tops.append((l, new))
-            Q = new[:, None] if Q is None else np.hstack([Q, new[:, None]])
+            Q = np.hstack([Q, new[:, None]])
 
-    floor = 64 * n * EPS * parent_scale
-    head_cutoff = 10 * max(tol * s_eff, floor)  # matches the kernel cutoff at power 1
     chains: list[list[np.ndarray]] = []
     for p, t in tops:
         chain = [t]
@@ -390,7 +394,7 @@ def jordan_chains(
         chain.reverse()  # head first
         head = chain[0]
         hnorm = float(np.linalg.norm(head))
-        if hnorm == 0.0 or float(np.linalg.norm(N @ head)) > head_cutoff:
+        if hnorm == 0.0 or float(np.linalg.norm(N @ head)) > 10 * cutoff:
             raise JordanStructureError("chain head failed the eigenvector residual check")
         chains.append(_canonical_gauge(chain))
 
@@ -428,7 +432,10 @@ def _simple_heads(H, vectors, vals, dist, order, tol: float, scale):
     return ok
 
 
-#: failures that make one decomposition, and only that one, inconclusive
+#: failures that make one decomposition, and only that one, inconclusive.
+#: Every numerical breakdown ends as one of them: the staircase reports an
+#: overflowing rank cutoff as a JordanStructureError.  ArithmeticError stays
+#: out, so that a ZeroDivisionError shows as the bug it is.
 DECOMPOSITION_ERRORS = (
     JordanStructureError, IllConditionedBasisError, EigensolveError, np.linalg.LinAlgError,
 )

@@ -1,10 +1,12 @@
 """Command line surface: ``analyze``, ``scatter-sweep``, ``model-sweep``.
 
 Exit codes of ``analyze``: 0 pseudo-Hermitian, 1 not, 2 inconclusive
-(also when ``decide`` fails with an arithmetic error), 3 input error.
-Every command exits 3 on a malformed command line.  Sweep commands emit
-CSV with a fixed column order; float cells use shortest round-trip repr,
-so identical inputs give byte-identical output.
+(every numerical breakdown, an overflow included, with its certificate),
+3 input error.  The sweeps exit 0, with an ``inconclusive`` row wherever
+the analysis breaks down, or 3 on an input error, which includes an H
+beyond the float range.  Every command exits 3 on a malformed command
+line.  Sweep commands emit CSV with a fixed column order; float cells use
+shortest round-trip repr, so identical inputs give byte-identical output.
 """
 from __future__ import annotations
 
@@ -86,9 +88,6 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except ArithmeticError as exc:  # e.g. an overflow deep in the staircase
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     text = dumps_certificate(cert)
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
@@ -139,10 +138,11 @@ def cmd_scatter_sweep(args) -> int:
         if not (np.isfinite(x_lo) and np.isfinite(x_hi) and x_lo < x_hi):
             raise ValueError("x-range must be finite and increasing")
         potential.value(np.array([x_lo, x_hi]))  # a sampled grid must cover the range
+        xs = np.linspace(x_lo, x_hi, args.samples)
+        certs = decide_many(hamiltonian_at(xs, spec))  # refuses an H beyond the float range
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    xs = np.linspace(x_lo, x_hi, args.samples)
     res = evolve_transfer(spec, x_lo, x_hi, args.steps, at=xs)
 
     def one(x, U, drift, cert):
@@ -156,7 +156,6 @@ def cmd_scatter_sweep(args) -> int:
 
     # map, unlike a loop variable, holds no certificate while the next
     # block is decided, so one block of them is alive at a time
-    certs = decide_many(hamiltonian_at(xs, spec))
     rows = list(map(one, xs, res.sample_U, res.sample_drift, certs))
     _write_csv(args.csv_out, _scatter_header(), rows)
     return 0
@@ -174,16 +173,17 @@ def _model_header(L: int, compare: bool):
 
 
 def cmd_model_sweep(args) -> int:
+    lo, hi = args.varpi_range
+    samples = np.linspace(lo, hi, args.samples)
     try:
         lambdas = tuple(float(p) for p in args.lambdas.split(","))
         ModelSpec(lambdas, 1.0)  # validates the lambda list
+        if not np.all(samples > 0):  # also refuses a NaN bound
+            raise ValueError("varpi must stay positive over the sweep")
+        Hs = np.stack([build_H(ModelSpec(lambdas, float(varpi))) for varpi in samples])
+        certs = decide_many(Hs)  # refuses an H beyond the float range
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    lo, hi = args.varpi_range
-    samples = np.linspace(lo, hi, args.samples)
-    if not np.all(samples > 0):  # also refuses a NaN bound
-        print("error: varpi must stay positive over the sweep", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     def one(varpi, cert):
@@ -215,10 +215,7 @@ def cmd_model_sweep(args) -> int:
             row.append(dev)
         return row
 
-    Hs = np.empty((len(samples), 2 * len(lambdas), 2 * len(lambdas)), dtype=complex)
-    for H, varpi in zip(Hs, samples):
-        H[...] = build_H(ModelSpec(lambdas, float(varpi)))
-    rows = list(map(one, samples, decide_many(Hs)))  # one block alive; see scatter-sweep
+    rows = list(map(one, samples, certs))  # one block alive; see scatter-sweep
     _write_csv(args.csv_out, _model_header(len(lambdas), args.compare_closed_form), rows)
     return 0
 

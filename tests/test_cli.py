@@ -72,15 +72,16 @@ class TestAnalyze:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_arithmetic_failure_is_inconclusive_not_a_refusal(self, tmp_path, capsys):
-        # a J2(0.5) chain at |H|_F = 1e150: the staircase cutoff (tol |N|)**2
-        # overflows a Python float, and decide raises OverflowError
+        # a J2(0.5) chain at |H|_F = 1e150: the staircase cutoff (tol |N|)**3
+        # overflows a Python float, and the certificate says so
         J = np.array([[0.5, 1.0], [0.0, 0.5]])
         path = write_matrix(tmp_path, J * (1e150 / np.linalg.norm(J)))
         assert main(["analyze", path]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert "Traceback" not in captured.err
+        doc = json.loads(captured.out)
+        assert doc["verdict"] == "inconclusive"
+        assert doc["pairing"]["detail"] == "the rank cutoff at power 3 overflows"
+        assert "error:" not in captured.err
 
 
 class TestScatterSweep:
@@ -246,6 +247,21 @@ class TestModelSweep:
         assert "increasing" in capsys.readouterr().err
 
 
+# numpy warns on the overflowing power in the staircase
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("args", [
+    ["scatter-sweep", "--potential", "rectangular:1e150,0,1", "--k", "1",
+     "--x-range", "0", "1", "--samples", "3", "--steps", "10"],
+    ["model-sweep", "--lambdas", "1e170,4e170", "--varpi-range", "0.5", "3", "--samples", "3"],
+], ids=["scatter-sweep", "model-sweep"])
+def test_overflowing_rows_are_inconclusive(tmp_path, args):
+    out = tmp_path / "sweep.csv"
+    assert main(args + ["--csv-out", str(out)]) == 0
+    header, rows = read_csv(str(out))
+    v = header.index("verdict")
+    assert len(rows) == 3 and all(row[v] == "inconclusive" for row in rows)
+
+
 SWEEP = ["scatter-sweep", "--k", "1", "--x-range", "0", "1"]
 MODEL = ["model-sweep", "--lambdas", "1,4", "--varpi-range", "0.5", "3"]
 
@@ -258,8 +274,15 @@ class TestInputErrors:
         ["scatter-sweep", "--k", "1", "--x-range", "0", "inf", "--potential", "rectangular:1,0,1"],
         ["scatter-sweep", "--k", "inf", "--x-range", "0", "1", "--potential", "rectangular:1,0,1"],
         SWEEP + ["--potential", "rectangular:inf,0,1"],
+        # H beyond the float range, which numpy warns of as it builds H
+        pytest.param(["scatter-sweep", "--potential", "rectangular:1e308,0,1", "--k", "1e-10",
+                      "--x-range", "0", "1", "--samples", "3", "--steps", "10"],
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        pytest.param(["model-sweep", "--lambdas", "1.7e308", "--varpi-range", "0.4", "0.5",
+                      "--samples", "3"],
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     ], ids=["rectangular-arity", "unknown-kind", "nan-varpi", "infinite-x-range",
-            "infinite-k", "infinite-barrier"])
+            "infinite-k", "infinite-barrier", "scatter-H-overflow", "model-H-overflow"])
     def test_bad_value_exits_three(self, argv, capsys):
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err

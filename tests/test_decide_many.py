@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pseudospec import cli
+from pseudospec import blockdiag, certify, cli
 from pseudospec.certify import (
     BLOCK_ROWS,
     INCONCLUSIVE,
@@ -189,6 +189,51 @@ class TestLapackFailureIsolation:
                 assert cert.diagnostics == "svd did not converge"
             else:
                 assert certificate_bits(cert) == expected[r]
+
+
+def overflowing_j2():
+    """J2(0.5) at |H|_F = 1e150: the staircase's rank cutoff (tol |N|)**3
+    is beyond the float range."""
+    J = np.array([[0.5, 1.0], [0.0, 0.5]])
+    return J * (1e150 / np.linalg.norm(J))
+
+
+class TestOneFailureChannel:
+    """A numerical breakdown leaves decide and decide_many as an
+    inconclusive certificate of its own row, never as an exception."""
+
+    def test_overflowing_cutoff_is_inconclusive(self):
+        cert = decide(overflowing_j2())
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.diagnostics == "the rank cutoff at power 3 overflows"
+
+    def test_overflowing_row_beside_finite_rows(self):
+        rows = list(np.random.default_rng(5).standard_normal((5, 2, 2)))
+        rows.insert(2, overflowing_j2())
+        certs = assert_rowwise(np.stack(rows))
+        assert [c.verdict == INCONCLUSIVE for c in certs] == [r == 2 for r in range(6)]
+
+    def test_singular_eigenvectors_redo_the_block_row_by_row(self, monkeypatch):
+        # the eigensolve of J3(0) returns three copies of e1, up to a
+        # 1e-292 entry, and an exactly zero row: the stacked inversion of
+        # the eigenvectors fails, and the block is decided one row at a time
+        rows = list(gaussian(B + 1, "real"))
+        rows[4] = jordan_matrix([(0.0, [3]), (1.0, [1]), (2.0, [1])])
+        stack = np.stack(rows)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(np.linalg.eig(stack[:B])[1])
+        expected = [certificate_bits(decide(H)) for H in stack]
+        calls = []
+        original = blockdiag.decompose_stack
+
+        def counted(Hs, *args):
+            calls.append(len(Hs))
+            return original(Hs, *args)
+
+        monkeypatch.setattr(blockdiag, "decompose_stack", counted)
+        monkeypatch.setattr(certify, "decompose_stack", counted)
+        assert [certificate_bits(c) for c in decide_many(stack)] == expected
+        assert calls == [B] + [1] * B + [1]
 
 
 def test_model_sweep_makes_one_eig_call_per_block(tmp_path, monkeypatch):
