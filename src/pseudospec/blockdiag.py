@@ -266,52 +266,41 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> tuple[ClusteredSpect
 
 def _kernel_staircase(N: np.ndarray, tol: float, parent_scale: float):
     """Kernel bases of N^0, N, N^2, ... up to the power q at which they
-    stabilize, as one list ``[ker N^0, ..., ker N^q]``, and the cutoff of
-    the rank decision on N itself.
+    stabilize, as one list ``[ker N^0, ..., ker N^q]``, and the one cutoff
+    of every rank decision.
 
-    Rank decisions on the l-th power use an absolute singular value cutoff
-    built from the effective scale ``s = max(smax(N), floor)`` with
-    ``floor = 64 n eps * parent_scale``: the true scale of N^l decays like
-    a power while float noise stays near ``n eps * parent_scale * s^(l-1)``,
-    so a threshold relative to ``smax(N^l)`` alone would misread exactly
-    nilpotent powers, and one without the parent floor would misread a
-    fully degenerate cluster, where N itself is pure round-off.  A cutoff
-    beyond the float range, as ``(tol s)^l`` is for large ``|H|``, raises
-    :class:`JordanStructureError` naming the power.
+    No power of N is formed.  The staircase deflates instead (Golub &
+    Wilkinson, SIAM Rev. 18, 1976; Kagstrom & Ruhe, ACM TOMS 6, 1980): x
+    lies in ker N^(l+1) when N x lies in ker N^l, that is when the leading
+    rows of the previous level's ``V^H``, which span the orthogonal
+    complement of ker N^l, annihilate N x.  Each level is one SVD of those
+    rows times N, whose singular values share the scale of N, so every rank
+    decision counts them against ``max(tol s, floor)``, with the effective
+    scale ``s = max(smax(N), floor)`` and ``floor = 64 n eps *
+    parent_scale``: a cutoff relative to ``smax(N)`` alone would misread a
+    fully degenerate cluster, where N itself is pure round-off.
     """
     n = N.shape[0]
-    svd_N = np.linalg.svd(N)
+    _, s, vh = np.linalg.svd(N)
     floor = 64 * n * EPS * parent_scale
-    s_eff = max(float(svd_N[1][0]), floor)
-    cutoff = max(tol * s_eff, floor)  # the level cutoff below at power 1
+    s_eff = max(float(s[0]), floor)
+    cutoff = max(tol * s_eff, floor)
     kernels = [np.zeros((n, 0), dtype=complex)]
     if s_eff == 0.0:
         return kernels + [np.eye(n, dtype=complex)], cutoff
-
-    P = N
-    l = 0
     while True:
-        l += 1
-        if l > 1:
-            P = P @ N
-        try:
-            level = max((tol * s_eff) ** l, floor * s_eff ** (l - 1))
-        except OverflowError:
-            level = None  # raised outside the handler, so no frames ride along
-        if level is None:
-            raise JordanStructureError(f"the rank cutoff at power {l} overflows")
-        u, s, vh = svd_N if l == 1 else np.linalg.svd(P)
-        k = int(np.count_nonzero(s <= level))
-        if l == 1 and k == 0:
-            raise JordanStructureError(
-                "no numerical kernel at the given cluster center; "
-                "the center is not an eigenvalue at this tolerance"
-            )
+        k = n - s.size + int(np.count_nonzero(s <= cutoff))
         if k == kernels[-1].shape[1]:
+            if k == 0:
+                raise JordanStructureError(
+                    "no numerical kernel at the given cluster center; "
+                    "the center is not an eigenvalue at this tolerance"
+                )
             return kernels, cutoff
         kernels.append(vh[n - k:, :].conj().T)
-        if l > n:
-            raise JordanStructureError("kernel staircase failed to stabilize")
+        if k == n:  # nothing is left to deflate
+            return kernels, cutoff
+        _, s, vh = np.linalg.svd(vh[:n - k] @ N)
 
 
 def _canonical_gauge(chain: list[np.ndarray]) -> list[np.ndarray]:
@@ -433,8 +422,7 @@ def _simple_heads(H, vectors, vals, dist, order, tol: float, scale):
 
 
 #: failures that make one decomposition, and only that one, inconclusive.
-#: Every numerical breakdown ends as one of them: the staircase reports an
-#: overflowing rank cutoff as a JordanStructureError.  ArithmeticError stays
+#: Every numerical breakdown ends as one of them.  ArithmeticError stays
 #: out, so that a ZeroDivisionError shows as the bug it is.
 DECOMPOSITION_ERRORS = (
     JordanStructureError, IllConditionedBasisError, EigensolveError, np.linalg.LinAlgError,

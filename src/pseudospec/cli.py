@@ -140,10 +140,10 @@ def cmd_scatter_sweep(args) -> int:
         potential.value(np.array([x_lo, x_hi]))  # a sampled grid must cover the range
         xs = np.linspace(x_lo, x_hi, args.samples)
         certs = decide_many(hamiltonian_at(xs, spec))  # refuses an H beyond the float range
+        res = evolve_transfer(spec, x_lo, x_hi, args.steps, at=xs)  # and a U beyond it
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    res = evolve_transfer(spec, x_lo, x_hi, args.steps, at=xs)
 
     def one(x, U, drift, cert):
         row = [float(x), float(spec.k)]

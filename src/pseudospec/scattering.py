@@ -167,7 +167,8 @@ def evolve_transfer(
     small increment's low digits.  Since tr H = 0, det U = 1 is preserved
     up to the integrator's own O(h^4) drift, which is reported.  A step
     that straddles a jump of v, such as a barrier edge, is only first
-    order.
+    order.  Raises ``ValueError`` naming the first sample point, or
+    x_plus, at which U is not finite.
     """
     if not x_minus < x_plus:
         raise ValueError("need x_minus < x_plus")
@@ -191,6 +192,9 @@ def evolve_transfer(
             taken += n
         snapshots.append(U)
     Us = np.array(snapshots)
+    broken = np.flatnonzero(~np.isfinite(Us).all(axis=(1, 2)))
+    if broken.size:
+        raise ValueError(f"the transfer matrix is not finite at x = {float(nodes[broken[0] + 1])!r}")
     drift = np.abs(np.linalg.det(Us) - 1.0)
     return TransferResult(U, float(drift[-1]), taken, Us[:-1], drift[:-1])
 

@@ -130,6 +130,20 @@ class TestJordanChains:
             chains = jordan_chains(H, value, tol=1e-5)
             assert sorted((len(c) for c in chains), reverse=True) == sorted(ps, reverse=True)
 
+    @pytest.mark.parametrize("z, p, seed", [
+        *((0.005 + 0.01j, 4, seed) for seed in range(10)),
+        *((0.015 + 0.03j, 5, seed) for seed in range(3)),
+    ])
+    def test_long_chains_of_a_conjugate_pair(self, z, p, seed):
+        # a rank cutoff per power of N misreads these chains as "kernel
+        # dimensions are inconsistent at power p"
+        W = well_conditioned(np.random.default_rng(seed), 2 * p)
+        H = W @ jordan_matrix([(z, [p]), (z.conjugate(), [p])]) @ np.linalg.inv(W)
+        cert = decide(H / np.linalg.norm(H))
+        assert cert.verdict == PSEUDO_HERMITIAN, cert.diagnostics
+        assert [c.p_list for c in cert.table.clusters] == [(p,), (p,)]
+        assert cert.cond_A < 1e3
+
     def test_wrong_center_is_rejected(self):
         with pytest.raises(JordanStructureError):
             jordan_chains(np.diag([1.0, 2.0]), 5.0)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -72,15 +73,17 @@ class TestAnalyze:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_arithmetic_failure_is_inconclusive_not_a_refusal(self, tmp_path, capsys):
-        # a J2(0.5) chain at |H|_F = 1e150: the staircase cutoff (tol |N|)**3
-        # overflows a Python float, and the certificate says so
+        # a J2(0.5) chain at |H|_F = 1e150: its second link carries a factor
+        # of about 1/|H|, so the Jordan basis is far too ill-conditioned to
+        # certify, and the certificate says so
         J = np.array([[0.5, 1.0], [0.0, 0.5]])
         path = write_matrix(tmp_path, J * (1e150 / np.linalg.norm(J)))
         assert main(["analyze", path]) == 2
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
         assert doc["verdict"] == "inconclusive"
-        assert doc["pairing"]["detail"] == "the rank cutoff at power 3 overflows"
+        assert re.fullmatch(r"Jordan basis condition number \d\.\d{3}e\+149 exceeds limit 1\.0e\+12",
+                            doc["pairing"]["detail"])
         assert "error:" not in captured.err
 
 
@@ -247,11 +250,12 @@ class TestModelSweep:
         assert "increasing" in capsys.readouterr().err
 
 
-# numpy warns on the overflowing power in the staircase
+# numpy warns as the squares summed by the norm of a chain head's residual
+# (np.linalg.norm) and by |H|_F (fro_rows) overflow
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("args", [
     ["scatter-sweep", "--potential", "rectangular:1e150,0,1", "--k", "1",
-     "--x-range", "0", "1", "--samples", "3", "--steps", "10"],
+     "--x-range", "0", "1e-160", "--samples", "3", "--steps", "10"],
     ["model-sweep", "--lambdas", "1e170,4e170", "--varpi-range", "0.5", "3", "--samples", "3"],
 ], ids=["scatter-sweep", "model-sweep"])
 def test_overflowing_rows_are_inconclusive(tmp_path, args):
@@ -281,8 +285,13 @@ class TestInputErrors:
         pytest.param(["model-sweep", "--lambdas", "1.7e308", "--varpi-range", "0.4", "0.5",
                       "--samples", "3"],
                      marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        # a transfer matrix that overflows over the range, which numpy warns of
+        pytest.param(["scatter-sweep", "--potential", "rectangular:1e150,0,1", "--k", "1",
+                      "--x-range", "0", "1", "--samples", "3", "--steps", "10"],
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     ], ids=["rectangular-arity", "unknown-kind", "nan-varpi", "infinite-x-range",
-            "infinite-k", "infinite-barrier", "scatter-H-overflow", "model-H-overflow"])
+            "infinite-k", "infinite-barrier", "scatter-H-overflow", "model-H-overflow",
+            "transfer-overflow"])
     def test_bad_value_exits_three(self, argv, capsys):
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err

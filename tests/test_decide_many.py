@@ -1,5 +1,6 @@
 """decide_many: a stack decided in blocks equals decide row by row, bit for bit."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,8 +193,9 @@ class TestLapackFailureIsolation:
 
 
 def overflowing_j2():
-    """J2(0.5) at |H|_F = 1e150: the staircase's rank cutoff (tol |N|)**3
-    is beyond the float range."""
+    """J2(0.5) at |H|_F = 1e150: the second link of its chain carries a
+    factor of about 1/|H|, so its Jordan basis has a condition number near
+    1e150, far beyond the limit."""
     J = np.array([[0.5, 1.0], [0.0, 0.5]])
     return J * (1e150 / np.linalg.norm(J))
 
@@ -205,7 +207,8 @@ class TestOneFailureChannel:
     def test_overflowing_cutoff_is_inconclusive(self):
         cert = decide(overflowing_j2())
         assert cert.verdict == INCONCLUSIVE
-        assert cert.diagnostics == "the rank cutoff at power 3 overflows"
+        assert re.fullmatch(r"Jordan basis condition number \d\.\d{3}e\+149 exceeds limit 1\.0e\+12",
+                            cert.diagnostics)
 
     def test_overflowing_row_beside_finite_rows(self):
         rows = list(np.random.default_rng(5).standard_normal((5, 2, 2)))

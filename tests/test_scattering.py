@@ -110,6 +110,12 @@ class TestTransferEvolution:
         with pytest.raises(ValueError):
             evolve_transfer(BARRIER, 0.0, 1.0, 0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow
+    def test_overflowing_transfer_names_the_first_sample(self):
+        spec = PotentialSpec(RectangularBarrier(1e150, 0.0, 1.0), k=1.0)
+        with pytest.raises(ValueError, match=r"not finite at x = 0\.5$"):
+            evolve_transfer(spec, 0.0, 1.0, 10, at=np.array([0.0, 0.5, 1.0]))
+
 
 class TestExactBarrierTransfer:
     @pytest.mark.parametrize("v0, k", [(1.0, 1.0), (0.8, 1.3), (2.0, 0.7)])
