@@ -264,10 +264,10 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> tuple[ClusteredSpect
             [groups[roots[i]][0] for i in order])
 
 
-def _kernel_staircase(N: np.ndarray, tol: float, parent_scale: float):
+def _kernel_staircase(N: np.ndarray, tol: float, center: complex):
     """Kernel bases of N^0, N, N^2, ... up to the power q at which they
     stabilize, as one list ``[ker N^0, ..., ker N^q]``, and the one cutoff
-    of every rank decision.
+    of every rank decision, for ``N = H - center``.
 
     No power of N is formed.  The staircase deflates instead (Golub &
     Wilkinson, SIAM Rev. 18, 1976; Kagstrom & Ruhe, ACM TOMS 6, 1980): x
@@ -275,19 +275,20 @@ def _kernel_staircase(N: np.ndarray, tol: float, parent_scale: float):
     rows of the previous level's ``V^H``, which span the orthogonal
     complement of ker N^l, annihilate N x.  Each level is one SVD of those
     rows times N, whose singular values share the scale of N, so every rank
-    decision counts them against ``max(tol s, floor)``, with the effective
-    scale ``s = max(smax(N), floor)`` and ``floor = 64 n eps *
-    parent_scale``: a cutoff relative to ``smax(N)`` alone would misread a
-    fully degenerate cluster, where N itself is pure round-off.
+    decision counts them against ``max(tol |N|_2, floor)``, with ``floor =
+    64 n eps (|N|_2 + |center|)``: a cutoff relative to ``|N|_2`` alone
+    would misread a fully degenerate cluster, where N itself is pure
+    round-off.  The floor takes its scale from the first SVD and the
+    center, and ``|H|_2 <= |N|_2 + |center| <= 3 |H|_2`` when the center
+    is an eigenvalue, which keeps it close to ``64 n eps |H|_2``.  Summed
+    term by term, it overflows only where ``|H|_2`` would.
     """
     n = N.shape[0]
     _, s, vh = np.linalg.svd(N)
-    floor = 64 * n * EPS * parent_scale
-    s_eff = max(float(s[0]), floor)
-    cutoff = max(tol * s_eff, floor)
+    smax = float(s[0])
+    floor = 64 * n * EPS * smax + 64 * n * EPS * abs(center)
+    cutoff = max(tol * smax, floor)
     kernels = [np.zeros((n, 0), dtype=complex)]
-    if s_eff == 0.0:
-        return kernels + [np.eye(n, dtype=complex)], cutoff
     while True:
         k = n - s.size + int(np.count_nonzero(s <= cutoff))
         if k == kernels[-1].shape[1]:
@@ -307,36 +308,34 @@ def _canonical_gauge(chain: list[np.ndarray]) -> list[np.ndarray]:
     """Rescale a chain as a whole so that its head has unit norm with the
     first significant component real positive (the frozen head rule)."""
     head = chain[0]
-    mags = np.abs(head)
-    peak = float(mags.max())
-    if not 0.0 < peak < np.inf:  # nan fails both
+    hnorm = float(np.linalg.norm(head))
+    # a positive finite norm means finite entries, not all zero; nan fails
+    if not 0.0 < hnorm < np.inf:
         raise JordanStructureError("chain head is zero or not finite")
-    scale = 1.0 / float(np.linalg.norm(head))
-    sig = np.nonzero(mags > 1e-12 * peak)[0][0]
+    mags = np.abs(head)
+    scale = 1.0 / hnorm
+    sig = np.nonzero(mags > 1e-12 * float(mags.max()))[0][0]
     pivot = head[sig] * scale
     scale *= np.conj(pivot) / abs(pivot)
     return [scale * v for v in chain]
 
 
-def jordan_chains(
-    H, center, tol: float = DEFAULT_TOL, *, _parent_scale: float | None = None
-) -> list[list[np.ndarray]]:
+def jordan_chains(H, center, tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]:
     """Jordan chains of ``H`` at an eigenvalue cluster center.
 
     Returns a list of chains, each chain a list ``[v_1, ..., v_p]`` with
     ``(H - E) v_1 ~ 0`` and ``(H - E) v_i = v_{i-1}`` exactly by
-    construction for ``i >= 2``.  Chains are built top-down: a basis of
-    ``ker N^l`` modulo ``ker N^{l-1}`` and the already-descended tops is
-    picked at the largest power first, then descendants are generated by
-    applying ``N``.  ``_parent_scale`` is ``|H|_2`` when the caller already
-    has it, as :func:`block_diagonalize` does for all its clusters; ``H``
-    is then taken as validated.
+    construction for ``i >= 2``.  Chains are built top-down from the
+    staircase of :func:`_kernel_staircase`: at each power l, from the
+    largest down, every open chain descends one link by ``N``, and the new
+    tops are a basis of ``ker N^l`` modulo ``ker N^{l-1}`` and those links.
+    Each link is formed once.
     """
-    A = as_matrix(H) if _parent_scale is None else H
+    A = as_matrix(H)
     n = A.shape[0]
-    N = A - complex(center) * np.eye(n)
-    parent_scale = float(np.linalg.norm(A, 2)) if _parent_scale is None else _parent_scale
-    kernels, cutoff = _kernel_staircase(N, tol, parent_scale)
+    center = complex(center)
+    N = A - center * np.eye(n)
+    kernels, cutoff = _kernel_staircase(N, tol, center)
 
     q = len(kernels) - 1
     increments = [kernels[l].shape[1] - kernels[l - 1].shape[1] for l in range(1, q + 1)]
@@ -347,22 +346,18 @@ def jordan_chains(
                 f"increment grew from {increments[l - 1]} to {increments[l]}"
             )
 
-    # top-down selection of chain tops
-    tops: list[tuple[int, np.ndarray]] = []
+    chains: list[list[np.ndarray]] = []  # top first until the end
     for l in range(q, 0, -1):
+        for chain in chains:
+            chain.append(N @ chain[-1])
         want = increments[l - 1] - (increments[l] if l < q else 0)
         if want == 0:
             continue
-        blocks = [kernels[l - 1]]
-        for p, t in tops:
-            v = t
-            for _ in range(p - l):
-                v = N @ v
-            blocks.append(v[:, None])
-        Q = np.hstack(blocks)  # spans what the new tops must avoid
+        # spans what the new tops must avoid
+        Q = np.hstack([kernels[l - 1]] + [chain[-1][:, None] for chain in chains])
         if Q.shape[1]:
             Q, _ = np.linalg.qr(Q)
-        cands = kernels[l].copy()
+        cands = kernels[l].copy()  # C order: the layout sets how the products round
         for _ in range(want):
             resid = cands - Q @ (Q.conj().T @ cands)
             norms = np.linalg.norm(resid, axis=0)
@@ -372,23 +367,17 @@ def jordan_chains(
                     f"could not find an independent chain top at power {l}"
                 )
             new = resid[:, j] / norms[j]
-            tops.append((l, new))
+            chains.append([new])
             Q = np.hstack([Q, new[:, None]])
 
-    chains: list[list[np.ndarray]] = []
-    for p, t in tops:
-        chain = [t]
-        for _ in range(p - 1):
-            chain.append(N @ chain[-1])
+    out = []
+    for chain in chains:
         chain.reverse()  # head first
-        head = chain[0]
-        hnorm = float(np.linalg.norm(head))
-        if hnorm == 0.0 or float(np.linalg.norm(N @ head)) > 10 * cutoff:
+        if float(np.linalg.norm(N @ chain[0])) > 10 * cutoff:
             raise JordanStructureError("chain head failed the eigenvector residual check")
-        chains.append(_canonical_gauge(chain))
-
-    chains.sort(key=lambda c: (-len(c), int(np.argmax(np.abs(c[0])))))
-    return chains
+        out.append(_canonical_gauge(chain))
+    out.sort(key=lambda c: (-len(c), int(np.argmax(np.abs(c[0])))))
+    return out
 
 
 def _simple_heads(H, vectors, vals, dist, order, tol: float, scale):
@@ -404,10 +393,11 @@ def _simple_heads(H, vectors, vals, dist, order, tol: float, scale):
     eigenvalues does not qualify: :func:`cluster_eigenvalues` has merged it
     back into one cluster.  The vector, column ``order`` of ``vectors``,
     must also pass the staircase's eigenvector-residual check, ``|(H - E)
-    v| <= 10 max(tol |H - E|_2, 64 n eps |H|_2)``, evaluated with the lower
-    bounds ``rho(H - E)`` and ``|H|_F / sqrt(n)`` in place of the 2-norms,
-    so its cutoff is never looser.  Rows need a finite ``|H|_F``.  Returns
-    the (m, n) verdicts in sorted order.
+    v| <= 10 max(tol |H - E|_2, 64 n eps (|H - E|_2 + |E|))``, evaluated
+    with the lower bounds ``rho(H - E)`` and ``|H|_F / sqrt(n) <= |H|_2 <=
+    |H - E|_2 + |E|`` in place of the 2-norms, so its cutoff is never
+    looser.  Rows need a finite ``|H|_F``.  Returns the (m, n) verdicts in
+    sorted order.
     """
     m, n = vals.shape
     centers = vals + 0.0
@@ -445,29 +435,28 @@ def block_diagonalize(H, tol: float = DEFAULT_TOL) -> BlockDiagonalization:
     A = as_matrix(H)
     if A.shape[0] == 0:
         raise ValueError("cannot decompose an empty matrix")
-    (bd,) = decompose_stack(A[None], tol)
+    (bd,) = decompose_stack(A[None], tol, fro_rows(A[None]))
     if isinstance(bd, Exception):
         raise bd
     return bd
 
 
-def decompose_stack(Hs: np.ndarray, tol: float, scale=None) -> list:
+def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> list:
     """:func:`block_diagonalize` of each row of a validated (m, n, n) stack,
-    n >= 1, given ``|H|_F`` per row in ``scale`` or computing it.
+    n >= 1, given ``|H|_F`` per row in ``scale``.
 
     The eigensolve, the inversion of the eigenvectors, the clustering
     screen, the simple-head checks and the assembly are stacked; only a
     row with a candidate merge runs the union-find, and only a cluster that
-    is not simple and well separated the staircase.  Returns per row a
-    :class:`BlockDiagonalization` or the error of
+    is not simple and well separated the staircase, which takes its scale
+    from its own ``H - E`` and ``E``, not from ``|H|_2``.  Returns per row
+    a :class:`BlockDiagonalization` or the error of
     :data:`DECOMPOSITION_ERRORS` that ended it.  When a stacked LAPACK call
     fails, the rows are decomposed one by one, so a failure stays with its
     own row.
     """
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    if scale is None:
-        scale = fro_rows(Hs)
     try:
         return _decompose(Hs, tol, scale)
     except (EigensolveError, np.linalg.LinAlgError) as exc:
@@ -502,17 +491,13 @@ def _decompose(Hs, tol, scale) -> list:
 
     rows, centers_list, chain_sets = [], [], []
     for i, (skel, first) in skels.items():
-        H = Hs[i]
         try:
-            parent_scale = None
             chains_here = []
             for center, count, j in zip(skel.centers, skel.multiplicities, first):
                 if count == 1 and ok[i, j]:
                     chains = [_canonical_gauge([vectors[i][:, order[i, j]]])]
                 else:
-                    if parent_scale is None:
-                        parent_scale = float(np.linalg.norm(H, 2))
-                    chains = jordan_chains(H, center, tol, _parent_scale=parent_scale)
+                    chains = jordan_chains(Hs[i], center, tol)
                     alg = sum(len(c) for c in chains)
                     if alg != count:
                         raise JordanStructureError(

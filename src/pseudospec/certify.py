@@ -46,17 +46,15 @@ def _relative_residuals(scale_A, terms) -> tuple[list[np.ndarray], list[np.ndarr
     """``|left K - K right| / (|A| |K|)`` for each ``(K, left, right)`` in
     ``terms``, stacks over the rows of ``A`` whose norms are ``scale_A``:
     the relative residual of every intertwining and commutation identity
-    between ``A`` and ``K`` below.  One norm pass over one buffer serves
-    all terms; the norms ``|K|``, with 0 read as 1, are returned as well."""
-    k = len(terms)
-    parts = np.empty((2 * k,) + terms[0][0].shape, dtype=complex)
-    for t, (K, left, right) in enumerate(terms):
-        np.subtract(left @ K, K @ right, out=parts[t])
-        parts[k + t] = K
-    norms = fro_rows(parts.reshape(2 * k * parts.shape[1], -1)).reshape(2 * k, -1)
-    sizes = _safe(norms[k:])
+    between ``A`` and ``K`` below.  Each term's residual is formed and
+    measured in turn, so only one of them is alive at a time; the norms
+    ``|K|``, with 0 read as 1, are returned as well."""
+    residuals, sizes = [], []
+    for K, left, right in terms:
+        residuals.append(fro_rows(left @ K - K @ right))
+        sizes.append(_safe(fro_rows(K)))
     with np.errstate(all="ignore"):  # inf and NaN without a warning, as Python floats
-        return list(norms[:k] / (_safe(scale_A) * sizes)), list(sizes)
+        return [r / (_safe(scale_A) * s) for r, s in zip(residuals, sizes)], sizes
 
 
 def _one_row(H, K) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,11 +109,15 @@ class ToleranceProfile:
     """The tolerances of the decision procedure that ``analyze`` sets,
     serialized into certificates with the fixed ones.
 
-    ``cluster_tol`` is relative to ``|H|_F`` and is only the clustering
-    floor: the eigenvalues of a length-p chain, which rounding scatters like
-    ``eps**(1/p)``, merge through overlapping perturbation discs at any
-    value (see :func:`~pseudospec.blockdiag.cluster_eigenvalues`), so no
-    study near exceptional points needs to widen it.
+    ``cluster_tol`` is the ``tol`` of
+    :func:`~pseudospec.blockdiag.block_diagonalize`: the clustering floor,
+    relative to ``|H|_F``, the rank tolerance of the Jordan staircase,
+    relative to ``|H - E|_2``, and the separation and residual tolerance
+    of an eigenvector taken straight from the eigensolve.  The eigenvalues
+    of a length-p chain, which rounding scatters like ``eps**(1/p)``, merge
+    through overlapping perturbation discs at any value (see
+    :func:`~pseudospec.blockdiag.cluster_eigenvalues`), so no study near
+    exceptional points needs to widen it.
     """
 
     cluster_tol: float = DEFAULT_TOL

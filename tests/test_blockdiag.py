@@ -158,10 +158,14 @@ class TestJordanChains:
         [1.0, np.nan, 0.0],
         [np.inf, 1.0, 0.0],
         [1.0, complex(0.0, -np.inf), 0.0],
+        [1e200, 1e200, 0.0],  # finite entries whose norm overflows
+        [1e-170, 1e-170, 0.0],  # nonzero entries whose norm underflows
     ])
     def test_gauge_refuses_a_zero_or_non_finite_head(self, head):
-        with pytest.raises(JordanStructureError, match="zero or not finite"):
-            blockdiag._canonical_gauge([np.array(head, dtype=complex), np.ones(3, complex)])
+        chain = [np.array(head, dtype=complex), np.ones(3, complex)]
+        with np.errstate(over="ignore"):  # the norm of 1e200 entries overflows
+            with pytest.raises(JordanStructureError, match="zero or not finite"):
+                blockdiag._canonical_gauge(chain)
 
 
 class TestBlockDiagonalize:
@@ -337,6 +341,22 @@ class TestEigensolverHeads:
         assert [c.p_list for c in bd.table.clusters] == [(1,), (2,), (1,)]
         assert len(calls) == 1 and abs(calls[0][1] - 0.75 / scale) < 1e-6
         assert bd.recon_residual < 1e-10
+
+    def test_the_staircase_takes_no_two_norm_of_H(self, monkeypatch):
+        # its floor comes from its own first SVD and the cluster center
+        original = np.linalg.norm
+
+        def no_two_norm(x, ord=None, *args, **kwargs):
+            assert ord != 2, "a 2-norm is one more SVD"
+            return original(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", no_two_norm)
+        J = jordan_matrix([(0.75, [3, 1]), (-1.0, [1])])
+        W = well_conditioned(np.random.default_rng(2), 5)
+        calls = count_calls(monkeypatch, blockdiag, "jordan_chains")
+        bd = block_diagonalize(W @ J @ np.linalg.inv(W), tol=1e-6)
+        assert calls
+        assert [c.p_list for c in bd.table.clusters] == [(1,), (3, 1)]
 
     def test_eigensolver_failure_is_inconclusive(self, monkeypatch):
         def no_convergence(M):

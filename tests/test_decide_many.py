@@ -120,7 +120,9 @@ def test_stack_equals_rowwise_decide(kind, m):
 def test_mixed_stack_covers_every_verdict():
     verdicts = {c.verdict for c in assert_rowwise(mixed(B + 1))}
     assert verdicts == {PSEUDO_HERMITIAN, NOT_PSEUDO_HERMITIAN}
-    assert decide(np.zeros((4, 4))).table.clusters[0].p_list == (1, 1, 1, 1)
+    zero = decide(np.zeros((4, 4)))
+    assert zero.table.clusters[0].p_list == (1, 1, 1, 1)
+    assert np.array_equal(zero.decomposition.A, np.eye(4))  # V of the SVD of N = 0
 
 
 def test_non_finite_entry_names_its_row():
@@ -209,6 +211,15 @@ class TestOneFailureChannel:
         assert cert.verdict == INCONCLUSIVE
         assert re.fullmatch(r"Jordan basis condition number \d\.\d{3}e\+149 exceeds limit 1\.0e\+12",
                             cert.diagnostics)
+
+    def test_overflowing_head_norm_is_inconclusive(self):
+        # at |H| = 1e300 the chain head's entries are finite but its norm
+        # is not; the gauge refuses the head before any NaN reaches A.
+        # |H|_F and that norm overflow with a warning
+        with np.errstate(over="ignore"):
+            cert = decide(np.array([[0.5, 1.0], [0.0, 0.5]]) * 1e300)
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.diagnostics == "chain head is zero or not finite"
 
     def test_overflowing_row_beside_finite_rows(self):
         rows = list(np.random.default_rng(5).standard_normal((5, 2, 2)))
