@@ -45,7 +45,6 @@ from .linalg import (
     fro,
     fro_rows,
     inverse_and_cond_stack,
-    singular_error,
 )
 
 DEFAULT_TOL = 1e-8
@@ -513,13 +512,13 @@ def _decompose(Hs, tol, scale) -> list:
         chain_sets.append(chains_here)
 
     if rows:
-        bds = _assemble(Hs[rows], scale[rows], centers_list, chain_sets, COND_LIMIT)
+        bds = _assemble(Hs[rows], scale[rows], centers_list, chain_sets)
         for i, bd in zip(rows, bds):
             out[i] = bd
     return out
 
 
-def from_chains(H: np.ndarray, centers, chain_sets) -> BlockDiagonalization:
+def from_chains(H, centers, chain_sets) -> BlockDiagonalization:
     """Assemble the triple (A, H0, table) from the Jordan chains of each
     cluster, given in canonical order: ``chain_sets[k]`` holds the chains
     at ``centers[k]``, each head first.
@@ -527,21 +526,23 @@ def from_chains(H: np.ndarray, centers, chain_sets) -> BlockDiagonalization:
     The columns of A follow the labels of :meth:`SpectralTable.labels`, H0
     is the block-Jordan form those labels describe, A is inverted once, and
     the reconstruction residual is taken relative to ``|H|_F``.  Raises
-    :class:`~pseudospec.linalg.SingularMatrixError` for a singular basis.
+    :class:`IllConditionedBasisError` when ``cond(A)`` exceeds
+    :data:`COND_LIMIT`, a singular basis included, as
+    :func:`block_diagonalize` does.
     """
-    H = np.asarray(H)
+    H = as_matrix(H)
     (bd,) = _assemble(H[None], np.array([fro(H)]), [centers], [chain_sets])
     if isinstance(bd, Exception):
         raise bd
     return bd
 
 
-def _assemble(Hs, scale, centers_list, chain_sets, cond_limit=None) -> list:
+def _assemble(Hs, scale, centers_list, chain_sets) -> list:
     """:func:`from_chains` for each row of a stack, one stacked SVD and
-    inversion for all bases.  A row whose basis is singular gets a
-    :class:`~pseudospec.linalg.SingularMatrixError`, or with ``cond_limit``
-    given an :class:`IllConditionedBasisError` when its condition estimate
-    exceeds the limit, as does a regular basis."""
+    inversion for all bases.  A row whose basis has ``cond(A)`` above
+    :data:`COND_LIMIT`, or not finite, gets an
+    :class:`IllConditionedBasisError`; a basis singular to working
+    tolerance is one of them."""
     tables, columns = [], []
     for centers, chains_at in zip(centers_list, chain_sets):
         tables.append(SpectralTable(tuple(
@@ -565,14 +566,12 @@ def _assemble(Hs, scale, centers_list, chain_sets, cond_limit=None) -> list:
     regular = dict(zip(rows, zip(recon, A_inv)))
     out: list = []
     for r, cA in enumerate(cond):
-        if cond_limit is not None and not cA <= cond_limit:  # also inf and NaN
-            out.append(IllConditionedBasisError(
-                f"Jordan basis condition number {cA:.3e} exceeds limit {cond_limit:.1e}"
-            ))
-        elif r in regular:
+        if cA <= COND_LIMIT:  # so r is regular: COND_LIMIT < 1 / SINGULARITY_CUTOFF
             out.append(BlockDiagonalization(A[r], H0[r], tables[r], *regular[r], cA))
-        else:
-            out.append(singular_error(cA))
+        else:  # also inf and NaN
+            out.append(IllConditionedBasisError(
+                f"Jordan basis condition number {cA:.3e} exceeds limit {COND_LIMIT:.1e}"
+            ))
     return out
 
 

@@ -5,8 +5,9 @@ Exit codes of ``analyze``: 0 pseudo-Hermitian, 1 not, 2 inconclusive
 3 input error.  The sweeps exit 0, with an ``inconclusive`` row wherever
 the analysis breaks down, or 3 on an input error, which includes an H
 beyond the float range.  Every command exits 3 on a malformed command
-line.  Sweep commands emit CSV with a fixed column order; float cells use
-shortest round-trip repr, so identical inputs give byte-identical output.
+line and on a file it cannot read or write.  Sweep commands emit CSV with
+a fixed column order; float cells use shortest round-trip repr, so
+identical inputs give byte-identical output.
 """
 from __future__ import annotations
 
@@ -56,19 +57,12 @@ RESIDUAL_COLUMNS = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, header, rows):
     out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(c) for c in row])
+        writer.writerows(rows)
     finally:
         if path:
             out.close()
@@ -77,7 +71,7 @@ def _write_csv(path, header, rows):
 def cmd_analyze(args) -> int:
     try:
         H = load_matrix(args.input)
-    except (FormatError, OSError) as exc:
+    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
@@ -141,7 +135,7 @@ def cmd_scatter_sweep(args) -> int:
         xs = np.linspace(x_lo, x_hi, args.samples)
         certs = decide_many(hamiltonian_at(xs, spec))  # refuses an H beyond the float range
         res = evolve_transfer(spec, x_lo, x_hi, args.steps, at=xs)  # and a U beyond it
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -277,7 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an unreadable input or an unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 def entry_point() -> None:

@@ -14,12 +14,13 @@ exactly.  Branch convention, frozen: ``E_l = i sqrt(lambda_l - w^2)``
 carries the non-negative-imaginary eigenvalue.
 
 Exceptional points sit at ``w = sqrt(lambda_l)``, where the level-``l``
-pair coalesces into a length-2 chain.  Closed forms for the Jordan basis
-and the full witness set are provided in all three spectral regimes and at
-the exceptional points; the witness ``X`` obtained by lifting ``X0``
-through the Jordan basis collapses to plain componentwise conjugation in
-every regime (the model is a real matrix), while ``X0`` itself keeps the
-regime-dependent piecewise form.
+pair coalesces into a length-2 chain.  Each closed form takes only the
+spec and holds in all three spectral regimes and at the exceptional
+points: :func:`closed_form_basis` gives the Jordan basis with its inverse,
+and the ``closed_form_*`` operators the full witness set.  The witness
+``X`` obtained by lifting ``X0`` through the Jordan basis collapses to
+plain componentwise conjugation in every regime (the model is a real
+matrix), while ``X0`` itself keeps the regime-dependent piecewise form.
 """
 from __future__ import annotations
 
@@ -113,13 +114,16 @@ def _eigenvector_block(r) -> list[list]:
     return [[a / 2, b / 2], [b / 2, a / 2]]
 
 
-def _closed_form_basis(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-form Jordan basis A and its inverse, level by level.
+def closed_form_basis(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form Jordan basis A and its inverse, level by level, in
+    every regime and at the exceptional points.
 
-    A level off the exceptional set carries the eigenvector block with
-    ``r = E/w`` in A and ``r = w/E`` in inv(A).  At ``varpi = sqrt(lambda_l)``
-    the coalesced level carries the chain block ``[[1, -2/s], [1, 0]] / 2``
-    in A and ``[[0, 2], [-s, s]]`` in inv(A), with ``s = sqrt(lambda_l)``.
+    A level off the exceptional set carries the eigenvector block
+    ``[[1 - r, 1 + r], [1 + r, 1 - r]] / 2`` with ``r = E/w`` in A and
+    ``r = w/E`` in inv(A).  At ``varpi = sqrt(lambda_l)``, where that block
+    degenerates, the coalesced level carries the chain block ``[[1, -2/s],
+    [1, 0]] / 2`` in A and ``[[0, 2], [-s, s]]`` in inv(A), with ``s =
+    sqrt(lambda_l)``.
     """
     w = spec.varpi
     star = exceptional_index(spec)
@@ -133,36 +137,6 @@ def _closed_form_basis(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
             basis.append(_eigenvector_block(E / w))
             inverse.append(_eigenvector_block(w / E))
     return _assemble(spec, basis), _assemble(spec, inverse)
-
-
-def closed_form_A(spec: ModelSpec) -> np.ndarray:
-    """Eigenvector basis A = [[1 - E/w, 1 + E/w], [1 + E/w, 1 - E/w]] / 2
-    per level; valid away from the exceptional set, where it degenerates."""
-    if is_exceptional(spec):
-        raise ValueError("A degenerates at an exceptional point; use closed_form_A_star")
-    return _closed_form_basis(spec)[0]
-
-
-def closed_form_A_inv(spec: ModelSpec) -> np.ndarray:
-    if is_exceptional(spec):
-        raise ValueError("A degenerates at an exceptional point; use closed_form_A_star")
-    return _closed_form_basis(spec)[1]
-
-
-def closed_form_A_star(spec: ModelSpec, ell_star: int) -> np.ndarray:
-    """Jordan basis at the exceptional point ``varpi = sqrt(lambda_ell)``:
-    the coalesced level carries the chain block ``[[1, -2/s], [1, 0]] / 2``
-    with ``s = sqrt(lambda_ell)``, all other levels keep their eigenvector
-    blocks."""
-    if exceptional_index(spec) != ell_star:
-        raise ValueError("varpi does not sit at the exceptional point of that level")
-    return _closed_form_basis(spec)[0]
-
-
-def closed_form_A_star_inv(spec: ModelSpec, ell_star: int) -> np.ndarray:
-    if exceptional_index(spec) != ell_star:
-        raise ValueError("varpi does not sit at the exceptional point of that level")
-    return _closed_form_basis(spec)[1]
 
 
 def closed_form_H0(spec: ModelSpec) -> np.ndarray:
@@ -233,7 +207,7 @@ def closed_form_operators(spec: ModelSpec) -> SymmetryOperators:
     C_blocks = [np.eye(2) if _real_class(spec, l) else SIGMA_1 for l in range(spec.L)]
     C0 = _assemble(spec, C_blocks)
     eta0 = S @ C0
-    Ainv = _closed_form_basis(spec)[1]
+    Ainv = closed_form_basis(spec)[1]
     eta = Ainv.conj().T @ eta0 @ Ainv
     eta = (eta + eta.conj().T) / 2.0
     return SymmetryOperators(
@@ -254,7 +228,7 @@ def closed_form_block_diagonalization(spec: ModelSpec) -> BlockDiagonalization:
     clusters in the canonical (Re, Im) order so it is interchangeable with
     the generic pipeline's output up to the chain gauge."""
     star = exceptional_index(spec)
-    A_eps = _closed_form_basis(spec)[0]
+    A_eps = closed_form_basis(spec)[0]
     E = energies(spec)
     L = spec.L
 

@@ -242,6 +242,25 @@ class TestBlockDiagonalize:
             block_diagonalize(H)
 
 
+class TestFromChainsAcceptance:
+    """``from_chains`` judges a basis by the rule ``decide`` applies."""
+
+    H = np.diag([1.0, 2.0]).astype(complex)
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+    # cond [[1, 1], [0, 1e-12]] is about 2e12; [[1, 1], [0, 0]] is singular
+    @pytest.mark.parametrize("tail", [1e-12, 0.0], ids=["cond-2e12", "singular"])
+    def test_basis_beyond_the_condition_limit_is_refused(self, tail):
+        with pytest.raises(IllConditionedBasisError, match="exceeds limit 1.0e[+]12"):
+            from_chains(self.H, [1.0, 2.0], [[[self.e1]], [[self.e1 + tail * self.e2]]])
+
+    def test_non_finite_H_is_refused(self):
+        H = self.H.copy()
+        H[0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            from_chains(H, [1.0, 2.0], [[[self.e1]], [[self.e2]]])
+
+
 class TestBiorthonormalComplement:
     def test_unitary_case_degenerates_to_the_same_columns(self):
         bd = block_diagonalize(np.diag([1.0, 2.0, 4.0]))

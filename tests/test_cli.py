@@ -322,6 +322,19 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be finite and non-negative")
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", None, "--json-out"],
+        SWEEP + ["--potential", "rectangular:1,0,1", "--samples", "3", "--steps", "10",
+                 "--csv-out"],
+        MODEL + ["--samples", "3", "--csv-out"],
+    ], ids=["analyze", "scatter-sweep", "model-sweep"])
+    def test_unwritable_output_exits_three(self, tmp_path, argv, capsys):
+        # the output lands in a missing directory, after the work is done
+        argv = [write_matrix(tmp_path, np.eye(2)) if a is None else a for a in argv]
+        assert main(argv + [str(tmp_path / "missing" / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_large_integer_entry_loads_as_float(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"rows": 1, "cols": 1, "entries": [[100000000000000000000, 0]]}')

@@ -181,13 +181,13 @@ class TestSynthesis:
     def test_tau_two_band_reference_gauge_is_inverse_square_basis(self):
         from pseudospec.truncated import (
             ModelSpec,
-            closed_form_A_inv,
+            closed_form_basis,
             reference_gauge_tau,
         )
 
         spec = ModelSpec((1.0, 4.0), 1.5)
         K = reference_gauge_tau(spec).matrix
-        want = closed_form_A_inv(spec)
+        want = closed_form_basis(spec)[1]
         want = want @ want
         assert np.max(np.abs(K - want)) < 1e-12
 

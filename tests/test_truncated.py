@@ -15,13 +15,10 @@ from pseudospec.symmetry import synthesize_operators
 from pseudospec.truncated import (
     ModelSpec,
     build_H,
-    closed_form_A,
-    closed_form_A_inv,
-    closed_form_A_star,
-    closed_form_A_star_inv,
     closed_form_H0,
     closed_form_X,
     closed_form_X0,
+    closed_form_basis,
     closed_form_block_diagonalization,
     closed_form_operators,
     closed_form_tau,
@@ -96,29 +93,23 @@ class TestClosedFormBasis:
         spec = ModelSpec((1.0,), 2.0)
         e = np.sqrt(3.0)
         want = 0.5 * np.array([[1 - e / 2, 1 + e / 2], [1 + e / 2, 1 - e / 2]])
-        assert np.max(np.abs(closed_form_A(spec) - want)) < 1e-14
+        assert np.max(np.abs(closed_form_basis(spec)[0] - want)) < 1e-14
 
     def test_formula_inverse_matches(self):
         for spec in (ModelSpec((1.0, 4.0), 0.5), ModelSpec((1.0, 4.0), 1.5),
                      ModelSpec((2.0, 3.0, 8.0), 2.2)):
-            A, Ainv = closed_form_A(spec), closed_form_A_inv(spec)
+            A, Ainv = closed_form_basis(spec)
             assert fro(A @ Ainv - np.eye(2 * spec.L)) < 1e-12
 
     def test_coalesced_block_and_its_inverse(self):
         spec = ModelSpec((1.0, 4.0), 2.0)
-        A = closed_form_A_star(spec, 1)
-        Ainv = closed_form_A_star_inv(spec, 1)
+        A, Ainv = closed_form_basis(spec)
         assert fro(A @ Ainv - np.eye(4)) < 1e-12
-        with pytest.raises(ValueError):
-            closed_form_A(spec)
-        with pytest.raises(ValueError):
-            closed_form_A_star(ModelSpec((1.0, 4.0), 1.5), 1)
 
     def test_basis_block_diagonalizes(self):
         for spec in (ModelSpec((1.0, 4.0), 1.5), ModelSpec((1.0, 4.0), 2.0)):
             H = build_H(spec)
-            star = exceptional_index(spec)
-            A = closed_form_A(spec) if star is None else closed_form_A_star(spec, star)
+            A = closed_form_basis(spec)[0]
             H0 = closed_form_H0(spec)
             assert fro(H @ A - A @ H0) < 1e-12
 
@@ -169,8 +160,7 @@ class TestClosedFormWitnesses:
         # A X0 conj(inv(A)) collapses to plain conjugation, level by level
         for spec in (ModelSpec((1.0, 4.0), 0.5), ModelSpec((1.0, 4.0), 1.5),
                      ModelSpec((1.0, 4.0), 2.0)):
-            star = exceptional_index(spec)
-            A = closed_form_A(spec) if star is None else closed_form_A_star(spec, star)
+            A = closed_form_basis(spec)[0]
             lift = A @ closed_form_X0(spec).matrix @ np.conj(np.linalg.inv(A))
             assert np.max(np.abs(lift - closed_form_X(spec).matrix)) < 1e-12
 
@@ -326,12 +316,9 @@ class TestClosedFormParity:
         spec = ModelSpec((1.0, 4.0, 9.0), w)
         star = exceptional_index(spec)
         A, Ainv = written_out_basis(spec, star)
-        if star is None:
-            assert np.array_equal(closed_form_A(spec), A)
-            assert np.array_equal(closed_form_A_inv(spec), Ainv)
-        else:
-            assert np.array_equal(closed_form_A_star(spec, star), A)
-            assert np.array_equal(closed_form_A_star_inv(spec, star), Ainv)
+        basis, inverse = closed_form_basis(spec)
+        assert np.array_equal(basis, A)
+        assert np.array_equal(inverse, Ainv)
         ops = closed_form_operators(spec)
         eta = Ainv.conj().T @ ops.eta0 @ Ainv
         assert np.array_equal(ops.eta, (eta + eta.conj().T) / 2.0)
