@@ -45,6 +45,7 @@ from .linalg import (
     fro,
     fro_rows,
     inverse_and_cond_stack,
+    rows_of,
 )
 
 DEFAULT_TOL = 1e-8
@@ -126,7 +127,8 @@ class BlockDiagonalization:
     block-Jordan.
 
     Built only by :func:`from_chains`, which inverts A once: ``A_inv`` and
-    ``cond_A`` come from that one SVD and inversion.
+    ``cond_A`` come from that one SVD and inversion.  ``real`` records that
+    H has no imaginary part, so that conjugation commutes with it.
     """
 
     A: np.ndarray
@@ -135,6 +137,7 @@ class BlockDiagonalization:
     recon_residual: float  # |H - A H0 inv(A)| / |H|
     A_inv: np.ndarray = field(repr=False)
     cond_A: float
+    real: bool
 
 
 def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
@@ -168,9 +171,11 @@ def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
 
 def _condition_numbers(vectors: np.ndarray) -> np.ndarray:
     """Row norms of ``inv(V)`` for each row of a stack of eigenvector
-    matrices, one stacked inversion.  A singular ``V`` gets zeros in a
-    one-row stack and raises ``LinAlgError`` in a larger one, which
-    :func:`decompose_stack` answers row by row.
+    matrices, one stacked inversion.  A singular ``V`` gets zeros.  When
+    one fails the stacked inversion, every row is inverted alone, which
+    gives the other rows the same bits: the real eigensolve can return
+    exactly parallel eigenvectors at an exceptional point, as it does for
+    the two-band model, and the rest of its block stays stacked.
 
     Exactly repeated eigenvectors come with exactly repeated values, which
     the floor joins; unbounded discs would send every pair to a midpoint
@@ -180,7 +185,7 @@ def _condition_numbers(vectors: np.ndarray) -> np.ndarray:
         Vinv = np.linalg.inv(vectors)
     except np.linalg.LinAlgError:
         if len(vectors) > 1:
-            raise
+            return np.concatenate([_condition_numbers(V[None]) for V in vectors])
         return np.zeros(vectors.shape[:2])
     with np.errstate(over="ignore", invalid="ignore"):
         return np.linalg.norm(Vinv, axis=-1)
@@ -512,7 +517,7 @@ def _decompose(Hs, tol, scale) -> list:
         chain_sets.append(chains_here)
 
     if rows:
-        bds = _assemble(Hs[rows], scale[rows], centers_list, chain_sets)
+        bds = _assemble(rows_of(Hs, rows), scale[rows], centers_list, chain_sets)
         for i, bd in zip(rows, bds):
             out[i] = bd
     return out
@@ -561,13 +566,14 @@ def _assemble(Hs, scale, centers_list, chain_sets) -> list:
     A_inv, rows, cond = inverse_and_cond_stack(A.astype(complex, copy=False))
     recon = []
     if rows:
-        R = Hs[rows] - A[rows] @ H0[rows] @ A_inv
+        R = rows_of(Hs, rows) - rows_of(A, rows) @ rows_of(H0, rows) @ A_inv
         recon = [f / (s if s else 1.0) for f, s in zip(fro_rows(R).tolist(), scale[rows].tolist())]
     regular = dict(zip(rows, zip(recon, A_inv)))
+    real = (~Hs.imag.any(axis=(1, 2))).tolist()
     out: list = []
     for r, cA in enumerate(cond):
         if cA <= COND_LIMIT:  # so r is regular: COND_LIMIT < 1 / SINGULARITY_CUTOFF
-            out.append(BlockDiagonalization(A[r], H0[r], tables[r], *regular[r], cA))
+            out.append(BlockDiagonalization(A[r], H0[r], tables[r], *regular[r], cA, real[r]))
         else:  # also inf and NaN
             out.append(IllConditionedBasisError(
                 f"Jordan basis condition number {cA:.3e} exceeds limit {COND_LIMIT:.1e}"

@@ -22,7 +22,7 @@ from .blockdiag import (
     SpectralTable,
     decompose_stack,
 )
-from .linalg import as_matrix, as_stack, dagger, fro_rows
+from .linalg import as_matrix, as_stack, dagger, fro_rows, rows_of
 from .symmetry import (
     DEFAULT_PAIR_TOL,
     DEFAULT_REAL_TOL,
@@ -162,17 +162,20 @@ BLOCK_ROWS = 16
 def _witness_residuals(A, scale_A, tau, X, eta) -> list[dict[str, float]]:
     """The six witness residuals of each row of a stack, given ``|H|_F``
     and the stacked matrix parts of tau and X and the stacked eta."""
+    # the two that need no product with A first, while few arrays are alive
+    involution = involution_residual(X)
+    hermitian = fro_rows(eta - dagger(eta))
     gamma = product(tau, X)  # gamma_from_tau_X of each row
-    Ah, Ac = dagger(A), np.conj(A)
+    Ac = np.conj(A)
+    Ah = np.swapaxes(Ac, -1, -2)  # dagger(A)
     (anti, commute, intertwine, gamma_res), (_, _, eta_size, _) = _relative_residuals(
         scale_A, [(tau, Ah, Ac), (X, A, Ac), (eta, Ah, A), (gamma, Ah, A)]
     )
-    hermitian = fro_rows(eta - dagger(eta))
     with np.errstate(all="ignore"):  # see _relative_residuals
         hermitian = hermitian / eta_size
     columns = {
         "anti_ph": anti,
-        "X_involution": involution_residual(X),
+        "X_involution": involution,
         "X_commute": commute,
         "eta_hermitian": hermitian,
         "eta_intertwine": intertwine,
@@ -240,7 +243,7 @@ def _decide_block(Hs: np.ndarray, tol: ToleranceProfile) -> list[Certificate]:
         rows = [r for r, _, _ in paired]
         ops, stacks = synthesize_stack([bd for _, bd, _ in paired], [lab for _, _, lab in paired])
         for (r, bd, labeling), w, res in zip(
-            paired, ops, _witness_residuals(Hs[rows], scale[rows], *stacks)
+            paired, ops, _witness_residuals(rows_of(Hs, rows), scale[rows], *stacks)
         ):
             residuals = {"reconstruction": bd.recon_residual, **res}
             failed = {k: v for k, v in res.items() if v > WITNESS_TOL}

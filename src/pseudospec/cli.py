@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
+from contextlib import contextmanager, nullcontext
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .scattering import (
     evolve_transfer,
     hamiltonian_at,
 )
-from .serialization import FormatError, dumps_certificate, load_matrix
+from .serialization import dumps_certificate, load_matrix
 from .truncated import ModelSpec, build_H, closed_form_X, is_exceptional
 
 EXIT_PSEUDO_HERMITIAN = 0
@@ -57,38 +60,44 @@ RESIDUAL_COLUMNS = (
 )
 
 
-def _write_csv(path, header, rows):
-    out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if path:
-            out.close()
+def _input_error(exc) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
+@contextmanager
+def _output(path):
+    """The command's output: stdout, or the file at ``path``, opened now,
+    before the work, so that an unwritable path fails at once.  A file that
+    this creates and the command leaves empty, after an input error or a
+    failure, is removed, so that no partial output is left behind."""
+    created = bool(path) and not os.path.lexists(path)
+    with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+        try:
+            yield out
+        finally:
+            if created and not out.tell():
+                os.remove(path)
+
+
+def _write_csv(out, header, rows):
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
 
 
 def cmd_analyze(args) -> int:
     try:
         H = load_matrix(args.input)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
         profile = ToleranceProfile(
             cluster_tol=args.tol_cluster, real_tol=args.tol_real, pair_tol=args.tol_pair
         )
-        cert = decide(H, profile)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    text = dumps_certificate(cert)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-    else:
-        print(text)
+    except ValueError as exc:  # a FormatError too
+        return _input_error(exc)
+    with _output(args.json_out) as out:
+        try:
+            cert = decide(H, profile)
+        except ValueError as exc:
+            return _input_error(exc)
+        out.write(dumps_certificate(cert) + "\n")
     return _VERDICT_EXIT[cert.verdict]
 
 
@@ -133,11 +142,8 @@ def cmd_scatter_sweep(args) -> int:
             raise ValueError("x-range must be finite and increasing")
         potential.value(np.array([x_lo, x_hi]))  # a sampled grid must cover the range
         xs = np.linspace(x_lo, x_hi, args.samples)
-        certs = decide_many(hamiltonian_at(xs, spec))  # refuses an H beyond the float range
-        res = evolve_transfer(spec, x_lo, x_hi, args.steps, at=xs)  # and a U beyond it
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(exc)
 
     def one(x, U, drift, cert):
         row = [float(x), float(spec.k)]
@@ -148,10 +154,16 @@ def cmd_scatter_sweep(args) -> int:
         row += [float(cert.residuals.get(name, np.nan)) for name in RESIDUAL_COLUMNS]
         return row
 
-    # map, unlike a loop variable, holds no certificate while the next
-    # block is decided, so one block of them is alive at a time
-    rows = list(map(one, xs, res.sample_U, res.sample_drift, certs))
-    _write_csv(args.csv_out, _scatter_header(), rows)
+    with _output(args.csv_out) as out:
+        try:
+            certs = decide_many(hamiltonian_at(xs, spec))  # refuses an H beyond the float range
+            res = evolve_transfer(spec, x_lo, x_hi, args.steps, at=xs)  # and a U beyond it
+        except ValueError as exc:
+            return _input_error(exc)
+        # map, unlike a loop variable, holds no certificate while the next
+        # block is decided, so one block of them is alive at a time
+        rows = list(map(one, xs, res.sample_U, res.sample_drift, certs))
+        _write_csv(out, _scatter_header(), rows)
     return 0
 
 
@@ -175,10 +187,8 @@ def cmd_model_sweep(args) -> int:
         if not np.all(samples > 0):  # also refuses a NaN bound
             raise ValueError("varpi must stay positive over the sweep")
         Hs = np.stack([build_H(ModelSpec(lambdas, float(varpi))) for varpi in samples])
-        certs = decide_many(Hs)  # refuses an H beyond the float range
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(exc)
 
     def one(varpi, cert):
         spec = ModelSpec(lambdas, float(varpi))
@@ -200,17 +210,18 @@ def cmd_model_sweep(args) -> int:
         row += [cert.verdict]
         row += [float(cert.residuals.get(name, np.nan)) for name in RESIDUAL_COLUMNS]
         if args.compare_closed_form:
-            if cert.witnesses is not None:
-                dev = float(
-                    np.max(np.abs(cert.witnesses.X.matrix - closed_form_X(spec).matrix))
-                )
-            else:
-                dev = float("nan")
-            row.append(dev)
+            w = cert.witnesses
+            dev = np.max(np.abs(w.X.matrix - closed_form_X(spec).matrix)) if w is not None else np.nan
+            row.append(float(dev))
         return row
 
-    rows = list(map(one, samples, certs))  # one block alive; see scatter-sweep
-    _write_csv(args.csv_out, _model_header(len(lambdas), args.compare_closed_form), rows)
+    with _output(args.csv_out) as out:
+        try:
+            certs = decide_many(Hs)  # refuses an H beyond the float range
+        except ValueError as exc:
+            return _input_error(exc)
+        rows = list(map(one, samples, certs))  # one block alive; see scatter-sweep
+        _write_csv(out, _model_header(len(lambdas), args.compare_closed_form), rows)
     return 0
 
 
@@ -233,7 +244,10 @@ def _count(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=None)  # it costs about a millisecond, a quarter of a small analyze
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process."""
     parser = _Parser(
         prog="pseudospec",
         description="Block-diagonalization and pseudo-Hermiticity certificates "

@@ -7,7 +7,9 @@ one SVD, and the Frobenius norm.  All operators are dense complex numpy
 arrays; the one tolerance, the singularity cutoff, is relative to the
 largest singular value.  The eigensolve, the inversion and the norm also
 take an (m, n, n) stack and treat its rows as separate matrices, bit for
-bit equal to one call per row.
+bit equal to one call per row.  A row with no imaginary part is
+eigensolved in real arithmetic, so that real input keeps its exact
+conjugate symmetry.
 """
 from __future__ import annotations
 
@@ -79,6 +81,12 @@ def fro_rows(M) -> np.ndarray:
     return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).ravel()
 
 
+def rows_of(a: np.ndarray, rows) -> np.ndarray:
+    """``a[rows]`` for increasing row indices ``rows``, a view when they
+    take every row."""
+    return a if len(rows) == len(a) else a[rows]
+
+
 def eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit-norm eigenvector columns from one eigensolve.
 
@@ -86,16 +94,23 @@ def eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
     defective input the columns may (nearly) repeat; resolving that into
     Jordan chains is the job of :mod:`pseudospec.blockdiag`.  Backed by the
     LAPACK Hessenberg/QR triangularization, which stays stable on defective
-    matrices.
+    matrices.  A real matrix takes the real triangularization, whose
+    complex eigenvalues and eigenvectors come in exactly conjugate pairs.
     """
-    return eigensystem_stack(as_matrix(M))
+    return tuple(a[0] for a in eigensystem_stack(as_matrix(M)[None]))
 
 
 def eigensystem_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`eigensystem` of a validated matrix or (m, n, n) stack, one
-    eigensolve for all rows; a failure on any row fails the call."""
+    """:func:`eigensystem` of each row of a validated (m, n, n) stack: one
+    real eigensolve for the rows whose imaginary part is all zero, one
+    complex eigensolve for the others; a failure on any row fails the
+    call."""
+    real = ~A.imag.reshape(len(A), -1).any(axis=1)
+    values, vectors = np.empty(A.shape[:2], dtype=complex), np.empty(A.shape, dtype=complex)
     try:
-        values, vectors = np.linalg.eig(A)
+        for rows, part in ((np.flatnonzero(real), np.real), (np.flatnonzero(~real), np.asarray)):
+            if len(rows):
+                values[rows], vectors[rows] = np.linalg.eig(part(rows_of(A, rows)))
     except np.linalg.LinAlgError as exc:  # non-convergence is reported, never silent
         raise EigensolveError(f"eigenvalue iteration did not converge: {exc}") from exc
     norms = np.linalg.norm(vectors, axis=-2)
@@ -125,7 +140,7 @@ def inverse_and_cond_stack(A: np.ndarray) -> tuple[np.ndarray, list[int], list[f
         est.append(float("inf") if smin == 0.0 else smax / smin)
         if smin > SINGULARITY_CUTOFF * smax and smax != 0.0:
             rows.append(r)
-    return np.linalg.inv(A[rows]) if rows else A[:0], rows, est
+    return np.linalg.inv(rows_of(A, rows)) if rows else A[:0], rows, est
 
 
 def inverse(M) -> np.ndarray:

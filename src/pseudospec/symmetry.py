@@ -250,7 +250,12 @@ def synthesize_stack(bds, labelings) -> tuple[list[SymmetryOperators], tuple]:
     the permutations row by row, every similarity lift as one stacked
     product.  Also returns the stacks of the matrix parts of tau and X and
     of eta, which the operators view.  Raises :class:`PairingError` when a
-    pairing test fails."""
+    pairing test fails.
+
+    For a real H, X is the conjugation exactly: it commutes with H and
+    squares to 1 whatever the basis.  When in addition ``conj(A) == A C0``
+    holds bit for bit, tau and eta are real in exact arithmetic, and they
+    are stored real: their imaginary parts are product rounding."""
     S = np.stack([build_S(bd.table) for bd in bds])
     C0 = np.stack([build_C0(lab, bd.table) for bd, lab in zip(bds, labelings)])
     A = np.stack([bd.A for bd in bds])
@@ -259,8 +264,18 @@ def synthesize_stack(bds, labelings) -> tuple[list[SymmetryOperators], tuple]:
     eta0 = build_eta0(S, C0)
     X0 = _X0(eta0, tau0)
     tau = _tau(A_inv, tau0)
-    X = _lift(A, X0, A_inv)
     eta = _metric(A_inv, eta0)
+    real = np.array([bd.real for bd in bds])
+    if real.any():
+        X = np.repeat(np.eye(A.shape[-1], dtype=complex)[None], len(bds), axis=0)
+        if not real.all():
+            X[~real] = _lift(A[~real], X0[~real], A_inv[~real])
+        # A C0 gathers the columns of A that the columns of C0 pick
+        AC0 = np.take_along_axis(A, C0.argmax(axis=1)[:, None, :], axis=2)
+        exact = real & (np.conj(A) == AC0).all(axis=(1, 2))
+        tau.imag[exact] = eta.imag[exact] = 0.0
+    else:
+        X = _lift(A, X0, A_inv)
     trusted = AntilinearOp.trusted
     ops = [
         SymmetryOperators(

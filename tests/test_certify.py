@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from pseudospec.certify import (
     PSEUDO_HERMITIAN,
     ToleranceProfile,
     decide,
+    decide_many,
     residual_commute_antilinear,
     residual_hermitian_metric,
     residual_intertwine_antilinear,
@@ -15,6 +18,7 @@ from pseudospec.certify import (
     residual_involution,
 )
 from pseudospec.linalg import fro
+from pseudospec.truncated import ModelSpec, build_H
 from tests.test_blockdiag import jordan_matrix, scatter_hamiltonian, well_conditioned
 
 
@@ -181,3 +185,58 @@ class TestDecide:
     def test_certificate_records_tolerances(self):
         cert = decide(np.eye(2))
         assert cert.tolerances == ToleranceProfile().as_dict()
+
+
+def bitwise_conjugate(z: complex, w: complex) -> bool:
+    return np.array([z.real, z.imag]).tobytes() == np.array([w.real, -w.imag]).tobytes()
+
+
+def model_sweep_l4() -> np.ndarray:
+    # lambda = l^2: the grid holds the exceptional points varpi = 1, 2, 3, 4
+    varpis = np.linspace(0.5, 4.5, 17)
+    return np.stack([build_H(ModelSpec((1.0, 4.0, 9.0, 16.0), float(w))) for w in varpis])
+
+
+class TestRealInput:
+    """A real H is decided in real arithmetic: its conjugate pairs are
+    exact, X is the conjugation itself, and tau and eta are real when the
+    Jordan basis is conjugation-symmetric, as it is for these simple
+    spectra."""
+
+    def check(self, H, cert):
+        assert cert.verdict == PSEUDO_HERMITIAN
+        clusters = cert.table.clusters
+        for a, b in cert.labeling.pairs:
+            assert bitwise_conjugate(clusters[a].value, clusters[b].value)
+        w = cert.witnesses
+        assert np.array_equal(w.X.matrix, np.eye(len(H)))
+        assert cert.residuals["X_involution"] == 0.0
+        assert cert.residuals["X_commute"] == 0.0
+        simple = all(c.p_list == (1,) for c in clusters)
+        if simple:
+            assert not w.tau.matrix.imag.any() and not w.eta.imag.any()
+        return simple
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_seeded_real_matrices(self, n):
+        H = np.random.default_rng([5, n]).standard_normal((n, n))
+        assert self.check(H, decide(H))
+
+    def test_every_row_of_a_model_sweep(self):
+        Hs = model_sweep_l4()
+        simple = [self.check(H, cert) for H, cert in zip(Hs, decide_many(Hs))]
+        assert simple.count(False) == 4  # the four exceptional points
+
+    def test_one_row_decide_peak_memory(self):
+        # a one-row block views H, A and inv(A) instead of copying them, and
+        # the residuals form few temporaries at once: the traced peak was
+        # 4.66 MiB with the copies and is 3.91 MiB without them
+        H = np.random.default_rng(3).standard_normal((128, 128))
+        decide(H)
+        tracemalloc.start()
+        try:
+            decide(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.25 * 2**20

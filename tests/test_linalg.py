@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from pseudospec.linalg import SingularMatrixError, eigensystem, fro, fro_rows, inverse
+from pseudospec.linalg import (
+    SingularMatrixError,
+    eigensystem,
+    eigensystem_stack,
+    fro,
+    fro_rows,
+    inverse,
+)
 
 
 def random_similarity(rng, n, spread=(0.5, 2.0)):
@@ -97,3 +104,23 @@ def test_fro_rows_is_fro_of_each_row_bit_for_bit(n):
     M[4, 0, 0] = 1e300  # its squares overflow to inf in both
     with np.errstate(over="ignore"):
         assert [float(f) for f in fro_rows(M)] == [fro(row) for row in M]
+
+
+def test_real_rows_give_exactly_conjugate_pairs():
+    # real and complex rows in one stack: a real row takes the real
+    # eigensolve, whose non-real values and vectors are exact conjugates,
+    # and every row equals its own one-row call bit for bit
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((4, 8, 8)).astype(complex)
+    M[1] += 1j * rng.standard_normal((8, 8))
+    values, vectors = eigensystem_stack(M)
+    for r in range(len(M)):
+        one = eigensystem_stack(M[r:r + 1])
+        assert values[r].tobytes() == one[0][0].tobytes()
+        assert vectors[r].tobytes() == one[1][0].tobytes()
+    for r in (0, 2, 3):
+        nonreal = np.flatnonzero(values[r].imag)
+        assert nonreal.size
+        for k in nonreal:
+            (j,) = np.flatnonzero(values[r] == np.conj(values[r, k]))
+            assert np.array_equal(vectors[r][:, j], np.conj(vectors[r][:, k]))
