@@ -28,10 +28,15 @@ Canonical ordering, frozen so downstream operators are reproducible:
 Each chain is rescaled as a whole so that its head has unit norm with the
 first significant component real positive.  That fixes the per-chain scale
 and phase; the residual in-chain mixing freedom is resolved
-deterministically by the top-down construction below.
+deterministically by the top-down construction below.  The rule runs in
+array form, once per stack of heads: once per decomposed block for all its
+simple, well-separated heads and once per staircase cluster for its
+chains.  It takes the pivot's modulus with ``np.hypot``, so a head gets
+the same bits in any stack as alone.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -308,20 +313,36 @@ def _kernel_staircase(N: np.ndarray, tol: float, center: complex):
         _, s, vh = np.linalg.svd(vh[:n - k] @ N)
 
 
-def _canonical_gauge(chain: list[np.ndarray]) -> list[np.ndarray]:
-    """Rescale a chain as a whole so that its head has unit norm with the
-    first significant component real positive (the frozen head rule)."""
-    head = chain[0]
-    hnorm = float(np.linalg.norm(head))
-    # a positive finite norm means finite entries, not all zero; nan fails
-    if not 0.0 < hnorm < np.inf:
+def _canonical_gauge(heads: np.ndarray) -> np.ndarray:
+    """The frozen head rule for each row of a (k, n) stack of chain heads:
+    the factor that gives the head unit norm with its first significant
+    component, the first above ``1e-12`` times its largest modulus, real
+    positive.  A head whose norm is zero or not finite is refused: its
+    factor is NaN.
+
+    The factor is ``s conj(p) / |p|`` with ``s = 1 / |h|`` and the pivot
+    ``p = h[sig] s``, in that order, the norm from :func:`fro_rows` and
+    ``|p|`` as ``np.hypot(p.real, p.imag)``, which is the scalar ``abs``
+    bit for bit where ``np.abs`` of an array is not; so every factor has
+    the bits of one head gauged alone.
+    """
+    norms = fro_rows(heads)
+    mags = np.abs(heads)
+    sig = (mags > 1e-12 * mags.max(axis=1, keepdims=True)).argmax(axis=1)
+    # a norm of 0 or inf sends 0 * inf, 0 / 0 or inf / inf into the factor,
+    # and a NaN norm its NaN, so a refused head's factor is NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = 1.0 / norms
+        pivot = heads[np.arange(len(heads)), sig] * scale
+        return scale * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
+
+
+def _gauged(factor, *chain: np.ndarray) -> list[np.ndarray]:
+    """The links of a chain, head first, scaled as a whole by the head's
+    factor from :func:`_canonical_gauge`; a NaN factor refuses the chain."""
+    if cmath.isnan(factor):
         raise JordanStructureError("chain head is zero or not finite")
-    mags = np.abs(head)
-    scale = 1.0 / hnorm
-    sig = np.nonzero(mags > 1e-12 * float(mags.max()))[0][0]
-    pivot = head[sig] * scale
-    scale *= np.conj(pivot) / abs(pivot)
-    return [scale * v for v in chain]
+    return [factor * v for v in chain]
 
 
 def jordan_chains(H, center, tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]:
@@ -333,7 +354,8 @@ def jordan_chains(H, center, tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]
     staircase of :func:`_kernel_staircase`: at each power l, from the
     largest down, every open chain descends one link by ``N``, and the new
     tops are a basis of ``ker N^l`` modulo ``ker N^{l-1}`` and those links.
-    Each link is formed once.
+    Each link is formed once, and one call of :func:`_canonical_gauge`
+    gauges every chain head.
     """
     A = as_matrix(H)
     n = A.shape[0]
@@ -375,12 +397,13 @@ def jordan_chains(H, center, tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]
             Q = np.hstack([Q, new[:, None]])
 
     out = []
-    for chain in chains:
+    for factor, chain in zip(_canonical_gauge(np.array([c[-1] for c in chains])), chains):
         chain.reverse()  # head first
         if float(np.linalg.norm(N @ chain[0])) > 10 * cutoff:
             raise JordanStructureError("chain head failed the eigenvector residual check")
-        out.append(_canonical_gauge(chain))
-    out.sort(key=lambda c: (-len(c), int(np.argmax(np.abs(c[0])))))
+        out.append(_gauged(factor, *chain))
+    if len(out) > 1:  # one chain needs no order, nor a key
+        out.sort(key=lambda c: (-len(c), int(np.argmax(np.abs(c[0])))))
     return out
 
 
@@ -450,10 +473,11 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> list:
     n >= 1, given ``|H|_F`` per row in ``scale``.
 
     The eigensolve, the inversion of the eigenvectors, the clustering
-    screen, the simple-head checks and the assembly are stacked; only a
-    row with a candidate merge runs the union-find, and only a cluster that
-    is not simple and well separated the staircase, which takes its scale
-    from its own ``H - E`` and ``E``, not from ``|H|_2``.  Returns per row
+    screen, the simple-head checks, their gauge and the assembly are
+    stacked; only a row with a candidate merge runs the union-find, and only
+    a cluster that is not simple and well separated the staircase, which
+    takes its scale from its own ``H - E`` and ``E``, not from ``|H|_2``,
+    and gauges its chain heads in one call.  Returns per row
     a :class:`BlockDiagonalization` or the error of
     :data:`DECOMPOSITION_ERRORS` that ended it.  When a stacked LAPACK call
     fails, the rows are decomposed one by one, so a failure stays with its
@@ -492,14 +516,22 @@ def _decompose(Hs, tol, scale) -> list:
         ok[check] = _simple_heads(
             Hs[check], vectors[check], vals[check], dist[check], order[check], tol, scale[check]
         )
+    # and one gauge of all their simple, well-separated heads
+    simple = [(i, j) for i, (skel, first) in skels.items()
+              for count, j in zip(skel.multiplicities, first) if count == 1 and ok[i, j]]
+    gauges = {}
+    if simple:
+        si, sj = np.array(simple).T
+        heads = vectors[si, :, order[si, sj]]
+        gauges = dict(zip(simple, zip(_canonical_gauge(heads), heads)))
 
     rows, centers_list, chain_sets = [], [], []
     for i, (skel, first) in skels.items():
         try:
             chains_here = []
             for center, count, j in zip(skel.centers, skel.multiplicities, first):
-                if count == 1 and ok[i, j]:
-                    chains = [_canonical_gauge([vectors[i][:, order[i, j]]])]
+                if (i, j) in gauges:
+                    chains = [_gauged(*gauges[i, j])]
                 else:
                     chains = jordan_chains(Hs[i], center, tol)
                     alg = sum(len(c) for c in chains)

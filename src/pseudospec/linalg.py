@@ -103,18 +103,22 @@ def eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
 def eigensystem_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`eigensystem` of each row of a validated (m, n, n) stack: one
     real eigensolve for the rows whose imaginary part is all zero, one
-    complex eigensolve for the others; a failure on any row fails the
-    call."""
+    complex eigensolve for the others, and no scatter when every row is of
+    one kind; a failure on any row fails the call."""
     real = ~A.imag.reshape(len(A), -1).any(axis=1)
-    values, vectors = np.empty(A.shape[:2], dtype=complex), np.empty(A.shape, dtype=complex)
+    all_real = bool(real.all())
     try:
-        for rows, part in ((np.flatnonzero(real), np.real), (np.flatnonzero(~real), np.asarray)):
-            if len(rows):
-                values[rows], vectors[rows] = np.linalg.eig(part(rows_of(A, rows)))
+        if all_real or not real.any():
+            values, vectors = (a.astype(complex, copy=False)
+                               for a in np.linalg.eig(A.real if all_real else A))
+        else:
+            values, vectors = np.empty(A.shape[:2], dtype=complex), np.empty(A.shape, dtype=complex)
+            for rows, part in ((np.flatnonzero(real), np.real), (np.flatnonzero(~real), np.asarray)):
+                values[rows], vectors[rows] = np.linalg.eig(part(A[rows]))
     except np.linalg.LinAlgError as exc:  # non-convergence is reported, never silent
         raise EigensolveError(f"eigenvalue iteration did not converge: {exc}") from exc
     norms = np.linalg.norm(vectors, axis=-2)
-    if np.any(norms == 0.0):
+    if not norms.all():
         raise EigensolveError("eigensolver returned a zero vector")
     return values, vectors / norms[..., None, :]
 

@@ -12,7 +12,7 @@ from pseudospec.blockdiag import (
     from_chains,
     jordan_chains,
 )
-from pseudospec.linalg import EigensolveError, fro
+from pseudospec.linalg import EigensolveError, eigensystem, fro
 from pseudospec.truncated import ModelSpec, build_H, closed_form_block_diagonalization
 
 
@@ -40,6 +40,21 @@ def well_conditioned(rng, n, spread=(0.6, 1.6)):
 def scatter_hamiltonian(x, k, v=1.0):
     u = np.exp(-2j * k * x)
     return (v / (2 * k)) * np.array([[1.0, u], [-1.0 / u, -1.0]])
+
+
+def per_vector_gauge(chain):
+    """The frozen head rule as one scalar computation per chain: the
+    reference for the bits of the array gauge."""
+    head = chain[0]
+    hnorm = float(np.linalg.norm(head))
+    if not 0.0 < hnorm < np.inf:
+        raise JordanStructureError("chain head is zero or not finite")
+    mags = np.abs(head)
+    scale = 1.0 / hnorm
+    sig = np.nonzero(mags > 1e-12 * float(mags.max()))[0][0]
+    pivot = head[sig] * scale
+    scale *= np.conj(pivot) / abs(pivot)
+    return [scale * v for v in chain]
 
 
 def cluster_diagonal(raw, tol):
@@ -150,7 +165,8 @@ class TestJordanChains:
 
     def test_gauge_makes_the_first_significant_head_component_positive(self):
         head, top = np.array([0.0, 3j, 4.0]), np.array([1.0, 0.0, 0.0])
-        got = blockdiag._canonical_gauge([head, top])
+        (factor,) = blockdiag._canonical_gauge(head[None])
+        got = blockdiag._gauged(factor, head, top)
         assert np.allclose(got[0], [0.0, 0.6, -0.8j]) and np.allclose(got[1], [-0.2j, 0.0, 0.0])
 
     @pytest.mark.parametrize("head", [
@@ -164,8 +180,50 @@ class TestJordanChains:
     def test_gauge_refuses_a_zero_or_non_finite_head(self, head):
         chain = [np.array(head, dtype=complex), np.ones(3, complex)]
         with np.errstate(over="ignore"):  # the norm of 1e200 entries overflows
-            with pytest.raises(JordanStructureError, match="zero or not finite"):
-                blockdiag._canonical_gauge(chain)
+            (factor,) = blockdiag._canonical_gauge(chain[0][None])
+        with pytest.raises(JordanStructureError, match="zero or not finite"):
+            blockdiag._gauged(factor, *chain)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    def test_array_gauge_is_the_per_vector_rule_bit_for_bit(self, kind, n):
+        # the eigenvector heads of a block, gathered in a shuffled order as
+        # contiguous rows, against the rule applied to each strided column
+        rng = np.random.default_rng(n)
+        H = rng.standard_normal((n, n))
+        if kind == "complex":
+            H = H + 1j * rng.standard_normal((n, n))
+        V = eigensystem(H)[1]
+        perm = rng.permutation(n)
+        heads = V.T[perm]
+        for factor, head, col in zip(blockdiag._canonical_gauge(heads), heads, perm):
+            (want,) = per_vector_gauge([V[:, col]])
+            assert blockdiag._gauged(factor, head)[0].tobytes() == want.tobytes()
+
+    def test_array_gauge_is_the_per_vector_rule_on_chains(self):
+        # heads of every scale, some led by zero or tiny components, so that
+        # the pivot is not always the first entry, on chains of length 1-3
+        rng = np.random.default_rng(3)
+        chains = []
+        for k in range(60):
+            chain = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(k % 3 + 1)]
+            chain[0] *= 10.0 ** rng.integers(-150, 150)
+            chain[0][:k % 4] *= [0.0, 1e-13, 1e-11][:k % 4]
+            chains.append(chain)
+        factors = blockdiag._canonical_gauge(np.array([c[0] for c in chains]))
+        for factor, chain in zip(factors, chains):
+            got, want = blockdiag._gauged(factor, *chain), per_vector_gauge(chain)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, 1e200])
+    def test_a_refused_head_leaves_the_others_their_bits(self, bad):
+        heads = np.random.default_rng(4).standard_normal((5, 4)) + 0j
+        heads[2] = bad
+        with np.errstate(over="ignore"):  # the norm of 1e200 entries overflows
+            factors = blockdiag._canonical_gauge(heads)
+        assert np.isnan(factors).tolist() == [r == 2 for r in range(5)]
+        for r in (0, 1, 3, 4):
+            assert factors[r].tobytes() == blockdiag._canonical_gauge(heads[r:r + 1])[0].tobytes()
 
 
 class TestBlockDiagonalize:

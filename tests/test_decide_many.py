@@ -16,7 +16,7 @@ from pseudospec.certify import (
 )
 from pseudospec.scattering import PotentialSpec, RectangularBarrier, hamiltonian_at
 from pseudospec.truncated import ModelSpec, build_H
-from tests.test_blockdiag import jordan_matrix, well_conditioned
+from tests.test_blockdiag import count_calls, jordan_matrix, well_conditioned
 
 B = BLOCK_ROWS
 SIZES = [1, B - 1, B, B + 1]
@@ -300,3 +300,21 @@ def test_model_sweep_makes_one_eig_call_per_block(tmp_path, monkeypatch):
     ]) == 0
     assert len(rows_per_call) == math.ceil(201 / B)
     assert sum(rows_per_call) == 201  # no row is solved twice
+
+
+def test_model_sweep_gauges_each_block_once(tmp_path, monkeypatch):
+    # the simple heads of a block share one gauge call; each of the two
+    # coalesced clusters, at varpi = 1 and 2, runs the staircase and gauges
+    # its one chain head there; no head is gauged twice
+    heads_per_call = []
+    gauge = blockdiag._canonical_gauge
+    monkeypatch.setattr(blockdiag, "_canonical_gauge",
+                        lambda heads: heads_per_call.append(len(heads)) or gauge(heads))
+    staircases = count_calls(monkeypatch, blockdiag, "jordan_chains")
+    assert cli.main([
+        "model-sweep", "--lambdas", "1,4", "--varpi-range", "0.5", "3", "--samples", "201",
+        "--csv-out", str(tmp_path / "sweep.csv"),
+    ]) == 0
+    assert len(staircases) == 2
+    assert len(heads_per_call) == math.ceil(201 / B) + len(staircases)
+    assert sum(heads_per_call) == 4 * 201 - 2
