@@ -200,18 +200,20 @@ def _merge_screen(values, kappa, tol, scale) -> tuple:
     """Sort each row of ``values`` by (Re, Im) and find its pairs within
     the absolute floor ``tol`` or with overlapping perturbation discs;
     ``kappa`` holds the condition numbers in raw order.  Returns the
-    sorted values, their distances, both pair masks, ``scale``, the rows
-    with a pair that may merge and the raw index of each sorted value."""
+    sorted values, their distances, both pair masks, each pair once, as
+    ``(i, j)`` with ``i < j``, ``scale``, the rows with a pair that may
+    merge and the raw index of each sorted value."""
     m, n = values.shape
     order = np.lexsort((values.imag, values.real), axis=-1)
     by_value = (np.arange(m)[:, None], order)
     vals = values[by_value]
     dist = np.abs(vals[:, :, None] - vals[:, None, :])
-    floor = dist <= tol[:, None, None]
+    upper = np.arange(n)[:, None] < np.arange(n)  # dist and both masks are symmetric
+    floor = (dist <= tol[:, None, None]) & upper
     with np.errstate(over="ignore", invalid="ignore"):
         r = kappa[by_value] * (n * EPS * scale)[:, None]
-        overlap = dist <= r[:, :, None] + r[:, None, :]
-    candidates = ((floor | overlap) & ~np.eye(n, dtype=bool)).any(axis=(1, 2))
+        overlap = (dist <= r[:, :, None] + r[:, None, :]) & upper
+    candidates = (floor | overlap).any(axis=(1, 2))
     return vals, dist, floor, overlap, scale, candidates, order
 
 
@@ -222,7 +224,7 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> tuple[ClusteredSpect
     vals, dist, floor, overlap, scale, candidate, _ = (a[row] for a in screen)
     n = vals.size
     if not candidate:
-        # the mean of one member, as np.mean forms it: 0 + v, then / 1
+        # the mean of one member, as sum() / 1 forms it: 0 + v, then / 1
         return ClusteredSpectrum(tuple((vals + 0.0).tolist()), (1,) * n), list(range(n))
 
     parent = list(range(n))
@@ -237,10 +239,10 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> tuple[ClusteredSpect
         ri, rj = find(i), find(j)
         parent[max(ri, rj)] = min(ri, rj)
 
-    dist = dist.ravel()  # pair (i, j) at i * n + j; both masks are symmetric
-    for k in np.flatnonzero(np.triu(floor, 1)).tolist():
+    dist = dist.ravel()  # pair (i, j) at i * n + j
+    for k in np.flatnonzero(floor).tolist():
         join(*divmod(k, n))
-    overlap = np.flatnonzero(np.triu(overlap, 1))
+    overlap = np.flatnonzero(overlap)
     cutoff = np.sqrt(n * EPS) * scale
     eye = np.eye(n)
     rejected = []  # (z, m): sigma_min(H - z'I) > cutoff wherever |z' - z| < m
@@ -265,7 +267,7 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> tuple[ClusteredSpect
     counts = []
     for root in groups:
         members = vals[groups[root]]
-        centers.append(complex(np.mean(members)))
+        centers.append(complex(members.sum() / len(members)))  # np.mean, bit for bit
         counts.append(len(members))
     order = sorted(range(len(centers)), key=lambda i: (centers[i].real, centers[i].imag))
     roots = list(groups)
@@ -337,11 +339,14 @@ def _canonical_gauge(heads: np.ndarray) -> np.ndarray:
         return scale * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
 
+_REFUSED_HEAD = "chain head is zero or not finite"
+
+
 def _gauged(factor, *chain: np.ndarray) -> list[np.ndarray]:
     """The links of a chain, head first, scaled as a whole by the head's
     factor from :func:`_canonical_gauge`; a NaN factor refuses the chain."""
     if cmath.isnan(factor):
-        raise JordanStructureError("chain head is zero or not finite")
+        raise JordanStructureError(_REFUSED_HEAD)
     return [factor * v for v in chain]
 
 
@@ -496,7 +501,7 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> list:
 
 def _decompose(Hs, tol, scale) -> list:
     m = len(Hs)
-    values, vectors = eigensystem_stack(Hs)
+    values, vectors, real = eigensystem_stack(Hs)
     floor_tol = np.array([tol * s if s else tol for s in scale.tolist()])
     screen = _merge_screen(values, _condition_numbers(vectors), floor_tol, scale)
     out: list = [None] * m
@@ -516,22 +521,27 @@ def _decompose(Hs, tol, scale) -> list:
         ok[check] = _simple_heads(
             Hs[check], vectors[check], vals[check], dist[check], order[check], tol, scale[check]
         )
-    # and one gauge of all their simple, well-separated heads
+    # and one gauge of all their simple, well-separated heads, one multiply:
+    # factor first, as _gauged forms factor * v
     simple = [(i, j) for i, (skel, first) in skels.items()
               for count, j in zip(skel.multiplicities, first) if count == 1 and ok[i, j]]
-    gauges = {}
+    gauged = {}
     if simple:
         si, sj = np.array(simple).T
         heads = vectors[si, :, order[si, sj]]
-        gauges = dict(zip(simple, zip(_canonical_gauge(heads), heads)))
+        factors = _canonical_gauge(heads)
+        gauged = dict(zip(simple, zip(np.isnan(factors).tolist(), factors[:, None] * heads)))
 
     rows, centers_list, chain_sets = [], [], []
     for i, (skel, first) in skels.items():
         try:
             chains_here = []
             for center, count, j in zip(skel.centers, skel.multiplicities, first):
-                if (i, j) in gauges:
-                    chains = [_gauged(*gauges[i, j])]
+                if (i, j) in gauged:
+                    refused, head = gauged[i, j]
+                    if refused:
+                        raise JordanStructureError(_REFUSED_HEAD)
+                    chains = [[head]]
                 else:
                     chains = jordan_chains(Hs[i], center, tol)
                     alg = sum(len(c) for c in chains)
@@ -549,7 +559,7 @@ def _decompose(Hs, tol, scale) -> list:
         chain_sets.append(chains_here)
 
     if rows:
-        bds = _assemble(rows_of(Hs, rows), scale[rows], centers_list, chain_sets)
+        bds = _assemble(rows_of(Hs, rows), scale[rows], centers_list, chain_sets, real[rows])
         for i, bd in zip(rows, bds):
             out[i] = bd
     return out
@@ -568,40 +578,46 @@ def from_chains(H, centers, chain_sets) -> BlockDiagonalization:
     :func:`block_diagonalize` does.
     """
     H = as_matrix(H)
-    (bd,) = _assemble(H[None], np.array([fro(H)]), [centers], [chain_sets])
+    (bd,) = _assemble(H[None], np.array([fro(H)]), [centers], [chain_sets],
+                      np.array([not H.imag.any()]))
     if isinstance(bd, Exception):
         raise bd
     return bd
 
 
-def _assemble(Hs, scale, centers_list, chain_sets) -> list:
+def _assemble(Hs, scale, centers_list, chain_sets, real) -> list:
     """:func:`from_chains` for each row of a stack, one stacked SVD and
-    inversion for all bases.  A row whose basis has ``cond(A)`` above
+    inversion for all bases; ``real`` marks the rows of ``Hs`` with no
+    imaginary part.  A row whose basis has ``cond(A)`` above
     :data:`COND_LIMIT`, or not finite, gets an
     :class:`IllConditionedBasisError`; a basis singular to working
     tolerance is one of them."""
-    tables, columns = [], []
+    tables, columns, values, counts, lengths = [], [], [], [], []
     for centers, chains_at in zip(centers_list, chain_sets):
-        tables.append(SpectralTable(tuple(
-            EigenCluster(E, tuple(len(c) for c in chains)) for E, chains in zip(centers, chains_at)
-        )))
+        p_lists = [tuple(len(c) for c in chains) for chains in chains_at]
+        tables.append(SpectralTable(tuple(map(EigenCluster, centers, p_lists))))
         columns.append([v for chains in chains_at for chain in chains for v in chain])
+        values += centers
+        counts += map(sum, p_lists)
+        lengths += [p for p_list in p_lists for p in p_list]
     A = np.swapaxes(np.array(columns), 1, 2).copy()
     if A.shape[1] != A.shape[2]:
         raise ValueError(f"the chains span {A.shape[2]} columns of dimension {A.shape[1]}")
+    # H0 holds each slot's cluster value on the diagonal and a 1 above
+    # every slot that is not a chain head, set for the whole block at once
     H0 = np.zeros(A.shape, dtype=complex)
-    for H0_r, table in zip(H0, tables):
-        for col, (n, _, i, _) in enumerate(table.slots):
-            H0_r[col, col] = table.clusters[n].value
-            if i >= 2:
-                H0_r[col - 1, col] = 1.0
+    d = np.arange(A.shape[1])
+    H0[:, d, d] = np.repeat(np.array(values, dtype=complex), counts).reshape(len(A), -1)
+    link = np.ones(A.shape[:2])
+    link.flat[np.cumsum(lengths) - lengths] = 0.0  # the chain heads
+    H0[:, d[:-1], d[1:]] = link[:, 1:]
     A_inv, rows, cond = inverse_and_cond_stack(A.astype(complex, copy=False))
     recon = []
     if rows:
         R = rows_of(Hs, rows) - rows_of(A, rows) @ rows_of(H0, rows) @ A_inv
         recon = [f / (s if s else 1.0) for f, s in zip(fro_rows(R).tolist(), scale[rows].tolist())]
     regular = dict(zip(rows, zip(recon, A_inv)))
-    real = (~Hs.imag.any(axis=(1, 2))).tolist()
+    real = real.tolist()
     out: list = []
     for r, cA in enumerate(cond):
         if cA <= COND_LIMIT:  # so r is regular: COND_LIMIT < 1 / SINGULARITY_CUTOFF

@@ -36,7 +36,7 @@ from .scattering import (
     hamiltonian_at,
 )
 from .serialization import dumps_certificate, load_matrix
-from .truncated import ModelSpec, build_H, closed_form_X, is_exceptional
+from .truncated import ModelSpec, build_H_stack, closed_form_X, exceptional_levels
 
 EXIT_PSEUDO_HERMITIAN = 0
 EXIT_NOT_PSEUDO_HERMITIAN = 1
@@ -183,16 +183,17 @@ def cmd_model_sweep(args) -> int:
     samples = np.linspace(lo, hi, args.samples)
     try:
         lambdas = tuple(float(p) for p in args.lambdas.split(","))
-        ModelSpec(lambdas, 1.0)  # validates the lambda list
+        spec = ModelSpec(lambdas, 1.0)  # validates the lambda list
         if not np.all(samples > 0):  # also refuses a NaN bound
             raise ValueError("varpi must stay positive over the sweep")
-        Hs = np.stack([build_H(ModelSpec(lambdas, float(varpi))) for varpi in samples])
+        Hs = build_H_stack(lambdas, samples)
     except ValueError as exc:
         return _input_error(exc)
+    flags = (exceptional_levels(lambdas, samples) >= 0).astype(int).tolist()
+    X = closed_form_X(spec).matrix if args.compare_closed_form else None  # the same for every varpi
 
-    def one(varpi, cert):
-        spec = ModelSpec(lambdas, float(varpi))
-        row = [float(varpi)]
+    def one(varpi, flag, cert):
+        row = [varpi]
         if cert.table is not None and cert.labeling is not None:
             real_count = sum(
                 cert.table.clusters[n].algebraic for n in cert.labeling.real_clusters
@@ -203,16 +204,15 @@ def cmd_model_sweep(args) -> int:
             )
         else:
             real_count, evs, p_lists = -1, [0j] * (2 * spec.L), ""
-        row += [real_count, int(is_exceptional(spec))]
+        row += [real_count, flag]
         for z in evs:
             row += [float(z.real), float(z.imag)]
         row += [p_lists, float(cert.cond_A) if np.isfinite(cert.cond_A) else float("inf")]
         row += [cert.verdict]
         row += [float(cert.residuals.get(name, np.nan)) for name in RESIDUAL_COLUMNS]
-        if args.compare_closed_form:
+        if X is not None:
             w = cert.witnesses
-            dev = np.max(np.abs(w.X.matrix - closed_form_X(spec).matrix)) if w is not None else np.nan
-            row.append(float(dev))
+            row.append(float(np.max(np.abs(w.X.matrix - X))) if w is not None else np.nan)
         return row
 
     with _output(args.csv_out) as out:
@@ -220,8 +220,8 @@ def cmd_model_sweep(args) -> int:
             certs = decide_many(Hs)  # refuses an H beyond the float range
         except ValueError as exc:
             return _input_error(exc)
-        rows = list(map(one, samples, certs))  # one block alive; see scatter-sweep
-        _write_csv(out, _model_header(len(lambdas), args.compare_closed_form), rows)
+        rows = list(map(one, samples.tolist(), flags, certs))  # one block alive; see scatter-sweep
+        _write_csv(out, _model_header(spec.L, args.compare_closed_form), rows)
     return 0
 
 

@@ -97,14 +97,15 @@ def eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
     matrices.  A real matrix takes the real triangularization, whose
     complex eigenvalues and eigenvectors come in exactly conjugate pairs.
     """
-    return tuple(a[0] for a in eigensystem_stack(as_matrix(M)[None]))
+    return tuple(a[0] for a in eigensystem_stack(as_matrix(M)[None])[:2])
 
 
-def eigensystem_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigensystem_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`eigensystem` of each row of a validated (m, n, n) stack: one
     real eigensolve for the rows whose imaginary part is all zero, one
     complex eigensolve for the others, and no scatter when every row is of
-    one kind; a failure on any row fails the call."""
+    one kind; a failure on any row fails the call.  Also returns which
+    rows are real, as a boolean mask."""
     real = ~A.imag.reshape(len(A), -1).any(axis=1)
     all_real = bool(real.all())
     try:
@@ -120,7 +121,7 @@ def eigensystem_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(vectors, axis=-2)
     if not norms.all():
         raise EigensolveError("eigensolver returned a zero vector")
-    return values, vectors / norms[..., None, :]
+    return values, vectors / norms[..., None, :], real
 
 
 def singular_error(est: float) -> SingularMatrixError:

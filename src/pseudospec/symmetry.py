@@ -136,8 +136,23 @@ def build_S(table: SpectralTable) -> np.ndarray:
     Hermitian, unitary, and involutive exactly; it is the identity precisely
     when every chain has length 1.
     """
+    return _permutations([_S_rows(table)])[0]
+
+
+def _S_rows(table: SpectralTable) -> list[int]:
+    """The row of the one in each column of :func:`build_S`."""
     p = [c.p_list for c in table.clusters]
-    return np.eye(len(table.slots))[:, [head + p[n][a] - i for n, a, i, head in table.slots]]
+    return [head + p[n][a] - i for n, a, i, head in table.slots]
+
+
+def _permutations(rows) -> np.ndarray:
+    """The permutation matrices with a one in row ``rows[r][c]`` of each
+    column ``c``, one per index list ``rows[r]`` of equal length,
+    scattered into one (m, n, n) stack."""
+    rows = np.array(rows, dtype=np.intp)
+    P = np.zeros(rows.shape + rows.shape[1:])
+    P[np.arange(len(rows))[:, None], rows, np.arange(rows.shape[1])] = 1.0
+    return P
 
 
 def build_Theta(dim: int) -> AntilinearOp:
@@ -178,18 +193,26 @@ def build_C0(labeling: SpectralLabeling, table: SpectralTable) -> np.ndarray:
     ``(nu, a, i) <-> (-nu, a, i)`` for conjugate pairs, chains aligned in
     descending-length order.  Raises :class:`PairingError` when the pairing
     test fails, since then no such operator exists."""
+    _require_pairing(labeling, table)
+    return _permutations([_C0_rows(labeling, table)])[0]
+
+
+def _require_pairing(labeling: SpectralLabeling, table: SpectralTable) -> None:
     report = check_pairing(labeling, table)
     if not report.ok:
         raise PairingError(report.detail)
+
+
+def _C0_rows(labeling: SpectralLabeling, table: SpectralTable) -> list[int]:
+    """The row of the one in each column of :func:`build_C0`, for a
+    labeling that passes the pairing test."""
     # partners share their Jordan dimensions, so a slot keeps its offset
     # from the first column of its cluster
     first = [0, *accumulate(c.algebraic for c in table.clusters)]
     partner = {n: n for n in labeling.real_clusters}
     for n, m in labeling.pairs:
         partner[n], partner[m] = m, n
-    return np.eye(len(table.slots))[
-        :, [col - first[n] + first[partner[n]] for col, (n, *_) in enumerate(table.slots)]
-    ]
+    return [col - first[n] + first[partner[n]] for col, (n, *_) in enumerate(table.slots)]
 
 
 def build_eta0(S: np.ndarray, C0: np.ndarray) -> np.ndarray:
@@ -242,22 +265,24 @@ def synthesize_operators(bd: BlockDiagonalization) -> SymmetryOperators:
 
     Raises :class:`PairingError` when the pairing test fails.
     """
-    return synthesize_stack([bd], [classify_spectrum(bd.table)])[0][0]
+    labeling = classify_spectrum(bd.table)
+    _require_pairing(labeling, bd.table)
+    return synthesize_stack([bd], [labeling])[0][0]
 
 
 def synthesize_stack(bds, labelings) -> tuple[list[SymmetryOperators], tuple]:
-    """:func:`synthesize_operators` for decompositions of one dimension:
-    the permutations row by row, every similarity lift as one stacked
-    product.  Also returns the stacks of the matrix parts of tau and X and
-    of eta, which the operators view.  Raises :class:`PairingError` when a
-    pairing test fails.
+    """:func:`synthesize_operators` for decompositions of one dimension
+    whose labelings pass the pairing test: S and C0 of every row scattered
+    into one stack, every similarity lift as one stacked product.  Also
+    returns the stacks of the matrix parts of tau and X and of eta, which
+    the operators view.
 
     For a real H, X is the conjugation exactly: it commutes with H and
     squares to 1 whatever the basis.  When in addition ``conj(A) == A C0``
     holds bit for bit, tau and eta are real in exact arithmetic, and they
     are stored real: their imaginary parts are product rounding."""
-    S = np.stack([build_S(bd.table) for bd in bds])
-    C0 = np.stack([build_C0(lab, bd.table) for bd, lab in zip(bds, labelings)])
+    S, C0 = np.split(_permutations([_S_rows(bd.table) for bd in bds] + [
+        _C0_rows(lab, bd.table) for bd, lab in zip(bds, labelings)]), 2)
     A = np.stack([bd.A for bd in bds])
     A_inv = np.stack([bd.A_inv for bd in bds])
     tau0 = _tau0(S)
@@ -265,9 +290,10 @@ def synthesize_stack(bds, labelings) -> tuple[list[SymmetryOperators], tuple]:
     X0 = _X0(eta0, tau0)
     tau = _tau(A_inv, tau0)
     eta = _metric(A_inv, eta0)
+    Theta = np.repeat(np.eye(A.shape[-1], dtype=complex)[None], len(bds), axis=0)
     real = np.array([bd.real for bd in bds])
     if real.any():
-        X = np.repeat(np.eye(A.shape[-1], dtype=complex)[None], len(bds), axis=0)
+        X = Theta.copy()
         if not real.all():
             X[~real] = _lift(A[~real], X0[~real], A_inv[~real])
         # A C0 gathers the columns of A that the columns of C0 pick
@@ -279,7 +305,7 @@ def synthesize_stack(bds, labelings) -> tuple[list[SymmetryOperators], tuple]:
     trusted = AntilinearOp.trusted
     ops = [
         SymmetryOperators(
-            S[r], build_Theta(S.shape[1]), trusted(tau0[r]), trusted(tau[r]), C0[r], eta0[r],
+            S[r], trusted(Theta[r]), trusted(tau0[r]), trusted(tau[r]), C0[r], eta0[r],
             trusted(X0[r]), trusted(X[r]), eta[r],
         )
         for r in range(len(bds))

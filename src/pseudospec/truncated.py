@@ -66,13 +66,15 @@ def energies(spec: ModelSpec) -> np.ndarray:
 
 
 def build_H(spec: ModelSpec) -> np.ndarray:
-    L = spec.L
-    Lam = np.diag(spec.lambdas).astype(complex)
-    I = np.eye(L)
-    w = spec.varpi
-    top = np.hstack([Lam - 2 * w**2 * I, Lam])
-    bot = np.hstack([-Lam, -Lam + 2 * w**2 * I])
-    return np.vstack([top, bot]) / (2 * w)
+    return build_H_stack(spec.lambdas, np.array([spec.varpi]))[0]
+
+
+def build_H_stack(lambdas, varpis: np.ndarray) -> np.ndarray:
+    """:func:`build_H` of ``ModelSpec(lambdas, w)`` for each ``w`` of the
+    1-d array ``varpis``, as one (m, 2L, 2L) stack."""
+    Lam = np.broadcast_to(np.diag(lambdas).astype(complex), (len(varpis),) + (len(lambdas),) * 2)
+    shift = (2 * varpis**2)[:, None, None] * np.eye(len(lambdas))
+    return np.block([[Lam - shift, Lam], [-Lam, -Lam + shift]]) / (2 * varpis)[:, None, None]
 
 
 def exceptional_set(spec: ModelSpec) -> np.ndarray:
@@ -81,9 +83,16 @@ def exceptional_set(spec: ModelSpec) -> np.ndarray:
 
 def exceptional_index(spec: ModelSpec) -> int | None:
     """0-based level whose pair coalesces at this varpi, or None."""
-    gaps = np.abs(spec.varpi - exceptional_set(spec))
-    j = int(np.argmin(gaps))
-    return j if gaps[j] <= EP_MATCH_TOL else None
+    j = int(exceptional_levels(spec.lambdas, np.array([spec.varpi]))[0])
+    return j if j >= 0 else None
+
+
+def exceptional_levels(lambdas, varpis: np.ndarray) -> np.ndarray:
+    """For each ``w`` of the 1-d array ``varpis``, the 0-based level of
+    ``lambdas`` whose pair coalesces at ``w``, or -1."""
+    gaps = np.abs(varpis[:, None] - np.sqrt(np.asarray(lambdas)))
+    j = gaps.argmin(axis=1)
+    return np.where(gaps[np.arange(len(j)), j] <= EP_MATCH_TOL, j, -1)
 
 
 def is_exceptional(spec: ModelSpec) -> bool:

@@ -12,7 +12,7 @@ from pseudospec.blockdiag import (
     from_chains,
     jordan_chains,
 )
-from pseudospec.linalg import EigensolveError, eigensystem, fro
+from pseudospec.linalg import EigensolveError, eigensystem, eigensystem_stack, fro, fro_rows
 from pseudospec.truncated import ModelSpec, build_H, closed_form_block_diagonalization
 
 
@@ -100,6 +100,20 @@ class TestClusterEigenvalues:
         out = cluster_diagonal(chain, 1e-3)
         assert out.multiplicities == (1500,)
 
+
+    def test_member_sum_over_count_is_np_mean_bit_for_bit(self):
+        # the center formula, sum() / len, against np.mean on member lists
+        # of 1-16 values at scales 1e-300 to 1e300, some parts -0.0
+        rng = np.random.default_rng(17)
+        for _ in range(48_000):
+            k = int(rng.integers(1, 17))
+            members = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            members *= 10.0 ** rng.choice([-300, -150, -1, 0, 1, 150, 300])
+            members.real[rng.random(k) < 0.2] = -0.0
+            members.imag[rng.random(k) < 0.2] = -0.0
+            want = complex(np.mean(members))
+            got = complex(members.sum() / len(members))
+            assert repr(got) == repr(want), members
 
     def test_centers_are_member_means_with_their_signed_zeros(self):
         # a center is its members' mean as np.mean forms it, 0 + sum / count,
@@ -224,6 +238,52 @@ class TestJordanChains:
         assert np.isnan(factors).tolist() == [r == 2 for r in range(5)]
         for r in (0, 1, 3, 4):
             assert factors[r].tobytes() == blockdiag._canonical_gauge(heads[r:r + 1])[0].tobytes()
+
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_one_multiply_gauges_each_head_as_alone(self, kind):
+        # every eigenvector head of a block, gathered as _decompose gathers
+        # them, some refused, scaled by one multiply against factor * v
+        # per head; the order matters, heads * factors differs in the bits
+        rng = np.random.default_rng(5)
+        Hs = rng.standard_normal((16, 8, 8))
+        if kind == "complex":
+            Hs = Hs + 1j * rng.standard_normal((16, 8, 8))
+        vectors = eigensystem_stack(Hs.astype(complex))[1]
+        heads = np.swapaxes(vectors, 1, 2).reshape(-1, 8)[rng.permutation(128)]
+        heads[[3, 40, 77]] = [[0.0], [np.nan], [np.inf]]
+        factors = blockdiag._canonical_gauge(heads)
+        assert np.isnan(factors).nonzero()[0].tolist() == [3, 40, 77]
+        for factor, head, got in zip(factors, heads, factors[:, None] * heads):
+            if np.isnan(factor):
+                with pytest.raises(JordanStructureError, match="zero or not finite"):
+                    blockdiag._gauged(factor, head)
+            else:
+                assert got.tobytes() == (factor * head).tobytes()
+                assert got.tobytes() == blockdiag._gauged(factor, head)[0].tobytes()
+
+    def test_a_refused_simple_head_refuses_only_its_row(self, monkeypatch):
+        # every basis column of a simple cluster carries the bits of the
+        # scalar head rule on its eigenvector; a head refused by the gauge
+        # ends its own row with the staircase's message, and only that row
+        gauge = blockdiag._canonical_gauge
+
+        def refuse_third(heads):
+            factors = gauge(heads)
+            factors[2] = np.nan
+            return factors
+
+        Hs = np.random.default_rng(6).standard_normal((3, 4, 4)) + 0j
+        monkeypatch.setattr(blockdiag, "_canonical_gauge", refuse_third)
+        got = blockdiag.decompose_stack(Hs, blockdiag.DEFAULT_TOL, fro_rows(Hs))
+        assert isinstance(got[0], JordanStructureError)
+        assert str(got[0]) == "chain head is zero or not finite"
+        for H, bd in zip(Hs[1:], got[1:]):
+            values, vectors = eigensystem(H)
+            for col, (n, *_) in enumerate(bd.table.slots):
+                (j,) = np.flatnonzero(values + 0.0 == bd.table.clusters[n].value)
+                (want,) = per_vector_gauge([vectors[:, j]])
+                assert bd.A[:, col].tobytes() == want.tobytes()
 
 
 class TestBlockDiagonalize:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 
@@ -9,7 +10,8 @@ from pseudospec import cli, scattering
 from pseudospec.cli import main
 from pseudospec.scattering import PotentialSpec, RectangularBarrier, barrier_transfer, hamiltonian
 from pseudospec.serialization import dump_matrix, load_matrix
-from pseudospec.truncated import ModelSpec, is_exceptional
+from pseudospec.certify import decide
+from pseudospec.truncated import ModelSpec, build_H, closed_form_X, is_exceptional
 
 
 def write_matrix(tmp_path, M, name="m.json"):
@@ -245,6 +247,33 @@ class TestModelSweep:
         assert not is_exceptional(ModelSpec((1.0, 4.0), 1.000000001))
         assert row[header.index("p_lists")] == "1;1;1;1"
 
+    @pytest.mark.parametrize("lambdas", ["1,4", "1,4,9,16"])
+    def test_sweep_is_the_per_row_reference_byte_for_byte(self, tmp_path, lambdas):
+        # the stacked H, flags and closed-form X against a CSV made row by
+        # row from build_H, decide, is_exceptional and closed_form_X
+        argv = ["model-sweep", "--lambdas", lambdas, "--varpi-range", "0.5", "4.5",
+                "--samples", "201", "--compare-closed-form"]
+        assert main(argv + ["--csv-out", str(tmp_path / "model.csv")]) == 0
+        lams = tuple(float(p) for p in lambdas.split(","))
+        rows = []
+        for varpi in np.linspace(0.5, 4.5, 201):
+            spec = ModelSpec(lams, float(varpi))
+            cert = decide(build_H(spec))
+            clusters = cert.table.clusters
+            row = [float(varpi), sum(clusters[n].algebraic for n in cert.labeling.real_clusters),
+                   int(is_exceptional(spec))]
+            for z in (c.value for c in clusters for _ in range(c.algebraic)):
+                row += [float(z.real), float(z.imag)]
+            row += [";".join("+".join(str(p) for p in c.p_list) for c in clusters),
+                    float(cert.cond_A), cert.verdict]
+            row += [float(cert.residuals[name]) for name in cli.RESIDUAL_COLUMNS]
+            row.append(float(np.max(np.abs(cert.witnesses.X.matrix - closed_form_X(spec).matrix))))
+            rows.append(row)
+        assert sum(row[2] for row in rows) == len(lams)  # every exceptional point is a sample
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows([cli._model_header(len(lams), True), *rows])
+        assert (tmp_path / "model.csv").read_bytes() == want.getvalue().encode()
+
     def test_bad_lambdas_exit_code(self, capsys):
         assert main(["model-sweep", "--lambdas", "4,1", "--varpi-range", "1", "2"]) == 3
         assert "increasing" in capsys.readouterr().err
@@ -285,13 +314,17 @@ class TestInputErrors:
         pytest.param(["model-sweep", "--lambdas", "1.7e308", "--varpi-range", "0.4", "0.5",
                       "--samples", "3"],
                      marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        # a varpi whose square overflows as the stack of H is built
+        pytest.param(["model-sweep", "--lambdas", "1,4", "--varpi-range", "1", "1e200",
+                      "--samples", "3"],
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
         # a transfer matrix that overflows over the range, which numpy warns of
         pytest.param(["scatter-sweep", "--potential", "rectangular:1e150,0,1", "--k", "1",
                       "--x-range", "0", "1", "--samples", "3", "--steps", "10"],
                      marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     ], ids=["rectangular-arity", "unknown-kind", "nan-varpi", "infinite-x-range",
             "infinite-k", "infinite-barrier", "scatter-H-overflow", "model-H-overflow",
-            "transfer-overflow"])
+            "model-varpi-overflow", "transfer-overflow"])
     def test_bad_value_exits_three(self, argv, capsys):
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 """decide_many: a stack decided in blocks equals decide row by row, bit for bit."""
+import itertools
 import math
 import re
 
@@ -14,7 +15,9 @@ from pseudospec.certify import (
     decide,
     decide_many,
 )
+from pseudospec.linalg import fro_rows
 from pseudospec.scattering import PotentialSpec, RectangularBarrier, hamiltonian_at
+from pseudospec.symmetry import build_C0, build_S, classify_spectrum, synthesize_stack
 from pseudospec.truncated import ModelSpec, build_H
 from tests.test_blockdiag import count_calls, jordan_matrix, well_conditioned
 
@@ -154,6 +157,71 @@ def test_mixed_stack_covers_every_verdict():
     zero = decide(np.zeros((4, 4)))
     assert zero.table.clusters[0].p_list == (1, 1, 1, 1)
     assert np.array_equal(zero.decomposition.A, np.eye(4))  # V of the SVD of N = 0
+
+
+#: 12-slot structures in canonical order: chains of length up to 5, real
+#: clusters and conjugate pairs, and a row of simple clusters
+BLOCK_STRUCTURES = [
+    [(0.5 - 1j, [2, 1]), (0.5 + 1j, [2, 1]), (1.0, [5, 1])],
+    [(-2.0, [4]), (0.3 - 0.7j, [3, 1]), (0.3 + 0.7j, [3, 1])],
+    [(-1j, [2, 1]), (1j, [2, 1]), (0.0, [1]), (1.0, [2]), (2.0, [3])],
+    [(3.0, [5, 4, 2, 1])],
+    [(-1.0 - 2j, [1]), (-1.0 + 2j, [1]), *((float(k), [1]) for k in range(10))],
+]
+
+
+def per_slot_H0(table):
+    """The block-Jordan form slot by slot, as the per-slot loop built it."""
+    H0 = np.zeros((table.dimension,) * 2, dtype=complex)
+    for col, (n, _, i, _) in enumerate(table.slots):
+        H0[col, col] = table.clusters[n].value
+        if i >= 2:
+            H0[col - 1, col] = 1.0
+    return H0
+
+
+def per_slot_S(table):
+    p = [c.p_list for c in table.clusters]
+    return np.eye(len(table.slots))[:, [head + p[n][a] - i for n, a, i, head in table.slots]]
+
+
+def per_slot_C0(labeling, table):
+    first = [0, *itertools.accumulate(c.algebraic for c in table.clusters)]
+    partner = {n: n for n in labeling.real_clusters}
+    for n, m in labeling.pairs:
+        partner[n], partner[m] = m, n
+    return np.eye(len(table.slots))[
+        :, [col - first[n] + first[partner[n]] for col, (n, *_) in enumerate(table.slots)]
+    ]
+
+
+def test_block_H0_S_and_C0_are_the_per_slot_rule():
+    # one block of rows with different chain structures: H0 set from index
+    # arrays, S and C0 scattered from index lists, each row's bits those of
+    # the per-slot rule and of its own one-row builders
+    rng = np.random.default_rng(9)
+    Hs, centers_list, chain_sets = [], [], []
+    for structure in BLOCK_STRUCTURES:
+        W = well_conditioned(rng, 12)
+        Hs.append(W @ jordan_matrix(structure) @ np.linalg.inv(W))
+        cols = iter(W.T)
+        centers_list.append([E for E, _ in structure])
+        chain_sets.append([[[next(cols) for _ in range(p)] for p in ps] for _, ps in structure])
+    Hs = np.stack(Hs)
+    real = np.array([False, True, False, True, False])  # only carried through
+    bds = blockdiag._assemble(Hs, fro_rows(Hs), centers_list, chain_sets, real)
+    labelings = [classify_spectrum(bd.table) for bd in bds]
+    ops, _ = synthesize_stack(bds, labelings)
+    for r, (bd, lab, w) in enumerate(zip(bds, labelings, ops)):
+        assert [c.p_list for c in bd.table.clusters] == [tuple(p) for _, p in BLOCK_STRUCTURES[r]]
+        assert bd.real == real[r]
+        assert bd.H0.tobytes() == per_slot_H0(bd.table).tobytes()
+        alone = blockdiag.from_chains(Hs[r], centers_list[r], chain_sets[r])
+        assert alone.H0.tobytes() == bd.H0.tobytes()
+        S, C0 = per_slot_S(bd.table), per_slot_C0(lab, bd.table)
+        assert w.S.tobytes() == S.tobytes() == build_S(bd.table).tobytes()
+        assert w.C0.tobytes() == C0.tobytes() == build_C0(lab, bd.table).tobytes()
+        assert w.Theta.matrix.tobytes() == np.eye(12, dtype=complex).tobytes()
 
 
 def test_non_finite_entry_names_its_row():

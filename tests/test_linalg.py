@@ -109,11 +109,13 @@ def test_fro_rows_is_fro_of_each_row_bit_for_bit(n):
 def test_real_rows_give_exactly_conjugate_pairs():
     # real and complex rows in one stack: a real row takes the real
     # eigensolve, whose non-real values and vectors are exact conjugates,
-    # and every row equals its own one-row call bit for bit
+    # and every row equals its own one-row call bit for bit; the mask of
+    # real rows comes out with them
     rng = np.random.default_rng(11)
     M = rng.standard_normal((4, 8, 8)).astype(complex)
     M[1] += 1j * rng.standard_normal((8, 8))
-    values, vectors = eigensystem_stack(M)
+    values, vectors, real = eigensystem_stack(M)
+    assert real.tolist() == [True, False, True, True]
     for r in range(len(M)):
         one = eigensystem_stack(M[r:r + 1])
         assert values[r].tobytes() == one[0][0].tobytes()

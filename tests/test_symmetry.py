@@ -350,10 +350,11 @@ class TestWitnessesFromTheDecomposition:
         assert svds == [] and invs == []
 
     def test_synthesis_builds_S_once(self, monkeypatch):
-        # tau is lifted from the tau0 that synthesis already holds
+        # tau is lifted from the tau0 that synthesis already holds, and S
+        # and C0 come from one scatter of the block's permutations
         rng = np.random.default_rng(12)
         bd = block_diagonalize(paired_instance(rng, PAIRED_STRUCTURES[2]), tol=1e-5)
-        calls = count_calls(monkeypatch, symmetry, "build_S")
+        calls = count_calls(monkeypatch, symmetry, "_permutations")
         synthesize_operators(bd)
         assert len(calls) == 1
 

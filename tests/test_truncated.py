@@ -13,8 +13,10 @@ from pseudospec.certify import (
 from pseudospec.linalg import fro
 from pseudospec.symmetry import synthesize_operators
 from pseudospec.truncated import (
+    EP_MATCH_TOL,
     ModelSpec,
     build_H,
+    build_H_stack,
     closed_form_H0,
     closed_form_X,
     closed_form_X0,
@@ -24,6 +26,7 @@ from pseudospec.truncated import (
     closed_form_tau,
     energies,
     exceptional_index,
+    exceptional_levels,
     exceptional_set,
     is_exceptional,
     real_pair_count,
@@ -86,6 +89,57 @@ class TestModel:
         lams = (1.0, 4.0, 9.0, 16.0)
         for w, m in [(0.5, 0), (1.5, 1), (2.5, 2), (3.5, 3), (5.0, 4)]:
             assert real_pair_count(ModelSpec(lams, w)) == m
+
+
+def reference_H(spec):
+    """The per-sample builder the stacked one replaced."""
+    L, w = spec.L, spec.varpi
+    Lam = np.diag(spec.lambdas).astype(complex)
+    I = np.eye(L)
+    top = np.hstack([Lam - 2 * w**2 * I, Lam])
+    bot = np.hstack([-Lam, -Lam + 2 * w**2 * I])
+    return np.vstack([top, bot]) / (2 * w)
+
+
+def reference_exceptional_index(spec):
+    """The per-spec exceptional-point rule the stacked one replaced."""
+    gaps = np.abs(spec.varpi - np.sqrt(np.asarray(spec.lambdas)))
+    j = int(np.argmin(gaps))
+    return j if gaps[j] <= EP_MATCH_TOL else None
+
+
+class TestStackedModel:
+    LAMBDAS = [(2.0,), (1.0, 4.0), (0.3, 1.0, 2.5, 9.0)]
+
+    def varpis(self, lambdas):
+        # the sweep grid, the exceptional points, points a rounding away
+        # from them and a spread of scales, all in one stack
+        rng = np.random.default_rng(len(lambdas))
+        eps = np.sqrt(lambdas)
+        return np.concatenate([np.linspace(0.5, 3.0, 201), eps, np.nextafter(eps, 0.0),
+                               eps + 2e-12, 10.0 ** rng.uniform(-3, 3, 40)])
+
+    @pytest.mark.parametrize("lambdas", LAMBDAS)
+    def test_stack_is_the_per_sample_builder_bit_for_bit(self, lambdas):
+        varpis = self.varpis(lambdas)
+        Hs = build_H_stack(lambdas, varpis)
+        assert Hs.shape == (len(varpis), 2 * len(lambdas), 2 * len(lambdas))
+        for w, H in zip(varpis.tolist(), Hs):
+            spec = ModelSpec(lambdas, w)
+            assert H.tobytes() == reference_H(spec).tobytes()
+            assert build_H(spec).tobytes() == H.tobytes()
+
+    @pytest.mark.parametrize("lambdas", LAMBDAS)
+    def test_exceptional_levels_follow_the_per_spec_rule(self, lambdas):
+        varpis = self.varpis(lambdas)
+        levels = exceptional_levels(lambdas, varpis).tolist()
+        assert levels.count(-1) < len(levels) - len(lambdas)  # the points are found
+        for w, j in zip(varpis.tolist(), levels):
+            spec = ModelSpec(lambdas, w)
+            want = reference_exceptional_index(spec)
+            assert j == (-1 if want is None else want)
+            assert exceptional_index(spec) == want
+            assert is_exceptional(spec) == (want is not None)
 
 
 class TestClosedFormBasis:
