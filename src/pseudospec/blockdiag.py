@@ -176,11 +176,13 @@ def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
 
 def _condition_numbers(vectors: np.ndarray) -> np.ndarray:
     """Row norms of ``inv(V)`` for each row of a stack of eigenvector
-    matrices, one stacked inversion.  A singular ``V`` gets zeros.  When
-    one fails the stacked inversion, every row is inverted alone, which
-    gives the other rows the same bits: the real eigensolve can return
-    exactly parallel eigenvectors at an exceptional point, as it does for
-    the two-band model, and the rest of its block stays stacked.
+    matrices, one stacked inversion.  A singular ``V`` gets zeros: the real
+    eigensolve can return exactly parallel eigenvectors at an exceptional
+    point, as it does for the two-band model.  When one fails the stacked
+    inversion, one stacked ``slogdet``, which runs the same LAPACK
+    ``getrf`` and so finds the same zero pivot, screens out the singular
+    rows, and the rest are inverted in one more call, each with the bits
+    it has alone.
 
     Exactly repeated eigenvectors come with exactly repeated values, which
     the floor joins; unbounded discs would send every pair to a midpoint
@@ -189,9 +191,9 @@ def _condition_numbers(vectors: np.ndarray) -> np.ndarray:
     try:
         Vinv = np.linalg.inv(vectors)
     except np.linalg.LinAlgError:
-        if len(vectors) > 1:
-            return np.concatenate([_condition_numbers(V[None]) for V in vectors])
-        return np.zeros(vectors.shape[:2])
+        regular = np.linalg.slogdet(vectors)[0] != 0
+        Vinv = np.zeros_like(vectors)
+        Vinv[regular] = np.linalg.inv(vectors[regular])
     with np.errstate(over="ignore", invalid="ignore"):
         return np.linalg.norm(Vinv, axis=-1)
 

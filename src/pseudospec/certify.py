@@ -133,7 +133,7 @@ class ToleranceProfile:
         """The profile's tolerances, then the fixed ones, as every
         certificate records them."""
         # not dataclasses.asdict: it deep-copies every value, which makes it
-        # about 20 times slower, and decide calls this for every certificate
+        # about 20 times slower, and decide calls this for every block
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
                 "reconstruction_tol": RECONSTRUCTION_TOL, "witness_tol": WITNESS_TOL,
                 "cond_limit": COND_LIMIT}
@@ -153,10 +153,16 @@ class Certificate:
     decomposition: BlockDiagonalization | None = field(default=None, repr=False)
 
 
-#: rows that :func:`decide_many` decides at once: enough to share each
-#: LAPACK and numpy call among many rows, few enough that a block's arrays
-#: and certificates add little to peak memory
-BLOCK_ROWS = 16
+#: matrix entries that :func:`decide_many` decides at once: a block holds
+#: ``max(1, BLOCK_ENTRIES // n**2)`` rows of n x n matrices, 1,024 of 2x2,
+#: 64 of 8x8, 16 of 16x16 and one from 64x64 up: enough rows to share
+#: each LAPACK and numpy call, and a bound on a block's memory for every n
+BLOCK_ENTRIES = 4096
+
+
+def block_rows(n: int) -> int:
+    """Rows of n x n matrices in one block of :func:`decide_many`."""
+    return max(1, BLOCK_ENTRIES // max(1, n * n))
 
 
 def _witness_residuals(A, scale_A, tau, X, eta) -> list[dict[str, float]]:
@@ -206,11 +212,13 @@ def decide_many(stack, tol: ToleranceProfile = ToleranceProfile()) -> Iterator[C
     row order, bit for bit equal to one :func:`decide` per row.
 
     The input is validated at once, and a non-finite entry raises a
-    ``ValueError`` that names its row.  Rows are then decided
-    :data:`BLOCK_ROWS` at a time: one stacked decomposition, then one
-    stacked synthesis and one set of stacked residual products for the
-    rows whose pairing holds.  Certificates are yielded as each block
-    completes, so only one block of them need be alive.
+    ``ValueError`` that names its row.  Rows are then decided in blocks of
+    at most :data:`BLOCK_ENTRIES` matrix entries (:func:`block_rows`, at
+    least one row): one stacked decomposition, then one stacked synthesis
+    and one set of stacked residual products for the rows whose pairing
+    holds.  Stacked gufuncs treat each matrix alone, so the block depth
+    changes no bit.  Certificates are yielded as each block completes, so
+    only one block of them need be alive.
     """
     Hs = as_stack(stack)
     if Hs.shape[1] == 0 and len(Hs):
@@ -220,24 +228,27 @@ def decide_many(stack, tol: ToleranceProfile = ToleranceProfile()) -> Iterator[C
 
 def _blocks(Hs: np.ndarray, tol: ToleranceProfile) -> Iterator[Certificate]:
     # yield from binds no name, so a block's certificates die with the block
-    for start in range(0, len(Hs), BLOCK_ROWS):
-        yield from _decide_block(Hs[start:start + BLOCK_ROWS], tol)
+    rows = block_rows(Hs.shape[1])
+    for start in range(0, len(Hs), rows):
+        yield from _decide_block(Hs[start:start + rows], tol)
 
 
 def _decide_block(Hs: np.ndarray, tol: ToleranceProfile) -> list[Certificate]:
     scale = fro_rows(Hs)
+    tolerances = tol.as_dict()  # each certificate gets its own copy
     certs: list = [None] * len(Hs)
     paired = []  # (row, decomposition, labeling)
     for r, bd in enumerate(decompose_stack(Hs, tol.cluster_tol, scale)):
         if isinstance(bd, Exception):
-            certs[r] = Certificate(INCONCLUSIVE, False, {}, tol.as_dict(), diagnostics=str(bd))
+            certs[r] = Certificate(INCONCLUSIVE, False, {}, dict(tolerances), diagnostics=str(bd))
             continue
         labeling = classify_spectrum(bd.table, tol.real_tol, tol.pair_tol)
         report = check_pairing(labeling, bd.table)
         if report.ok:
             paired.append((r, bd, labeling))
         else:
-            certs[r] = _certificate(tol, bd, labeling, {"reconstruction": bd.recon_residual},
+            certs[r] = _certificate(tolerances, bd, labeling,
+                                    {"reconstruction": bd.recon_residual},
                                     NOT_PSEUDO_HERMITIAN, report.detail)
     if paired:
         rows = [r for r, _, _ in paired]
@@ -249,17 +260,17 @@ def _decide_block(Hs: np.ndarray, tol: ToleranceProfile) -> list[Certificate]:
             failed = {k: v for k, v in res.items() if v > WITNESS_TOL}
             if bd.recon_residual > RECONSTRUCTION_TOL or failed:
                 detail = ", ".join(f"{k}={v:.3e}" for k, v in residuals.items())
-                certs[r] = _certificate(tol, bd, labeling, residuals, INCONCLUSIVE,
+                certs[r] = _certificate(tolerances, bd, labeling, residuals, INCONCLUSIVE,
                                         f"witness residuals exceeded tolerance: {detail}")
             else:
-                certs[r] = _certificate(tol, bd, labeling, residuals, PSEUDO_HERMITIAN,
+                certs[r] = _certificate(tolerances, bd, labeling, residuals, PSEUDO_HERMITIAN,
                                         witnesses=w)
     return certs
 
 
-def _certificate(tol, bd, labeling, residuals, verdict, diagnostics=None, witnesses=None):
+def _certificate(tolerances, bd, labeling, residuals, verdict, diagnostics=None, witnesses=None):
     return Certificate(
-        verdict, verdict != NOT_PSEUDO_HERMITIAN, residuals, tol.as_dict(), table=bd.table,
+        verdict, verdict != NOT_PSEUDO_HERMITIAN, residuals, dict(tolerances), table=bd.table,
         labeling=labeling, witnesses=witnesses, cond_A=bd.cond_A,
         diagnostics=diagnostics, decomposition=bd,
     )

@@ -192,21 +192,23 @@ def cmd_model_sweep(args) -> int:
     flags = (exceptional_levels(lambdas, samples) >= 0).astype(int).tolist()
     X = closed_form_X(spec).matrix if args.compare_closed_form else None  # the same for every varpi
 
+    @lru_cache(maxsize=None)
+    def structure(p_lists):
+        """The ``p_lists`` cell and the cluster multiplicities, once per
+        distinct Jordan structure of the sweep."""
+        return ";".join("+".join(map(str, p)) for p in p_lists), tuple(map(sum, p_lists))
+
     def one(varpi, flag, cert):
         row = [varpi]
         if cert.table is not None and cert.labeling is not None:
-            real_count = sum(
-                cert.table.clusters[n].algebraic for n in cert.labeling.real_clusters
-            )
-            evs = [c.value for c in cert.table.clusters for _ in range(c.algebraic)]
-            p_lists = ";".join(
-                "+".join(str(p) for p in c.p_list) for c in cert.table.clusters
-            )
+            p_lists, counts = structure(tuple(c.p_list for c in cert.table.clusters))
+            real_count = sum(counts[n] for n in cert.labeling.real_clusters)
+            # Re and Im of each cluster value, as often as its multiplicity,
+            # from the diagonal of H0, made contiguous for the float view
+            evs = cert.decomposition.H0.diagonal().copy().view(float).tolist()
         else:
-            real_count, evs, p_lists = -1, [0j] * (2 * spec.L), ""
-        row += [real_count, flag]
-        for z in evs:
-            row += [float(z.real), float(z.imag)]
+            real_count, evs, p_lists = -1, [0.0] * (4 * spec.L), ""
+        row += [real_count, flag, *evs]
         row += [p_lists, float(cert.cond_A) if np.isfinite(cert.cond_A) else float("inf")]
         row += [cert.verdict]
         row += [float(cert.residuals.get(name, np.nan)) for name in RESIDUAL_COLUMNS]

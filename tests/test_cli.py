@@ -293,6 +293,10 @@ def test_overflowing_rows_are_inconclusive(tmp_path, args):
     header, rows = read_csv(str(out))
     v = header.index("verdict")
     assert len(rows) == 3 and all(row[v] == "inconclusive" for row in rows)
+    # a row with no spectral table has zeros in its eigenvalue cells
+    E = [k for k, name in enumerate(header) if name[3:4] == "E"]
+    assert all(row[k] == "0.0" for row in rows for k in E)
+    assert len(E) == (8 if args[0] == "model-sweep" else 0)
 
 
 SWEEP = ["scatter-sweep", "--k", "1", "--x-range", "0", "1"]

@@ -8,21 +8,28 @@ import pytest
 
 from pseudospec import blockdiag, certify, cli
 from pseudospec.certify import (
-    BLOCK_ROWS,
     INCONCLUSIVE,
     NOT_PSEUDO_HERMITIAN,
     PSEUDO_HERMITIAN,
+    block_rows,
     decide,
     decide_many,
 )
-from pseudospec.linalg import fro_rows
+from pseudospec.linalg import eigensystem_stack, fro_rows
 from pseudospec.scattering import PotentialSpec, RectangularBarrier, hamiltonian_at
 from pseudospec.symmetry import build_C0, build_S, classify_spectrum, synthesize_stack
-from pseudospec.truncated import ModelSpec, build_H
+from pseudospec.truncated import ModelSpec, build_H, build_H_stack
 from tests.test_blockdiag import count_calls, jordan_matrix, well_conditioned
 
-B = BLOCK_ROWS
-SIZES = [1, B - 1, B, B + 1]
+#: the block bound of most tests here: blocks of 128 rows of 2x2, 32 of
+#: 4x4, 20 of 5x5, 8 of 8x8 and 2 of 16x16, so that the stacks about a
+#: block's edge stay short
+SMALL_BLOCKS = 512
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(certify, "BLOCK_ENTRIES", SMALL_BLOCKS)
 
 
 def _bits(x) -> bytes:
@@ -55,9 +62,8 @@ def assert_rowwise(stack):
     return certs
 
 
-def gaussian(m, kind):
-    rng = np.random.default_rng([m, len(kind)])
-    n = (2, 5, 8, 16)[m % 4]
+def gaussian(m, kind, n):
+    rng = np.random.default_rng([m, n, len(kind)])
     H = rng.standard_normal((m, n, n))
     if kind == "complex":
         H = H + 1j * rng.standard_normal((m, n, n))
@@ -126,22 +132,52 @@ def mixed(m):
     return np.stack(rows)
 
 
+#: n and the builder of each kind of stack; the Gaussian ones at every n
+#: whose blocks hold a different number of rows
 STACKS = {
-    "real-gaussian": lambda m: gaussian(m, "real"),
-    "complex-gaussian": lambda m: gaussian(m, "complex"),
-    "model-sweep": model,
-    "scatter": scatter,
-    "mixed": mixed,
+    **{f"{kind}-gaussian-n{n}": (n, lambda m, kind=kind, n=n: gaussian(m, kind, n))
+       for kind in ("real", "complex") for n in (2, 5, 8, 16)},
+    "model-sweep": (4, model),
+    "scatter": (2, scatter),
+    "mixed": (4, mixed),
 }
 
 
-@pytest.mark.parametrize("m", SIZES)
+@pytest.mark.parametrize("edge", range(4), ids=["one", "below", "at", "above"])
 @pytest.mark.parametrize("kind", list(STACKS))
-def test_stack_equals_rowwise_decide(kind, m):
-    assert_rowwise(STACKS[kind](m))
+def test_stack_equals_rowwise_decide(small_blocks, kind, edge):
+    # one row, and one row less than, as many as and one more than a block
+    n, build = STACKS[kind]
+    B = block_rows(n)
+    assert_rowwise(build([1, B - 1, B, B + 1][edge]))
 
 
-def test_mixed_stack_covers_every_verdict():
+#: rows per block at the default BLOCK_ENTRIES
+DEFAULT_ROWS = {1: 4096, 2: 1024, 8: 64, 16: 16, 64: 1}
+
+
+@pytest.mark.parametrize("n", list(DEFAULT_ROWS))
+def test_block_holds_at_most_block_entries(monkeypatch, n):
+    blocks = []
+    monkeypatch.setattr(certify, "_decide_block",
+                        lambda Hs, tol: blocks.append(len(Hs)) or [None] * len(Hs))
+    B = DEFAULT_ROWS[n]
+    assert block_rows(n) == B
+    assert len(list(decide_many(np.zeros((2 * B + 1, n, n))))) == 2 * B + 1
+    assert blocks == [B, B, 1]
+    assert max(blocks) * n * n <= max(certify.BLOCK_ENTRIES, n * n)
+
+
+def test_certificates_hold_their_own_tolerances():
+    # one as_dict per block, one copy per certificate
+    first, second = decide_many(np.stack([np.eye(2), np.zeros((2, 2))]))
+    assert first.tolerances == second.tolerances
+    first.tolerances["pair_tol"] = 1.0
+    assert second.tolerances == certify.ToleranceProfile().as_dict()
+
+
+def test_mixed_stack_covers_every_verdict(small_blocks):
+    B = block_rows(4)
     stack = mixed(B + 1)
     certs = assert_rowwise(stack)
     assert {c.verdict for c in certs} == {PSEUDO_HERMITIAN, NOT_PSEUDO_HERMITIAN}
@@ -231,16 +267,19 @@ def test_non_finite_entry_names_its_row():
         decide_many(stack)
 
 
-def test_empty_stack_yields_nothing():
-    assert list(decide_many(np.zeros((0, 3, 3)))) == []
+@pytest.mark.parametrize("n", [0, 3])
+def test_empty_stack_yields_nothing(n):
+    assert list(decide_many(np.zeros((0, n, n)))) == []
 
 
+@pytest.mark.usefixtures("small_blocks")
 class TestLapackFailureIsolation:
     """A stacked LAPACK failure retries the block row by row, so only the
     failing row ends inconclusive."""
 
     def stack(self):
-        rows = list(gaussian(B + 1, "real"))
+        B = block_rows(5)
+        rows = list(gaussian(B + 1, "real", 5))
         target = np.diag(7.0 + np.arange(len(rows[0])))  # its eigenvector basis is exactly I
         rows[B - 3] = target
         return np.stack(rows), B - 3, target
@@ -327,33 +366,58 @@ class TestOneFailureChannel:
         assert [c.verdict == INCONCLUSIVE for c in certs] == [r == 2 for r in range(6)]
 
     def test_singular_eigenvectors_redo_only_their_inversion(self, monkeypatch):
-        # the eigensolve of J3(0) returns three copies of e1, up to a
-        # 1e-292 entry, and an exactly zero row: the stacked inversion of
-        # the eigenvectors fails, and each row's eigenvectors are inverted
-        # alone, while the rest of the block stays stacked.  The real
-        # eigensolve gives exactly parallel eigenvectors at every exceptional
-        # point of a real two-band model, so this keeps model sweeps stacked
-        rows = list(gaussian(B + 1, "real"))
-        rows[4] = jordan_matrix([(0.0, [3]), (1.0, [1]), (2.0, [1])])
-        stack = np.stack(rows)
+        # at some exceptional points of the real two-band model, here at
+        # varpi = 0.8 and 2.1375, the real eigensolve returns exactly
+        # parallel eigenvectors, so the stacked inversion of a block's
+        # eigenvectors fails.  One slogdet screens out the two singular
+        # rows and one inversion serves the other 62: the block stays
+        # stacked and each row keeps its own bits
+        roots = (0.75, 0.8, 2.1375, 2.575)  # sample points, as the benchmark draws them
+        varpis = np.linspace(0.5, 3.0, 64)
+        varpis[[10, 40]] = roots[1], roots[2]
+        stack = build_H_stack(tuple(r * r for r in roots), varpis)
+        assert len(stack) == block_rows(8) == 64
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.inv(np.linalg.eig(stack[:B])[1])
+            np.linalg.inv(eigensystem_stack(stack)[1])
         expected = [certificate_bits(decide(H)) for H in stack]
-        calls = []
-        original = blockdiag.decompose_stack
+        blocks = count_calls(monkeypatch, certify, "decompose_stack")
+        calls, inside = [], []
+        for name in ("inv", "slogdet"):
+            def counted(a, name=name, original=getattr(np.linalg, name)):
+                if inside:
+                    calls.append((name, len(a)))
+                return original(a)
+            monkeypatch.setattr(np.linalg, name, counted)
+        condition_numbers = blockdiag._condition_numbers
 
-        def counted(Hs, *args):
-            calls.append(len(Hs))
-            return original(Hs, *args)
+        def traced(vectors):
+            inside.append(True)
+            try:
+                return condition_numbers(vectors)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(blockdiag, "decompose_stack", counted)
-        monkeypatch.setattr(certify, "decompose_stack", counted)
+        monkeypatch.setattr(blockdiag, "_condition_numbers", traced)
         assert [certificate_bits(c) for c in decide_many(stack)] == expected
-        assert calls == [B, 1]
+        assert len(blocks) == 1  # no LAPACK failure sent the block row by row
+        assert calls == [("inv", 64), ("slogdet", 64), ("inv", 62)]
 
 
-def test_model_sweep_makes_one_eig_call_per_block(tmp_path, monkeypatch):
-    # 201 samples of [0.5, 3] include the exceptional points varpi = 1, 2
+#: the 4x4 model of the README, and an 8x8 one as the benchmark sweeps:
+#: 201 samples of [0.5, 3] include the exceptional points varpi = 1, 2
+MODEL_LAMBDAS = ["1,4", "1,4,16,25"]
+
+
+def model_sweep_201(tmp_path, lambdas):
+    assert cli.main([
+        "model-sweep", "--lambdas", lambdas, "--varpi-range", "0.5", "3", "--samples", "201",
+        "--csv-out", str(tmp_path / "sweep.csv"),
+    ]) == 0
+    return 2 * len(lambdas.split(","))  # n
+
+
+@pytest.mark.parametrize("lambdas", MODEL_LAMBDAS)
+def test_model_sweep_makes_one_eig_call_per_block(tmp_path, monkeypatch, lambdas):
     rows_per_call = []
     original = np.linalg.eig
 
@@ -362,15 +426,13 @@ def test_model_sweep_makes_one_eig_call_per_block(tmp_path, monkeypatch):
         return original(a)
 
     monkeypatch.setattr(np.linalg, "eig", counted)
-    assert cli.main([
-        "model-sweep", "--lambdas", "1,4", "--varpi-range", "0.5", "3", "--samples", "201",
-        "--csv-out", str(tmp_path / "sweep.csv"),
-    ]) == 0
-    assert len(rows_per_call) == math.ceil(201 / B)
+    n = model_sweep_201(tmp_path, lambdas)
+    assert len(rows_per_call) == math.ceil(201 / block_rows(n))  # 1 at n = 4, 4 at n = 8
     assert sum(rows_per_call) == 201  # no row is solved twice
 
 
-def test_model_sweep_gauges_each_block_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("lambdas", MODEL_LAMBDAS)
+def test_model_sweep_gauges_each_block_once(tmp_path, monkeypatch, lambdas):
     # the simple heads of a block share one gauge call; each of the two
     # coalesced clusters, at varpi = 1 and 2, runs the staircase and gauges
     # its one chain head there; no head is gauged twice
@@ -379,10 +441,7 @@ def test_model_sweep_gauges_each_block_once(tmp_path, monkeypatch):
     monkeypatch.setattr(blockdiag, "_canonical_gauge",
                         lambda heads: heads_per_call.append(len(heads)) or gauge(heads))
     staircases = count_calls(monkeypatch, blockdiag, "jordan_chains")
-    assert cli.main([
-        "model-sweep", "--lambdas", "1,4", "--varpi-range", "0.5", "3", "--samples", "201",
-        "--csv-out", str(tmp_path / "sweep.csv"),
-    ]) == 0
+    n = model_sweep_201(tmp_path, lambdas)
     assert len(staircases) == 2
-    assert len(heads_per_call) == math.ceil(201 / B) + len(staircases)
-    assert sum(heads_per_call) == 4 * 201 - 2
+    assert len(heads_per_call) == math.ceil(201 / block_rows(n)) + len(staircases)
+    assert sum(heads_per_call) == n * 201 - 2
