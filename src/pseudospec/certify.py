@@ -153,16 +153,13 @@ class Certificate:
     decomposition: BlockDiagonalization | None = field(default=None, repr=False)
 
 
-#: matrix entries that :func:`decide_many` decides at once: a block holds
-#: ``max(1, BLOCK_ENTRIES // n**2)`` rows of n x n matrices, 1,024 of 2x2,
-#: 64 of 8x8, 16 of 16x16 and one from 64x64 up: enough rows to share
-#: each LAPACK and numpy call, and a bound on a block's memory for every n
-BLOCK_ENTRIES = 4096
-
-
 def block_rows(n: int) -> int:
-    """Rows of n x n matrices in one block of :func:`decide_many`."""
-    return max(1, BLOCK_ENTRIES // max(1, n * n))
+    """Rows of n x n matrices that :func:`decide_many` decides at once:
+    4,096 matrix entries, but at least 16 rows and at most 64.  That is 64
+    rows up to 8 x 8, where a deeper block shares each LAPACK and numpy
+    call among more rows, and 16, as for every n before, from 16 x 16 up,
+    where 64 rows gain little time and hold four times the certificates."""
+    return min(64, max(16, 4096 // max(1, n * n)))
 
 
 def _witness_residuals(A, scale_A, tau, X, eta) -> list[dict[str, float]]:
@@ -212,13 +209,12 @@ def decide_many(stack, tol: ToleranceProfile = ToleranceProfile()) -> Iterator[C
     row order, bit for bit equal to one :func:`decide` per row.
 
     The input is validated at once, and a non-finite entry raises a
-    ``ValueError`` that names its row.  Rows are then decided in blocks of
-    at most :data:`BLOCK_ENTRIES` matrix entries (:func:`block_rows`, at
-    least one row): one stacked decomposition, then one stacked synthesis
-    and one set of stacked residual products for the rows whose pairing
-    holds.  Stacked gufuncs treat each matrix alone, so the block depth
-    changes no bit.  Certificates are yielded as each block completes, so
-    only one block of them need be alive.
+    ``ValueError`` that names its row.  Rows are then decided
+    :func:`block_rows` at a time: one stacked decomposition, then one
+    stacked synthesis and one set of stacked residual products for the
+    rows whose pairing holds.  Stacked gufuncs treat each matrix alone, so
+    the block depth changes no bit.  Certificates are yielded as each
+    block completes, so only one block of them need be alive.
     """
     Hs = as_stack(stack)
     if Hs.shape[1] == 0 and len(Hs):

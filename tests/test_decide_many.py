@@ -21,15 +21,15 @@ from pseudospec.symmetry import build_C0, build_S, classify_spectrum, synthesize
 from pseudospec.truncated import ModelSpec, build_H, build_H_stack
 from tests.test_blockdiag import count_calls, jordan_matrix, well_conditioned
 
-#: the block bound of most tests here: blocks of 128 rows of 2x2, 32 of
-#: 4x4, 20 of 5x5, 8 of 8x8 and 2 of 16x16, so that the stacks about a
-#: block's edge stay short
-SMALL_BLOCKS = 512
+#: the block depth of most tests here, whatever n, so that the stacks
+#: about a block's edge stay short
+B = 16
+SIZES = [1, B - 1, B, B + 1]
 
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    monkeypatch.setattr(certify, "BLOCK_ENTRIES", SMALL_BLOCKS)
+    monkeypatch.setattr(certify, "block_rows", lambda n: B)
 
 
 def _bits(x) -> bytes:
@@ -62,8 +62,9 @@ def assert_rowwise(stack):
     return certs
 
 
-def gaussian(m, kind, n):
-    rng = np.random.default_rng([m, n, len(kind)])
+def gaussian(m, kind):
+    rng = np.random.default_rng([m, len(kind)])
+    n = (2, 5, 8, 16)[m % 4]
     H = rng.standard_normal((m, n, n))
     if kind == "complex":
         H = H + 1j * rng.standard_normal((m, n, n))
@@ -132,40 +133,33 @@ def mixed(m):
     return np.stack(rows)
 
 
-#: n and the builder of each kind of stack; the Gaussian ones at every n
-#: whose blocks hold a different number of rows
 STACKS = {
-    **{f"{kind}-gaussian-n{n}": (n, lambda m, kind=kind, n=n: gaussian(m, kind, n))
-       for kind in ("real", "complex") for n in (2, 5, 8, 16)},
-    "model-sweep": (4, model),
-    "scatter": (2, scatter),
-    "mixed": (4, mixed),
+    "real-gaussian": lambda m: gaussian(m, "real"),
+    "complex-gaussian": lambda m: gaussian(m, "complex"),
+    "model-sweep": model,
+    "scatter": scatter,
+    "mixed": mixed,
 }
 
 
-@pytest.mark.parametrize("edge", range(4), ids=["one", "below", "at", "above"])
+@pytest.mark.parametrize("m", SIZES)
 @pytest.mark.parametrize("kind", list(STACKS))
-def test_stack_equals_rowwise_decide(small_blocks, kind, edge):
-    # one row, and one row less than, as many as and one more than a block
-    n, build = STACKS[kind]
-    B = block_rows(n)
-    assert_rowwise(build([1, B - 1, B, B + 1][edge]))
+def test_stack_equals_rowwise_decide(small_blocks, kind, m):
+    assert_rowwise(STACKS[kind](m))
 
 
-#: rows per block at the default BLOCK_ENTRIES
-DEFAULT_ROWS = {1: 4096, 2: 1024, 8: 64, 16: 16, 64: 1}
+#: rows of n x n matrices per block: 4,096 entries, between 16 and 64 rows
+DEFAULT_ROWS = {1: 64, 2: 64, 8: 64, 10: 40, 16: 16, 64: 16}
 
 
 @pytest.mark.parametrize("n", list(DEFAULT_ROWS))
-def test_block_holds_at_most_block_entries(monkeypatch, n):
+def test_blocks_hold_block_rows(monkeypatch, n):
     blocks = []
     monkeypatch.setattr(certify, "_decide_block",
                         lambda Hs, tol: blocks.append(len(Hs)) or [None] * len(Hs))
-    B = DEFAULT_ROWS[n]
-    assert block_rows(n) == B
-    assert len(list(decide_many(np.zeros((2 * B + 1, n, n))))) == 2 * B + 1
-    assert blocks == [B, B, 1]
-    assert max(blocks) * n * n <= max(certify.BLOCK_ENTRIES, n * n)
+    rows = DEFAULT_ROWS[n]
+    assert len(list(decide_many(np.zeros((2 * rows + 1, n, n))))) == 2 * rows + 1
+    assert blocks == [rows, rows, 1]
 
 
 def test_certificates_hold_their_own_tolerances():
@@ -177,7 +171,6 @@ def test_certificates_hold_their_own_tolerances():
 
 
 def test_mixed_stack_covers_every_verdict(small_blocks):
-    B = block_rows(4)
     stack = mixed(B + 1)
     certs = assert_rowwise(stack)
     assert {c.verdict for c in certs} == {PSEUDO_HERMITIAN, NOT_PSEUDO_HERMITIAN}
@@ -278,8 +271,7 @@ class TestLapackFailureIsolation:
     failing row ends inconclusive."""
 
     def stack(self):
-        B = block_rows(5)
-        rows = list(gaussian(B + 1, "real", 5))
+        rows = list(gaussian(B + 1, "real"))
         target = np.diag(7.0 + np.arange(len(rows[0])))  # its eigenvector basis is exactly I
         rows[B - 3] = target
         return np.stack(rows), B - 3, target
@@ -365,18 +357,30 @@ class TestOneFailureChannel:
         certs = assert_rowwise(np.stack(rows))
         assert [c.verdict == INCONCLUSIVE for c in certs] == [r == 2 for r in range(6)]
 
-    def test_singular_eigenvectors_redo_only_their_inversion(self, monkeypatch):
+    def exceptional_model(self):
         # at some exceptional points of the real two-band model, here at
         # varpi = 0.8 and 2.1375, the real eigensolve returns exactly
-        # parallel eigenvectors, so the stacked inversion of a block's
-        # eigenvectors fails.  One slogdet screens out the two singular
-        # rows and one inversion serves the other 62: the block stays
-        # stacked and each row keeps its own bits
+        # parallel eigenvectors: a 64-row block with two such rows
         roots = (0.75, 0.8, 2.1375, 2.575)  # sample points, as the benchmark draws them
         varpis = np.linspace(0.5, 3.0, 64)
         varpis[[10, 40]] = roots[1], roots[2]
         stack = build_H_stack(tuple(r * r for r in roots), varpis)
-        assert len(stack) == block_rows(8) == 64
+        return stack, [("inv", 64), ("slogdet", 64), ("inv", 62)]
+
+    def defective_gaussian(self):
+        # the eigensolve of J3(0) returns three copies of e1, up to a
+        # 1e-292 entry, and an exactly zero row, in a block of Gaussians
+        rows = list(gaussian(B + 1, "real"))
+        rows[4] = jordan_matrix([(0.0, [3]), (1.0, [1]), (2.0, [1])])
+        return np.stack(rows), [("inv", B + 1), ("slogdet", B + 1), ("inv", B)]
+
+    @pytest.mark.parametrize("case", ["exceptional_model", "defective_gaussian"])
+    def test_singular_eigenvectors_redo_only_their_inversion(self, monkeypatch, case):
+        # the stacked inversion of the block's eigenvectors fails; one
+        # slogdet screens out the singular rows and one inversion serves
+        # the rest: the block stays stacked and each row keeps its own bits
+        stack, inversions = getattr(self, case)()
+        assert len(stack) <= block_rows(stack.shape[1])  # one block
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(eigensystem_stack(stack)[1])
         expected = [certificate_bits(decide(H)) for H in stack]
@@ -400,7 +404,7 @@ class TestOneFailureChannel:
         monkeypatch.setattr(blockdiag, "_condition_numbers", traced)
         assert [certificate_bits(c) for c in decide_many(stack)] == expected
         assert len(blocks) == 1  # no LAPACK failure sent the block row by row
-        assert calls == [("inv", 64), ("slogdet", 64), ("inv", 62)]
+        assert calls == inversions
 
 
 #: the 4x4 model of the README, and an 8x8 one as the benchmark sweeps:
@@ -427,7 +431,7 @@ def test_model_sweep_makes_one_eig_call_per_block(tmp_path, monkeypatch, lambdas
 
     monkeypatch.setattr(np.linalg, "eig", counted)
     n = model_sweep_201(tmp_path, lambdas)
-    assert len(rows_per_call) == math.ceil(201 / block_rows(n))  # 1 at n = 4, 4 at n = 8
+    assert len(rows_per_call) == math.ceil(201 / block_rows(n))  # 4 blocks of at most 64
     assert sum(rows_per_call) == 201  # no row is solved twice
 
 
