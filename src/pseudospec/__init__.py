@@ -44,18 +44,9 @@ from .symmetry import (
     PairingError,
     SpectralLabeling,
     SymmetryOperators,
-    build_C0,
-    build_S,
-    build_Theta,
-    build_X,
-    build_X0,
-    build_eta0,
-    build_metric_eta,
     build_tau,
-    build_tau0,
     check_pairing,
     classify_spectrum,
-    gamma_from_tau_X,
     synthesize_operators,
 )
 

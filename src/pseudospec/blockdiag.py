@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -101,20 +100,10 @@ class SpectralTable:
     def dimension(self) -> int:
         return sum(c.algebraic for c in self.clusters)
 
-    @cached_property
-    def slots(self) -> tuple[tuple[int, int, int, int], ...]:
-        """(cluster, chain, index, column of the chain head) of every basis
-        slot, in canonical order; built once per table."""
-        out = []
-        for n, c in enumerate(self.clusters):
-            for a, p in enumerate(c.p_list):
-                head = len(out)
-                out.extend((n, a, i, head) for i in range(1, p + 1))
-        return tuple(out)
-
     def labels(self) -> list[tuple[int, int, int]]:
         """Canonical (cluster, chain, index) label of every basis slot."""
-        return [slot[:3] for slot in self.slots]
+        return [(n, a, i) for n, c in enumerate(self.clusters)
+                for a, p in enumerate(c.p_list) for i in range(1, p + 1)]
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,7 @@ def _witness_residuals(A, scale_A, tau, X, eta) -> list[dict[str, float]]:
     # the two that need no product with A first, while few arrays are alive
     involution = involution_residual(X)
     hermitian = fro_rows(eta - dagger(eta))
-    gamma = product(tau, X)  # gamma_from_tau_X of each row
+    gamma = product(tau, X)  # gamma = tau . X of each row, a linear map
     Ac = np.conj(A)
     Ah = np.swapaxes(Ac, -1, -2)  # dagger(A)
     (anti, commute, intertwine, gamma_res), (_, _, eta_size, _) = _relative_residuals(

@@ -124,13 +124,6 @@ def eigensystem_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return values, vectors / norms[..., None, :], real
 
 
-def singular_error(est: float) -> SingularMatrixError:
-    """The error for a matrix singular to working tolerance."""
-    return SingularMatrixError(
-        f"matrix is singular to working tolerance (cond >= {est:.3e})", float(est)
-    )
-
-
 def inverse_and_cond_stack(A: np.ndarray) -> tuple[np.ndarray, list[int], list[float]]:
     """Inverses and 2-norm condition numbers of the rows of a validated
     (m, n, n) stack, n >= 1, from one stacked SVD and one stacked inversion.
@@ -158,5 +151,7 @@ def inverse(M) -> np.ndarray:
         return A.copy()
     inv, rows, est = inverse_and_cond_stack(A[None])
     if not rows:
-        raise singular_error(est[0])
+        raise SingularMatrixError(
+            f"matrix is singular to working tolerance (cond >= {est[0]:.3e})", float(est[0])
+        )
     return inv[0]

@@ -80,10 +80,10 @@ def matrix_from_doc(doc) -> np.ndarray:
     pairs = _pair_array(entries)
     if pairs is not None:
         return pairs.view(complex).reshape(rows, cols)
-    # some entry breaks a rule: the per-entry pass names the first one
-    flat = []
+    # some entry breaks one of the rules of _pair_array, so this pass
+    # raises: it names the first such entry
     for i, pair in enumerate(entries):
-        if (not isinstance(pair, list)) or len(pair) != 2:
+        if type(pair) is not list or len(pair) != 2:
             raise FormatError(f"entry {i} is not a [re, im] pair")
         if not all(type(p) in (int, float) for p in pair):
             raise FormatError(f"entry {i} is not a [re, im] pair of numbers")
@@ -93,8 +93,6 @@ def matrix_from_doc(doc) -> np.ndarray:
             raise FormatError(f"entry {i} is not finite") from exc
         if not (np.isfinite(re) and np.isfinite(im)):
             raise FormatError(f"entry {i} is not finite")
-        flat.append(complex(re, im))
-    return np.array(flat, dtype=complex).reshape(rows, cols)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -8,7 +8,7 @@ there:
 * ``tau0 = S . conjugation`` relates ``H0`` to its adjoint;
 * ``tau = inv(A tau0 A^+) = inv(A)^+ tau0 inv(A)`` relates any
   block-diagonalizable ``H`` to its adjoint, pairing or not;
-* ``C0`` fixes real-class slots and swaps conjugate-paired clusters, and
+* ``C0`` fixes every real-class slot and swaps conjugate-paired clusters, and
   exists precisely when the spectrum passes the pairing test;
 * ``eta0 = S C0`` and ``X0 = eta0 . tau0`` commute into the generalized
   time-reversal witness ``X = A X0 inv(A)`` with ``X^2 = 1`` and
@@ -19,11 +19,11 @@ there:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import chain
 
 import numpy as np
 
-from .antilinear import AntilinearOp, compose_antilinear_antilinear, conjugation
+from .antilinear import AntilinearOp
 from .blockdiag import BlockDiagonalization, SpectralTable
 from .linalg import dagger
 
@@ -130,56 +130,51 @@ def check_pairing(labeling: SpectralLabeling, table: SpectralTable) -> PairingRe
     return PairingReport(True, None)
 
 
-def build_S(table: SpectralTable) -> np.ndarray:
-    """Chain-reversal permutation: slot (n, a, i) -> (n, a, p-i+1).
+def _permutations(tables, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The chain flip S and the pair swap C0 of every row of a block of
+    one dimension, as two (m, n, n) stacks; ``pairs[r]`` holds the
+    conjugate pairs of row r, and C0 fixes every other cluster.
 
-    Hermitian, unitary, and involutive exactly; it is the identity precisely
-    when every chain has length 1.
-    """
-    return _permutations([_S_rows(table)])[0]
-
-
-def _S_rows(table: SpectralTable) -> list[int]:
-    """The row of the one in each column of :func:`build_S`."""
-    p = [c.p_list for c in table.clusters]
-    return [head + p[n][a] - i for n, a, i, head in table.slots]
-
-
-def _permutations(rows) -> np.ndarray:
-    """The permutation matrices with a one in row ``rows[r][c]`` of each
-    column ``c``, one per index list ``rows[r]`` of equal length,
-    scattered into one (m, n, n) stack."""
-    rows = np.array(rows, dtype=np.intp)
-    P = np.zeros(rows.shape + rows.shape[1:])
-    P[np.arange(len(rows))[:, None], rows, np.arange(rows.shape[1])] = 1.0
-    return P
-
-
-def build_Theta(dim: int) -> AntilinearOp:
-    """Componentwise conjugation in the canonical basis."""
-    return conjugation(dim)
-
-
-def build_tau0(table: SpectralTable) -> AntilinearOp:
-    """``tau0 = S . conjugation``: a Hermitian unitary antilinear involution."""
-    return AntilinearOp.trusted(_tau0(build_S(table)))
+    Both are index rules over the flat index j of every slot of the
+    block, from the lengths of all its chains and the sizes of all its
+    clusters, as :func:`blockdiag._assemble` places H0's superdiagonal.
+    S reverses each chain: for a chain of length p whose head is slot h,
+    the one in column j lies in row ``2 h + p - 1 - j``.  C0 moves each
+    slot by the offset from the first slot of its cluster to that of the
+    partner cluster, whose Jordan dimensions the pairing test has made
+    equal: row ``j + start[partner] - start``."""
+    p_lists = [c.p_list for t in tables for c in t.clusters]
+    lengths = np.fromiter(chain.from_iterable(p_lists), np.intp)
+    sizes = np.fromiter(map(sum, p_lists), np.intp, len(p_lists))
+    partner = np.arange(len(p_lists))
+    first = 0
+    for t, swaps in zip(tables, pairs):
+        for a, b in swaps:
+            partner[first + a], partner[first + b] = first + b, first + a
+        first += len(t.clusters)
+    slot = np.arange(lengths.sum())
+    head = np.cumsum(lengths) - lengths
+    start = np.cumsum(sizes) - sizes
+    n = len(slot) // len(tables)
+    col = slot % n
+    P = np.zeros((2, len(slot), n))
+    P[0, np.repeat(2 * head + lengths - 1, lengths) - slot, col] = 1.0
+    P[1, slot + np.repeat(start[partner] - start, sizes), col] = 1.0
+    return P.reshape(2, len(tables), n, n)
 
 
-def _tau0(S: np.ndarray) -> np.ndarray:
-    """Matrix part of :func:`build_tau0` from ``S``, also for stacks."""
-    return S.astype(complex)
-
-
-def build_tau(bd: BlockDiagonalization, tau0: AntilinearOp) -> AntilinearOp:
+def build_tau(bd: BlockDiagonalization) -> AntilinearOp:
     """Antilinear Hermitian bijection with ``H^+ tau = tau H``.
 
-    Defined as ``inv(A tau0 A^+) = inv(A)^+ tau0 inv(A)``, whose matrix part
-    is ``conj(inv(A)^T S inv(A))``: the dual-basis sandwich of ``tau0``, built
+    Defined as ``inv(A tau0 A^+) = inv(A)^+ tau0 inv(A)`` with
+    ``tau0 = S . conjugation``, whose matrix part is
+    ``conj(inv(A)^T S inv(A))``: the dual-basis sandwich of ``tau0``, built
     from the stored inverse of A.  No spectral pairing is needed, so this
     witness exists for every block-diagonalizable input.  The matrix part is
     symmetrized to keep Hermiticity exact against round-off.
     """
-    return AntilinearOp.trusted(_tau(bd.A_inv, tau0.matrix))
+    S, _ = _permutations([bd.table], [()])
+    return AntilinearOp.trusted(_tau(bd.A_inv, S[0].astype(complex)))
 
 
 def _tau(A_inv: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -188,75 +183,10 @@ def _tau(A_inv: np.ndarray, S: np.ndarray) -> np.ndarray:
     return (K + np.swapaxes(K, -1, -2)) / 2.0
 
 
-def build_C0(labeling: SpectralLabeling, table: SpectralTable) -> np.ndarray:
-    """Pair-swap permutation: identity on real-class slots, slot
-    ``(nu, a, i) <-> (-nu, a, i)`` for conjugate pairs, chains aligned in
-    descending-length order.  Raises :class:`PairingError` when the pairing
-    test fails, since then no such operator exists."""
-    _require_pairing(labeling, table)
-    return _permutations([_C0_rows(labeling, table)])[0]
-
-
-def _require_pairing(labeling: SpectralLabeling, table: SpectralTable) -> None:
-    report = check_pairing(labeling, table)
-    if not report.ok:
-        raise PairingError(report.detail)
-
-
-def _C0_rows(labeling: SpectralLabeling, table: SpectralTable) -> list[int]:
-    """The row of the one in each column of :func:`build_C0`, for a
-    labeling that passes the pairing test."""
-    # partners share their Jordan dimensions, so a slot keeps its offset
-    # from the first column of its cluster
-    first = [0, *accumulate(c.algebraic for c in table.clusters)]
-    partner = {n: n for n in labeling.real_clusters}
-    for n, m in labeling.pairs:
-        partner[n], partner[m] = m, n
-    return [col - first[n] + first[partner[n]] for col, (n, *_) in enumerate(table.slots)]
-
-
-def build_eta0(S: np.ndarray, C0: np.ndarray) -> np.ndarray:
-    """``eta0 = S C0``; Hermitian unitary involution since ``[C0, S] = 0``."""
-    return S @ C0
-
-
-def build_X0(eta0: np.ndarray, tau0: AntilinearOp) -> AntilinearOp:
-    """``X0 = eta0 . tau0``: antilinear involution commuting with ``H0``."""
-    return AntilinearOp(_X0(eta0, tau0.matrix))
-
-
-def _X0(eta0: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Matrix part of :func:`build_X0` from that of ``tau0``, also for stacks."""
-    return eta0 @ K
-
-
-def build_X(bd: BlockDiagonalization, X0: AntilinearOp) -> AntilinearOp:
-    """Similarity lift ``X = A X0 inv(A)`` (antilinear, so the inverse
-    factor enters conjugated): involution commuting with ``H``."""
-    return AntilinearOp.trusted(_lift(bd.A, X0.matrix, bd.A_inv))
-
-
 def _lift(A: np.ndarray, K0: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
-    """Matrix part of :func:`build_X`, also for stacks."""
+    """Similarity lift ``A K0 inv(A)`` of the matrix part of an antilinear
+    map (so the inverse factor enters conjugated), also for stacks."""
     return A @ K0 @ np.conj(A_inv)
-
-
-def build_metric_eta(bd: BlockDiagonalization, eta0: np.ndarray) -> np.ndarray:
-    """Hermitian invertible metric ``eta = inv(A)^+ eta0 inv(A)`` with
-    ``H^+ eta = eta H``; Hermiticity is exact by construction."""
-    return _metric(bd.A_inv, eta0)
-
-
-def _metric(A_inv: np.ndarray, eta0: np.ndarray) -> np.ndarray:
-    """:func:`build_metric_eta`, also for stacks."""
-    M = dagger(A_inv) @ eta0 @ A_inv
-    return (M + dagger(M)) / 2.0
-
-
-def gamma_from_tau_X(tau: AntilinearOp, X: AntilinearOp) -> np.ndarray:
-    """Linear automorphism ``gamma = tau . X`` with ``H^+ gamma = gamma H``;
-    in general not Hermitian."""
-    return compose_antilinear_antilinear(tau, X)
 
 
 def synthesize_operators(bd: BlockDiagonalization) -> SymmetryOperators:
@@ -266,30 +196,32 @@ def synthesize_operators(bd: BlockDiagonalization) -> SymmetryOperators:
     Raises :class:`PairingError` when the pairing test fails.
     """
     labeling = classify_spectrum(bd.table)
-    _require_pairing(labeling, bd.table)
+    report = check_pairing(labeling, bd.table)
+    if not report.ok:
+        raise PairingError(report.detail)
     return synthesize_stack([bd], [labeling])[0][0]
 
 
 def synthesize_stack(bds, labelings) -> tuple[list[SymmetryOperators], tuple]:
     """:func:`synthesize_operators` for decompositions of one dimension
-    whose labelings pass the pairing test: S and C0 of every row scattered
-    into one stack, every similarity lift as one stacked product.  Also
-    returns the stacks of the matrix parts of tau and X and of eta, which
-    the operators view.
+    whose labelings pass the pairing test: S and C0 of every row from one
+    :func:`_permutations` call, every similarity lift as one stacked
+    product.  Also returns the stacks of the matrix parts of tau and X and
+    of eta, which the operators view.
 
     For a real H, X is the conjugation exactly: it commutes with H and
     squares to 1 whatever the basis.  When in addition ``conj(A) == A C0``
     holds bit for bit, tau and eta are real in exact arithmetic, and they
     are stored real: their imaginary parts are product rounding."""
-    S, C0 = np.split(_permutations([_S_rows(bd.table) for bd in bds] + [
-        _C0_rows(lab, bd.table) for bd, lab in zip(bds, labelings)]), 2)
+    S, C0 = _permutations([bd.table for bd in bds], [lab.pairs for lab in labelings])
     A = np.stack([bd.A for bd in bds])
     A_inv = np.stack([bd.A_inv for bd in bds])
-    tau0 = _tau0(S)
-    eta0 = build_eta0(S, C0)
-    X0 = _X0(eta0, tau0)
+    tau0 = S.astype(complex)  # the matrix part of S . conjugation
+    eta0 = S @ C0
+    X0 = eta0 @ tau0
     tau = _tau(A_inv, tau0)
-    eta = _metric(A_inv, eta0)
+    eta = dagger(A_inv) @ eta0 @ A_inv
+    eta = (eta + dagger(eta)) / 2.0  # Hermitian exactly against round-off
     Theta = np.repeat(np.eye(A.shape[-1], dtype=complex)[None], len(bds), axis=0)
     real = np.array([bd.real for bd in bds])
     if real.any():

@@ -30,7 +30,7 @@ import numpy as np
 
 from .antilinear import AntilinearOp, conjugation
 from .blockdiag import BlockDiagonalization, from_chains
-from .symmetry import SymmetryOperators, build_tau, build_tau0
+from .symmetry import SymmetryOperators, build_tau
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -257,5 +257,4 @@ def closed_form_block_diagonalization(spec: ModelSpec) -> BlockDiagonalization:
 def reference_gauge_tau(spec: ModelSpec) -> AntilinearOp:
     """tau synthesized by the generic construction from the closed-form
     Jordan basis; matches :func:`closed_form_tau` entrywise."""
-    bd = closed_form_block_diagonalization(spec)
-    return build_tau(bd, build_tau0(bd.table))
+    return build_tau(closed_form_block_diagonalization(spec))

@@ -280,7 +280,7 @@ class TestJordanChains:
         assert str(got[0]) == "chain head is zero or not finite"
         for H, bd in zip(Hs[1:], got[1:]):
             values, vectors = eigensystem(H)
-            for col, (n, *_) in enumerate(bd.table.slots):
+            for col, (n, *_) in enumerate(bd.table.labels()):
                 (j,) = np.flatnonzero(values + 0.0 == bd.table.clusters[n].value)
                 (want,) = per_vector_gauge([vectors[:, j]])
                 assert bd.A[:, col].tobytes() == want.tobytes()

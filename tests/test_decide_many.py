@@ -1,12 +1,11 @@
 """decide_many: a stack decided in blocks equals decide row by row, bit for bit."""
-import itertools
 import math
 import re
 
 import numpy as np
 import pytest
 
-from pseudospec import blockdiag, certify, cli
+from pseudospec import blockdiag, certify, cli, symmetry
 from pseudospec.certify import (
     INCONCLUSIVE,
     NOT_PSEUDO_HERMITIAN,
@@ -17,9 +16,10 @@ from pseudospec.certify import (
 )
 from pseudospec.linalg import eigensystem_stack, fro_rows
 from pseudospec.scattering import PotentialSpec, RectangularBarrier, hamiltonian_at
-from pseudospec.symmetry import build_C0, build_S, classify_spectrum, synthesize_stack
+from pseudospec.symmetry import classify_spectrum, synthesize_stack
 from pseudospec.truncated import ModelSpec, build_H, build_H_stack
 from tests.test_blockdiag import count_calls, jordan_matrix, well_conditioned
+from tests.test_symmetry import reference_layout
 
 #: the block depth of most tests here, whatever n, so that the stacks
 #: about a block's edge stay short
@@ -199,35 +199,10 @@ BLOCK_STRUCTURES = [
 ]
 
 
-def per_slot_H0(table):
-    """The block-Jordan form slot by slot, as the per-slot loop built it."""
-    H0 = np.zeros((table.dimension,) * 2, dtype=complex)
-    for col, (n, _, i, _) in enumerate(table.slots):
-        H0[col, col] = table.clusters[n].value
-        if i >= 2:
-            H0[col - 1, col] = 1.0
-    return H0
-
-
-def per_slot_S(table):
-    p = [c.p_list for c in table.clusters]
-    return np.eye(len(table.slots))[:, [head + p[n][a] - i for n, a, i, head in table.slots]]
-
-
-def per_slot_C0(labeling, table):
-    first = [0, *itertools.accumulate(c.algebraic for c in table.clusters)]
-    partner = {n: n for n in labeling.real_clusters}
-    for n, m in labeling.pairs:
-        partner[n], partner[m] = m, n
-    return np.eye(len(table.slots))[
-        :, [col - first[n] + first[partner[n]] for col, (n, *_) in enumerate(table.slots)]
-    ]
-
-
 def test_block_H0_S_and_C0_are_the_per_slot_rule():
     # one block of rows with different chain structures: H0 set from index
-    # arrays, S and C0 scattered from index lists, each row's bits those of
-    # the per-slot rule and of its own one-row builders
+    # arrays, S and C0 from the block's chain lengths, each row's bits those
+    # of the per-slot rule and of a one-row block
     rng = np.random.default_rng(9)
     Hs, centers_list, chain_sets = [], [], []
     for structure in BLOCK_STRUCTURES:
@@ -244,12 +219,13 @@ def test_block_H0_S_and_C0_are_the_per_slot_rule():
     for r, (bd, lab, w) in enumerate(zip(bds, labelings, ops)):
         assert [c.p_list for c in bd.table.clusters] == [tuple(p) for _, p in BLOCK_STRUCTURES[r]]
         assert bd.real == real[r]
-        assert bd.H0.tobytes() == per_slot_H0(bd.table).tobytes()
+        H0, S, C0 = reference_layout(bd.table, lab.pairs)
+        assert bd.H0.tobytes() == H0.tobytes()
         alone = blockdiag.from_chains(Hs[r], centers_list[r], chain_sets[r])
         assert alone.H0.tobytes() == bd.H0.tobytes()
-        S, C0 = per_slot_S(bd.table), per_slot_C0(lab, bd.table)
-        assert w.S.tobytes() == S.tobytes() == build_S(bd.table).tobytes()
-        assert w.C0.tobytes() == C0.tobytes() == build_C0(lab, bd.table).tobytes()
+        S_alone, C0_alone = symmetry._permutations([bd.table], [lab.pairs])
+        assert w.S.tobytes() == S.tobytes() == S_alone[0].tobytes()
+        assert w.C0.tobytes() == C0.tobytes() == C0_alone[0].tobytes()
         assert w.Theta.matrix.tobytes() == np.eye(12, dtype=complex).tobytes()
 
 

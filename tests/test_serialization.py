@@ -303,8 +303,13 @@ def per_entry_reference(doc) -> np.ndarray:
     return np.array(flat, dtype=complex).reshape(doc["rows"], doc["cols"])
 
 
+class ListSubclass(list):
+    """Not a JSON array: ``json.load`` makes plain lists only."""
+
+
 #: one bad entry per kind, and the message that names it
 DEFECTS = {
+    "list subclass": (ListSubclass([0.0, 1.0]), "is not a [re, im] pair"),
     "bool": ([0.0, True], "is not a [re, im] pair of numbers"),
     "string": ([0.0, "1.5"], "is not a [re, im] pair of numbers"),
     "short pair": ([1.0], "is not a [re, im] pair"),

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from pseudospec import symmetry
-from pseudospec.antilinear import AntilinearOp, is_hermitian, is_involution
+from pseudospec.antilinear import (
+    AntilinearOp,
+    compose_antilinear_antilinear,
+    conjugation,
+    is_hermitian,
+    is_involution,
+)
 from pseudospec.blockdiag import EigenCluster, SpectralTable, block_diagonalize
 from pseudospec.linalg import SingularMatrixError, fro, inverse
 from pseudospec.certify import (
@@ -16,18 +22,9 @@ from pseudospec.certify import (
 )
 from pseudospec.symmetry import (
     PairingError,
-    build_C0,
-    build_S,
-    build_Theta,
-    build_X,
-    build_X0,
-    build_eta0,
-    build_metric_eta,
     build_tau,
-    build_tau0,
     check_pairing,
     classify_spectrum,
-    gamma_from_tau_X,
     synthesize_operators,
 )
 from tests.test_blockdiag import count_calls, jordan_matrix, scatter_hamiltonian, well_conditioned
@@ -88,64 +85,73 @@ class TestPairing:
         assert check_pairing(classify_spectrum(t), t).ok
 
 
+def S_and_C0(t):
+    """The one-row S and C0 of a table, paired at the default tolerances."""
+    S, C0 = symmetry._permutations([t], [classify_spectrum(t).pairs])
+    return S[0], C0[0]
+
+
 class TestPermutationBuilders:
     def test_S_identity_for_simple_chains(self):
-        assert np.array_equal(build_S(table((1.0, [1]), (2.0, [1]))), np.eye(2))
+        assert np.array_equal(S_and_C0(table((1.0, [1]), (2.0, [1])))[0], np.eye(2))
 
     def test_S_is_swap_for_one_double_chain(self):
-        assert np.array_equal(build_S(table((0.0, [2]))), SIGMA_1)
+        assert np.array_equal(S_and_C0(table((0.0, [2])))[0], SIGMA_1)
 
     def test_S_antidiagonal_for_length_three(self):
-        S = build_S(table((0.0, [3])))
+        S = S_and_C0(table((0.0, [3])))[0]
         assert np.array_equal(S, np.fliplr(np.eye(3)))
 
     def test_S_mixed_chain_lengths(self):
-        S = build_S(table((0.0, [2, 1])))
+        S = S_and_C0(table((0.0, [2, 1])))[0]
         want = np.zeros((3, 3))
         want[0, 1] = want[1, 0] = want[2, 2] = 1.0
         assert np.array_equal(S, want)
 
     def test_tau0_matches_S_and_theta_is_conjugation(self):
-        t = table((0.0, [2]))
-        assert np.array_equal(build_tau0(t).matrix, build_S(t))
-        assert np.array_equal(build_Theta(3).matrix, np.eye(3))
+        ops = synthesize_operators(block_diagonalize(jordan_matrix([(0.0, [2]), (1.0, [1])])))
+        assert np.array_equal(ops.S[:2, :2], SIGMA_1)
+        assert np.array_equal(ops.tau0.matrix, ops.S)
+        assert np.array_equal(ops.Theta.matrix, np.eye(3))
 
     def test_C0_identity_on_real_spectrum(self):
-        t = table((0.0, [2]))
-        assert np.array_equal(build_C0(classify_spectrum(t), t), np.eye(2))
+        assert np.array_equal(S_and_C0(table((0.0, [2])))[1], np.eye(2))
 
     def test_C0_swaps_simple_conjugate_pair(self):
-        t = table((-1j, [1]), (1j, [1]))
-        assert np.array_equal(build_C0(classify_spectrum(t), t), SIGMA_1)
+        assert np.array_equal(S_and_C0(table((-1j, [1]), (1j, [1])))[1], SIGMA_1)
 
     def test_C0_swaps_paired_chains_slotwise(self):
-        t = table((-1j, [2]), (1j, [2]))
-        C = build_C0(classify_spectrum(t), t)
+        C = S_and_C0(table((-1j, [2]), (1j, [2])))[1]
         want = np.zeros((4, 4))
         want[0, 2] = want[2, 0] = want[1, 3] = want[3, 1] = 1.0
         assert np.array_equal(C, want)
 
     def test_C0_refuses_unpaired_spectrum(self):
-        t = table((1j, [1]),)
+        bd = block_diagonalize(np.array([[1j]]))
+        assert bd.table == table((1j, [1]),)
         with pytest.raises(PairingError):
-            build_C0(classify_spectrum(t), t)
+            synthesize_operators(bd)
 
     def test_eta0_commutes_with_S_and_squares_to_identity(self):
-        t = table((-1j, [2, 1]), (1j, [2, 1]), (0.5, [2]))
-        S = build_S(t)
-        C0 = build_C0(classify_spectrum(t), t)
+        structure = [(-1j, [2, 1]), (1j, [2, 1]), (0.5, [2])]
+        rng = np.random.default_rng(5)
+        ops = synthesize_operators(block_diagonalize(paired_instance(rng, structure), tol=1e-5))
+        S, C0, eta0 = ops.S, ops.C0, ops.eta0
+        assert not np.array_equal(C0, np.eye(8))
         assert np.array_equal(C0 @ S, S @ C0)
-        eta0 = build_eta0(S, C0)
-        assert np.array_equal(eta0 @ eta0, np.eye(t.dimension))
+        assert np.array_equal(eta0, S @ C0)
+        assert np.array_equal(eta0 @ eta0, np.eye(8))
         assert np.array_equal(eta0, eta0.T)
 
     def test_X0_matrix_is_C0(self):
         # eta0 tau0 = S C0 S conj = C0 conj, so the matrix part is C0
-        t = table((-2j, [1]), (2j, [1]), (1.0, [2]))
-        lab = classify_spectrum(t)
-        S, C0 = build_S(t), build_C0(lab, t)
-        X0 = build_X0(build_eta0(S, C0), build_tau0(t))
-        assert np.max(np.abs(X0.matrix - C0)) < 1e-15
+        rng = np.random.default_rng(6)
+        structure = [(-2j, [1]), (2j, [1]), (1.0, [2])]
+        bd = block_diagonalize(paired_instance(rng, structure), tol=1e-5)
+        ops = synthesize_operators(bd)
+        assert np.max(np.abs(ops.X0.matrix - ops.C0)) < 1e-15
+        assert is_involution(ops.X0)[0]
+        assert residual_commute_antilinear(bd.H0, ops.X0) < 1e-12
 
 
 def paired_instance(rng, structure):
@@ -166,7 +172,7 @@ class TestSynthesis:
     def test_tau_on_hermitian_matrix(self):
         H = np.diag([2.0, -1.0, 0.5])
         bd = block_diagonalize(H)
-        tau = build_tau(bd, build_tau0(bd.table))
+        tau = build_tau(bd)
         assert residual_intertwine_antilinear(H, tau) < 1e-12
         assert is_hermitian(tau)[1] < 1e-12
 
@@ -203,7 +209,7 @@ class TestSynthesis:
         assert residual_commute_antilinear(H, ops.X) < 1e-8
         herm, inter = residual_hermitian_metric(H, ops.eta)
         assert herm < 1e-12 and inter < 1e-8
-        assert residual_intertwine_linear(H, gamma_from_tau_X(ops.tau, ops.X)) < 1e-8
+        assert residual_intertwine_linear(H, compose_antilinear_antilinear(ops.tau, ops.X)) < 1e-8
         # block-basis identities are permutation-exact
         assert np.array_equal(ops.C0 @ ops.S, ops.S @ ops.C0)
         assert np.array_equal(ops.eta0 @ ops.tau0.matrix, ops.tau0.matrix @ ops.eta0)
@@ -232,7 +238,7 @@ class TestSynthesis:
         structure = [(0.3 + 0.7j, [2]), (1.0, [1])]  # unpaired complex cluster
         H = paired_instance(rng, structure)
         bd = block_diagonalize(H, tol=1e-5)
-        tau = build_tau(bd, build_tau0(bd.table))
+        tau = build_tau(bd)
         assert residual_intertwine_antilinear(H, tau) < 1e-8
         assert is_hermitian(tau)[1] < 1e-10
         with pytest.raises(PairingError):
@@ -258,53 +264,60 @@ class TestSynthesis:
 
     def test_gamma_frozen_example(self):
         # tau = X = conjugation gives the identity
-        gamma = gamma_from_tau_X(build_Theta(2), build_Theta(2))
+        gamma = compose_antilinear_antilinear(conjugation(2), conjugation(2))
         assert np.array_equal(gamma, np.eye(2))
         # two-level closed forms at x = 0: gamma = K_tau conj(K_X)
         H = scatter_hamiltonian(0.0, 1.0, 2.0)
         tau = AntilinearOp(np.array([[0.0, -1.0], [-1.0, -2.0]]))
         X = AntilinearOp(np.eye(2))
-        gamma = gamma_from_tau_X(tau, X)
+        gamma = compose_antilinear_antilinear(tau, X)
         assert np.array_equal(gamma, tau.matrix)
         assert residual_intertwine_linear(H, gamma) < 1e-15
 
 
-def offset_S(t):
-    """Chain reversal written with explicit starting offsets per chain."""
-    S = np.zeros((t.dimension, t.dimension))
-    start = 0
-    for c in t.clusters:
-        for p in c.p_list:
-            for i in range(p):
-                S[start + p - 1 - i, start + i] = 1.0
-            start += p
-    return S
+def reference_layout(t, pairs=()):
+    """H0, S and C0 of a table slot by slot from its canonical labels: S
+    sends slot (n, a, i) to (n, a, p+1-i), and C0 sends it to (m, a, i)
+    for each conjugate pair (n, m) in ``pairs`` and fixes it otherwise."""
+    labels = t.labels()
+    col = {label: j for j, label in enumerate(labels)}
+    partner = {}
+    for n, m in pairs:
+        partner[n], partner[m] = m, n
+    H0 = np.zeros((len(labels),) * 2, dtype=complex)
+    S, C0 = np.zeros((2, len(labels), len(labels)))
+    for j, (n, a, i) in enumerate(labels):
+        H0[j, j] = t.clusters[n].value
+        if i >= 2:
+            H0[j - 1, j] = 1.0
+        S[col[n, a, t.clusters[n].p_list[a] + 1 - i], j] = 1.0
+        C0[col[partner.get(n, n), a, i], j] = 1.0
+    return H0, S, C0
 
 
-def offset_C0(lab, t):
-    """Pair swap written with explicit starting offsets per chain."""
-    offsets, start = [], 0
-    for c in t.clusters:
-        offsets.append([])
-        for p in c.p_list:
-            offsets[-1].append(start)
-            start += p
-    C = np.zeros((t.dimension, t.dimension))
-    for n in lab.real_clusters:
-        for sa, p in zip(offsets[n], t.clusters[n].p_list):
-            for i in range(p):
-                C[sa + i, sa + i] = 1.0
-    for n, m in lab.pairs:
-        for sa, sb, p in zip(offsets[n], offsets[m], t.clusters[n].p_list):
-            for i in range(p):
-                C[sb + i, sa + i] = 1.0
-                C[sa + i, sb + i] = 1.0
-    return C
+def random_paired_table(rng, n):
+    """A table of dimension n with real clusters and conjugate pairs in a
+    random order, chains of length up to 5, values far enough apart that
+    the default pairing finds every pair."""
+    clusters, left, k = [], n, 0
+    while left:
+        pair = left >= 2 and rng.random() < 0.5
+        budget = left // 2 if pair else left
+        p_list = []
+        while budget and (not p_list or rng.random() < 0.5):
+            p_list.append(int(rng.integers(1, min(5, budget) + 1)))
+            budget -= p_list[-1]
+        p_list = tuple(sorted(p_list, reverse=True))
+        k += 1
+        values = [complex(k, k), complex(k, -k)] if pair else [complex(k)]
+        clusters += [EigenCluster(v, p_list) for v in values]
+        left -= len(values) * sum(p_list)
+    return SpectralTable(tuple(clusters[i] for i in rng.permutation(len(clusters))))
 
 
 def sandwich_tau(bd):
     """tau as the symmetrized inverse of the sandwich ``A S A^T``."""
-    K = np.conj(np.linalg.inv(bd.A @ offset_S(bd.table) @ bd.A.T))
+    K = np.conj(np.linalg.inv(bd.A @ reference_layout(bd.table)[1] @ bd.A.T))
     return (K + K.T) / 2.0
 
 
@@ -324,11 +337,26 @@ class TestWitnessesFromTheDecomposition:
         [(0.5 - 1j, [2, 1]), (0.0, [1]), (0.5 + 1j, [2, 1]), (3.0, [2, 1])],
         [(-1j, [2, 1]), (-2j, [3, 2, 2]), (1j, [2, 1]), (2j, [3, 2, 2])],
     ])
-    def test_S_and_C0_match_the_offset_loops(self, clusters):
+    def test_S_and_C0_match_the_label_reference(self, clusters):
         t = table(*clusters)
-        lab = classify_spectrum(t)
-        assert np.array_equal(build_S(t), offset_S(t))
-        assert np.array_equal(build_C0(lab, t), offset_C0(lab, t))
+        _, S, C0 = reference_layout(t, classify_spectrum(t).pairs)
+        assert np.array_equal(S_and_C0(t)[0], S)
+        assert np.array_equal(S_and_C0(t)[1], C0)
+
+    def test_block_S_and_C0_match_the_label_reference(self):
+        # whole blocks of rows with different layouts, one call each
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 17)), int(rng.integers(1, 9))
+            tables = [random_paired_table(rng, n) for _ in range(m)]
+            labelings = [classify_spectrum(t) for t in tables]
+            assert all(check_pairing(lab, t).ok for lab, t in zip(labelings, tables))
+            S, C0 = symmetry._permutations(tables, [lab.pairs for lab in labelings])
+            assert S.shape == C0.shape == (m, n, n)
+            for r, (t, lab) in enumerate(zip(tables, labelings)):
+                _, want_S, want_C0 = reference_layout(t, lab.pairs)
+                assert S[r].tobytes() == want_S.tobytes()
+                assert C0[r].tobytes() == want_C0.tobytes()
 
     @pytest.mark.parametrize("structure", [
         [(0.0, [3]), (1.0 + 0.5j, [1]), (1.0 - 0.5j, [1])],  # defective
@@ -339,7 +367,7 @@ class TestWitnessesFromTheDecomposition:
         rng = np.random.default_rng(sum(len(p) for _, p in structure))
         bd = block_diagonalize(paired_instance(rng, structure), tol=1e-5)
         want = sandwich_tau(bd)
-        assert fro(build_tau(bd, build_tau0(bd.table)).matrix - want) <= 1e-12 * fro(want)
+        assert fro(build_tau(bd).matrix - want) <= 1e-12 * fro(want)
 
     def test_synthesis_factorizes_nothing(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -351,7 +379,7 @@ class TestWitnessesFromTheDecomposition:
 
     def test_synthesis_builds_S_once(self, monkeypatch):
         # tau is lifted from the tau0 that synthesis already holds, and S
-        # and C0 come from one scatter of the block's permutations
+        # and C0 come from one index-rule call for the block
         rng = np.random.default_rng(12)
         bd = block_diagonalize(paired_instance(rng, PAIRED_STRUCTURES[2]), tol=1e-5)
         calls = count_calls(monkeypatch, symmetry, "_permutations")
