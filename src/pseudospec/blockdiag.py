@@ -5,6 +5,13 @@ Jordan chains of generalized eigenvectors, the change of basis ``A`` with
 ``H = A H0 inv(A)``, the exactly block-Jordan ``H0``, and the biorthonormal
 complement ``inv(A)^+``.
 
+Matrices are decomposed a block of rows at a time (:func:`decompose_stack`),
+and a block's spectral data are flat arrays, :class:`BlockSpectra`: every
+cluster's center, size and number of chains, every chain's length, and the
+clusters of each row.  H0 and the symmetry witnesses are index rules over
+them, and a row's :class:`SpectralTable` is built only for its own
+decomposition.
+
 One eigensolve serves two purposes.  Its eigenvalues are clustered by one
 rule: two join when they lie within ``tol |H|_F``, or when their first-order
 perturbation discs overlap and one pseudospectral component holds both, so
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +115,53 @@ class SpectralTable:
 
 
 @dataclass(frozen=True)
+class BlockSpectra:
+    """The clusters and chains of the rows of a block as flat arrays, rows
+    in order and each row in canonical order: every cluster's center, size
+    (algebraic multiplicity) and number of chains, every chain's length, and
+    the number of clusters of each row.  A row's :class:`SpectralTable` is
+    built from them only when :meth:`tables` is asked for."""
+
+    centers: np.ndarray
+    sizes: np.ndarray
+    chains: np.ndarray
+    lengths: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, tables) -> BlockSpectra:
+        clusters = [c for t in tables for c in t.clusters]
+        return cls(np.array([c.value for c in clusters], dtype=complex),
+                   *(np.array(a, dtype=np.intp) for a in (
+                       [c.algebraic for c in clusters], [c.d for c in clusters],
+                       [p for c in clusters for p in c.p_list], [len(t.clusters) for t in tables])))
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        """The row of every cluster."""
+        return np.arange(len(self.counts)).repeat(self.counts)
+
+    @cached_property
+    def local(self) -> np.ndarray:
+        """The index of every cluster within its row."""
+        return np.arange(len(self.centers)) - (self.counts.cumsum() - self.counts)[self.row]
+
+    def take(self, keep: np.ndarray) -> BlockSpectra:
+        """The rows that the boolean mask ``keep`` marks."""
+        c = keep.repeat(self.counts)
+        return BlockSpectra(self.centers[c], self.sizes[c], self.chains[c],
+                            self.lengths[c.repeat(self.chains)], self.counts[keep])
+
+    def tables(self) -> list[SpectralTable]:
+        """Each row's :class:`SpectralTable`."""
+        lengths, ends = self.lengths.tolist(), self.chains.cumsum().tolist()
+        clusters = [EigenCluster(E, tuple(lengths[e - d:e]))
+                    for E, e, d in zip(self.centers.tolist(), ends, self.chains.tolist())]
+        return [SpectralTable(tuple(clusters[e - k:e]))
+                for e, k in zip(self.counts.cumsum().tolist(), self.counts.tolist())]
+
+
+@dataclass(frozen=True)
 class ClusteredSpectrum:
     """Eigenvalue clusters before any Jordan analysis."""
 
@@ -120,7 +175,7 @@ class BlockDiagonalization:
     canonical label order of :meth:`SpectralTable.labels` and H0 is exactly
     block-Jordan.
 
-    Built only by :func:`from_chains`, which inverts A once: ``A_inv`` and
+    Built only by :func:`_assemble`, after one inversion of A: ``A_inv`` and
     ``cond_A`` come from that one SVD and inversion.  ``real`` records that
     H has no imaginary part, so that conjugation commutes with it.
     """
@@ -160,7 +215,10 @@ def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
     vectors = np.asarray(vectors)
     scale = np.array([fro(H)])
     screen = _merge_screen(vals[None], _condition_numbers(vectors[None]), np.array([tol]), scale)
-    return _cluster_row(screen, 0, H)[0]
+    (centers,), (sizes,), _, errors = _clusters(screen, H[None])
+    if errors:
+        raise errors[0]
+    return ClusteredSpectrum(*(tuple(a[sizes > 0].tolist()) for a in (centers, sizes)))
 
 
 def _condition_numbers(vectors: np.ndarray) -> np.ndarray:
@@ -208,16 +266,39 @@ def _merge_screen(values, kappa, tol, scale) -> tuple:
     return vals, dist, floor, overlap, scale, candidates, order
 
 
-def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> tuple[ClusteredSpectrum, list[int]]:
-    """Union-find clustering of one row of a merge screen; see
-    :func:`cluster_eigenvalues`.  Also returns, per cluster, the index of
-    its first member among the sorted values."""
-    vals, dist, floor, overlap, scale, candidate, _ = (a[row] for a in screen)
-    n = vals.size
-    if not candidate:
-        # the mean of one member, as sum() / 1 forms it: 0 + v, then / 1
-        return ClusteredSpectrum(tuple((vals + 0.0).tolist()), (1,) * n), list(range(n))
+def _clusters(screen: tuple, Hs: np.ndarray) -> tuple:
+    """The clusters of every row of a merge screen in canonical order, as
+    (m, n) arrays whose rows are padded with size 0: their centers, sizes
+    and the index of each one's first member among the sorted values; and
+    the error of each row whose clustering failed, which has no cluster.
 
+    A row with no merge candidate has one cluster per value, centered at
+    the value plus 0.0, as the mean of one member forms it: one array
+    expression serves all such rows.  Only the candidate rows run the
+    union-find of :func:`_cluster_row`."""
+    vals, *_, candidates, _ = screen
+    m, n = vals.shape
+    centers, sizes = vals + 0.0, np.ones((m, n), dtype=np.intp)
+    first = np.zeros((m, n), dtype=np.intp) + np.arange(n)
+    errors = {}
+    for i in candidates.nonzero()[0].tolist():
+        try:
+            clusters = _cluster_row(screen, i, Hs[i])
+        except DECOMPOSITION_ERRORS as exc:  # its frames hold the screen: a cycle
+            errors[i], clusters = exc.with_traceback(None), ([], [], [])
+        sizes[i, len(clusters[0]):] = 0
+        for a, v in zip((centers, sizes, first), clusters):
+            a[i, :len(v)] = v
+    return centers, sizes, first, errors
+
+
+def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> list[list]:
+    """Union-find clustering of one row of a merge screen; see
+    :func:`cluster_eigenvalues`.  Returns the cluster centers, their sizes
+    and the index of each one's first member among the sorted values, in
+    canonical order."""
+    vals, dist, floor, overlap, scale = (a[row] for a in screen[:5])
+    n = vals.size
     parent = list(range(n))
 
     def find(i):
@@ -231,13 +312,13 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> tuple[ClusteredSpect
         parent[max(ri, rj)] = min(ri, rj)
 
     dist = dist.ravel()  # pair (i, j) at i * n + j
-    for k in np.flatnonzero(floor).tolist():
+    for k in floor.ravel().nonzero()[0].tolist():
         join(*divmod(k, n))
-    overlap = np.flatnonzero(overlap)
+    overlap = overlap.ravel().nonzero()[0]
     cutoff = np.sqrt(n * EPS) * scale
     eye = np.eye(n)
     rejected = []  # (z, m): sigma_min(H - z'I) > cutoff wherever |z' - z| < m
-    for k in overlap[np.argsort(dist[overlap], kind="stable")].tolist():
+    for k in overlap[dist[overlap].argsort(kind="stable")].tolist():
         i, j = divmod(k, n)
         if find(i) != find(j):
             z = (vals[i] + vals[j]) / 2
@@ -253,17 +334,9 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> tuple[ClusteredSpect
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-
-    centers = []
-    counts = []
-    for root in groups:
-        members = vals[groups[root]]
-        centers.append(complex(members.sum() / len(members)))  # np.mean, bit for bit
-        counts.append(len(members))
-    order = sorted(range(len(centers)), key=lambda i: (centers[i].real, centers[i].imag))
-    roots = list(groups)
-    return (ClusteredSpectrum(tuple(centers[i] for i in order), tuple(counts[i] for i in order)),
-            [groups[roots[i]][0] for i in order])
+    clusters = [(complex(vals[g].sum() / len(g)), len(g), g[0]) for g in groups.values()]
+    clusters.sort(key=lambda c: (c[0].real, c[0].imag))  # centers as np.mean forms them
+    return [list(a) for a in zip(*clusters)]
 
 
 def _kernel_staircase(N: np.ndarray, tol: float, center: complex):
@@ -376,21 +449,21 @@ def jordan_chains(H, center, tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]
         if want == 0:
             continue
         # spans what the new tops must avoid
-        Q = np.hstack([kernels[l - 1]] + [chain[-1][:, None] for chain in chains])
+        Q = np.concatenate([kernels[l - 1]] + [chain[-1][:, None] for chain in chains], axis=1)
         if Q.shape[1]:
             Q, _ = np.linalg.qr(Q)
         cands = kernels[l].copy()  # C order: the layout sets how the products round
         for _ in range(want):
             resid = cands - Q @ (Q.conj().T @ cands)
             norms = np.linalg.norm(resid, axis=0)
-            j = int(np.argmax(norms))
+            j = int(norms.argmax())
             if norms[j] < _INDEPENDENCE_CUTOFF:
                 raise JordanStructureError(
                     f"could not find an independent chain top at power {l}"
                 )
             new = resid[:, j] / norms[j]
             chains.append([new])
-            Q = np.hstack([Q, new[:, None]])
+            Q = np.concatenate([Q, new[:, None]], axis=1)
 
     out = []
     for factor, chain in zip(_canonical_gauge(np.array([c[-1] for c in chains])), chains):
@@ -399,7 +472,7 @@ def jordan_chains(H, center, tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]
             raise JordanStructureError("chain head failed the eigenvector residual check")
         out.append(_gauged(factor, *chain))
     if len(out) > 1:  # one chain needs no order, nor a key
-        out.sort(key=lambda c: (-len(c), int(np.argmax(np.abs(c[0])))))
+        out.sort(key=lambda c: (-len(c), int(abs(c[0]).argmax())))
     return out
 
 
@@ -458,102 +531,101 @@ def block_diagonalize(H, tol: float = DEFAULT_TOL) -> BlockDiagonalization:
     A = as_matrix(H)
     if A.shape[0] == 0:
         raise ValueError("cannot decompose an empty matrix")
-    (bd,) = decompose_stack(A[None], tol, fro_rows(A[None]))
+    (bd,), _ = decompose_stack(A[None], tol, fro_rows(A[None]))
     if isinstance(bd, Exception):
         raise bd
     return bd
 
 
-def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> list:
+def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> tuple[list, tuple]:
     """:func:`block_diagonalize` of each row of a validated (m, n, n) stack,
     n >= 1, given ``|H|_F`` per row in ``scale``.
 
-    The eigensolve, the inversion of the eigenvectors, the clustering
-    screen, the simple-head checks, their gauge and the assembly are
-    stacked; only a row with a candidate merge runs the union-find, and only
-    a cluster that is not simple and well separated the staircase, which
-    takes its scale from its own ``H - E`` and ``E``, not from ``|H|_2``,
-    and gauges its chain heads in one call.  Returns per row
-    a :class:`BlockDiagonalization` or the error of
-    :data:`DECOMPOSITION_ERRORS` that ended it.  When a stacked LAPACK call
-    fails, the rows are decomposed one by one, so a failure stays with its
-    own row.
+    The block's clusters, chains and bases are arrays from the start.  The
+    eigensolve, the inversion of the eigenvectors, the clustering screen,
+    the simple-head checks, their gauge and the assembly are stacked; a row
+    with no merge candidate gets its clusters from one array expression,
+    and only a row with a candidate runs the union-find.  Only a cluster
+    that is not simple and well separated runs the staircase, which takes
+    its scale from its own ``H - E`` and ``E``, not from ``|H|_2``, and
+    gauges its chain heads in one call.  Every basis column is scattered
+    into the block's A, and H0 is set from the flat arrays of
+    :class:`BlockSpectra`.
+
+    Returns per row a :class:`BlockDiagonalization` or the error of
+    :data:`DECOMPOSITION_ERRORS` that ended it, and the decomposed rows'
+    :class:`BlockSpectra` and stacks of bases and inverses.  A row's
+    :class:`SpectralTable` is built only for its decomposition, and nothing
+    here reads it.  When a stacked LAPACK call fails, the call raises, and
+    the caller decomposes the rows one by one, so that a failure stays with
+    its own row.
     """
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    try:
-        return _decompose(Hs, tol, scale)
-    except (EigensolveError, np.linalg.LinAlgError) as exc:
-        if len(Hs) == 1:
-            return [exc]
-        return [decompose_stack(Hs[i:i + 1], tol, scale[i:i + 1])[0]
-                for i in range(len(Hs))]
-
-
-def _decompose(Hs, tol, scale) -> list:
-    m = len(Hs)
+    m, n = Hs.shape[:2]
     values, vectors, real = eigensystem_stack(Hs)
     floor_tol = np.array([tol * s if s else tol for s in scale.tolist()])
     screen = _merge_screen(values, _condition_numbers(vectors), floor_tol, scale)
-    out: list = [None] * m
-    skels = {}
-    for i in range(m):
-        try:
-            skels[i] = _cluster_row(screen, i, Hs[i])
-        except DECOMPOSITION_ERRORS as exc:
-            out[i] = exc.with_traceback(None)  # its frames hold out: a cycle
+    vals, dist, *_, order = screen
+    centers, sizes, first, errors = _clusters(screen, Hs)
     # one head check of all values of the rows with a finite |H|_F and a
     # simple cluster
-    finite = np.isfinite(scale).tolist()
-    check = [i for i, (skel, _) in skels.items() if finite[i] and 1 in skel.multiplicities]
-    vals, dist, *_, order = screen
+    single = sizes == 1
+    check = (np.isfinite(scale) & single.any(1)).nonzero()[0]
     ok = np.zeros(values.shape, dtype=bool)
-    if check:
-        ok[check] = _simple_heads(
-            Hs[check], vectors[check], vals[check], dist[check], order[check], tol, scale[check]
-        )
-    # and one gauge of all their simple, well-separated heads, one multiply:
-    # factor first, as _gauged forms factor * v
-    simple = [(i, j) for i, (skel, first) in skels.items()
-              for count, j in zip(skel.multiplicities, first) if count == 1 and ok[i, j]]
-    gauged = {}
-    if simple:
-        si, sj = np.array(simple).T
-        heads = vectors[si, :, order[si, sj]]
+    if check.size:
+        ok[check] = _simple_heads(*(rows_of(a, check) for a in (Hs, vectors, vals, dist, order)),
+                                  tol, scale[check])
+    # and one gauge of all their simple, well-separated heads, one multiply
+    # with the factor first, as _gauged forms factor * v, into their slots
+    simple = single & ok[np.arange(m)[:, None], first]
+    col = sizes.cumsum(1) - sizes  # the first slot of each cluster
+    A = np.zeros(Hs.shape, dtype=complex)
+    failed = {}  # row: the cluster that ended it
+    r, k = simple.nonzero()
+    if r.size:
+        heads = vectors[r, :, order[r, first[r, k]]]
         factors = _canonical_gauge(heads)
-        gauged = dict(zip(simple, zip(np.isnan(factors).tolist(), factors[:, None] * heads)))
-
-    rows, centers_list, chain_sets = [], [], []
-    for i, (skel, first) in skels.items():
-        try:
-            chains_here = []
-            for center, count, j in zip(skel.centers, skel.multiplicities, first):
-                if (i, j) in gauged:
-                    refused, head = gauged[i, j]
-                    if refused:
-                        raise JordanStructureError(_REFUSED_HEAD)
-                    chains = [[head]]
-                else:
-                    chains = jordan_chains(Hs[i], center, tol)
-                    alg = sum(len(c) for c in chains)
-                    if alg != count:
-                        raise JordanStructureError(
-                            f"cluster at {center}: staircase algebraic multiplicity {alg} "
-                            f"disagrees with the clustered eigenvalue count {count}"
-                        )
-                chains_here.append(chains)
-        except DECOMPOSITION_ERRORS as exc:
-            out[i] = exc.with_traceback(None)
+        A[r, :, col[r, k]] = factors[:, None] * heads
+        refused = np.isnan(factors)
+        failed = dict(zip(r[refused][::-1].tolist(), k[refused][::-1].tolist()))  # each row's first
+        errors.update((i, JordanStructureError(_REFUSED_HEAD)) for i in failed)
+    # every other cluster runs the staircase, in order, up to a failure in its row
+    chains, p_lists = np.minimum(sizes, 1), {}
+    for i, k in zip(*(a.tolist() for a in ((sizes > 0) & ~simple).nonzero())):
+        if failed.get(i, k) < k:
             continue
-        rows.append(i)
-        centers_list.append(skel.centers)
-        chain_sets.append(chains_here)
-
-    if rows:
-        bds = _assemble(rows_of(Hs, rows), scale[rows], centers_list, chain_sets, real[rows])
-        for i, bd in zip(rows, bds):
-            out[i] = bd
-    return out
+        center, size, at = complex(centers[i, k]), int(sizes[i, k]), int(col[i, k])
+        try:
+            chain_set = jordan_chains(Hs[i], center, tol)
+            p_list = list(map(len, chain_set))
+            if sum(p_list) != size:
+                raise JordanStructureError(
+                    f"cluster at {center}: staircase algebraic multiplicity {sum(p_list)} "
+                    f"disagrees with the clustered eigenvalue count {size}"
+                )
+        except DECOMPOSITION_ERRORS as exc:
+            failed[i], errors[i] = k, exc.with_traceback(None)
+            continue
+        A[i, :, at:at + size] = np.array([v for chain in chain_set for v in chain]).T
+        chains[i, k] = len(p_list)
+        if len(p_list) > 1:
+            p_lists[i, k] = p_list
+    if len(errors) == m:  # nothing is left to assemble
+        return [errors[i] for i in range(m)], None
+    sizes[list(errors)] = 0
+    present = sizes > 0
+    sizes, chains = sizes[present], chains[present]
+    lengths = sizes.repeat(chains)  # a cluster of one chain: its size
+    if p_lists:  # the others: from the end of each cluster's chains
+        end = chains.cumsum()[present.cumsum().reshape(m, n) - 1]
+        for (i, k), p_list in p_lists.items():
+            if i not in errors:
+                lengths[end[i, k] - len(p_list):end[i, k]] = p_list
+    rows = [i for i in range(m) if i not in errors]
+    spectra = BlockSpectra(centers[present], sizes, chains, lengths, present.sum(1)[rows])
+    return _assemble(rows_of(Hs, rows), scale[rows], real[rows], rows_of(A, rows), spectra, rows,
+                     errors)
 
 
 def from_chains(H, centers, chain_sets) -> BlockDiagonalization:
@@ -569,55 +641,52 @@ def from_chains(H, centers, chain_sets) -> BlockDiagonalization:
     :func:`block_diagonalize` does.
     """
     H = as_matrix(H)
-    (bd,) = _assemble(H[None], np.array([fro(H)]), [centers], [chain_sets],
-                      np.array([not H.imag.any()]))
+    A = np.array([v for chains in chain_sets for chain in chains for v in chain], dtype=complex).T
+    if A.shape != H.shape:
+        raise ValueError(f"the chains span {A.shape[1]} columns of dimension {A.shape[0]}")
+    table = SpectralTable(tuple(EigenCluster(E, tuple(map(len, chains)))
+                                for E, chains in zip(centers, chain_sets)))
+    (bd,), _ = _assemble(H[None], np.array([fro(H)]), np.array([not H.imag.any()]), A[None],
+                         BlockSpectra.of([table]), [0], {})
     if isinstance(bd, Exception):
         raise bd
     return bd
 
 
-def _assemble(Hs, scale, centers_list, chain_sets, real) -> list:
-    """:func:`from_chains` for each row of a stack, one stacked SVD and
-    inversion for all bases; ``real`` marks the rows of ``Hs`` with no
-    imaginary part.  A row whose basis has ``cond(A)`` above
+def _assemble(Hs, scale, real, A, spectra, rows, errors) -> tuple[list, tuple]:
+    """:func:`decompose_stack`'s result for the rows ``rows`` of a stack,
+    given their matrices ``Hs``, ``|H|_F``, realness, spectra and Jordan
+    bases ``A``, columns in canonical order; ``errors`` holds the other
+    rows' errors.  H0 is set from the flat arrays, and one stacked SVD and
+    inversion serve all bases.  A row whose basis has ``cond(A)`` above
     :data:`COND_LIMIT`, or not finite, gets an
     :class:`IllConditionedBasisError`; a basis singular to working
     tolerance is one of them."""
-    tables, columns, values, counts, lengths = [], [], [], [], []
-    for centers, chains_at in zip(centers_list, chain_sets):
-        p_lists = [tuple(len(c) for c in chains) for chains in chains_at]
-        tables.append(SpectralTable(tuple(map(EigenCluster, centers, p_lists))))
-        columns.append([v for chains in chains_at for chain in chains for v in chain])
-        values += centers
-        counts += map(sum, p_lists)
-        lengths += [p for p_list in p_lists for p in p_list]
-    A = np.swapaxes(np.array(columns), 1, 2).copy()
-    if A.shape[1] != A.shape[2]:
-        raise ValueError(f"the chains span {A.shape[2]} columns of dimension {A.shape[1]}")
+    m, n = A.shape[:2]
     # H0 holds each slot's cluster value on the diagonal and a 1 above
     # every slot that is not a chain head, set for the whole block at once
     H0 = np.zeros(A.shape, dtype=complex)
-    d = np.arange(A.shape[1])
-    H0[:, d, d] = np.repeat(np.array(values, dtype=complex), counts).reshape(len(A), -1)
-    link = np.ones(A.shape[:2])
-    link.flat[np.cumsum(lengths) - lengths] = 0.0  # the chain heads
-    H0[:, d[:-1], d[1:]] = link[:, 1:]
-    A_inv, rows, cond = inverse_and_cond_stack(A.astype(complex, copy=False))
-    recon = []
-    if rows:
-        R = rows_of(Hs, rows) - rows_of(A, rows) @ rows_of(H0, rows) @ A_inv
-        recon = [f / (s if s else 1.0) for f, s in zip(fro_rows(R).tolist(), scale[rows].tolist())]
-    regular = dict(zip(rows, zip(recon, A_inv)))
-    real = real.tolist()
-    out: list = []
-    for r, cA in enumerate(cond):
-        if cA <= COND_LIMIT:  # so r is regular: COND_LIMIT < 1 / SINGULARITY_CUTOFF
-            out.append(BlockDiagonalization(A[r], H0[r], tables[r], *regular[r], cA, real[r]))
-        else:  # also inf and NaN
-            out.append(IllConditionedBasisError(
-                f"Jordan basis condition number {cA:.3e} exceeds limit {COND_LIMIT:.1e}"
-            ))
-    return out
+    entries = H0.reshape(m, n * n)  # a view: the diagonal is every (n + 1)-th entry
+    entries[:, ::n + 1] = spectra.centers.repeat(spectra.sizes).reshape(m, n)
+    link = np.ones((m, n))
+    link.flat[spectra.lengths.cumsum() - spectra.lengths] = 0.0  # the chain heads
+    entries[:, 1::n + 1] = link[:, 1:]
+    A_inv, regular, cond = inverse_and_cond_stack(A)
+    good = cond <= COND_LIMIT  # so regular: COND_LIMIT < 1 / SINGULARITY_CUTOFF
+    if not good.all():  # also inf and NaN
+        for k in (~good).nonzero()[0].tolist():
+            errors[rows[k]] = IllConditionedBasisError(
+                f"Jordan basis condition number {cond[k]:.3e} exceeds limit {COND_LIMIT:.1e}"
+            )
+        A_inv = A_inv[good[regular]]
+        Hs, scale, real, A, H0, cond = (a[good] for a in (Hs, scale, real, A, H0, cond))
+        rows, spectra = np.array(rows)[good].tolist(), spectra.take(good)
+    recon = fro_rows(Hs - A @ H0 @ A_inv) / np.where(scale != 0.0, scale, 1.0) if rows else cond
+    out = [errors.get(r) for r in range(len(rows) + len(errors))]
+    for r, *bd in zip(rows, A, H0, spectra.tables(), recon.tolist(), A_inv, cond.tolist(),
+                      real.tolist()):
+        out[r] = BlockDiagonalization(*bd)
+    return out, (spectra, A, A_inv)
 
 
 def biorthonormal_complement(bd: BlockDiagonalization) -> np.ndarray:

@@ -22,14 +22,16 @@ from .blockdiag import (
     SpectralTable,
     decompose_stack,
 )
-from .linalg import as_matrix, as_stack, dagger, fro_rows, rows_of
+from .linalg import EigensolveError, as_matrix, as_stack, dagger, fro_rows, rows_of
 from .symmetry import (
     DEFAULT_PAIR_TOL,
     DEFAULT_REAL_TOL,
     SpectralLabeling,
     SymmetryOperators,
-    check_pairing,
-    classify_spectrum,
+    check_block,
+    label_block,
+    labelings,
+    pair_shifts,
     synthesize_stack,
 )
 
@@ -230,37 +232,52 @@ def _blocks(Hs: np.ndarray, tol: ToleranceProfile) -> Iterator[Certificate]:
 
 
 def _decide_block(Hs: np.ndarray, tol: ToleranceProfile) -> list[Certificate]:
+    """The certificates of a block: one stacked decomposition, the labeling
+    and pairing test of its flat spectral arrays, then one stacked
+    synthesis and one set of stacked residual products for the rows whose
+    pairing holds.  A row's table and labeling become objects only for its
+    certificate.  When a stacked LAPACK call fails, the rows are decided
+    one by one, so a failure stays with its own row."""
     scale = fro_rows(Hs)
     tolerances = tol.as_dict()  # each certificate gets its own copy
-    certs: list = [None] * len(Hs)
-    paired = []  # (row, decomposition, labeling)
-    for r, bd in enumerate(decompose_stack(Hs, tol.cluster_tol, scale)):
-        if isinstance(bd, Exception):
-            certs[r] = Certificate(INCONCLUSIVE, False, {}, dict(tolerances), diagnostics=str(bd))
-            continue
-        labeling = classify_spectrum(bd.table, tol.real_tol, tol.pair_tol)
-        report = check_pairing(labeling, bd.table)
-        if report.ok:
-            paired.append((r, bd, labeling))
-        else:
-            certs[r] = _certificate(tolerances, bd, labeling,
-                                    {"reconstruction": bd.recon_residual},
-                                    NOT_PSEUDO_HERMITIAN, report.detail)
+    try:
+        out, block = decompose_stack(Hs, tol.cluster_tol, scale)
+    except (EigensolveError, np.linalg.LinAlgError) as exc:
+        if len(Hs) > 1:
+            return [cert for r in range(len(Hs)) for cert in _decide_block(Hs[r:r + 1], tol)]
+        out = [exc]
+    certs = [Certificate(INCONCLUSIVE, False, {}, dict(tolerances), diagnostics=str(bd))
+             if isinstance(bd, Exception) else bd for bd in out]
+    rows = [r for r, bd in enumerate(out) if not isinstance(bd, Exception)]
+    if not rows:
+        return certs
+    spectra, A, A_inv = block
+    labels = label_block(spectra, tol.real_tol, tol.pair_tol)
+    ok, details = check_block(spectra, labels)
+    paired = ok.nonzero()[0].tolist()
     if paired:
-        rows = [r for r, _, _ in paired]
-        ops, stacks = synthesize_stack([bd for _, bd, _ in paired], [lab for _, _, lab in paired])
-        for (r, bd, labeling), w, res in zip(
-            paired, ops, _witness_residuals(rows_of(Hs, rows), scale[rows], *stacks)
-        ):
-            residuals = {"reconstruction": bd.recon_residual, **res}
-            failed = {k: v for k, v in res.items() if v > WITNESS_TOL}
-            if bd.recon_residual > RECONSTRUCTION_TOL or failed:
-                detail = ", ".join(f"{k}={v:.3e}" for k, v in residuals.items())
-                certs[r] = _certificate(tolerances, bd, labeling, residuals, INCONCLUSIVE,
-                                        f"witness residuals exceeded tolerance: {detail}")
-            else:
-                certs[r] = _certificate(tolerances, bd, labeling, residuals, PSEUDO_HERMITIAN,
-                                        witnesses=w)
+        at = [rows[k] for k in paired]
+        ops, stacks = synthesize_stack(
+            rows_of(A, paired), rows_of(A_inv, paired), np.array([out[r].real for r in at]),
+            spectra if ok.all() else spectra.take(ok),
+            pair_shifts(spectra, labels)[ok[spectra.row]])
+        witnesses = iter(zip(ops, _witness_residuals(rows_of(Hs, at), scale[at], *stacks)))
+    for k, (r, labeling) in enumerate(zip(rows, labelings(spectra, labels))):
+        bd = out[r]
+        residuals = {"reconstruction": bd.recon_residual}
+        if not ok[k]:
+            certs[r] = _certificate(tolerances, bd, labeling, residuals, NOT_PSEUDO_HERMITIAN,
+                                    details[k])
+            continue
+        w, res = next(witnesses)
+        residuals.update(res)
+        if bd.recon_residual > RECONSTRUCTION_TOL or any(v > WITNESS_TOL for v in res.values()):
+            detail = ", ".join(f"{name}={v:.3e}" for name, v in residuals.items())
+            certs[r] = _certificate(tolerances, bd, labeling, residuals, INCONCLUSIVE,
+                                    f"witness residuals exceeded tolerance: {detail}")
+        else:
+            certs[r] = _certificate(tolerances, bd, labeling, residuals, PSEUDO_HERMITIAN,
+                                    witnesses=w)
     return certs
 
 

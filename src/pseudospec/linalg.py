@@ -42,7 +42,7 @@ def as_matrix(M) -> np.ndarray:
         raise ValueError(f"expected a 2-d matrix, got array of shape {A.shape}")
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
+    if A.size and not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
     return A
 
@@ -124,21 +124,19 @@ def eigensystem_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return values, vectors / norms[..., None, :], real
 
 
-def inverse_and_cond_stack(A: np.ndarray) -> tuple[np.ndarray, list[int], list[float]]:
+def inverse_and_cond_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverses and 2-norm condition numbers of the rows of a validated
     (m, n, n) stack, n >= 1, from one stacked SVD and one stacked inversion.
 
     Returns the inverses of the rows that are not singular to working
-    tolerance, the indices of those rows, and every row's condition
+    tolerance, those rows as a boolean mask, and every row's condition
     estimate.
     """
     s = np.linalg.svd(A, compute_uv=False)
-    est, rows = [], []
-    for r, (smax, smin) in enumerate(s[:, [0, -1]].tolist()):
-        est.append(float("inf") if smin == 0.0 else smax / smin)
-        if smin > SINGULARITY_CUTOFF * smax and smax != 0.0:
-            rows.append(r)
-    return np.linalg.inv(rows_of(A, rows)) if rows else A[:0], rows, est
+    smax, smin = s[:, 0], s[:, -1]
+    regular = (smin > SINGULARITY_CUTOFF * smax) & (smax != 0.0)
+    est = np.divide(smax, smin, out=np.zeros(len(s)) + np.inf, where=smin != 0.0)
+    return np.linalg.inv(A if regular.all() else A[regular]), regular, est
 
 
 def inverse(M) -> np.ndarray:
@@ -149,8 +147,8 @@ def inverse(M) -> np.ndarray:
     A = as_matrix(M)
     if A.size == 0:
         return A.copy()
-    inv, rows, est = inverse_and_cond_stack(A[None])
-    if not rows:
+    inv, regular, est = inverse_and_cond_stack(A[None])
+    if not regular[0]:
         raise SingularMatrixError(
             f"matrix is singular to working tolerance (cond >= {est[0]:.3e})", float(est[0])
         )

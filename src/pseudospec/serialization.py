@@ -168,34 +168,44 @@ def _render(skeleton: dict, blocks: list) -> str:
     """``dumps_canonical`` of ``skeleton`` once ``_fill(blocks)`` has run,
     with each entries block laid out from its array: one ``repr`` per
     distinct bit pattern (``-0.0`` stays apart from ``0.0``), gathered
-    through the inverse index and joined in C.  A skeleton whose own text
-    holds the placeholder is filled and encoded whole."""
+    through the inverse index and joined in C.  A block with the indent and
+    bits of an earlier one reuses its text: in a real certificate S, Theta,
+    tau0 and X are all the identity.  A skeleton whose own text holds the
+    placeholder is filled and encoded whole."""
     parts = dumps_canonical(skeleton).split(_PLACEHOLDER_JSON)
     if len(parts) != len(blocks) + 1:
         _fill(blocks)
         return dumps_canonical(skeleton)
     out = [parts[0]]
+    rendered: dict[tuple[str, bytes], str] = {}
     for before, (_, A), after in zip(parts, blocks, parts[1:]):
         line = before[before.rfind("\n") + 1:]  # the key's own line
         pad = " " * (len(line) - len(line.lstrip(" ")))
         flat = np.ascontiguousarray(A).view(np.float64).ravel()
-        if not np.isfinite(flat).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        if flat.size:
-            bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-            reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-            row, item = "\n" + pad + "  ", "\n" + pad + "    "
-            text = np.empty(2 * flat.size + 1, dtype=object)  # separators and numbers
-            text[0] = "[" + row + "[" + item
-            text[1::2] = reprs[inverse]
-            text[2::4] = "," + item
-            text[4::4] = row + "]," + row + "[" + item
-            text[-1] = row + "]\n" + pad + "]"
-            out.append("".join(text.tolist()))
-        else:
-            out.append("[]")
-        out.append(after)
+        key = (pad, flat.tobytes())
+        if key not in rendered:
+            rendered[key] = _entries_text(flat, pad)
+        out += [rendered[key], after]
     return "".join(out)
+
+
+def _entries_text(flat: np.ndarray, pad: str) -> str:
+    """The text of one entries block, the real and imaginary parts in
+    ``flat``, each line indented by ``pad``."""
+    if not np.isfinite(flat).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    if not flat.size:
+        return "[]"
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    row, item = "\n" + pad + "  ", "\n" + pad + "    "
+    text = np.empty(2 * flat.size + 1, dtype=object)  # separators and numbers
+    text[0] = "[" + row + "[" + item
+    text[1::2] = reprs[inverse]
+    text[2::4] = "," + item
+    text[4::4] = row + "]," + row + "[" + item
+    text[-1] = row + "]\n" + pad + "]"
+    return "".join(text.tolist())
 
 
 def dumps_canonical(doc) -> str:

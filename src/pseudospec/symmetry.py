@@ -19,12 +19,11 @@ there:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .antilinear import AntilinearOp
-from .blockdiag import BlockDiagonalization, SpectralTable
+from .blockdiag import BlockDiagonalization, BlockSpectra, SpectralTable
 from .linalg import dagger
 
 DEFAULT_REAL_TOL = 1e-8
@@ -65,6 +64,96 @@ class SymmetryOperators:
     eta: np.ndarray
 
 
+def label_block(spectra: BlockSpectra, real_tol: float = DEFAULT_REAL_TOL,
+                pair_tol: float = DEFAULT_PAIR_TOL) -> tuple[np.ndarray, ...]:
+    """:func:`classify_spectrum` of every row of a block at once, as flat
+    index arrays into ``spectra``: the real clusters, the plus and the minus
+    member of each conjugate pair, in plus order, and the unpaired ones.
+
+    Every modulus is ``np.hypot``, which is ``abs`` bit for bit where
+    ``np.abs`` of an array is not, so each decision has the bits of the
+    one-row rule.  In a row where each plus cluster has at most one
+    candidate within ``pair_tol`` and no minus cluster is the candidate of
+    two, every candidate is its plus cluster's unique nearest conjugate,
+    and one array expression matches them all.  A row with competing
+    candidates, or a center that is not finite, runs the greedy loop on
+    the same distances.
+    """
+    v, row = spectra.centers, spectra.row
+    mag = np.hypot(v.real, v.imag)
+    real = abs(v.imag) <= real_tol * (1.0 + mag)
+    up = v.imag > 0
+    plus, minus = (~real & up).nonzero()[0], (~real & ~up).nonzero()[0]
+    # the distance of every minus cluster to the conjugate of each plus one
+    same = row[plus][:, None] == row[minus]  # of its row
+    diff = v[minus] - v[plus, None].conj()
+    dist = np.hypot(diff.real, diff.imag)
+    bound = pair_tol * (1.0 + mag[plus])
+    near = same & (dist <= bound[:, None])
+    greedy = np.zeros(len(spectra.counts), dtype=bool)
+    greedy[row[~np.isfinite(v)]] = True
+    greedy[row[plus[near.sum(1) > 1]]] = True
+    greedy[row[minus[near.sum(0) > 1]]] = True
+    near &= ~greedy[row[plus]][:, None]
+    i, j = near.nonzero()
+    partner = np.zeros(len(v), dtype=np.intp) - 1  # of each plus cluster
+    partner[plus[i]] = minus[j]
+    for r in greedy.nonzero()[0].tolist():
+        for k in (row[plus] == r).nonzero()[0].tolist():
+            # the least (distance, index) is the first strictly nearest, as
+            # the loop of the one-row rule finds it, a NaN distance included
+            cands = [c for c in zip(dist[k, same[k]].tolist(), minus[same[k]].tolist())
+                     if c[1] not in partner]
+            if cands and (best := min(cands))[0] <= bound[k]:
+                partner[plus[k]] = best[1]
+    p = (partner >= 0).nonzero()[0]
+    paired = partner >= 0
+    paired[partner[p]] = True
+    return real.nonzero()[0], p, partner[p], (~real & ~paired).nonzero()[0]
+
+
+def labelings(spectra: BlockSpectra, labels) -> list[SpectralLabeling]:
+    """The :class:`SpectralLabeling` of each row of a block from the index
+    arrays of :func:`label_block`, in the row's own cluster indices: one
+    gather of all four, cut by kind and row."""
+    m = len(spectra.counts)
+    idx = np.concatenate(labels)
+    key = spectra.row[idx] + m * np.arange(4).repeat([len(a) for a in labels])
+    cuts = key.searchsorted(np.arange(4 * m + 1)).tolist()
+    local = spectra.local[idx].tolist()
+    kinds = ([local[a:b] for a, b in zip(cuts[k * m:(k + 1) * m], cuts[k * m + 1:])]
+             for k in range(4))
+    return [SpectralLabeling(tuple(r), tuple(zip(p, q)), tuple(u)) for r, p, q, u in zip(*kinds)]
+
+
+def check_block(spectra: BlockSpectra, labels) -> tuple[np.ndarray, dict[int, str]]:
+    """:func:`check_pairing` of every row of a block: which rows pass, and
+    the detail of each row that fails, from the index arrays of
+    :func:`label_block`; a row's first unpaired cluster, else its first
+    pair with mismatched Jordan dimensions, is named."""
+    _, plus, minus, unpaired = labels
+    row, local, chains = spectra.row, spectra.local, spectra.chains
+
+    def p_list(c):
+        end = chains[:c + 1].sum()
+        return spectra.lengths[end - chains[c]:end].tolist()
+
+    details = {}
+    for r, c in zip(row[unpaired].tolist(), unpaired.tolist()):
+        if r not in details:  # the first of its row
+            details[r] = (f"cluster {local[c]} at E={complex(spectra.centers[c]):.6g} "
+                          "has no conjugate partner")
+    bad = spectra.sizes[plus] != spectra.sizes[minus]
+    for k in ((chains[plus] > 1) | (chains[minus] > 1)).nonzero()[0].tolist():
+        bad[k] = p_list(plus[k]) != p_list(minus[k])
+    for a, b in zip(plus[bad].tolist(), minus[bad].tolist()):
+        details.setdefault(int(row[a]), f"conjugate pair ({local[a]}, {local[b]}) has "
+                                        f"mismatched Jordan dimensions {p_list(a)} vs {p_list(b)}")
+    ok = np.ones(len(spectra.counts), dtype=bool)
+    ok[list(details)] = False
+    return ok, details
+
+
 def classify_spectrum(
     table: SpectralTable,
     real_tol: float = DEFAULT_REAL_TOL,
@@ -76,91 +165,56 @@ def classify_spectrum(
     decided before pairing, so a coalescing pair sitting on the real axis is
     classified real even though a conjugate candidate exists.  Remaining
     clusters are matched greedily to their nearest conjugate within
-    ``pair_tol * (1 + |E|)``, ties broken by smaller cluster index.
+    ``pair_tol * (1 + |E|)``, ties broken by smaller cluster index.  The
+    one-row case of :func:`label_block`.
     """
-    real = []
-    plus = []
-    minus = []
-    for n, c in enumerate(table.clusters):
-        if abs(c.value.imag) <= real_tol * (1.0 + abs(c.value)):
-            real.append(n)
-        elif c.value.imag > 0:
-            plus.append(n)
-        else:
-            minus.append(n)
-
-    pairs = []
-    used = set()
-    for n in plus:
-        target = np.conj(table.clusters[n].value)
-        best = None
-        best_dist = None
-        for m in minus:
-            if m in used:
-                continue
-            dist = abs(table.clusters[m].value - target)
-            if best is None or dist < best_dist:
-                best, best_dist = m, dist
-        if best is not None and best_dist <= pair_tol * (1.0 + abs(table.clusters[n].value)):
-            pairs.append((n, best))
-            used.add(best)
-
-    paired = {n for p in pairs for n in p}
-    unpaired = tuple(n for n in plus + minus if n not in paired)
-    return SpectralLabeling(tuple(real), tuple(pairs), tuple(sorted(unpaired)))
+    spectra = BlockSpectra.of([table])
+    return labelings(spectra, label_block(spectra, real_tol, pair_tol))[0]
 
 
 def check_pairing(labeling: SpectralLabeling, table: SpectralTable) -> PairingReport:
     """Pairing test: every complex cluster has a conjugate partner with the
-    same geometric multiplicity and the same Jordan dimensions."""
-    if labeling.unpaired:
-        n = labeling.unpaired[0]
-        return PairingReport(
-            False,
-            f"cluster {n} at E={table.clusters[n].value:.6g} has no conjugate partner",
-        )
-    for n, m in labeling.pairs:
-        cn, cm = table.clusters[n], table.clusters[m]
-        if cn.p_list != cm.p_list:
-            return PairingReport(
-                False,
-                f"conjugate pair ({n}, {m}) has mismatched Jordan dimensions "
-                f"{list(cn.p_list)} vs {list(cm.p_list)}",
-            )
-    return PairingReport(True, None)
+    same geometric multiplicity and the same Jordan dimensions.  The
+    one-row case of :func:`check_block`."""
+    pairs = np.array(labeling.pairs, dtype=np.intp).reshape(-1, 2)
+    labels = (None, pairs[:, 0], pairs[:, 1], np.array(labeling.unpaired, dtype=np.intp))
+    ok, details = check_block(BlockSpectra.of([table]), labels)
+    return PairingReport(bool(ok[0]), details.get(0))
 
 
-def _permutations(tables, pairs) -> tuple[np.ndarray, np.ndarray]:
+def pair_shifts(spectra: BlockSpectra, labels) -> np.ndarray:
+    """Per cluster of a block, the offset from its first slot to that of its
+    conjugate partner in the index arrays of :func:`label_block`, and 0 for
+    a cluster without one."""
+    start = spectra.sizes.cumsum() - spectra.sizes
+    shift = np.zeros(len(start), dtype=np.intp)
+    shift[labels[1]] = start[labels[2]] - start[labels[1]]
+    shift[labels[2]] = -shift[labels[1]]
+    return shift
+
+
+def _permutations(spectra: BlockSpectra, shift: np.ndarray) -> np.ndarray:
     """The chain flip S and the pair swap C0 of every row of a block of
-    one dimension, as two (m, n, n) stacks; ``pairs[r]`` holds the
-    conjugate pairs of row r, and C0 fixes every other cluster.
+    one dimension, as two (m, n, n) stacks; ``shift`` holds each cluster's
+    offset to its partner, from :func:`pair_shifts`, and is 0 where C0
+    fixes the cluster.
 
     Both are index rules over the flat index j of every slot of the
-    block, from the lengths of all its chains and the sizes of all its
-    clusters, as :func:`blockdiag._assemble` places H0's superdiagonal.
-    S reverses each chain: for a chain of length p whose head is slot h,
-    the one in column j lies in row ``2 h + p - 1 - j``.  C0 moves each
-    slot by the offset from the first slot of its cluster to that of the
-    partner cluster, whose Jordan dimensions the pairing test has made
-    equal: row ``j + start[partner] - start``."""
-    p_lists = [c.p_list for t in tables for c in t.clusters]
-    lengths = np.fromiter(chain.from_iterable(p_lists), np.intp)
-    sizes = np.fromiter(map(sum, p_lists), np.intp, len(p_lists))
-    partner = np.arange(len(p_lists))
-    first = 0
-    for t, swaps in zip(tables, pairs):
-        for a, b in swaps:
-            partner[first + a], partner[first + b] = first + b, first + a
-        first += len(t.clusters)
+    block, from the block's chain lengths and cluster sizes, as
+    :func:`blockdiag._assemble` places H0's superdiagonal.  S reverses each
+    chain: for a chain of length p whose head is slot h, the one in column
+    j lies in row ``2 h + p - 1 - j``.  C0 moves each slot of a cluster by
+    its shift, onto the partner cluster, whose Jordan dimensions the
+    pairing test has made equal: row ``j + shift``."""
+    lengths, m = spectra.lengths, len(spectra.counts)
     slot = np.arange(lengths.sum())
-    head = np.cumsum(lengths) - lengths
-    start = np.cumsum(sizes) - sizes
-    n = len(slot) // len(tables)
+    head = lengths.cumsum() - lengths
+    n = len(slot) // m
     col = slot % n
     P = np.zeros((2, len(slot), n))
-    P[0, np.repeat(2 * head + lengths - 1, lengths) - slot, col] = 1.0
-    P[1, slot + np.repeat(start[partner] - start, sizes), col] = 1.0
-    return P.reshape(2, len(tables), n, n)
+    P[0, (2 * head + lengths - 1).repeat(lengths) - slot, col] = 1.0
+    P[1, slot + shift.repeat(spectra.sizes), col] = 1.0
+    return P.reshape(2, m, n, n)
 
 
 def build_tau(bd: BlockDiagonalization) -> AntilinearOp:
@@ -173,7 +227,8 @@ def build_tau(bd: BlockDiagonalization) -> AntilinearOp:
     witness exists for every block-diagonalizable input.  The matrix part is
     symmetrized to keep Hermiticity exact against round-off.
     """
-    S, _ = _permutations([bd.table], [()])
+    spectra = BlockSpectra.of([bd.table])
+    S, _ = _permutations(spectra, np.zeros(len(spectra.sizes), dtype=np.intp))
     return AntilinearOp.trusted(_tau(bd.A_inv, S[0].astype(complex)))
 
 
@@ -195,35 +250,36 @@ def synthesize_operators(bd: BlockDiagonalization) -> SymmetryOperators:
 
     Raises :class:`PairingError` when the pairing test fails.
     """
-    labeling = classify_spectrum(bd.table)
-    report = check_pairing(labeling, bd.table)
-    if not report.ok:
-        raise PairingError(report.detail)
-    return synthesize_stack([bd], [labeling])[0][0]
+    spectra = BlockSpectra.of([bd.table])
+    labels = label_block(spectra)
+    ok, details = check_block(spectra, labels)
+    if not ok[0]:
+        raise PairingError(details[0])
+    return synthesize_stack(bd.A[None], bd.A_inv[None], np.array([bd.real]), spectra,
+                            pair_shifts(spectra, labels))[0][0]
 
 
-def synthesize_stack(bds, labelings) -> tuple[list[SymmetryOperators], tuple]:
-    """:func:`synthesize_operators` for decompositions of one dimension
-    whose labelings pass the pairing test: S and C0 of every row from one
-    :func:`_permutations` call, every similarity lift as one stacked
-    product.  Also returns the stacks of the matrix parts of tau and X and
-    of eta, which the operators view.
+def synthesize_stack(A, A_inv, real, spectra: BlockSpectra, shift) -> tuple[list, tuple]:
+    """:func:`synthesize_operators` for the decompositions of one dimension
+    whose bases and inverses are the stacks ``A`` and ``A_inv``, whose
+    realness is ``real``, and whose spectra pass the pairing test, with
+    each cluster's ``shift`` to its partner from :func:`pair_shifts`: S and
+    C0 of every row from one :func:`_permutations` call, every similarity
+    lift as one stacked product.  Also returns the stacks of the matrix parts of tau
+    and X and of eta, which the operators view.
 
     For a real H, X is the conjugation exactly: it commutes with H and
     squares to 1 whatever the basis.  When in addition ``conj(A) == A C0``
     holds bit for bit, tau and eta are real in exact arithmetic, and they
     are stored real: their imaginary parts are product rounding."""
-    S, C0 = _permutations([bd.table for bd in bds], [lab.pairs for lab in labelings])
-    A = np.stack([bd.A for bd in bds])
-    A_inv = np.stack([bd.A_inv for bd in bds])
+    S, C0 = _permutations(spectra, shift)
     tau0 = S.astype(complex)  # the matrix part of S . conjugation
     eta0 = S @ C0
     X0 = eta0 @ tau0
     tau = _tau(A_inv, tau0)
     eta = dagger(A_inv) @ eta0 @ A_inv
     eta = (eta + dagger(eta)) / 2.0  # Hermitian exactly against round-off
-    Theta = np.repeat(np.eye(A.shape[-1], dtype=complex)[None], len(bds), axis=0)
-    real = np.array([bd.real for bd in bds])
+    Theta = np.repeat(np.eye(A.shape[-1], dtype=complex)[None], len(A), axis=0)
     if real.any():
         X = Theta.copy()
         if not real.all():
@@ -240,6 +296,6 @@ def synthesize_stack(bds, labelings) -> tuple[list[SymmetryOperators], tuple]:
             S[r], trusted(Theta[r]), trusted(tau0[r]), trusted(tau[r]), C0[r], eta0[r],
             trusted(X0[r]), trusted(X[r]), eta[r],
         )
-        for r in range(len(bds))
+        for r in range(len(A))
     ]
     return ops, (tau, X, eta)

@@ -275,7 +275,7 @@ class TestJordanChains:
 
         Hs = np.random.default_rng(6).standard_normal((3, 4, 4)) + 0j
         monkeypatch.setattr(blockdiag, "_canonical_gauge", refuse_third)
-        got = blockdiag.decompose_stack(Hs, blockdiag.DEFAULT_TOL, fro_rows(Hs))
+        got, _ = blockdiag.decompose_stack(Hs, blockdiag.DEFAULT_TOL, fro_rows(Hs))
         assert isinstance(got[0], JordanStructureError)
         assert str(got[0]) == "chain head is zero or not finite"
         for H, bd in zip(Hs[1:], got[1:]):
@@ -565,6 +565,33 @@ class TestDiscClustering:
         assert cert.verdict == PSEUDO_HERMITIAN
         assert [c.algebraic for c in cert.table.clusters] == [1, 2, 1]
         assert cert.table.clusters[1].p_list == (2,)
+
+
+def test_plain_rows_get_the_union_find_clusters():
+    # a row with no merge candidate takes its clusters from one array
+    # expression for the whole block: they are those that the union-find
+    # finds on the row, bit for bit, -0.0 parts included
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 5, 8, 16):
+        Hs = rng.standard_normal((40, n, n)) + 0j
+        Hs[:20] += 1j * rng.standard_normal((20, n, n))
+        # eigenvalues with -0.0 imaginary parts, where the union-find's mean
+        # of one member, sum() / 1, has +0.0; the 1e-3j keeps the row complex
+        Hs[5] = np.diag(-np.arange(n) + 0j)
+        Hs[5].imag = -0.0
+        Hs[5, -1, 0] += 1e-3j if n > 1 else 0.0
+        values, vectors, _ = eigensystem_stack(Hs)
+        scale = fro_rows(Hs)
+        screen = blockdiag._merge_screen(values, blockdiag._condition_numbers(vectors),
+                                         blockdiag.DEFAULT_TOL * scale, scale)
+        centers, sizes, first, errors = blockdiag._clusters(screen, Hs)
+        plain = np.flatnonzero(~screen[5])
+        assert len(plain) > 30 and not errors and 5 in plain
+        assert np.signbit(screen[0][5].imag).all() or n == 1
+        for i in plain:
+            want, want_sizes, want_first = blockdiag._cluster_row(screen, i, Hs[i])
+            assert centers[i].tobytes() == np.array(want).tobytes()
+            assert sizes[i].tolist() == want_sizes and first[i].tolist() == want_first
 
 
 class TestStoredInverse:

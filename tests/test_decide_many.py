@@ -14,12 +14,13 @@ from pseudospec.certify import (
     decide,
     decide_many,
 )
+from pseudospec.blockdiag import BlockSpectra, EigenCluster, SpectralTable
 from pseudospec.linalg import eigensystem_stack, fro_rows
 from pseudospec.scattering import PotentialSpec, RectangularBarrier, hamiltonian_at
 from pseudospec.symmetry import classify_spectrum, synthesize_stack
 from pseudospec.truncated import ModelSpec, build_H, build_H_stack
 from tests.test_blockdiag import count_calls, jordan_matrix, well_conditioned
-from tests.test_symmetry import reference_layout
+from tests.test_symmetry import permutations, reference_layout
 
 #: the block depth of most tests here, whatever n, so that the stacks
 #: about a block's edge stay short
@@ -213,17 +214,22 @@ def test_block_H0_S_and_C0_are_the_per_slot_rule():
         chain_sets.append([[[next(cols) for _ in range(p)] for p in ps] for _, ps in structure])
     Hs = np.stack(Hs)
     real = np.array([False, True, False, True, False])  # only carried through
-    bds = blockdiag._assemble(Hs, fro_rows(Hs), centers_list, chain_sets, real)
-    labelings = [classify_spectrum(bd.table) for bd in bds]
-    ops, _ = synthesize_stack(bds, labelings)
-    for r, (bd, lab, w) in enumerate(zip(bds, labelings, ops)):
+    A = np.stack([np.array([v for chains in cs for chain in chains for v in chain]).T
+                  for cs in chain_sets])
+    spectra = BlockSpectra.of([SpectralTable(tuple(EigenCluster(E, tuple(ps)) for E, ps in st))
+                               for st in BLOCK_STRUCTURES])
+    bds, (_, A, A_inv) = blockdiag._assemble(Hs, fro_rows(Hs), real, A, spectra, list(range(5)), {})
+    labels = symmetry.label_block(spectra)
+    ops, _ = synthesize_stack(A, A_inv, real, spectra, symmetry.pair_shifts(spectra, labels))
+    for r, (bd, lab, w) in enumerate(zip(bds, symmetry.labelings(spectra, labels), ops)):
+        assert lab == classify_spectrum(bd.table)
         assert [c.p_list for c in bd.table.clusters] == [tuple(p) for _, p in BLOCK_STRUCTURES[r]]
         assert bd.real == real[r]
         H0, S, C0 = reference_layout(bd.table, lab.pairs)
         assert bd.H0.tobytes() == H0.tobytes()
         alone = blockdiag.from_chains(Hs[r], centers_list[r], chain_sets[r])
         assert alone.H0.tobytes() == bd.H0.tobytes()
-        S_alone, C0_alone = symmetry._permutations([bd.table], [lab.pairs])
+        S_alone, C0_alone = permutations([bd.table])
         assert w.S.tobytes() == S.tobytes() == S_alone[0].tobytes()
         assert w.C0.tobytes() == C0.tobytes() == C0_alone[0].tobytes()
         assert w.Theta.matrix.tobytes() == np.eye(12, dtype=complex).tobytes()
@@ -425,3 +431,25 @@ def test_model_sweep_gauges_each_block_once(tmp_path, monkeypatch, lambdas):
     assert len(staircases) == 2
     assert len(heads_per_call) == math.ceil(201 / block_rows(n)) + len(staircases)
     assert sum(heads_per_call) == n * 201 - 2
+
+
+def test_merge_rows_beside_plain_rows_at_n32():
+    # the L = 16 model with lambda_l = (l + 1)^2 / 4 over 201 samples of
+    # [0.5, 3]: 16-row blocks of 32 x 32 matrices.  The exceptional points
+    # varpi = 1.5 and 2.5 have merge candidates and share their blocks with
+    # plain rows; every certificate is the one decide gives its row alone
+    lambdas = tuple((l + 1) ** 2 / 4 for l in range(16))
+    varpis = np.linspace(0.5, 3.0, 201)
+    stack = build_H_stack(lambdas, varpis)
+    assert block_rows(32) == 16
+    values, vectors, _ = eigensystem_stack(stack)
+    scale = fro_rows(stack)
+    screen = blockdiag._merge_screen(values, blockdiag._condition_numbers(vectors),
+                                     blockdiag.DEFAULT_TOL * scale, scale)
+    candidates = np.flatnonzero(screen[5])
+    for varpi in (1.5, 2.5):
+        (row,) = np.flatnonzero(np.isclose(varpis, varpi))
+        block = np.arange(row - row % 16, row - row % 16 + 16)
+        assert row in candidates and not np.isin(block, candidates).all()
+    certs = assert_rowwise(stack)
+    assert NOT_PSEUDO_HERMITIAN not in {c.verdict for c in certs}

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from pseudospec.antilinear import (
     is_hermitian,
     is_involution,
 )
-from pseudospec.blockdiag import EigenCluster, SpectralTable, block_diagonalize
+from pseudospec.blockdiag import BlockSpectra, EigenCluster, SpectralTable, block_diagonalize
 from pseudospec.linalg import SingularMatrixError, fro, inverse
 from pseudospec.certify import (
     PSEUDO_HERMITIAN,
@@ -85,9 +87,15 @@ class TestPairing:
         assert check_pairing(classify_spectrum(t), t).ok
 
 
+def permutations(tables):
+    """S and C0 of a block of tables, paired at the default tolerances."""
+    spectra = BlockSpectra.of(tables)
+    return symmetry._permutations(spectra, symmetry.pair_shifts(spectra, symmetry.label_block(spectra)))
+
+
 def S_and_C0(t):
-    """The one-row S and C0 of a table, paired at the default tolerances."""
-    S, C0 = symmetry._permutations([t], [classify_spectrum(t).pairs])
+    """The one-row S and C0 of a table."""
+    S, C0 = permutations([t])
     return S[0], C0[0]
 
 
@@ -351,7 +359,7 @@ class TestWitnessesFromTheDecomposition:
             tables = [random_paired_table(rng, n) for _ in range(m)]
             labelings = [classify_spectrum(t) for t in tables]
             assert all(check_pairing(lab, t).ok for lab, t in zip(labelings, tables))
-            S, C0 = symmetry._permutations(tables, [lab.pairs for lab in labelings])
+            S, C0 = permutations(tables)
             assert S.shape == C0.shape == (m, n, n)
             for r, (t, lab) in enumerate(zip(tables, labelings)):
                 _, want_S, want_C0 = reference_layout(t, lab.pairs)
@@ -404,3 +412,125 @@ class TestWitnessesFromTheDecomposition:
         assert np.linalg.norm(H @ X - X @ H.conj()) < 1e-8 * nH * np.linalg.norm(X)
         assert np.linalg.norm(Hh @ eta - eta @ H) < 1e-8 * nH * np.linalg.norm(eta)
         assert np.array_equal(eta, eta.conj().T)
+
+
+def loop_labeling(table, real_tol, pair_tol):
+    """The one-row rule as a plain loop: classify each cluster, then match
+    each plus cluster in index order to its nearest unused conjugate, ties
+    to the smaller index, within ``pair_tol * (1 + |E|)``."""
+    real, plus, minus = [], [], []
+    for n, c in enumerate(table.clusters):
+        if abs(c.value.imag) <= real_tol * (1.0 + abs(c.value)):
+            real.append(n)
+        elif c.value.imag > 0:
+            plus.append(n)
+        else:
+            minus.append(n)
+    pairs, used = [], set()
+    for n in plus:
+        target = np.conj(table.clusters[n].value)
+        best = best_dist = None
+        for m in minus:
+            if m in used:
+                continue
+            dist = abs(table.clusters[m].value - target)
+            if best is None or dist < best_dist:
+                best, best_dist = m, dist
+        if best is not None and best_dist <= pair_tol * (1.0 + abs(table.clusters[n].value)):
+            pairs.append((n, best))
+            used.add(best)
+    paired = {n for p in pairs for n in p}
+    unpaired = tuple(n for n in plus + minus if n not in paired)
+    return symmetry.SpectralLabeling(tuple(real), tuple(pairs), tuple(sorted(unpaired)))
+
+
+def loop_detail(labeling, table):
+    """The detail of the one-row pairing test as a plain loop, None when it
+    passes."""
+    if labeling.unpaired:
+        n = labeling.unpaired[0]
+        return f"cluster {n} at E={table.clusters[n].value:.6g} has no conjugate partner"
+    for n, m in labeling.pairs:
+        cn, cm = table.clusters[n], table.clusters[m]
+        if cn.p_list != cm.p_list:
+            return (f"conjugate pair ({n}, {m}) has mismatched Jordan dimensions "
+                    f"{list(cn.p_list)} vs {list(cm.p_list)}")
+    return None
+
+
+#: values whose moduli, differences and bounds are exact in binary: the
+#: Pythagorean 3-4-5 and 5-12-13 points put distances, |E| and so
+#: ``tol (1 + |E|)`` exactly on a boundary, the grid makes exact ties
+PYTHAGOREAN = (3 + 4j, 4 + 3j, 5 + 12j, 12 + 5j, 0.6 + 0.8j, 5 + 0j, 1j)
+P_LISTS = ((1,), (1,), (2,), (1, 1), (2, 1), (3,))
+TOLERANCES = (0.0, 1e-8, 0.25, 0.5, 1.0, 2.0)
+
+
+def random_table(rng):
+    """A table of 1 to 9 clusters drawn so that ties, several candidates
+    for one plus cluster, values on the pair_tol and real_tol boundaries,
+    -0.0 imaginary parts and infinite ones all occur; ``rng`` is a
+    ``random.Random``."""
+    values = []
+    for _ in range(rng.randint(1, 9)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            z = rng.choice(PYTHAGOREAN) * rng.choice((0.5, 1.0, 2.0))
+            z = complex(z.real * rng.choice((-1, 1)), z.imag * rng.choice((-1, 1)))
+        elif kind == 1 and values:  # near the conjugate of an earlier value
+            z = rng.choice(values).conjugate() + complex(rng.randint(-2, 2), rng.randint(-2, 2)) / 4
+        elif kind == 2:
+            z = complex(rng.randint(-6, 6), rng.randint(-6, 6)) / 2
+        elif rng.random() < 0.9:
+            z = complex(rng.randint(-6, 6) / 2, rng.choice((0.0, -0.0)))
+        else:  # a NaN distance, to the loop
+            z = complex(rng.choice((np.inf, -np.inf, 1.0)), rng.choice((np.inf, -np.inf)))
+        values.append(z)
+    return table(*((v, rng.choice(P_LISTS)) for v in values))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_array_labeling_matches_the_loop():
+    # 20,000 random tables in blocks of up to 40 rows, each at one of the
+    # tolerance pairs: the block arrays give each row the loop's labeling
+    # and detail, and so does the one-row case on every tenth table.  An
+    # infinite center makes inf - inf, which warns, in both
+    rng = random.Random(2024)
+    seen = dict.fromkeys(
+        ("tie", "several", "pair_edge", "real_edge", "negative_zero", "infinite"), 0)
+    done = 0
+    while done < 20_000:
+        tables = [random_table(rng) for _ in range(rng.randint(1, 40))]
+        real_tol, pair_tol = rng.choice(TOLERANCES), rng.choice(TOLERANCES)
+        spectra = BlockSpectra.of(tables)
+        labels = symmetry.label_block(spectra, real_tol, pair_tol)
+        ok, details = symmetry.check_block(spectra, labels)
+        for r, (t, lab) in enumerate(zip(tables, symmetry.labelings(spectra, labels))):
+            want = loop_labeling(t, real_tol, pair_tol)
+            assert lab == want, (t, real_tol, pair_tol)
+            assert details.get(r) == loop_detail(want, t)
+            assert ok[r] == (loop_detail(want, t) is None)
+            if done % 10 == 0:
+                assert classify_spectrum(t, real_tol, pair_tol) == want
+                report = check_pairing(want, t)
+                assert (report.ok, report.detail) == (ok[r], details.get(r))
+            tally_cases(seen, t, real_tol, pair_tol)
+            done += 1
+    assert all(count > 100 for count in seen.values()), seen
+
+
+def tally_cases(seen, t, real_tol, pair_tol):
+    """Count the cases the property test must cover."""
+    seen["infinite"] += not np.isfinite([c.value for c in t.clusters]).all()
+    values = [c.value for c in t.clusters if np.isfinite(c.value)]
+    for z in values:
+        seen["negative_zero"] += z.imag == 0.0 and np.copysign(1.0, z.imag) < 0
+        seen["real_edge"] += z.imag != 0.0 and abs(z.imag) == real_tol * (1.0 + abs(z))
+    for z in values:
+        if z.imag > 0:
+            dists = [abs(w - np.conj(z)) for w in values if w.imag < 0]
+            bound = pair_tol * (1.0 + abs(z))
+            near = [d for d in dists if d <= bound]
+            seen["several"] += len(near) > 1
+            seen["tie"] += len(near) != len(set(near))
+            seen["pair_edge"] += bound in dists
