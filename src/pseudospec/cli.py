@@ -35,7 +35,7 @@ from .scattering import (
     evolve_transfer,
     hamiltonian_at,
 )
-from .serialization import dumps_certificate, load_matrix
+from .serialization import load_matrix, write_certificate
 from .truncated import ModelSpec, build_H_stack, closed_form_X, exceptional_levels
 
 EXIT_PSEUDO_HERMITIAN = 0
@@ -97,7 +97,7 @@ def cmd_analyze(args) -> int:
             cert = decide(H, profile)
         except ValueError as exc:
             return _input_error(exc)
-        out.write(dumps_certificate(cert) + "\n")
+        write_certificate(cert, out)
     return _VERDICT_EXIT[cert.verdict]
 
 

@@ -110,7 +110,7 @@ def load_matrix(path) -> np.ndarray:
 
 def dump_matrix(M, path) -> None:
     stub, A = _matrix_stub(M)
-    text = _render(stub, [(stub, A)]) + "\n"
+    text = "".join(_render(stub, [(stub, A)])) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -161,21 +161,30 @@ def certificate_to_doc(cert: Certificate) -> dict:
 def dumps_certificate(cert: Certificate) -> str:
     """Byte for byte ``dumps_canonical(certificate_to_doc(cert))``, with
     the witness matrices written straight from their arrays."""
-    return _render(*_skeleton(cert))
+    return "".join(_render(*_skeleton(cert)))
 
 
-def _render(skeleton: dict, blocks: list) -> str:
-    """``dumps_canonical`` of ``skeleton`` once ``_fill(blocks)`` has run,
-    with each entries block laid out from its array: one ``repr`` per
-    distinct bit pattern (``-0.0`` stays apart from ``0.0``), gathered
-    through the inverse index and joined in C.  A block with the indent and
-    bits of an earlier one reuses its text: in a real certificate S, Theta,
-    tau0 and X are all the identity.  A skeleton whose own text holds the
+def write_certificate(cert: Certificate, fh) -> None:
+    """Write ``dumps_certificate(cert)`` and a newline to the text file
+    ``fh`` piece by piece, once every piece is rendered, so that the whole
+    text is never held, nor encoded, at once."""
+    fh.writelines(_render(*_skeleton(cert)))
+    fh.write("\n")
+
+
+def _render(skeleton: dict, blocks: list) -> list[str]:
+    """The pieces, in order, of ``dumps_canonical(skeleton)`` once
+    ``_fill(blocks)`` has run, with each entries block laid out from its
+    array: one ``repr`` per distinct bit pattern (``-0.0`` stays apart
+    from ``0.0``), gathered through the inverse index and joined in C.  A
+    block with the indent and bits of an earlier one reuses its text: in a
+    positive certificate of a real H with a simple spectrum, S, Theta, tau0
+    and X are all the identity.  A skeleton whose own text holds the
     placeholder is filled and encoded whole."""
     parts = dumps_canonical(skeleton).split(_PLACEHOLDER_JSON)
     if len(parts) != len(blocks) + 1:
         _fill(blocks)
-        return dumps_canonical(skeleton)
+        return [dumps_canonical(skeleton)]
     out = [parts[0]]
     rendered = []  # (pad, bits, text) of each distinct block so far
     for before, (_, A), after in zip(parts, blocks, parts[1:]):
@@ -188,7 +197,7 @@ def _render(skeleton: dict, blocks: list) -> str:
             text = _entries_text(flat, pad)
             rendered.append((pad, bits, text))
         out += [text, after]
-    return "".join(out)
+    return out
 
 
 def _entries_text(flat: np.ndarray, pad: str) -> str:

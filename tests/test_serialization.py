@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import io
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from pseudospec.serialization import (
     load_matrix,
     matrix_from_doc,
     matrix_to_doc,
+    write_certificate,
 )
 
 
@@ -246,12 +248,21 @@ class TestCanonicalEncoder:
             dumps_canonical(doc)
 
 
+def written(cert) -> str:
+    """What ``write_certificate`` writes to a text file."""
+    fh = io.StringIO()
+    write_certificate(cert, fh)
+    return fh.getvalue()
+
+
 class TestArrayWriter:
     def test_seeded_certificates(self):
         verdicts = set()
         for cert in seeded_certificates():
             verdicts.add(cert.verdict)
-            assert dumps_certificate(cert) == stdlib_dumps(certificate_to_doc(cert))
+            text = stdlib_dumps(certificate_to_doc(cert))
+            assert dumps_certificate(cert) == text
+            assert written(cert) == text + "\n"
         assert verdicts == {"pseudo_hermitian", "not_pseudo_hermitian"}
 
     def test_inconclusive_certificate(self):
@@ -284,6 +295,10 @@ class TestArrayWriter:
         cert.witnesses.eta[1, 0] = bad
         with pytest.raises(ValueError):
             dumps_certificate(cert)
+        fh = io.StringIO()
+        with pytest.raises(ValueError):
+            write_certificate(cert, fh)
+        assert fh.getvalue() == ""  # nothing is written before every piece is rendered
 
     @pytest.mark.parametrize("detail", [
         serialization._PLACEHOLDER,
@@ -296,6 +311,7 @@ class TestArrayWriter:
         for cert in (decide(np.eye(2)), decide(np.diag([1.0 + 1j, 2.0]))):
             cert = dataclasses.replace(cert, diagnostics=detail)
             assert dumps_certificate(cert) == stdlib_dumps(certificate_to_doc(cert))
+            assert written(cert) == stdlib_dumps(certificate_to_doc(cert)) + "\n"
 
 
 def per_entry_reference(doc) -> np.ndarray:
