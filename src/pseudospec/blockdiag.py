@@ -591,7 +591,8 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> tuple[list
         failed = dict(zip(r[refused][::-1].tolist(), k[refused][::-1].tolist()))  # each row's first
         errors.update((i, JordanStructureError(_REFUSED_HEAD)) for i in failed)
     # every other cluster runs the staircase, in order, up to a failure in its row
-    chains, p_lists = np.minimum(sizes, 1), {}
+    p_lists = np.zeros(Hs.shape, dtype=np.intp)  # the chain lengths of each cluster
+    p_lists[:, :, 0] = sizes  # a simple cluster's one chain
     for i, k in zip(*(a.tolist() for a in ((sizes > 0) & ~simple).nonzero())):
         if failed.get(i, k) < k:
             continue
@@ -608,22 +609,15 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> tuple[list
             failed[i], errors[i] = k, exc.with_traceback(None)
             continue
         A[i, :, at:at + size] = np.array([v for chain in chain_set for v in chain]).T
-        chains[i, k] = len(p_list)
-        if len(p_list) > 1:
-            p_lists[i, k] = p_list
+        p_lists[i, k, :len(p_list)] = p_list
     if len(errors) == m:  # nothing is left to assemble
         return [errors[i] for i in range(m)], None
     sizes[list(errors)] = 0
     present = sizes > 0
-    sizes, chains = sizes[present], chains[present]
-    lengths = sizes.repeat(chains)  # a cluster of one chain: its size
-    if p_lists:  # the others: from the end of each cluster's chains
-        end = chains.cumsum()[present.cumsum().reshape(m, n) - 1]
-        for (i, k), p_list in p_lists.items():
-            if i not in errors:
-                lengths[end[i, k] - len(p_list):end[i, k]] = p_list
+    p_lists = p_lists[present]
     rows = [i for i in range(m) if i not in errors]
-    spectra = BlockSpectra(centers[present], sizes, chains, lengths, present.sum(1)[rows])
+    spectra = BlockSpectra(centers[present], sizes[present], (p_lists > 0).sum(1),
+                           p_lists[p_lists > 0], present.sum(1)[rows])
     return _assemble(rows_of(Hs, rows), scale[rows], real[rows], rows_of(A, rows), spectra, rows,
                      errors)
 

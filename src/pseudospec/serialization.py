@@ -186,17 +186,15 @@ def _render(skeleton: dict, blocks: list) -> list[str]:
         _fill(blocks)
         return [dumps_canonical(skeleton)]
     out = [parts[0]]
-    rendered = []  # (pad, bits, text) of each distinct block so far
+    rendered: dict[tuple[str, bytes], str] = {}  # by indent and bits
     for before, (_, A), after in zip(parts, blocks, parts[1:]):
         line = before[before.rfind("\n") + 1:]  # the key's own line
         pad = " " * (len(line) - len(line.lstrip(" ")))
         flat = np.ascontiguousarray(A).view(np.float64).ravel()
-        bits = flat.view(np.int64)
-        text = next((t for p, b, t in rendered if p == pad and np.array_equal(b, bits)), None)
-        if text is None:
-            text = _entries_text(flat, pad)
-            rendered.append((pad, bits, text))
-        out += [text, after]
+        key = (pad, flat.tobytes())
+        if key not in rendered:
+            rendered[key] = _entries_text(flat, pad)
+        out += [rendered[key], after]
     return out
 
 
