@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -135,16 +134,6 @@ class BlockSpectra:
                    *(np.array(a, dtype=np.intp) for a in (
                        [c.algebraic for c in clusters], [c.d for c in clusters],
                        [p for c in clusters for p in c.p_list], [len(t.clusters) for t in tables])))
-
-    @cached_property
-    def row(self) -> np.ndarray:
-        """The row of every cluster."""
-        return np.arange(len(self.counts)).repeat(self.counts)
-
-    @cached_property
-    def local(self) -> np.ndarray:
-        """The index of every cluster within its row."""
-        return np.arange(len(self.centers)) - (self.counts.cumsum() - self.counts)[self.row]
 
     def take(self, keep: np.ndarray) -> BlockSpectra:
         """The rows that the boolean mask ``keep`` marks."""
@@ -283,12 +272,9 @@ def _clusters(screen: tuple, Hs: np.ndarray) -> tuple:
     errors = {}
     for i in candidates.nonzero()[0].tolist():
         try:
-            clusters = _cluster_row(screen, i, Hs[i])
+            centers[i], sizes[i], first[i] = _cluster_row(screen, i, Hs[i])
         except DECOMPOSITION_ERRORS as exc:  # its frames hold the screen: a cycle
-            errors[i], clusters = exc.with_traceback(None), ([], [], [])
-        sizes[i, len(clusters[0]):] = 0
-        for a, v in zip((centers, sizes, first), clusters):
-            a[i, :len(v)] = v
+            errors[i], sizes[i] = exc.with_traceback(None), 0
     return centers, sizes, first, errors
 
 
@@ -296,7 +282,7 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> list[list]:
     """Union-find clustering of one row of a merge screen; see
     :func:`cluster_eigenvalues`.  Returns the cluster centers, their sizes
     and the index of each one's first member among the sorted values, in
-    canonical order."""
+    canonical order, each list padded with 0 to one entry per value."""
     vals, dist, floor, overlap, scale = (a[row] for a in screen[:5])
     n = vals.size
     parent = list(range(n))
@@ -336,7 +322,7 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> list[list]:
         groups.setdefault(find(i), []).append(i)
     clusters = [(complex(vals[g].sum() / len(g)), len(g), g[0]) for g in groups.values()]
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))  # centers as np.mean forms them
-    return [list(a) for a in zip(*clusters)]
+    return [list(a) + [0] * (n - len(a)) for a in zip(*clusters)]
 
 
 def _kernel_staircase(N: np.ndarray, tol: float, center: complex):
@@ -591,8 +577,8 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> tuple[list
         failed = dict(zip(r[refused][::-1].tolist(), k[refused][::-1].tolist()))  # each row's first
         errors.update((i, JordanStructureError(_REFUSED_HEAD)) for i in failed)
     # every other cluster runs the staircase, in order, up to a failure in its row
-    p_lists = np.zeros(Hs.shape, dtype=np.intp)  # the chain lengths of each cluster
-    p_lists[:, :, 0] = sizes  # a simple cluster's one chain
+    # the chain lengths of each cluster; a simple cluster has one chain
+    p_lists = sizes[:, :, None] * (np.arange(n) == 0)
     for i, k in zip(*(a.tolist() for a in ((sizes > 0) & ~simple).nonzero())):
         if failed.get(i, k) < k:
             continue
@@ -618,8 +604,9 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> tuple[list
     rows = [i for i in range(m) if i not in errors]
     spectra = BlockSpectra(centers[present], sizes[present], (p_lists > 0).sum(1),
                            p_lists[p_lists > 0], present.sum(1)[rows])
-    return _assemble(rows_of(Hs, rows), scale[rows], real[rows], rows_of(A, rows), spectra, rows,
-                     errors)
+    done, block = _assemble(rows_of(Hs, rows), scale[rows], real[rows], rows_of(A, rows), spectra)
+    done = iter(done)
+    return [errors[i] if i in errors else next(done) for i in range(m)], block
 
 
 def from_chains(H, centers, chain_sets) -> BlockDiagonalization:
@@ -641,21 +628,22 @@ def from_chains(H, centers, chain_sets) -> BlockDiagonalization:
     table = SpectralTable(tuple(EigenCluster(E, tuple(map(len, chains)))
                                 for E, chains in zip(centers, chain_sets)))
     (bd,), _ = _assemble(H[None], np.array([fro(H)]), np.array([not H.imag.any()]), A[None],
-                         BlockSpectra.of([table]), [0], {})
+                         BlockSpectra.of([table]))
     if isinstance(bd, Exception):
         raise bd
     return bd
 
 
-def _assemble(Hs, scale, real, A, spectra, rows, errors) -> tuple[list, tuple]:
-    """:func:`decompose_stack`'s result for the rows ``rows`` of a stack,
-    given their matrices ``Hs``, ``|H|_F``, realness, spectra and Jordan
-    bases ``A``, columns in canonical order; ``errors`` holds the other
-    rows' errors.  H0 is set from the flat arrays, and one stacked SVD and
-    inversion serve all bases.  A row whose basis has ``cond(A)`` above
-    :data:`COND_LIMIT`, or not finite, gets an
+def _assemble(Hs, scale, real, A, spectra) -> tuple[list, tuple]:
+    """:func:`from_chains` for each row of a stack, given its matrices
+    ``Hs``, ``|H|_F``, realness, spectra and Jordan bases ``A``, columns
+    in canonical order.  H0 is set from the flat arrays, and one stacked
+    SVD and inversion serve all bases.  A row whose basis has ``cond(A)``
+    above :data:`COND_LIMIT`, or not finite, gets an
     :class:`IllConditionedBasisError`; a basis singular to working
-    tolerance is one of them."""
+    tolerance is one of them.  Returns per row a
+    :class:`BlockDiagonalization` or that error, and the spectra, bases
+    and inverses of the rows that have the former."""
     m, n = A.shape[:2]
     # H0 holds each slot's cluster value on the diagonal and a 1 above
     # every slot that is not a chain head, set for the whole block at once
@@ -668,18 +656,14 @@ def _assemble(Hs, scale, real, A, spectra, rows, errors) -> tuple[list, tuple]:
     A_inv, regular, cond = inverse_and_cond_stack(A)
     good = cond <= COND_LIMIT  # so regular: COND_LIMIT < 1 / SINGULARITY_CUTOFF
     if not good.all():  # also inf and NaN
-        for k in (~good).nonzero()[0].tolist():
-            errors[rows[k]] = IllConditionedBasisError(
-                f"Jordan basis condition number {cond[k]:.3e} exceeds limit {COND_LIMIT:.1e}"
-            )
-        A_inv = A_inv[good[regular]]
-        Hs, scale, real, A, H0, cond = (a[good] for a in (Hs, scale, real, A, H0, cond))
-        rows, spectra = np.array(rows)[good].tolist(), spectra.take(good)
-    recon = fro_rows(Hs - A @ H0 @ A_inv) / np.where(scale != 0.0, scale, 1.0) if rows else cond
-    out = [errors.get(r) for r in range(len(rows) + len(errors))]
-    for r, *bd in zip(rows, A, H0, spectra.tables(), recon.tolist(), A_inv, cond.tolist(),
-                      real.tolist()):
-        out[r] = BlockDiagonalization(*bd)
+        A_inv, spectra = A_inv[good[regular]], spectra.take(good)
+        Hs, scale, real, A, H0 = (a[good] for a in (Hs, scale, real, A, H0))
+    recon = fro_rows(Hs - A @ H0 @ A_inv) / np.where(scale != 0.0, scale, 1.0) if len(A) else scale
+    bds = map(BlockDiagonalization, A, H0, spectra.tables(), recon.tolist(), A_inv,
+              cond[good].tolist(), real.tolist())
+    out = [next(bds) if g else IllConditionedBasisError(
+        f"Jordan basis condition number {c:.3e} exceeds limit {COND_LIMIT:.1e}")
+        for g, c in zip(good.tolist(), cond.tolist())]
     return out, (spectra, A, A_inv)
 
 

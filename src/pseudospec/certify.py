@@ -28,10 +28,8 @@ from .symmetry import (
     DEFAULT_REAL_TOL,
     SpectralLabeling,
     SymmetryOperators,
-    check_block,
+    check_pairing,
     label_block,
-    labelings,
-    pair_shifts,
     synthesize_stack,
 )
 
@@ -233,11 +231,10 @@ def _blocks(Hs: np.ndarray, tol: ToleranceProfile) -> Iterator[Certificate]:
 
 def _decide_block(Hs: np.ndarray, tol: ToleranceProfile) -> list[Certificate]:
     """The certificates of a block: one stacked decomposition, the labeling
-    and pairing test of its flat spectral arrays, then one stacked
-    synthesis and one set of stacked residual products for the rows whose
-    pairing holds.  A row's table and labeling become objects only for its
-    certificate.  When a stacked LAPACK call fails, the rows are decided
-    one by one, so a failure stays with its own row."""
+    of its flat spectral arrays and each row's pairing test, then one
+    stacked synthesis and one set of stacked residual products for the
+    rows whose pairing holds.  When a stacked LAPACK call fails, the rows
+    are decided one by one, so a failure stays with its own row."""
     scale = fro_rows(Hs)
     tolerances = tol.as_dict()  # each certificate gets its own copy
     try:
@@ -252,38 +249,29 @@ def _decide_block(Hs: np.ndarray, tol: ToleranceProfile) -> list[Certificate]:
     if not rows:
         return certs
     spectra, A, A_inv = block
-    labels = label_block(spectra, tol.real_tol, tol.pair_tol)
-    ok, details = check_block(spectra, labels)
+    labelings, shift = label_block(spectra, tol.real_tol, tol.pair_tol)
+    reports = [check_pairing(lab, out[r].table) for r, lab in zip(rows, labelings)]
+    ok = np.array([report.ok for report in reports])
     paired = ok.nonzero()[0].tolist()
     if paired:
         at = [rows[k] for k in paired]
         ops, stacks = synthesize_stack(
             rows_of(A, paired), rows_of(A_inv, paired), np.array([out[r].real for r in at]),
-            spectra if ok.all() else spectra.take(ok),
-            pair_shifts(spectra, labels)[ok[spectra.row]])
+            spectra if ok.all() else spectra.take(ok), shift[ok.repeat(spectra.counts)])
         witnesses = iter(zip(ops, _witness_residuals(rows_of(Hs, at), scale[at], *stacks)))
-    for k, (r, labeling) in enumerate(zip(rows, labelings(spectra, labels))):
-        bd = out[r]
+    for r, labeling, report in zip(rows, labelings, reports):
+        bd, verdict, detail, w = out[r], NOT_PSEUDO_HERMITIAN, report.detail, None
         residuals = {"reconstruction": bd.recon_residual}
-        if not ok[k]:
-            certs[r] = _certificate(tolerances, bd, labeling, residuals, NOT_PSEUDO_HERMITIAN,
-                                    details[k])
-            continue
-        w, res = next(witnesses)
-        residuals.update(res)
-        if bd.recon_residual > RECONSTRUCTION_TOL or any(v > WITNESS_TOL for v in res.values()):
-            detail = ", ".join(f"{name}={v:.3e}" for name, v in residuals.items())
-            certs[r] = _certificate(tolerances, bd, labeling, residuals, INCONCLUSIVE,
-                                    f"witness residuals exceeded tolerance: {detail}")
-        else:
-            certs[r] = _certificate(tolerances, bd, labeling, residuals, PSEUDO_HERMITIAN,
-                                    witnesses=w)
+        if report.ok:
+            w, res = next(witnesses)
+            residuals.update(res)
+            verdict = PSEUDO_HERMITIAN
+            if bd.recon_residual > RECONSTRUCTION_TOL or any(v > WITNESS_TOL for v in res.values()):
+                values = ", ".join(f"{name}={v:.3e}" for name, v in residuals.items())
+                verdict, w = INCONCLUSIVE, None
+                detail = f"witness residuals exceeded tolerance: {values}"
+        certs[r] = Certificate(verdict, verdict != NOT_PSEUDO_HERMITIAN, residuals,
+                               dict(tolerances), table=bd.table, labeling=labeling, witnesses=w,
+                               cond_A=bd.cond_A, diagnostics=detail, decomposition=bd)
     return certs
 
-
-def _certificate(tolerances, bd, labeling, residuals, verdict, diagnostics=None, witnesses=None):
-    return Certificate(
-        verdict, verdict != NOT_PSEUDO_HERMITIAN, residuals, dict(tolerances), table=bd.table,
-        labeling=labeling, witnesses=witnesses, cond_A=bd.cond_A,
-        diagnostics=diagnostics, decomposition=bd,
-    )

@@ -168,8 +168,7 @@ def write_certificate(cert: Certificate, fh) -> None:
     """Write ``dumps_certificate(cert)`` and a newline to the text file
     ``fh`` piece by piece, once every piece is rendered, so that the whole
     text is never held, nor encoded, at once."""
-    fh.writelines(_render(*_skeleton(cert)))
-    fh.write("\n")
+    fh.writelines([*_render(*_skeleton(cert)), "\n"])
 
 
 def _render(skeleton: dict, blocks: list) -> list[str]:

@@ -19,6 +19,7 @@ there:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -65,93 +66,46 @@ class SymmetryOperators:
 
 
 def label_block(spectra: BlockSpectra, real_tol: float = DEFAULT_REAL_TOL,
-                pair_tol: float = DEFAULT_PAIR_TOL) -> tuple[np.ndarray, ...]:
-    """:func:`classify_spectrum` of every row of a block at once, as flat
-    index arrays into ``spectra``: the real clusters, the plus and the minus
-    member of each conjugate pair, in plus order, and the unpaired ones.
+                pair_tol: float = DEFAULT_PAIR_TOL) -> tuple[list[SpectralLabeling], np.ndarray]:
+    """:func:`classify_spectrum` of every row of a block: each row's
+    labeling, and per cluster the offset from its first slot to that of
+    its conjugate partner, 0 for a cluster without one, as
+    :func:`_permutations` takes it.
 
     Every modulus is ``np.hypot``, which is ``abs`` bit for bit where
-    ``np.abs`` of an array is not, so each decision has the bits of the
-    one-row rule.  In a row where each plus cluster has at most one
-    candidate within ``pair_tol`` and no minus cluster is the candidate of
-    two, every candidate is its plus cluster's unique nearest conjugate,
-    and one array expression matches them all.  A row with competing
-    candidates, or a center that is not finite, runs the greedy loop on
-    the same distances.
+    ``np.abs`` of an array is not: of every center, and, in one call for
+    the whole block, of the difference between the conjugate of each plus
+    cluster and each minus cluster of its own row.  Each row then runs the
+    greedy loop on its distances: ``min`` keeps the first of equal keys, so
+    a tie goes to the smaller index, and a NaN distance wins only as the
+    first candidate, as in a plain loop with ``<``.
     """
-    v, row = spectra.centers, spectra.row
-    mag = np.hypot(v.real, v.imag)
-    real = abs(v.imag) <= real_tol * (1.0 + mag)
-    up = v.imag > 0
-    plus, minus = (~real & up).nonzero()[0], (~real & ~up).nonzero()[0]
-    # the distance of every minus cluster to the conjugate of each plus one
-    same = row[plus][:, None] == row[minus]  # of its row
-    diff = v[minus] - v[plus, None].conj()
-    dist = np.hypot(diff.real, diff.imag)
-    bound = pair_tol * (1.0 + mag[plus])
-    near = same & (dist <= bound[:, None])
-    greedy = np.zeros(len(spectra.counts), dtype=bool)
-    greedy[row[~np.isfinite(v)]] = True
-    greedy[row[plus[near.sum(1) > 1]]] = True
-    greedy[row[minus[near.sum(0) > 1]]] = True
-    near &= ~greedy[row[plus]][:, None]
-    i, j = near.nonzero()
-    partner = np.zeros(len(v), dtype=np.intp) - 1  # of each plus cluster
-    partner[plus[i]] = minus[j]
-    for r in greedy.nonzero()[0].tolist():
-        for k in (row[plus] == r).nonzero()[0].tolist():
-            # the least (distance, index) is the first strictly nearest, as
-            # the loop of the one-row rule finds it, a NaN distance included
-            cands = [c for c in zip(dist[k, same[k]].tolist(), minus[same[k]].tolist())
-                     if c[1] not in partner]
-            if cands and (best := min(cands))[0] <= bound[k]:
-                partner[plus[k]] = best[1]
-    p = (partner >= 0).nonzero()[0]
-    paired = partner >= 0
-    paired[partner[p]] = True
-    return real.nonzero()[0], p, partner[p], (~real & ~paired).nonzero()[0]
-
-
-def labelings(spectra: BlockSpectra, labels) -> list[SpectralLabeling]:
-    """The :class:`SpectralLabeling` of each row of a block from the index
-    arrays of :func:`label_block`, in the row's own cluster indices: one
-    gather of all four, cut by kind and row."""
-    m = len(spectra.counts)
-    idx = np.concatenate(labels)
-    key = spectra.row[idx] + m * np.arange(4).repeat([len(a) for a in labels])
-    cuts = key.searchsorted(np.arange(4 * m + 1)).tolist()
-    local = spectra.local[idx].tolist()
-    kinds = ([local[a:b] for a, b in zip(cuts[k * m:(k + 1) * m], cuts[k * m + 1:])]
-             for k in range(4))
-    return [SpectralLabeling(tuple(r), tuple(zip(p, q)), tuple(u)) for r, p, q, u in zip(*kinds)]
-
-
-def check_block(spectra: BlockSpectra, labels) -> tuple[np.ndarray, dict[int, str]]:
-    """:func:`check_pairing` of every row of a block: which rows pass, and
-    the detail of each row that fails, from the index arrays of
-    :func:`label_block`; a row's first unpaired cluster, else its first
-    pair with mismatched Jordan dimensions, is named."""
-    _, plus, minus, unpaired = labels
-    row, local, chains = spectra.row, spectra.local, spectra.chains
-
-    def p_list(c):
-        end = chains[:c + 1].sum()
-        return spectra.lengths[end - chains[c]:end].tolist()
-
-    details = {}
-    for r, c in zip(row[unpaired].tolist(), unpaired.tolist()):
-        if r not in details:  # the first of its row
-            details[r] = (f"cluster {local[c]} at E={complex(spectra.centers[c]):.6g} "
-                          "has no conjugate partner")
-    bad = spectra.sizes[plus] != spectra.sizes[minus]
-    for k in ((chains[plus] > 1) | (chains[minus] > 1)).nonzero()[0].tolist():
-        bad[k] = p_list(plus[k]) != p_list(minus[k])
-    for a, b in zip(plus[bad].tolist(), minus[bad].tolist()):
-        details.setdefault(int(row[a]), f"conjugate pair ({local[a]}, {local[b]}) has "
-                                        f"mismatched Jordan dimensions {p_list(a)} vs {p_list(b)}")
-    ok = np.ones(len(spectra.counts), dtype=bool)
-    ok[list(details)] = False
-    return ok, details
+    v = spectra.centers
+    vals, mags = v.tolist(), np.hypot(v.real, v.imag).tolist()
+    rows, diffs, end = [], [], 0
+    for c in spectra.counts.tolist():
+        start, end = end, end + c
+        reals, plus, minus = groups = ([], [], [])
+        for k, z, mag in zip(range(c), vals[start:end], mags[start:end]):
+            groups[0 if abs(z.imag) <= real_tol * (1.0 + mag) else 2 - (z.imag > 0)].append(k)
+        rows.append((start, groups))
+        diffs += [vals[start + j] - vals[start + k].conjugate() for k in plus for j in minus]
+    diffs = np.array(diffs, dtype=complex)
+    dist = np.hypot(diffs.real, diffs.imag).tolist()
+    slot = list(accumulate(spectra.sizes.tolist(), initial=0))  # each cluster's first slot
+    out, shift, at = [], [0] * len(vals), 0
+    for start, (reals, plus, minus) in rows:
+        free, pairs = list(range(len(minus))), []
+        for n in plus:
+            d, at = dist[at:at + len(minus)], at + len(minus)
+            if free and d[j := min(free, key=d.__getitem__)] <= pair_tol * (1.0 + mags[start + n]):
+                pairs.append((n, minus[j]))
+                free.remove(j)
+                a, b = start + n, start + minus[j]
+                shift[a], shift[b] = slot[b] - slot[a], slot[a] - slot[b]
+        unpaired = sorted({*plus}.difference(dict(pairs)) | {minus[j] for j in free})
+        out.append(SpectralLabeling(tuple(reals), tuple(pairs), tuple(unpaired)))
+    return out, np.array(shift, dtype=np.intp)
 
 
 def classify_spectrum(
@@ -168,35 +122,30 @@ def classify_spectrum(
     ``pair_tol * (1 + |E|)``, ties broken by smaller cluster index.  The
     one-row case of :func:`label_block`.
     """
-    spectra = BlockSpectra.of([table])
-    return labelings(spectra, label_block(spectra, real_tol, pair_tol))[0]
+    return label_block(BlockSpectra.of([table]), real_tol, pair_tol)[0][0]
 
 
 def check_pairing(labeling: SpectralLabeling, table: SpectralTable) -> PairingReport:
     """Pairing test: every complex cluster has a conjugate partner with the
-    same geometric multiplicity and the same Jordan dimensions.  The
-    one-row case of :func:`check_block`."""
-    pairs = np.array(labeling.pairs, dtype=np.intp).reshape(-1, 2)
-    labels = (None, pairs[:, 0], pairs[:, 1], np.array(labeling.unpaired, dtype=np.intp))
-    ok, details = check_block(BlockSpectra.of([table]), labels)
-    return PairingReport(bool(ok[0]), details.get(0))
-
-
-def pair_shifts(spectra: BlockSpectra, labels) -> np.ndarray:
-    """Per cluster of a block, the offset from its first slot to that of its
-    conjugate partner in the index arrays of :func:`label_block`, and 0 for
-    a cluster without one."""
-    start = spectra.sizes.cumsum() - spectra.sizes
-    shift = np.zeros(len(start), dtype=np.intp)
-    shift[labels[1]] = start[labels[2]] - start[labels[1]]
-    shift[labels[2]] = -shift[labels[1]]
-    return shift
+    same geometric multiplicity and the same Jordan dimensions.  The first
+    unpaired cluster, else the first mismatched pair, is named."""
+    clusters = table.clusters
+    if labeling.unpaired:
+        n = labeling.unpaired[0]
+        return PairingReport(False, f"cluster {n} at E={clusters[n].value:.6g} "
+                                    "has no conjugate partner")
+    for n, m in labeling.pairs:
+        p, q = clusters[n].p_list, clusters[m].p_list
+        if p != q:
+            return PairingReport(False, f"conjugate pair ({n}, {m}) has mismatched Jordan "
+                                        f"dimensions {list(p)} vs {list(q)}")
+    return PairingReport(True)
 
 
 def _permutations(spectra: BlockSpectra, shift: np.ndarray) -> np.ndarray:
     """The chain flip S and the pair swap C0 of every row of a block of
     one dimension, as two (m, n, n) stacks; ``shift`` holds each cluster's
-    offset to its partner, from :func:`pair_shifts`, and is 0 where C0
+    offset to its partner, from :func:`label_block`, and is 0 where C0
     fixes the cluster.
 
     Both are index rules over the flat index j of every slot of the
@@ -251,19 +200,19 @@ def synthesize_operators(bd: BlockDiagonalization) -> SymmetryOperators:
     Raises :class:`PairingError` when the pairing test fails.
     """
     spectra = BlockSpectra.of([bd.table])
-    labels = label_block(spectra)
-    ok, details = check_block(spectra, labels)
-    if not ok[0]:
-        raise PairingError(details[0])
+    (labeling,), shift = label_block(spectra)
+    report = check_pairing(labeling, bd.table)
+    if not report.ok:
+        raise PairingError(report.detail)
     return synthesize_stack(bd.A[None], bd.A_inv[None], np.array([bd.real]), spectra,
-                            pair_shifts(spectra, labels))[0][0]
+                            shift)[0][0]
 
 
 def synthesize_stack(A, A_inv, real, spectra: BlockSpectra, shift) -> tuple[list, tuple]:
     """:func:`synthesize_operators` for the decompositions of one dimension
     whose bases and inverses are the stacks ``A`` and ``A_inv``, whose
     realness is ``real``, and whose spectra pass the pairing test, with
-    each cluster's ``shift`` to its partner from :func:`pair_shifts`: S and
+    each cluster's ``shift`` to its partner from :func:`label_block`: S and
     C0 of every row from one :func:`_permutations` call, every similarity
     lift as one stacked product.  Also returns the stacks of the matrix parts of tau
     and X and of eta, which the operators view.

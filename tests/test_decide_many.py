@@ -218,10 +218,10 @@ def test_block_H0_S_and_C0_are_the_per_slot_rule():
                   for cs in chain_sets])
     spectra = BlockSpectra.of([SpectralTable(tuple(EigenCluster(E, tuple(ps)) for E, ps in st))
                                for st in BLOCK_STRUCTURES])
-    bds, (_, A, A_inv) = blockdiag._assemble(Hs, fro_rows(Hs), real, A, spectra, list(range(5)), {})
-    labels = symmetry.label_block(spectra)
-    ops, _ = synthesize_stack(A, A_inv, real, spectra, symmetry.pair_shifts(spectra, labels))
-    for r, (bd, lab, w) in enumerate(zip(bds, symmetry.labelings(spectra, labels), ops)):
+    bds, (_, A, A_inv) = blockdiag._assemble(Hs, fro_rows(Hs), real, A, spectra)
+    labelings, shift = symmetry.label_block(spectra)
+    ops, _ = synthesize_stack(A, A_inv, real, spectra, shift)
+    for r, (bd, lab, w) in enumerate(zip(bds, labelings, ops)):
         assert lab == classify_spectrum(bd.table)
         assert [c.p_list for c in bd.table.clusters] == [tuple(p) for _, p in BLOCK_STRUCTURES[r]]
         assert bd.real == real[r]

@@ -90,7 +90,7 @@ class TestPairing:
 def permutations(tables):
     """S and C0 of a block of tables, paired at the default tolerances."""
     spectra = BlockSpectra.of(tables)
-    return symmetry._permutations(spectra, symmetry.pair_shifts(spectra, symmetry.label_block(spectra)))
+    return symmetry._permutations(spectra, symmetry.label_block(spectra)[1])
 
 
 def S_and_C0(t):
@@ -490,11 +490,13 @@ def random_table(rng):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_array_labeling_matches_the_loop():
+def test_block_labeling_matches_the_loop():
     # 20,000 random tables in blocks of up to 40 rows, each at one of the
-    # tolerance pairs: the block arrays give each row the loop's labeling
-    # and detail, and so does the one-row case on every tenth table.  An
-    # infinite center makes inf - inf, which warns, in both
+    # tolerance pairs: the block gives each row the loop's labeling, whose
+    # pairing test names the loop's detail, and each paired cluster the
+    # offset to its partner's first slot; so does the one-row case on every
+    # tenth table.  An infinite center makes inf - inf, which warns in the
+    # loop
     rng = random.Random(2024)
     seen = dict.fromkeys(
         ("tie", "several", "pair_edge", "real_edge", "negative_zero", "infinite"), 0)
@@ -503,19 +505,24 @@ def test_array_labeling_matches_the_loop():
         tables = [random_table(rng) for _ in range(rng.randint(1, 40))]
         real_tol, pair_tol = rng.choice(TOLERANCES), rng.choice(TOLERANCES)
         spectra = BlockSpectra.of(tables)
-        labels = symmetry.label_block(spectra, real_tol, pair_tol)
-        ok, details = symmetry.check_block(spectra, labels)
-        for r, (t, lab) in enumerate(zip(tables, symmetry.labelings(spectra, labels))):
+        labelings, shift = symmetry.label_block(spectra, real_tol, pair_tol)
+        start = np.cumsum(spectra.sizes) - spectra.sizes
+        want_shift, first = np.zeros_like(shift), 0
+        for t, lab in zip(tables, labelings):
             want = loop_labeling(t, real_tol, pair_tol)
             assert lab == want, (t, real_tol, pair_tol)
-            assert details.get(r) == loop_detail(want, t)
-            assert ok[r] == (loop_detail(want, t) is None)
+            report = check_pairing(lab, t)
+            detail = loop_detail(want, t)
+            assert (report.ok, report.detail) == (detail is None, detail)
             if done % 10 == 0:
                 assert classify_spectrum(t, real_tol, pair_tol) == want
-                report = check_pairing(want, t)
-                assert (report.ok, report.detail) == (ok[r], details.get(r))
+            for a, b in want.pairs:
+                want_shift[first + a] = start[first + b] - start[first + a]
+                want_shift[first + b] = start[first + a] - start[first + b]
+            first += len(t.clusters)
             tally_cases(seen, t, real_tol, pair_tol)
             done += 1
+        assert np.array_equal(shift, want_shift)
     assert all(count > 100 for count in seen.values()), seen
 
 
