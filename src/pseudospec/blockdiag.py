@@ -266,10 +266,8 @@ def _clusters(screen: tuple, Hs: np.ndarray) -> tuple:
     expression serves all such rows.  Only the candidate rows run the
     union-find of :func:`_cluster_row`."""
     vals, *_, candidates, _ = screen
-    m, n = vals.shape
-    centers, sizes = vals + 0.0, np.ones((m, n), dtype=np.intp)
-    first = np.zeros((m, n), dtype=np.intp) + np.arange(n)
-    errors = {}
+    centers, sizes = vals + 0.0, np.ones(vals.shape, dtype=np.intp)
+    first, errors = np.indices(vals.shape)[1], {}
     for i in candidates.nonzero()[0].tolist():
         try:
             centers[i], sizes[i], first[i] = _cluster_row(screen, i, Hs[i])
@@ -573,11 +571,11 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> tuple[list
         heads = vectors[r, :, order[r, first[r, k]]]
         factors = _canonical_gauge(heads)
         A[r, :, col[r, k]] = factors[:, None] * heads
-        refused = np.isnan(factors)
-        failed = dict(zip(r[refused][::-1].tolist(), k[refused][::-1].tolist()))  # each row's first
+        # each row's first refused head
+        failed = dict(zip(*(a[np.isnan(factors)][::-1].tolist() for a in (r, k))))
         errors.update((i, JordanStructureError(_REFUSED_HEAD)) for i in failed)
+    # the chain lengths of each cluster, where a simple cluster has one chain;
     # every other cluster runs the staircase, in order, up to a failure in its row
-    # the chain lengths of each cluster; a simple cluster has one chain
     p_lists = sizes[:, :, None] * (np.arange(n) == 0)
     for i, k in zip(*(a.tolist() for a in ((sizes > 0) & ~simple).nonzero())):
         if failed.get(i, k) < k:

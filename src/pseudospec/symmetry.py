@@ -82,15 +82,17 @@ def label_block(spectra: BlockSpectra, real_tol: float = DEFAULT_REAL_TOL,
     """
     v = spectra.centers
     vals, mags = v.tolist(), np.hypot(v.real, v.imag).tolist()
-    rows, diffs, end = [], [], 0
+    rows, plus_at, minus_at, reps, end = [], [], [], [], 0
     for c in spectra.counts.tolist():
         start, end = end, end + c
         reals, plus, minus = groups = ([], [], [])
         for k, z, mag in zip(range(c), vals[start:end], mags[start:end]):
             groups[0 if abs(z.imag) <= real_tol * (1.0 + mag) else 2 - (z.imag > 0)].append(k)
         rows.append((start, groups))
-        diffs += [vals[start + j] - vals[start + k].conjugate() for k in plus for j in minus]
-    diffs = np.array(diffs, dtype=complex)
+        plus_at += [start + k for k in plus]
+        minus_at += [start + k for k in minus] * len(plus)
+        reps += [len(minus)] * len(plus)
+    diffs = v[minus_at] - v[plus_at].conj().repeat(reps)
     dist = np.hypot(diffs.real, diffs.imag).tolist()
     slot = list(accumulate(spectra.sizes.tolist(), initial=0))  # each cluster's first slot
     out, shift, at = [], [0] * len(vals), 0
@@ -204,8 +206,7 @@ def synthesize_operators(bd: BlockDiagonalization) -> SymmetryOperators:
     report = check_pairing(labeling, bd.table)
     if not report.ok:
         raise PairingError(report.detail)
-    return synthesize_stack(bd.A[None], bd.A_inv[None], np.array([bd.real]), spectra,
-                            shift)[0][0]
+    return synthesize_stack(bd.A[None], bd.A_inv[None], np.array([bd.real]), spectra, shift)[0][0]
 
 
 def synthesize_stack(A, A_inv, real, spectra: BlockSpectra, shift) -> tuple[list, tuple]:
