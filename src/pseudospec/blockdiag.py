@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +114,7 @@ class SpectralTable:
                 for a, p in enumerate(c.p_list) for i in range(1, p + 1)]
 
 
-@dataclass(frozen=True)
-class BlockSpectra:
+class BlockSpectra(NamedTuple):
     """The clusters and chains of the rows of a block as flat arrays, rows
     in order and each row in canonical order: every cluster's center, size
     (algebraic multiplicity) and number of chains, every chain's length, and
@@ -538,7 +538,8 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> tuple[list
 
     Returns per row a :class:`BlockDiagonalization` or the error of
     :data:`DECOMPOSITION_ERRORS` that ended it, and the decomposed rows'
-    :class:`BlockSpectra` and stacks of bases and inverses.  A row's
+    :class:`BlockSpectra` and stacks of bases and inverses, or ``None``
+    when every row failed before its assembly.  A row's
     :class:`SpectralTable` is built only for its decomposition, and nothing
     here reads it.  When a stacked LAPACK call fails, the call raises, and
     the caller decomposes the rows one by one, so that a failure stays with
