@@ -469,8 +469,8 @@ TOLERANCES = (0.0, 1e-8, 0.25, 0.5, 1.0, 2.0)
 def random_table(rng):
     """A table of 1 to 9 clusters drawn so that ties, several candidates
     for one plus cluster, values on the pair_tol and real_tol boundaries,
-    -0.0 imaginary parts and infinite ones all occur; ``rng`` is a
-    ``random.Random``."""
+    -0.0 imaginary parts, infinite ones and infinite real parts with a
+    zero imaginary part all occur; ``rng`` is a ``random.Random``."""
     values = []
     for _ in range(rng.randint(1, 9)):
         kind = rng.randrange(4)
@@ -483,8 +483,8 @@ def random_table(rng):
             z = complex(rng.randint(-6, 6), rng.randint(-6, 6)) / 2
         elif rng.random() < 0.9:
             z = complex(rng.randint(-6, 6) / 2, rng.choice((0.0, -0.0)))
-        else:  # a NaN distance, to the loop
-            z = complex(rng.choice((np.inf, -np.inf, 1.0)), rng.choice((np.inf, -np.inf)))
+        else:  # NaN distances, and at real_tol = 0 an infinite E off the real class
+            z = complex(rng.choice((np.inf, -np.inf, 1.0)), rng.choice((np.inf, -np.inf, 0.0)))
         values.append(z)
     return table(*((v, rng.choice(P_LISTS)) for v in values))
 
