@@ -572,8 +572,8 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> tuple[list
         heads = vectors[r, :, order[r, first[r, k]]]
         factors = _canonical_gauge(heads)
         A[r, :, col[r, k]] = factors[:, None] * heads
-        # each row's first refused head
-        failed = dict(zip(*(a[np.isnan(factors)][::-1].tolist() for a in (r, k))))
+        refused = np.isnan(factors)
+        failed = dict(zip(r[refused][::-1].tolist(), k[refused][::-1].tolist()))  # each row's first
         errors.update((i, JordanStructureError(_REFUSED_HEAD)) for i in failed)
     # the chain lengths of each cluster, where a simple cluster has one chain;
     # every other cluster runs the staircase, in order, up to a failure in its row

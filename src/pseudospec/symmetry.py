@@ -129,19 +129,22 @@ def classify_spectrum(
 
 def check_pairing(labeling: SpectralLabeling, table: SpectralTable) -> PairingReport:
     """Pairing test: every complex cluster has a conjugate partner with the
-    same geometric multiplicity and the same Jordan dimensions.  The first
-    unpaired cluster, else the first mismatched pair, is named."""
-    clusters = table.clusters
+    same geometric multiplicity and the same Jordan dimensions."""
     if labeling.unpaired:
         n = labeling.unpaired[0]
-        return PairingReport(False, f"cluster {n} at E={clusters[n].value:.6g} "
-                                    "has no conjugate partner")
+        return PairingReport(
+            False,
+            f"cluster {n} at E={table.clusters[n].value:.6g} has no conjugate partner",
+        )
     for n, m in labeling.pairs:
-        p, q = clusters[n].p_list, clusters[m].p_list
-        if p != q:
-            return PairingReport(False, f"conjugate pair ({n}, {m}) has mismatched Jordan "
-                                        f"dimensions {list(p)} vs {list(q)}")
-    return PairingReport(True)
+        cn, cm = table.clusters[n], table.clusters[m]
+        if cn.p_list != cm.p_list:
+            return PairingReport(
+                False,
+                f"conjugate pair ({n}, {m}) has mismatched Jordan dimensions "
+                f"{list(cn.p_list)} vs {list(cm.p_list)}",
+            )
+    return PairingReport(True, None)
 
 
 def _permutations(spectra: BlockSpectra, shift: np.ndarray) -> np.ndarray:
