@@ -490,7 +490,7 @@ def random_table(rng):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_block_labeling_matches_the_loop():
+def test_array_labeling_matches_the_loop():
     # 20,000 random tables in blocks of up to 40 rows, each at one of the
     # tolerance pairs: the block gives each row the loop's labeling, whose
     # pairing test names the loop's detail, and each paired cluster the
