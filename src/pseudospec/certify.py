@@ -162,9 +162,16 @@ def block_rows(n: int) -> int:
     return min(64, max(16, 4096 // max(1, n * n)))
 
 
+#: the witness residuals of a ``pseudo_hermitian`` certificate, in the
+#: order in which certificates and sweep rows hold them
+WITNESS_RESIDUALS = ("anti_ph", "X_involution", "X_commute", "eta_hermitian", "eta_intertwine",
+                     "gamma_intertwine")
+
+
 def _witness_residuals(A, scale_A, tau, X, eta) -> list[dict[str, float]]:
-    """The six witness residuals of each row of a stack, given ``|H|_F``
-    and the stacked matrix parts of tau and X and the stacked eta."""
+    """The :data:`WITNESS_RESIDUALS` of each row of a stack, given
+    ``|H|_F`` and the stacked matrix parts of tau and X and the stacked
+    eta."""
     # the two that need no product with A first, while few arrays are alive
     involution = involution_residual(X)
     hermitian = fro_rows(eta - dagger(eta))
@@ -176,16 +183,9 @@ def _witness_residuals(A, scale_A, tau, X, eta) -> list[dict[str, float]]:
     )
     with np.errstate(all="ignore"):  # see _relative_residuals
         hermitian = hermitian / eta_size
-    columns = {
-        "anti_ph": anti,
-        "X_involution": involution,
-        "X_commute": commute,
-        "eta_hermitian": hermitian,
-        "eta_intertwine": intertwine,
-        "gamma_intertwine": gamma_res,
-    }
-    values = {k: v.tolist() for k, v in columns.items()}
-    return [{k: v[r] for k, v in values.items()} for r in range(len(A))]
+    columns = (anti, involution, commute, hermitian, intertwine, gamma_res)
+    values = [(k, v.tolist()) for k, v in zip(WITNESS_RESIDUALS, columns)]
+    return [{k: v[r] for k, v in values} for r in range(len(A))]
 
 
 def decide(H, tol: ToleranceProfile = ToleranceProfile()) -> Certificate:

@@ -24,6 +24,7 @@ from .certify import (
     INCONCLUSIVE,
     NOT_PSEUDO_HERMITIAN,
     PSEUDO_HERMITIAN,
+    WITNESS_RESIDUALS,
     ToleranceProfile,
     decide,
     decide_many,
@@ -49,15 +50,7 @@ _VERDICT_EXIT = {
     INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
 
-RESIDUAL_COLUMNS = (
-    "anti_ph",
-    "X_involution",
-    "X_commute",
-    "eta_hermitian",
-    "eta_intertwine",
-    "gamma_intertwine",
-    "reconstruction",
-)
+RESIDUAL_COLUMNS = (*WITNESS_RESIDUALS, "reconstruction")
 
 
 def _input_error(exc) -> int:
@@ -180,12 +173,12 @@ def _model_header(L: int, compare: bool):
 
 def cmd_model_sweep(args) -> int:
     lo, hi = args.varpi_range
-    samples = np.linspace(lo, hi, args.samples)
     try:
         lambdas = tuple(float(p) for p in args.lambdas.split(","))
         spec = ModelSpec(lambdas, 1.0)  # validates the lambda list
-        if not np.all(samples > 0):  # also refuses a NaN bound
-            raise ValueError("varpi must stay positive over the sweep")
+        if not (0 < lo < np.inf and 0 < hi < np.inf):  # also refuses a NaN bound
+            raise ValueError("varpi-range must have finite, positive bounds")
+        samples = np.linspace(lo, hi, args.samples)
         Hs = build_H_stack(lambdas, samples)
     except ValueError as exc:
         return _input_error(exc)

@@ -17,13 +17,16 @@ witnesses of this family for cross-checking the generic pipeline.
 Closed forms, in the gauge whose Jordan basis is
 ``A = exp(-ikx sigma3) [[1, 1], [-1, 0]]`` (chain head ``(1, -1)^T``):
 
-    S = eta0 = sigma1,   C0 = I,   tau0 = sigma1 . conj,   X0 = conj,
+    S = sigma1,   C0 = I,
     X  = exp(-2ikx sigma3) . conj,
     tau = [[0, -1], [-1, -2 exp(2ikx)]] . conj
 
 Here ``tau = inv(A)^+ tau0 inv(A)``, whose matrix part is
 ``conj(inv(A)^T sigma1 inv(A))``; it is symmetric (Hermitian) but not an
-involution, as a witness of this kind need not be.
+involution, as a witness of this kind need not be.  The module holds only
+these; ``tau0 = sigma1 . conj``, ``eta0 = sigma1``, ``X0 = conj`` and
+``eta`` follow from S, C0 and inv(A) by the derivation that
+:mod:`pseudospec.symmetry` applies to every decomposition.
 """
 from __future__ import annotations
 
@@ -31,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antilinear import AntilinearOp, conjugation
+from .antilinear import AntilinearOp
 from .blockdiag import BlockDiagonalization, block_diagonalize, from_chains
 from .linalg import as_matrix, inverse
-from .symmetry import SymmetryOperators, synthesize_operators
+from .symmetry import SymmetryOperators, operators_from, synthesize_operators
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -119,8 +122,8 @@ def hamiltonian(x, k: float, v) -> np.ndarray:
     Array-valued x and v give one 2x2 block per entry of their broadcast,
     bit for bit equal to the blocks of separate scalar calls.
     """
-    if not k > 0:
-        raise ValueError("wavenumber k must be positive")
+    if not 0 < k < np.inf:
+        raise ValueError("wavenumber k must be positive and finite")
     u = np.exp(-2j * k * np.asarray(x, dtype=float))
     M = np.empty(u.shape + (2, 2), dtype=complex)
     M[..., 0, 0] = 1.0
@@ -239,25 +242,14 @@ def closed_form_jordan_basis(x: float, k: float, v: float = 1.0) -> np.ndarray:
 
 def closed_form_operators(x: float, k: float) -> SymmetryOperators:
     """The closed-form witness set of H(x), independent of v up to the
-    real scale of tau."""
+    real scale of tau: S flips the one length-2 chain, C0 = I, and the rest
+    follows from them and the reference basis by
+    :func:`~pseudospec.symmetry.operators_from`."""
     u = np.exp(-2j * k * x)
-    tau = np.array([[0.0, -1.0], [-1.0, -2.0 / u]])
-    X = np.diag([u, 1.0 / u])
-    A = closed_form_jordan_basis(x, k)
-    Ainv = inverse(A)
-    eta = Ainv.conj().T @ SIGMA_1 @ Ainv
-    eta = (eta + eta.conj().T) / 2.0
-    return SymmetryOperators(
-        S=SIGMA_1.astype(complex),
-        Theta=conjugation(2),
-        tau0=AntilinearOp(SIGMA_1),
-        tau=AntilinearOp(tau),
-        C0=np.eye(2, dtype=complex),
-        eta0=SIGMA_1.astype(complex),
-        X0=conjugation(2),
-        X=AntilinearOp(X),
-        eta=eta,
-    )
+    tau = AntilinearOp(np.array([[0.0, -1.0], [-1.0, -2.0 / u]]))
+    X = AntilinearOp(np.diag([u, 1.0 / u]))
+    A_inv = inverse(closed_form_jordan_basis(x, k))
+    return operators_from(SIGMA_1.astype(complex), np.eye(2, dtype=complex), A_inv, tau, X)
 
 
 def pipeline_operators_reference_gauge(

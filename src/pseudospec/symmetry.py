@@ -15,6 +15,11 @@ there:
   ``[H, X] = 0``;
 * ``eta = inv(A)^+ eta0 inv(A)`` is a Hermitian metric with
   ``H^+ eta = eta H``.
+
+Given S, C0 and inv(A), one rule forms ``tau0``, ``eta0``, ``X0`` and
+``eta``: for the stacked synthesis of :func:`synthesize_stack`, and through
+:func:`operators_from` for the closed forms of the two drivers, which
+supply only their S, C0, basis, tau and X.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .antilinear import AntilinearOp
+from .antilinear import AntilinearOp, conjugation
 from .blockdiag import BlockDiagonalization, BlockSpectra, SpectralTable
 from .linalg import dagger
 
@@ -198,6 +203,29 @@ def _lift(A: np.ndarray, K0: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
     return A @ K0 @ np.conj(A_inv)
 
 
+def _derive(S: np.ndarray, C0: np.ndarray, A_inv: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The matrix part of ``tau0 = S . conjugation``, ``eta0 = S C0``, the
+    matrix part of ``X0 = eta0 . tau0``, and the metric
+    ``eta = inv(A)^+ eta0 inv(A)``, symmetrized to keep it Hermitian exactly
+    against round-off: the witnesses that follow from S, C0 and inv(A) for
+    any block-diagonalizable H, also for stacks."""
+    tau0 = S.astype(complex)
+    eta0 = S @ C0
+    eta = dagger(A_inv) @ eta0 @ A_inv
+    return tau0, eta0, eta0 @ tau0, (eta + dagger(eta)) / 2.0
+
+
+def operators_from(S, C0, A_inv, tau: AntilinearOp, X: AntilinearOp) -> SymmetryOperators:
+    """The full witness set of one matrix from its chain flip ``S``, its
+    pair swap ``C0`` and the inverse ``A_inv`` of its Jordan basis, with
+    ``tau`` and ``X`` as given and Theta the conjugation: the derivation
+    of :func:`synthesize_stack`, for the closed forms of the drivers."""
+    tau0, eta0, X0, eta = _derive(S, C0, A_inv)
+    trusted = AntilinearOp.trusted
+    return SymmetryOperators(S, conjugation(len(S)), trusted(tau0), tau, C0, eta0,
+                             trusted(X0), X, eta)
+
+
 def synthesize_operators(bd: BlockDiagonalization) -> SymmetryOperators:
     """Build the full witness set for a paired spectrum, classified at the
     default tolerances.
@@ -226,12 +254,8 @@ def synthesize_stack(A, A_inv, real, spectra: BlockSpectra, shift) -> tuple[list
     holds bit for bit, tau and eta are real in exact arithmetic, and they
     are stored real: their imaginary parts are product rounding."""
     S, C0 = _permutations(spectra, shift)
-    tau0 = S.astype(complex)  # the matrix part of S . conjugation
-    eta0 = S @ C0
-    X0 = eta0 @ tau0
+    tau0, eta0, X0, eta = _derive(S, C0, A_inv)
     tau = _tau(A_inv, tau0)
-    eta = dagger(A_inv) @ eta0 @ A_inv
-    eta = (eta + dagger(eta)) / 2.0  # Hermitian exactly against round-off
     Theta = np.repeat(np.eye(A.shape[-1], dtype=complex)[None], len(A), axis=0)
     if real.any():
         X = Theta.copy()

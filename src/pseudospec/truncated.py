@@ -1,10 +1,10 @@
 """Finite truncation of the two-band model H = (Lambda K - 2 w^2 sigma3)/(2w).
 
-``Lambda`` is diagonal with strictly increasing positive eigenvalues
-``lambda_1 < ... < lambda_L`` and ``w`` (written ``varpi``) is a positive
-parameter.  The basis is spin-major: slot ``+`` of level ``l`` is column
-``l`` and slot ``-`` is column ``L + l`` (0-based), so the Hamiltonian is
-the real block matrix
+``Lambda`` is diagonal with strictly increasing, positive, finite
+eigenvalues ``lambda_1 < ... < lambda_L`` and ``w`` (written ``varpi``) is
+a positive, finite parameter.  The basis is spin-major: slot ``+`` of
+level ``l`` is column ``l`` and slot ``-`` is column ``L + l`` (0-based),
+so the Hamiltonian is the real block matrix
 
     H = [[Lambda - 2 w^2, Lambda], [-Lambda, -Lambda + 2 w^2]] / (2 w)
 
@@ -16,11 +16,18 @@ carries the non-negative-imaginary eigenvalue.
 Exceptional points sit at ``w = sqrt(lambda_l)``, where the level-``l``
 pair coalesces into a length-2 chain.  Each closed form takes only the
 spec and holds in all three spectral regimes and at the exceptional
-points: :func:`closed_form_basis` gives the Jordan basis with its inverse,
-and the ``closed_form_*`` operators the full witness set.  The witness
-``X`` obtained by lifting ``X0`` through the Jordan basis collapses to
-plain componentwise conjugation in every regime (the model is a real
-matrix), while ``X0`` itself keeps the regime-dependent piecewise form.
+points.  Every one is a per-level 2x2 block formula, placed on the slots
+``(l, L + l)`` by one index rule, with the coalesced level's block swapped
+in at an exceptional point.  The module holds only what the paper gives
+explicitly: :func:`closed_form_basis`, the Jordan basis with its inverse;
+:func:`closed_form_H0`; the chain flip S and the pair swap C0;
+:func:`closed_form_tau`; and :func:`closed_form_X`.  The other witnesses
+(``tau0``, ``eta0``, ``X0`` and ``eta``) come from S, C0 and inv(A) by the
+derivation that :mod:`pseudospec.symmetry` applies to every decomposition.
+The witness ``X`` obtained by lifting ``X0`` through the Jordan basis
+collapses to plain componentwise conjugation in every regime (the model is
+a real matrix), while ``X0 = S C0 S`` itself keeps the regime-dependent
+piecewise form.
 """
 from __future__ import annotations
 
@@ -30,7 +37,7 @@ import numpy as np
 
 from .antilinear import AntilinearOp, conjugation
 from .blockdiag import BlockDiagonalization, from_chains
-from .symmetry import SymmetryOperators, build_tau
+from .symmetry import SymmetryOperators, build_tau, operators_from
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -46,10 +53,10 @@ class ModelSpec:
         lams = tuple(float(l) for l in self.lambdas)
         if len(lams) == 0:
             raise ValueError("need at least one Lambda eigenvalue")
-        if lams[0] <= 0 or any(b <= a for a, b in zip(lams, lams[1:])):
-            raise ValueError("Lambda eigenvalues must be strictly increasing and positive")
-        if not self.varpi > 0:
-            raise ValueError("varpi must be positive")
+        if not all(0 < a < b for a, b in zip(lams, lams[1:] + (np.inf,))):  # also refuses NaN
+            raise ValueError("Lambda eigenvalues must be finite, positive and strictly increasing")
+        if not 0 < self.varpi < np.inf:
+            raise ValueError("varpi must be positive and finite")
         object.__setattr__(self, "lambdas", lams)
 
     @property
@@ -105,22 +112,26 @@ def real_pair_count(spec: ModelSpec) -> int:
     return int(sum(1 for l in spec.lambdas if l < spec.varpi**2))
 
 
-def _assemble(spec: ModelSpec, blocks) -> np.ndarray:
-    """Place per-level 2x2 blocks into the spin-major 2L x 2L layout."""
-    L = spec.L
+def _place(spec: ModelSpec, blocks, coalesced) -> np.ndarray:
+    """The spin-major 2L x 2L matrix with the 2x2 block of level l on the
+    slots (l, L + l): the one index rule of every closed form.  ``blocks``
+    holds the four entries of the blocks, each a scalar or one value per
+    level, and at an exceptional point ``coalesced(sqrt(lambda_l))`` is the
+    block of the coalesced level l instead."""
+    L, star = spec.L, exceptional_index(spec)
+    slot = np.arange(2 * L).reshape(2, L)
     M = np.zeros((2 * L, 2 * L), dtype=complex)
-    for l, B in enumerate(blocks):
-        idx = (l, L + l)
-        for i in range(2):
-            for j in range(2):
-                M[idx[i], idx[j]] = B[i][j]
+    for i, j in np.ndindex(2, 2):
+        M[slot[i], slot[j]] = blocks[i][j]
+    if star is not None:
+        M[np.ix_(slot[:, star], slot[:, star])] = coalesced(np.sqrt(spec.lambdas[star]))
     return M
 
 
-def _eigenvector_block(r) -> list[list]:
-    """``[[1 - r, 1 + r], [1 + r, 1 - r]] / 2``."""
-    a, b = 1 - r, 1 + r
-    return [[a / 2, b / 2], [b / 2, a / 2]]
+def _eigenvector_blocks(r) -> list[list]:
+    """``[[1 - r, 1 + r], [1 + r, 1 - r]] / 2`` for each level's r."""
+    a, b = (1 - r) / 2, (1 + r) / 2
+    return [[a, b], [b, a]]
 
 
 def closed_form_basis(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -134,31 +145,19 @@ def closed_form_basis(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     [1, 0]] / 2`` in A and ``[[0, 2], [-s, s]]`` in inv(A), with ``s =
     sqrt(lambda_l)``.
     """
-    w = spec.varpi
-    star = exceptional_index(spec)
-    basis, inverse = [], []
-    for l, E in enumerate(energies(spec)):
-        if l == star:
-            s = np.sqrt(spec.lambdas[l])
-            basis.append([[0.5, -1.0 / s], [0.5, 0.0]])
-            inverse.append([[0.0, 2.0], [-s, s]])
-        else:
-            basis.append(_eigenvector_block(E / w))
-            inverse.append(_eigenvector_block(w / E))
-    return _assemble(spec, basis), _assemble(spec, inverse)
+    E, w = energies(spec), spec.varpi
+    # E can be 0 only at a coalesced level, whose block _place replaces
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse = _eigenvector_blocks(w / E)
+    return (_place(spec, _eigenvector_blocks(E / w), lambda s: [[0.5, -1.0 / s], [0.5, 0.0]]),
+            _place(spec, inverse, lambda s: [[0.0, 2.0], [-s, s]]))
 
 
 def closed_form_H0(spec: ModelSpec) -> np.ndarray:
     """Block-Jordan form in the spin-major layout: diag(E, -E) per level,
     a nilpotent 2x2 block at a coalesced level."""
-    star = exceptional_index(spec)
-    blocks = []
-    for l, E in enumerate(energies(spec)):
-        if l == star:
-            blocks.append([[0.0, 1.0], [0.0, 0.0]])
-        else:
-            blocks.append([[E, 0.0], [0.0, -E]])
-    return _assemble(spec, blocks)
+    E = energies(spec)
+    return _place(spec, [[E, 0.0], [0.0, -E]], lambda s: [[0.0, 1.0], [0.0, 0.0]])
 
 
 def closed_form_tau(spec: ModelSpec) -> AntilinearOp:
@@ -171,27 +170,18 @@ def closed_form_tau(spec: ModelSpec) -> AntilinearOp:
     ``-2 sqrt(lambda_l) [[0, 1], [1, -2]]``.
     """
     w2 = spec.varpi**2
-    star = exceptional_index(spec)
-    blocks = []
-    for l, lam in enumerate(spec.lambdas):
-        if l == star:
-            s = np.sqrt(lam)
-            blocks.append([[0.0, -2 * s], [-2 * s, 4 * s]])
-        else:
-            blocks.append(_eigenvector_block(-w2 / (w2 - lam)))  # w2 - lam = E_l^2
-    return AntilinearOp(_assemble(spec, blocks))
-
-
-def _real_class(spec: ModelSpec, l: int) -> bool:
-    return spec.lambdas[l] < spec.varpi**2 or exceptional_index(spec) == l
+    # w2 - lambda_l = E_l^2 can be 0 only at a coalesced level, as in closed_form_basis
+    with np.errstate(divide="ignore"):
+        blocks = _eigenvector_blocks(-w2 / (w2 - np.array(spec.lambdas)))
+    return AntilinearOp(_place(spec, blocks, lambda s: [[0.0, -2 * s], [-2 * s, 4 * s]]))
 
 
 def closed_form_X0(spec: ModelSpec) -> AntilinearOp:
     """Piecewise block-basis involution commuting with ``H0``: identity
     conjugation on levels with real (or coalesced) eigenvalues, a
-    sigma1 swap with conjugation on levels carrying an imaginary pair."""
-    blocks = [np.eye(2) if _real_class(spec, l) else SIGMA_1 for l in range(spec.L)]
-    return AntilinearOp(_assemble(spec, blocks))
+    sigma1 swap with conjugation on levels carrying an imaginary pair.
+    It is ``S C0 S``, as :func:`closed_form_operators` derives it."""
+    return closed_form_operators(spec).X0
 
 
 def closed_form_X(spec: ModelSpec) -> AntilinearOp:
@@ -209,27 +199,16 @@ def closed_form_X(spec: ModelSpec) -> AntilinearOp:
 
 def closed_form_operators(spec: ModelSpec) -> SymmetryOperators:
     """The full closed-form witness set, valid in all regimes including
-    exceptional points."""
-    star = exceptional_index(spec)
-    S_blocks = [SIGMA_1 if l == star else np.eye(2) for l in range(spec.L)]
-    S = _assemble(spec, S_blocks)
-    C_blocks = [np.eye(2) if _real_class(spec, l) else SIGMA_1 for l in range(spec.L)]
-    C0 = _assemble(spec, C_blocks)
-    eta0 = S @ C0
-    Ainv = closed_form_basis(spec)[1]
-    eta = Ainv.conj().T @ eta0 @ Ainv
-    eta = (eta + eta.conj().T) / 2.0
-    return SymmetryOperators(
-        S=S,
-        Theta=conjugation(2 * spec.L),
-        tau0=AntilinearOp(S),
-        tau=closed_form_tau(spec),
-        C0=C0,
-        eta0=eta0,
-        X0=closed_form_X0(spec),
-        X=closed_form_X(spec),
-        eta=eta,
-    )
+    exceptional points.  S flips the chain of the coalesced level and fixes
+    every other slot; C0 fixes the levels with a real or coalesced pair and
+    swaps the two slots of a level with an imaginary pair.  The rest follows
+    from them, :func:`closed_form_basis`, :func:`closed_form_tau` and
+    :func:`closed_form_X` by :func:`~pseudospec.symmetry.operators_from`."""
+    real = np.array(spec.lambdas) < spec.varpi**2
+    S = _place(spec, [[1.0, 0.0], [0.0, 1.0]], lambda s: SIGMA_1)
+    C0 = _place(spec, [[real, ~real], [~real, real]], lambda s: np.eye(2))
+    return operators_from(S, C0, closed_form_basis(spec)[1], closed_form_tau(spec),
+                          closed_form_X(spec))
 
 
 def closed_form_block_diagonalization(spec: ModelSpec) -> BlockDiagonalization:

@@ -333,6 +333,22 @@ class TestInputErrors:
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lambdas, bounds, reason", [
+        ("1,4", ("0.5", "inf"), "varpi-range must have finite, positive bounds"),
+        ("1,4", ("inf", "3"), "varpi-range must have finite, positive bounds"),
+        ("1,4", ("0", "3"), "varpi-range must have finite, positive bounds"),
+        ("1,nan", ("0.5", "3"), "Lambda eigenvalues must be finite, positive and strictly increasing"),
+        ("1,inf", ("0.5", "3"), "Lambda eigenvalues must be finite, positive and strictly increasing"),
+    ], ids=["infinite-varpi-bound", "infinite-lower-varpi-bound", "zero-varpi-bound",
+            "nan-lambda", "infinite-lambda"])
+    def test_non_finite_model_input_exits_three_with_its_reason(self, lambdas, bounds, reason,
+                                                                 capsys):
+        # an infinite bound used to reach np.linspace, warn, and be refused
+        # as a varpi that goes non-positive over the sweep
+        argv = ["model-sweep", "--lambdas", lambdas, "--varpi-range", *bounds, "--samples", "3"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {reason}\n"
+
     @pytest.mark.parametrize("payload", [
         b'{"rows": 1, "cols": 1, "entries": [[1' + b"0" * 400 + b", 0]]}",
         b'{"rows": 1, "cols": 1, "entries": [[' + b"1" * 5000 + b", 0]]}",

@@ -10,12 +10,13 @@ from pseudospec.certify import (
     residual_commute_antilinear,
     residual_intertwine_antilinear,
 )
-from pseudospec.linalg import fro
+from pseudospec.linalg import fro, inverse
 from pseudospec.scattering import (
     PotentialSpec,
     RectangularBarrier,
     SampledPotential,
     barrier_transfer,
+    closed_form_jordan_basis,
     closed_form_operators,
     evolve_transfer,
     hamiltonian,
@@ -24,10 +25,18 @@ from pseudospec.scattering import (
     reflection_transmission,
 )
 
+SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+
 BARRIER = PotentialSpec(RectangularBarrier(1.0, 0.0, 1.0), k=1.0)
 
 
 class TestHamiltonian:
+    @pytest.mark.parametrize("k", [np.inf, np.nan, 0.0, -1.0])
+    def test_refuses_a_wavenumber_that_is_not_positive_and_finite(self, k):
+        # as PotentialSpec does; an infinite k used to give NaN entries
+        with pytest.raises(ValueError, match="positive and finite"):
+            hamiltonian(0.3, k, 1.0)
+
     def test_zero_potential_gives_zero_matrix(self):
         spec = PotentialSpec(RectangularBarrier(1.0, 0.0, 1.0), k=1.0)
         assert np.array_equal(hamiltonian_at(-3.0, spec), np.zeros((2, 2)))
@@ -165,6 +174,27 @@ class TestClosedForms:
             assert residual_intertwine_antilinear(H, ops.tau) < 1e-12
             assert residual_commute_antilinear(H, ops.X) < 1e-12
             assert is_involution(ops.X)[0]
+
+
+    @pytest.mark.parametrize("x, k", [(0.0, 1.0), (0.3, 1.0), (np.pi / 4, 2.0), (1.0, 0.5),
+                                      (-2.5, 3.7)])
+    def test_witness_set_is_the_written_out_products(self, x, k):
+        # S flips the one length-2 chain and C0 = I; the rest are their
+        # products with the inverse of the reference basis, bit for bit
+        u = np.exp(-2j * k * x)
+        S, C0 = SIGMA_1.astype(complex), np.eye(2, dtype=complex)
+        Ainv = inverse(closed_form_jordan_basis(x, k))
+        eta0 = S @ C0
+        eta = Ainv.conj().T @ eta0 @ Ainv
+        want = {"S": S, "Theta": np.eye(2, dtype=complex), "tau0": S, "C0": C0, "eta0": eta0,
+                "X0": eta0 @ S, "tau": np.array([[0.0, -1.0], [-1.0, -2.0 / u]], dtype=complex),
+                "X": np.diag([u, 1.0 / u]), "eta": (eta + eta.conj().T) / 2.0}
+        assert np.array_equal(eta0, SIGMA_1) and np.array_equal(eta0 @ S, np.eye(2))
+        ops = closed_form_operators(x, k)
+        for name, M in want.items():
+            got = getattr(ops, name)
+            got = getattr(got, "matrix", got)
+            assert got.dtype == M.dtype == complex and got.tobytes() == M.tobytes(), name
 
 
 class TestPipelineAgainstClosedForms:

@@ -121,6 +121,8 @@ class TestPermutationBuilders:
         assert np.array_equal(ops.S[:2, :2], SIGMA_1)
         assert np.array_equal(ops.tau0.matrix, ops.S)
         assert np.array_equal(ops.Theta.matrix, np.eye(3))
+        # matrix parts are complex, as AntilinearOp.trusted requires
+        assert ops.tau0.matrix.dtype == ops.X0.matrix.dtype == complex
 
     def test_C0_identity_on_real_spectrum(self):
         assert np.array_equal(S_and_C0(table((0.0, [2])))[1], np.eye(2))

@@ -50,6 +50,16 @@ class TestModel:
         with pytest.raises(ValueError):
             ModelSpec((1.0,), 0.0)
 
+    @pytest.mark.parametrize("lambdas, varpi", [
+        ((1.0, np.nan), 1.0), ((np.nan, 1.0), 1.0), ((1.0, np.inf), 1.0), ((np.inf,), 1.0),
+        ((1.0,), np.inf), ((1.0,), np.nan),
+    ], ids=["nan-last-lambda", "nan-first-lambda", "infinite-lambda", "only-infinite-lambda",
+            "infinite-varpi", "nan-varpi"])
+    def test_spec_refuses_non_finite_values(self, lambdas, varpi):
+        # NaN compares false, so an ordering test alone lets it through
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(lambdas, varpi)
+
     def test_single_level_at_coalescence_is_nilpotent(self):
         H = build_H(ModelSpec((1.0,), 1.0))
         assert np.allclose(H, 0.5 * np.array([[-1.0, 1.0], [-1.0, 1.0]]))
@@ -351,6 +361,15 @@ def written_out_tau(spec, star):
     return place(spec, blocks)
 
 
+def written_out_S_C0(spec, star):
+    """S, which flips the chain of the coalesced level, and C0, which
+    swaps the slots of a level with an imaginary pair, from the block
+    formulas; C0 is also the piecewise X0 of the paper."""
+    real = [lam < spec.varpi**2 or l == star for l, lam in enumerate(spec.lambdas)]
+    S = place(spec, [SIGMA_1 if l == star else np.eye(2) for l in range(spec.L)])
+    return S, place(spec, [np.eye(2) if r else SIGMA_1 for r in real])
+
+
 def canonical_columns(spec, A, star):
     """Columns of A reordered into clusters sorted by (Re E, Im E)."""
     E, L = energies(spec), spec.L
@@ -364,8 +383,21 @@ def canonical_columns(spec, A, star):
     return A[:, [col for _, cols in entries for col in cols]]
 
 
+#: the exceptional points of (1, 4, 9), a rounding below the middle one,
+#: where lambda_2 > varpi^2, and the three regimes
+PARITY_VARPIS = [1.0, 2.0, 3.0, float(np.nextafter(2.0, 0.0)), 0.5, 1.5, 2.5, 3.5]
+
+
+def bits(M):
+    """A matrix, or the matrix part of an antilinear map, as its dtype,
+    shape and bytes, so that equal bits compare equal and -0.0 differs
+    from 0.0."""
+    M = getattr(M, "matrix", M)
+    return M.dtype, M.shape, M.tobytes()
+
+
 class TestClosedFormParity:
-    @pytest.mark.parametrize("w", [1.0, 2.0, 3.0, 0.5, 1.5, 3.5])
+    @pytest.mark.parametrize("w", PARITY_VARPIS)
     def test_outputs_equal_the_written_out_blocks(self, w):
         spec = ModelSpec((1.0, 4.0, 9.0), w)
         star = exceptional_index(spec)
@@ -379,3 +411,28 @@ class TestClosedFormParity:
         assert np.array_equal(ops.tau.matrix, written_out_tau(spec, star))
         bd = closed_form_block_diagonalization(spec)
         assert np.array_equal(bd.A, canonical_columns(spec, A, star))
+
+    @pytest.mark.parametrize("w", PARITY_VARPIS)
+    def test_every_witness_is_the_written_out_product(self, w):
+        spec = ModelSpec((1.0, 4.0, 9.0), w)
+        star = exceptional_index(spec)
+        S, C0 = written_out_S_C0(spec, star)
+        Ainv = written_out_basis(spec, star)[1]
+        eta0 = S @ C0
+        eta = Ainv.conj().T @ eta0 @ Ainv
+        identity = np.eye(2 * spec.L, dtype=complex)
+        want = {"S": S, "Theta": identity, "tau0": S, "tau": written_out_tau(spec, star),
+                "C0": C0, "eta0": eta0, "X0": eta0 @ S, "X": identity,
+                "eta": (eta + eta.conj().T) / 2.0}
+        ops = closed_form_operators(spec)
+        for name, M in want.items():
+            assert bits(getattr(ops, name)) == bits(M.astype(complex)), name
+
+    @pytest.mark.parametrize("w", PARITY_VARPIS)
+    def test_derived_X0_is_the_piecewise_rule(self, w):
+        # S C0 S is the identity on real and coalesced levels and the swap
+        # on imaginary ones, bit for bit, which is C0 itself
+        spec = ModelSpec((1.0, 4.0, 9.0), w)
+        piecewise = written_out_S_C0(spec, exceptional_index(spec))[1]
+        X0 = closed_form_operators(spec).X0
+        assert bits(X0) == bits(closed_form_X0(spec)) == bits(piecewise)
