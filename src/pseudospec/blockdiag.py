@@ -9,8 +9,9 @@ Matrices are decomposed a block of rows at a time (:func:`decompose_stack`),
 and a block's spectral data are flat arrays, :class:`BlockSpectra`: every
 cluster's center, size and number of chains, every chain's length, and the
 clusters of each row.  H0 and the symmetry witnesses are index rules over
-them, and a row's :class:`SpectralTable` is built only for its own
-decomposition.
+them.  A block's decomposition is a set of arrays, and a row's
+:class:`SpectralTable` and :class:`BlockDiagonalization` are built only
+where one is handed out.
 
 One eigensolve serves two purposes.  Its eigenvalues are clustered by one
 rule: two join when they lie within ``tol |H|_F``, or when their first-order
@@ -44,6 +45,7 @@ the same bits in any stack as alone.
 from __future__ import annotations
 
 import cmath
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -164,9 +166,10 @@ class BlockDiagonalization:
     canonical label order of :meth:`SpectralTable.labels` and H0 is exactly
     block-Jordan.
 
-    Built only by :func:`_assemble`, after one inversion of A: ``A_inv`` and
-    ``cond_A`` come from that one SVD and inversion.  ``real`` records that
-    H has no imaginary part, so that conjugation commutes with it.
+    Built only from the arrays of :func:`_assemble`, after one inversion of
+    A: ``A_inv`` and ``cond_A`` come from that one SVD and inversion.
+    ``real`` records that H has no imaginary part, so that conjugation
+    commutes with it.
     """
 
     A: np.ndarray
@@ -176,6 +179,21 @@ class BlockDiagonalization:
     A_inv: np.ndarray = field(repr=False)
     cond_A: float
     real: bool
+
+
+#: the decomposition of a block of rows as arrays: ``errors`` maps each row
+#: that failed to the error of :data:`DECOMPOSITION_ERRORS` that ended it,
+#: and ``rows`` lists the others in order; the remaining fields hold the
+#: decomposed rows' spectra, bases, inverses, H0, relative reconstruction
+#: residuals, condition numbers and realness, and are ``None`` when no row
+#: was decomposed
+_Decomposed = namedtuple("_Decomposed", "errors rows spectra A A_inv H0 recon cond real")
+
+
+def _decompositions(block: _Decomposed) -> list[BlockDiagonalization]:
+    """A :class:`BlockDiagonalization` of each decomposed row of a block."""
+    return list(map(BlockDiagonalization, block.A, block.H0, block.spectra.tables(),
+                    block.recon.tolist(), block.A_inv, block.cond.tolist(), block.real.tolist()))
 
 
 def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
@@ -515,13 +533,17 @@ def block_diagonalize(H, tol: float = DEFAULT_TOL) -> BlockDiagonalization:
     A = as_matrix(H)
     if A.shape[0] == 0:
         raise ValueError("cannot decompose an empty matrix")
-    (bd,), _ = decompose_stack(A[None], tol, fro_rows(A[None]))
-    if isinstance(bd, Exception):
-        raise bd
-    return bd
+    return _one(decompose_stack(A[None], tol, fro_rows(A[None])))
 
 
-def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> tuple[list, tuple]:
+def _one(block: _Decomposed) -> BlockDiagonalization:
+    """The decomposition of a one-row block, or its error raised."""
+    if block.errors:
+        raise block.errors[0]
+    return _decompositions(block)[0]
+
+
+def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> _Decomposed:
     """:func:`block_diagonalize` of each row of a validated (m, n, n) stack,
     n >= 1, given ``|H|_F`` per row in ``scale``.
 
@@ -536,14 +558,11 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> tuple[list
     into the block's A, and H0 is set from the flat arrays of
     :class:`BlockSpectra`.
 
-    Returns per row a :class:`BlockDiagonalization` or the error of
-    :data:`DECOMPOSITION_ERRORS` that ended it, and the decomposed rows'
-    :class:`BlockSpectra` and stacks of bases and inverses, or ``None``
-    when every row failed before its assembly.  A row's
-    :class:`SpectralTable` is built only for its decomposition, and nothing
-    here reads it.  When a stacked LAPACK call fails, the call raises, and
-    the caller decomposes the rows one by one, so that a failure stays with
-    its own row.
+    Returns the block's arrays and each failed row's error as a
+    :class:`_Decomposed`; no row's table or decomposition is built here.
+    When a stacked LAPACK call fails, the call raises, and the caller
+    decomposes the rows one by one, so that a failure stays with its own
+    row.
     """
     if tol < 0:
         raise ValueError("tol must be non-negative")
@@ -596,16 +615,16 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> tuple[list
         A[i, :, at:at + size] = np.array([v for chain in chain_set for v in chain]).T
         p_lists[i, k, :len(p_list)] = p_list
     if len(errors) == m:  # nothing is left to assemble
-        return [errors[i] for i in range(m)], None
+        return _Decomposed(errors, [], *[None] * 7)
     sizes[list(errors)] = 0
     present = sizes > 0
     p_lists = p_lists[present]
     rows = [i for i in range(m) if i not in errors]
     spectra = BlockSpectra(centers[present], sizes[present], (p_lists > 0).sum(1),
                            p_lists[p_lists > 0], present.sum(1)[rows])
-    done, block = _assemble(rows_of(Hs, rows), scale[rows], real[rows], rows_of(A, rows), spectra)
-    done = iter(done)
-    return [errors[i] if i in errors else next(done) for i in range(m)], block
+    block = _assemble(rows_of(Hs, rows), scale[rows], real[rows], rows_of(A, rows), spectra)
+    errors.update((rows[k], exc) for k, exc in block.errors.items())
+    return _Decomposed(errors, [rows[k] for k in block.rows], *block[2:])
 
 
 def from_chains(H, centers, chain_sets) -> BlockDiagonalization:
@@ -626,23 +645,19 @@ def from_chains(H, centers, chain_sets) -> BlockDiagonalization:
         raise ValueError(f"the chains span {A.shape[1]} columns of dimension {A.shape[0]}")
     table = SpectralTable(tuple(EigenCluster(E, tuple(map(len, chains)))
                                 for E, chains in zip(centers, chain_sets)))
-    (bd,), _ = _assemble(H[None], np.array([fro(H)]), np.array([not H.imag.any()]), A[None],
-                         BlockSpectra.of([table]))
-    if isinstance(bd, Exception):
-        raise bd
-    return bd
+    return _one(_assemble(H[None], np.array([fro(H)]), np.array([not H.imag.any()]), A[None],
+                          BlockSpectra.of([table])))
 
 
-def _assemble(Hs, scale, real, A, spectra) -> tuple[list, tuple]:
+def _assemble(Hs, scale, real, A, spectra) -> _Decomposed:
     """:func:`from_chains` for each row of a stack, given its matrices
     ``Hs``, ``|H|_F``, realness, spectra and Jordan bases ``A``, columns
     in canonical order.  H0 is set from the flat arrays, and one stacked
     SVD and inversion serve all bases.  A row whose basis has ``cond(A)``
     above :data:`COND_LIMIT`, or not finite, gets an
     :class:`IllConditionedBasisError`; a basis singular to working
-    tolerance is one of them.  Returns per row a
-    :class:`BlockDiagonalization` or that error, and the spectra, bases
-    and inverses of the rows that have the former."""
+    tolerance is one of them.  Returns the arrays of the other rows and
+    the errors as a :class:`_Decomposed`, rows numbered as in ``Hs``."""
     m, n = A.shape[:2]
     # H0 holds each slot's cluster value on the diagonal and a 1 above
     # every slot that is not a chain head, set for the whole block at once
@@ -654,16 +669,14 @@ def _assemble(Hs, scale, real, A, spectra) -> tuple[list, tuple]:
     entries[:, 1::n + 1] = link[:, 1:]
     A_inv, regular, cond = inverse_and_cond_stack(A)
     good = cond <= COND_LIMIT  # so regular: COND_LIMIT < 1 / SINGULARITY_CUTOFF
-    if not good.all():  # also inf and NaN
-        A_inv, spectra = A_inv[good[regular]], spectra.take(good)
-        Hs, scale, real, A, H0 = (a[good] for a in (Hs, scale, real, A, H0))
-    recon = fro_rows(Hs - A @ H0 @ A_inv) / np.where(scale != 0.0, scale, 1.0) if len(A) else scale
-    bds = map(BlockDiagonalization, A, H0, spectra.tables(), recon.tolist(), A_inv,
-              cond[good].tolist(), real.tolist())
-    out = [next(bds) if g else IllConditionedBasisError(
+    errors = {k: IllConditionedBasisError(
         f"Jordan basis condition number {c:.3e} exceeds limit {COND_LIMIT:.1e}")
-        for g, c in zip(good.tolist(), cond.tolist())]
-    return out, (spectra, A, A_inv)
+        for k, (g, c) in enumerate(zip(good.tolist(), cond.tolist())) if not g}
+    if errors:  # also inf and NaN
+        A_inv, spectra = A_inv[good[regular]], spectra.take(good)
+        Hs, scale, real, A, H0, cond = (a[good] for a in (Hs, scale, real, A, H0, cond))
+    recon = fro_rows(Hs - A @ H0 @ A_inv) / np.where(scale != 0.0, scale, 1.0) if len(A) else scale
+    return _Decomposed(errors, good.nonzero()[0].tolist(), spectra, A, A_inv, H0, recon, cond, real)
 
 
 def biorthonormal_complement(bd: BlockDiagonalization) -> np.ndarray:

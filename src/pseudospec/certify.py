@@ -9,8 +9,10 @@ binary lie.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -20,6 +22,8 @@ from .blockdiag import (
     DEFAULT_TOL,
     BlockDiagonalization,
     SpectralTable,
+    _Decomposed,
+    _decompositions,
     decompose_stack,
 )
 from .linalg import EigensolveError, as_matrix, as_stack, dagger, fro_rows, rows_of
@@ -28,7 +32,8 @@ from .symmetry import (
     DEFAULT_REAL_TOL,
     SpectralLabeling,
     SymmetryOperators,
-    check_pairing,
+    _operators,
+    _pairing_block,
     label_block,
     synthesize_stack,
 )
@@ -168,10 +173,10 @@ WITNESS_RESIDUALS = ("anti_ph", "X_involution", "X_commute", "eta_hermitian", "e
                      "gamma_intertwine")
 
 
-def _witness_residuals(A, scale_A, tau, X, eta) -> list[dict[str, float]]:
-    """The :data:`WITNESS_RESIDUALS` of each row of a stack, given
-    ``|H|_F`` and the stacked matrix parts of tau and X and the stacked
-    eta."""
+def _witness_residuals(A, scale_A, tau, X, eta) -> tuple[np.ndarray, ...]:
+    """The :data:`WITNESS_RESIDUALS` of the rows of a stack, one column
+    each, given ``|H|_F`` and the stacked matrix parts of tau and X and the
+    stacked eta."""
     # the two that need no product with A first, while few arrays are alive
     involution = involution_residual(X)
     hermitian = fro_rows(eta - dagger(eta))
@@ -179,13 +184,25 @@ def _witness_residuals(A, scale_A, tau, X, eta) -> list[dict[str, float]]:
     Ac = np.conj(A)
     Ah = np.swapaxes(Ac, -1, -2)  # dagger(A)
     (anti, commute, intertwine, gamma_res), (_, _, eta_size, _) = _relative_residuals(
-        scale_A, [(tau, Ah, Ac), (X, A, Ac), (eta, Ah, A), (gamma, Ah, A)]
-    )
+        scale_A, [(tau, Ah, Ac), (X, A, Ac), (eta, Ah, A), (gamma, Ah, A)])
     with np.errstate(all="ignore"):  # see _relative_residuals
         hermitian = hermitian / eta_size
-    columns = (anti, involution, commute, hermitian, intertwine, gamma_res)
-    values = [(k, v.tolist()) for k, v in zip(WITNESS_RESIDUALS, columns)]
-    return [{k: v[r] for k, v in values} for r in range(len(A))]
+    return anti, involution, commute, hermitian, intertwine, gamma_res
+
+
+#: the decisions of a block of rows as arrays and lists: every row's
+#: ``verdicts``, and its :data:`WITNESS_RESIDUALS` and reconstruction
+#: residual, in that order, as a row of ``residuals``, NaN where it has
+#: none; the block's decomposition, whose ``errors`` and ``rows`` number the
+#: rows of the block, and the labeling and pairing detail of each decomposed
+#: row; and the rows whose pairing holds, ``paired``, with their stacked
+#: ``witnesses``.  Certificates are built from it only by _certificates
+_Block = namedtuple("_Block", "verdicts residuals decomposed labelings details paired witnesses")
+
+_VERDICTS = np.array([INCONCLUSIVE, NOT_PSEUDO_HERMITIAN, PSEUDO_HERMITIAN], dtype=object)
+#: the largest of each residual in a row of ``_Block.residuals`` that a
+#: ``pseudo_hermitian`` certificate allows
+_LIMITS = np.array([WITNESS_TOL] * len(WITNESS_RESIDUALS) + [RECONSTRUCTION_TOL])
 
 
 def decide(H, tol: ToleranceProfile = ToleranceProfile()) -> Certificate:
@@ -201,7 +218,7 @@ def decide(H, tol: ToleranceProfile = ToleranceProfile()) -> Certificate:
     A = as_matrix(H)
     if A.shape[0] == 0:
         raise ValueError("cannot decompose an empty matrix")
-    return _decide_block(A[None], tol)[0]
+    return _certificates(_decided(A[None], tol)[0], tol)[0]
 
 
 def decide_many(stack, tol: ToleranceProfile = ToleranceProfile()) -> Iterator[Certificate]:
@@ -210,68 +227,90 @@ def decide_many(stack, tol: ToleranceProfile = ToleranceProfile()) -> Iterator[C
 
     The input is validated at once, and a non-finite entry raises a
     ``ValueError`` that names its row.  Rows are then decided
-    :func:`block_rows` at a time: one stacked decomposition, then one
-    stacked synthesis and one set of stacked residual products for the
-    rows whose pairing holds.  Stacked gufuncs treat each matrix alone, so
-    the block depth changes no bit.  Certificates are yielded as each
-    block completes, so only one block of them need be alive.
+    :func:`block_rows` at a time, each block by :func:`_decide_block`, and
+    a block's certificates are built from its arrays and yielded as it
+    completes, so only one block of them need be alive.
     """
+    return chain.from_iterable(map(_certificates, _decide_blocks(stack, tol), repeat(tol)))
+
+
+def _decide_blocks(stack, tol: ToleranceProfile = ToleranceProfile()) -> Iterator[_Block]:
+    """The :data:`_Block` of each block of :func:`block_rows` rows of an
+    (m, n, n) stack, in order, after the validation of :func:`decide_many`,
+    which raises at once.  When a stacked LAPACK call fails on a block, its
+    rows are decided one by one, so that a failure stays with its own row.
+    Stacked gufuncs treat each matrix alone, so the block depth changes no
+    bit."""
     Hs = as_stack(stack)
     if Hs.shape[1] == 0 and len(Hs):
         raise ValueError("cannot decompose an empty matrix")
-    return _blocks(Hs, tol)
-
-
-def _blocks(Hs: np.ndarray, tol: ToleranceProfile) -> Iterator[Certificate]:
-    # yield from binds no name, so a block's certificates die with the block
     rows = block_rows(Hs.shape[1])
-    for start in range(0, len(Hs), rows):
-        yield from _decide_block(Hs[start:start + rows], tol)
+    return chain.from_iterable(_decided(Hs[s:s + rows], tol) for s in range(0, len(Hs), rows))
 
 
-def _decide_block(Hs: np.ndarray, tol: ToleranceProfile) -> list[Certificate]:
-    """The certificates of a block: one stacked decomposition, the labeling
-    of its flat spectral arrays and each row's pairing test, then one
-    stacked synthesis and one set of stacked residual products for the
-    rows whose pairing holds.  When a stacked LAPACK call fails, the rows
-    are decided one by one, so a failure stays with its own row."""
+def _decided(Hs: np.ndarray, tol: ToleranceProfile) -> list[_Block]:
+    """The decisions of a block, or of each of its rows when a stacked
+    LAPACK call fails on it; a row on which one fails alone is
+    ``inconclusive``."""
     scale = fro_rows(Hs)
-    tolerances = tol.as_dict()  # each certificate gets its own copy
     try:
-        out, block = decompose_stack(Hs, tol.cluster_tol, scale)
+        dec = decompose_stack(Hs, tol.cluster_tol, scale)
     except (EigensolveError, np.linalg.LinAlgError) as exc:
         if len(Hs) > 1:
-            return [cert for r in range(len(Hs)) for cert in _decide_block(Hs[r:r + 1], tol)]
-        out = [exc]
-    certs = [Certificate(INCONCLUSIVE, False, {}, dict(tolerances), diagnostics=str(bd))
-             if isinstance(bd, Exception) else bd for bd in out]
-    rows = [r for r, bd in enumerate(out) if not isinstance(bd, Exception)]
-    if not rows:
-        return certs
-    spectra, A, A_inv = block
-    labelings, shift = label_block(spectra, tol.real_tol, tol.pair_tol)
-    reports = [check_pairing(lab, out[r].table) for r, lab in zip(rows, labelings)]
-    ok = np.array([report.ok for report in reports])
-    paired = ok.nonzero()[0].tolist()
+            return [block for r in range(len(Hs)) for block in _decided(Hs[r:r + 1], tol)]
+        dec = _Decomposed({0: exc}, [], *[None] * 7)
+    return [_decide_block(Hs, scale, dec, tol)]
+
+
+def _decide_block(Hs, scale, dec: _Decomposed, tol: ToleranceProfile) -> _Block:
+    """The decisions of a block of matrices ``Hs`` with norms ``scale``,
+    given its decomposition: the labeling of its flat spectral arrays and
+    the pairing test of every row, then one stacked synthesis and one set
+    of stacked residual products for the rows whose pairing holds.  The
+    tolerance checks and the verdicts are array expressions over the block,
+    and no table, decomposition, witness set or certificate of a row is
+    built."""
+    residuals = np.full((len(Hs), len(_LIMITS)), np.nan)
+    if not dec.rows:
+        return _Block([INCONCLUSIVE] * len(Hs), residuals, dec, [], [], [], None)
+    code = np.zeros(len(Hs), dtype=np.intp)  # each row's index into _VERDICTS
+    residuals[dec.rows, -1] = dec.recon
+    labelings, shift = label_block(dec.spectra, tol.real_tol, tol.pair_tol)
+    details = _pairing_block(labelings, dec.spectra)
+    ok = np.array([d is None for d in details])
+    code[dec.rows] = 1 + ok
+    paired, witnesses = [r for r, d in zip(dec.rows, details) if d is None], None
     if paired:
-        at = [rows[k] for k in paired]
-        ops, stacks = synthesize_stack(
-            rows_of(A, paired), rows_of(A_inv, paired), np.array([out[r].real for r in at]),
+        at, spectra = ok.nonzero()[0], dec.spectra
+        witnesses = synthesize_stack(
+            rows_of(dec.A, at), rows_of(dec.A_inv, at), dec.real[ok],
             spectra if ok.all() else spectra.take(ok), shift[ok.repeat(spectra.counts)])
-        witnesses = iter(zip(ops, _witness_residuals(rows_of(Hs, at), scale[at], *stacks)))
-    for r, labeling, report in zip(rows, labelings, reports):
-        bd, verdict, detail, w = out[r], NOT_PSEUDO_HERMITIAN, report.detail, None
-        residuals = {"reconstruction": bd.recon_residual}
-        if report.ok:
-            w, res = next(witnesses)
-            residuals.update(res)
-            verdict = PSEUDO_HERMITIAN
-            if bd.recon_residual > RECONSTRUCTION_TOL or any(v > WITNESS_TOL for v in res.values()):
-                values = ", ".join(f"{name}={v:.3e}" for name, v in residuals.items())
-                verdict, w = INCONCLUSIVE, None
-                detail = f"witness residuals exceeded tolerance: {values}"
+        res = np.array([*_witness_residuals(rows_of(Hs, paired), scale[paired], witnesses.tau,
+                                            witnesses.X, witnesses.eta), dec.recon[ok]]).T
+        residuals[paired] = res
+        code[paired] = 2 * ~np.logical_or.reduce(res > _LIMITS, axis=1)
+    return _Block(_VERDICTS[code].tolist(), residuals, dec, labelings, details, paired, witnesses)
+
+
+def _certificates(block: _Block, tol: ToleranceProfile) -> list[Certificate]:
+    """The certificates of the rows of a :data:`_Block`, each with its own
+    copy of the tolerances; a row's table, decomposition and witness set
+    are built here, and its diagnostics where it has any."""
+    dec, tolerances = block.decomposed, tol.as_dict()
+    certs = [Certificate(INCONCLUSIVE, False, {}, dict(tolerances), diagnostics=str(dec.errors[r]))
+             if r in dec.errors else None for r in range(len(block.verdicts))]
+    bds, values = _decompositions(dec) if dec.rows else [], block.residuals.tolist()
+    for r, bd, labeling, detail in zip(dec.rows, bds, block.labelings, block.details):
+        verdict, (*res, recon) = block.verdicts[r], values[r]
+        residuals, w = {"reconstruction": recon}, None
+        if detail is None:  # the pairing holds
+            residuals.update(zip(WITNESS_RESIDUALS, res))
+            if verdict == PSEUDO_HERMITIAN:
+                w = _operators(block.witnesses, block.paired.index(r))
+            else:
+                listed = ", ".join(f"{name}={v:.3e}" for name, v in residuals.items())
+                detail = f"witness residuals exceeded tolerance: {listed}"
         certs[r] = Certificate(verdict, verdict != NOT_PSEUDO_HERMITIAN, residuals,
                                dict(tolerances), table=bd.table, labeling=labeling, witnesses=w,
                                cond_A=bd.cond_A, diagnostics=detail, decomposition=bd)
     return certs
-

@@ -8,6 +8,11 @@ beyond the float range.  Every command exits 3 on a malformed command
 line and on a file it cannot read or write.  Sweep commands emit CSV with
 a fixed column order; float cells use shortest round-trip repr, so
 identical inputs give byte-identical output.
+
+The sweeps form their rows from the arrays of each decided block of
+samples (:func:`certify._decide_blocks`): verdicts, residuals, spectra and
+witness stacks.  No certificate, table or witness set of a row is built;
+only ``analyze`` hands out a certificate.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -26,8 +32,8 @@ from .certify import (
     PSEUDO_HERMITIAN,
     WITNESS_RESIDUALS,
     ToleranceProfile,
+    _decide_blocks,
     decide,
-    decide_many,
 )
 from .scattering import (
     PotentialSpec,
@@ -77,6 +83,11 @@ def _write_csv(out, header, rows):
     csv.writer(out, lineterminator="\n").writerows([header, *rows])
 
 
+def _verdict_cells(block) -> list[list]:
+    """The verdict and residual cells of each row of a decided block."""
+    return [[v, *r] for v, r in zip(block.verdicts, block.residuals.tolist())]
+
+
 def cmd_analyze(args) -> int:
     try:
         H = load_matrix(args.input)
@@ -105,13 +116,16 @@ def _parse_potential(text: str):
     if kind == "sampled":
         xs, vs = [], []
         with open(rest, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                x, v = line.replace(",", " ").split()
-                xs.append(float(x))
-                vs.append(float(v))
+                try:
+                    x, v = map(float, line.replace(",", " ").split())
+                except ValueError:
+                    raise ValueError(f'{rest}:{number}: expected two numbers "x v"') from None
+                xs.append(x)
+                vs.append(v)
         return SampledPotential(tuple(xs), tuple(vs))
     raise ValueError(f"unknown potential kind {kind!r}")
 
@@ -138,25 +152,19 @@ def cmd_scatter_sweep(args) -> int:
     except ValueError as exc:
         return _input_error(exc)
 
-    def one(x, U, drift, cert):
-        row = [float(x), float(spec.k)]
-        for i in range(2):
-            for j in range(2):
-                row += [float(U[i, j].real), float(U[i, j].imag)]
-        row += [float(drift), cert.verdict]
-        row += [float(cert.residuals.get(name, np.nan)) for name in RESIDUAL_COLUMNS]
-        return row
-
     with _output(args.csv_out) as out:
         try:
-            certs = decide_many(hamiltonian_at(xs, spec))  # refuses an H beyond the float range
+            blocks = _decide_blocks(hamiltonian_at(xs, spec))  # refuses an H beyond the float range
             res = evolve_transfer(spec, x_lo, x_hi, args.steps, at=xs)  # and a U beyond it
         except ValueError as exc:
             return _input_error(exc)
-        # map, unlike a loop variable, holds no certificate while the next
-        # block is decided, so one block of them is alive at a time
-        rows = list(map(one, xs, res.sample_U, res.sample_drift, certs))
-        _write_csv(out, _scatter_header(), rows)
+        # x, k, Re and Im of U11, U12, U21, U22, and the drift of each sample
+        head = np.column_stack([xs, np.full_like(xs, spec.k),
+                                res.sample_U.reshape(-1, 4).view(float), res.sample_drift]).tolist()
+        # map, unlike a loop variable, holds no block while the next one is
+        # decided, so one block of arrays is alive at a time
+        cells = chain.from_iterable(map(_verdict_cells, blocks))
+        _write_csv(out, _scatter_header(), [h + c for h, c in zip(head, cells)])
     return 0
 
 
@@ -182,42 +190,54 @@ def cmd_model_sweep(args) -> int:
         Hs = build_H_stack(lambdas, samples)
     except ValueError as exc:
         return _input_error(exc)
-    flags = (exceptional_levels(lambdas, samples) >= 0).astype(int).tolist()
+    # each sample's varpi and exceptional-point flag, taken block by block
+    heads = zip(samples.tolist(), (exceptional_levels(lambdas, samples) >= 0).astype(int).tolist())
     X = closed_form_X(spec).matrix if args.compare_closed_form else None  # the same for every varpi
-
-    @lru_cache(maxsize=None)
-    def structure(p_lists):
-        """The ``p_lists`` cell and the cluster multiplicities, once per
-        distinct Jordan structure of the sweep."""
-        return ";".join("+".join(map(str, p)) for p in p_lists), tuple(map(sum, p_lists))
-
-    def one(varpi, flag, cert):
-        row = [varpi]
-        if cert.table is not None and cert.labeling is not None:
-            p_lists, counts = structure(tuple(c.p_list for c in cert.table.clusters))
-            real_count = sum(counts[n] for n in cert.labeling.real_clusters)
-            # Re and Im of each cluster value, as often as its multiplicity,
-            # from the diagonal of H0, made contiguous for the float view
-            evs = cert.decomposition.H0.diagonal().copy().view(float).tolist()
-        else:
-            real_count, evs, p_lists = -1, [0.0] * (4 * spec.L), ""
-        row += [real_count, flag, *evs]
-        row += [p_lists, float(cert.cond_A) if np.isfinite(cert.cond_A) else float("inf")]
-        row += [cert.verdict]
-        row += [float(cert.residuals.get(name, np.nan)) for name in RESIDUAL_COLUMNS]
-        if X is not None:
-            w = cert.witnesses
-            row.append(float(np.max(np.abs(w.X.matrix - X))) if w is not None else np.nan)
-        return row
-
     with _output(args.csv_out) as out:
         try:
-            certs = decide_many(Hs)  # refuses an H beyond the float range
+            blocks = _decide_blocks(Hs)  # refuses an H beyond the float range
         except ValueError as exc:
             return _input_error(exc)
-        rows = list(map(one, samples.tolist(), flags, certs))  # one block alive; see scatter-sweep
+        # one block of arrays is alive at a time; see scatter-sweep
+        rows = chain.from_iterable(map(lambda block: _model_cells(block, heads, spec.L, X), blocks))
         _write_csv(out, _model_header(spec.L, args.compare_closed_form), rows)
     return 0
+
+
+def _model_cells(block, heads, L: int, X) -> list[list]:
+    """The rows of a decided block of a model sweep: each row's varpi, the
+    number of real eigenvalues, its flag, Re and Im of each cluster value
+    as often as its multiplicity, the chain lengths, joined by + within a
+    cluster and by ; between clusters, cond(A), the verdict and residuals
+    and, when ``X`` is given, the largest entry of ``|X - X_cf|`` for a
+    certified row.  A row with no decomposition gets -1, zeros, no chains,
+    inf and NaN.  The block takes its rows' varpi and flag from the
+    iterator ``heads``."""
+    dec, m = block.decomposed, len(block.verdicts)
+    real, cond, dev = np.full(m, -1), np.full(m, np.inf), np.full(m, np.nan)
+    evs, p_lists = np.zeros((m, 4 * L)), np.full(m, "", dtype=object)
+    if dec.rows:
+        s, rows = dec.spectra, dec.rows
+        evs[rows] = s.centers.repeat(s.sizes).view(float).reshape(len(rows), -1)
+        cond[rows] = dec.cond
+        # the sizes of the real clusters, summed over each row
+        at = [a + n for a, lab in zip((s.counts.cumsum() - s.counts).tolist(), block.labelings)
+              for n in lab.real_clusters]
+        real[rows] = np.bincount(np.arange(len(rows)).repeat(s.counts)[at], s.sizes[at], len(rows))
+        # each chain's length and the separator after it, looked up: + inside
+        # a cluster, ; after its last chain, a line break after the row's last
+        ends = s.chains.cumsum() - 1  # the last chain of each cluster, and then of each row
+        sep = np.bincount(np.r_[ends, ends[s.counts.cumsum() - 1]], minlength=len(s.lengths))
+        words = np.array([f"{p}{c}" for p in range(2 * L + 1) for c in "+;\n"], dtype=object)
+        p_lists[rows] = "".join(words[3 * s.lengths + sep].tolist()).split("\n")[:-1]
+    if X is not None and block.paired:
+        dev[block.paired] = np.abs(block.witnesses.X - X).max(axis=(1, 2))
+    dev[np.array(block.verdicts) != PSEUDO_HERMITIAN] = np.nan
+    extra = [[d] for d in dev.tolist()] if X is not None else [[]] * m
+    # heads comes last, so zip takes no more of it than the block has rows
+    return [[w, c, f, *e, p, q, *v, *x] for c, e, p, q, v, x, (w, f) in zip(
+        real.tolist(), evs.tolist(), p_lists.tolist(), cond.tolist(), _verdict_cells(block), extra,
+        heads)]
 
 
 class _Parser(argparse.ArgumentParser):

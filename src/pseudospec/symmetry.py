@@ -23,6 +23,7 @@ supply only their S, C0, basis, tau and X.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -68,6 +69,19 @@ class SymmetryOperators:
     X0: AntilinearOp
     X: AntilinearOp
     eta: np.ndarray
+
+
+#: the witness sets of the rows of a block as stacks, in the field order of
+#: :class:`SymmetryOperators`; Theta, the conjugation, is every row's
+_WitnessStacks = namedtuple("_WitnessStacks", "S tau0 tau C0 eta0 X0 X eta")
+
+
+def _operators(stacks: _WitnessStacks, r: int) -> SymmetryOperators:
+    """The :class:`SymmetryOperators` of row ``r`` of a block, views of its
+    stacks."""
+    S, tau0, tau, C0, eta0, X0, X, eta = [a[r] for a in stacks]
+    tau0, tau, X0, X = map(AntilinearOp.trusted, (tau0, tau, X0, X))
+    return SymmetryOperators(S, conjugation(len(S)), tau0, tau, C0, eta0, X0, X, eta)
 
 
 def label_block(spectra: BlockSpectra, real_tol: float = DEFAULT_REAL_TOL,
@@ -134,22 +148,30 @@ def classify_spectrum(
 
 def check_pairing(labeling: SpectralLabeling, table: SpectralTable) -> PairingReport:
     """Pairing test: every complex cluster has a conjugate partner with the
-    same geometric multiplicity and the same Jordan dimensions."""
-    if labeling.unpaired:
-        n = labeling.unpaired[0]
-        return PairingReport(
-            False,
-            f"cluster {n} at E={table.clusters[n].value:.6g} has no conjugate partner",
-        )
-    for n, m in labeling.pairs:
-        cn, cm = table.clusters[n], table.clusters[m]
-        if cn.p_list != cm.p_list:
-            return PairingReport(
-                False,
-                f"conjugate pair ({n}, {m}) has mismatched Jordan dimensions "
-                f"{list(cn.p_list)} vs {list(cm.p_list)}",
-            )
-    return PairingReport(True, None)
+    same geometric multiplicity and the same Jordan dimensions.  The
+    one-row case of :func:`_pairing_block`."""
+    detail = _pairing_block([labeling], BlockSpectra.of([table]))[0]
+    return PairingReport(detail is None, detail)
+
+
+def _pairing_block(labelings: list[SpectralLabeling], spectra: BlockSpectra) -> list[str | None]:
+    """:func:`check_pairing` of every row of a block, given each row's
+    labeling from :func:`label_block`: ``None`` where the pairing holds,
+    and otherwise the detail that names the first unpaired cluster or the
+    first pair whose chain lengths differ."""
+    lengths, chains = spectra.lengths.tolist(), spectra.chains.tolist()
+    ends, out = list(accumulate(chains)), []
+    for a, labeling in zip(accumulate(spectra.counts.tolist(), initial=0), labelings):
+        p = {k: lengths[ends[a + k] - chains[a + k]:ends[a + k]]
+             for pair in labeling.pairs for k in pair}
+        details = [f"conjugate pair ({n}, {m}) has mismatched Jordan dimensions {p[n]} vs {p[m]}"
+                   for n, m in labeling.pairs if p[n] != p[m]]
+        if labeling.unpaired:
+            n = labeling.unpaired[0]
+            E = complex(spectra.centers[a + n])
+            details.insert(0, f"cluster {n} at E={E:.6g} has no conjugate partner")
+        out.append(details[0] if details else None)
+    return out
 
 
 def _permutations(spectra: BlockSpectra, shift: np.ndarray) -> np.ndarray:
@@ -233,21 +255,22 @@ def synthesize_operators(bd: BlockDiagonalization) -> SymmetryOperators:
     Raises :class:`PairingError` when the pairing test fails.
     """
     spectra = BlockSpectra.of([bd.table])
-    (labeling,), shift = label_block(spectra)
-    report = check_pairing(labeling, bd.table)
-    if not report.ok:
-        raise PairingError(report.detail)
-    return synthesize_stack(bd.A[None], bd.A_inv[None], np.array([bd.real]), spectra, shift)[0][0]
+    labelings, shift = label_block(spectra)
+    (detail,) = _pairing_block(labelings, spectra)
+    if detail is not None:
+        raise PairingError(detail)
+    stacks = synthesize_stack(bd.A[None], bd.A_inv[None], np.array([bd.real]), spectra, shift)
+    return _operators(stacks, 0)
 
 
-def synthesize_stack(A, A_inv, real, spectra: BlockSpectra, shift) -> tuple[list, tuple]:
+def synthesize_stack(A, A_inv, real, spectra: BlockSpectra, shift) -> _WitnessStacks:
     """:func:`synthesize_operators` for the decompositions of one dimension
     whose bases and inverses are the stacks ``A`` and ``A_inv``, whose
     realness is ``real``, and whose spectra pass the pairing test, with
     each cluster's ``shift`` to its partner from :func:`label_block`: S and
     C0 of every row from one :func:`_permutations` call, every similarity
-    lift as one stacked product.  Also returns the stacks of the matrix parts of tau
-    and X and of eta, which the operators view.
+    lift as one stacked product.  Returns the stacks alone; a row's
+    :class:`SymmetryOperators` is built only where one is handed out.
 
     For a real H, X is the conjugation exactly: it commutes with H and
     squares to 1 whatever the basis.  When in addition ``conj(A) == A C0``
@@ -256,9 +279,8 @@ def synthesize_stack(A, A_inv, real, spectra: BlockSpectra, shift) -> tuple[list
     S, C0 = _permutations(spectra, shift)
     tau0, eta0, X0, eta = _derive(S, C0, A_inv)
     tau = _tau(A_inv, tau0)
-    Theta = np.repeat(np.eye(A.shape[-1], dtype=complex)[None], len(A), axis=0)
     if real.any():
-        X = Theta.copy()
+        X = np.repeat(np.eye(A.shape[-1], dtype=complex)[None], len(A), axis=0)
         if not real.all():
             X[~real] = _lift(A[~real], X0[~real], A_inv[~real])
         # A C0 gathers the columns of A that the columns of C0 pick
@@ -267,12 +289,4 @@ def synthesize_stack(A, A_inv, real, spectra: BlockSpectra, shift) -> tuple[list
         tau.imag[exact] = eta.imag[exact] = 0.0
     else:
         X = _lift(A, X0, A_inv)
-    trusted = AntilinearOp.trusted
-    ops = [
-        SymmetryOperators(
-            S[r], trusted(Theta[r]), trusted(tau0[r]), trusted(tau[r]), C0[r], eta0[r],
-            trusted(X0[r]), trusted(X[r]), eta[r],
-        )
-        for r in range(len(A))
-    ]
-    return ops, (tau, X, eta)
+    return _WitnessStacks(S, tau0, tau, C0, eta0, X0, X, eta)

@@ -275,10 +275,11 @@ class TestJordanChains:
 
         Hs = np.random.default_rng(6).standard_normal((3, 4, 4)) + 0j
         monkeypatch.setattr(blockdiag, "_canonical_gauge", refuse_third)
-        got, _ = blockdiag.decompose_stack(Hs, blockdiag.DEFAULT_TOL, fro_rows(Hs))
-        assert isinstance(got[0], JordanStructureError)
-        assert str(got[0]) == "chain head is zero or not finite"
-        for H, bd in zip(Hs[1:], got[1:]):
+        block = blockdiag.decompose_stack(Hs, blockdiag.DEFAULT_TOL, fro_rows(Hs))
+        assert list(block.errors) == [0] and block.rows == [1, 2]
+        assert isinstance(block.errors[0], JordanStructureError)
+        assert str(block.errors[0]) == "chain head is zero or not finite"
+        for H, bd in zip(Hs[1:], blockdiag._decompositions(block)):
             values, vectors = eigensystem(H)
             for col, (n, *_) in enumerate(bd.table.labels()):
                 (j,) = np.flatnonzero(values + 0.0 == bd.table.clusters[n].value)

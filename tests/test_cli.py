@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from pseudospec import cli, scattering
+from pseudospec import blockdiag, certify, cli, scattering, symmetry
+from pseudospec.blockdiag import BlockSpectra
 from pseudospec.cli import main
 from pseudospec.scattering import (
     PotentialSpec,
@@ -16,8 +17,14 @@ from pseudospec.scattering import (
     hamiltonian,
 )
 from pseudospec.serialization import dump_matrix, load_matrix
-from pseudospec.certify import decide
+from pseudospec.certify import decide, decide_many
 from pseudospec.truncated import ModelSpec, build_H, closed_form_X, is_exceptional
+from tests.test_blockdiag import count_calls
+
+
+#: the ROADMAP item Q model, lambda_l = (l + 1)^2 / 4 for l = 0..15: over
+#: [0.5, 3] the rows at varpi = 1.5 and 2.5 end inconclusive
+L16 = ",".join(str((l + 1) ** 2 / 4) for l in range(16))
 
 
 def write_matrix(tmp_path, M, name="m.json"):
@@ -281,10 +288,8 @@ class TestModelSweep:
     @pytest.mark.parametrize("lambdas, hi, verdicts", [
         ("1,4", 4.5, {"pseudo_hermitian": 201}),
         ("1,4,9,16", 4.5, {"pseudo_hermitian": 201}),
-        # ROADMAP item Q: at varpi = 1.5 and 2.5 a false merge leaves the
-        # decomposition of the row undone
-        (",".join(str((l + 1) ** 2 / 4) for l in range(16)), 3.0,
-         {"pseudo_hermitian": 199, "inconclusive": 2}),
+        # a false merge leaves the rows at varpi = 1.5 and 2.5 undecomposed
+        (L16, 3.0, {"pseudo_hermitian": 199, "inconclusive": 2}),
     ], ids=["1,4", "1,4,9,16", "L16"])
     def test_sweep_is_the_per_row_reference_byte_for_byte(self, tmp_path, lambdas, hi, verdicts):
         # the stacked H, flags and closed-form X against a CSV made row by
@@ -346,6 +351,30 @@ def test_overflowing_rows_are_inconclusive(tmp_path, args):
     E = [k for k, name in enumerate(header) if name[3:4] == "E"]
     assert all(row[k] == "0.0" for row in rows for k in E)
     assert len(E) == (8 if args[0] == "model-sweep" else 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter-sweep", "--potential", "rectangular:1,0.25,0.75", "--k", "1.3", "--x-range", "0", "1",
+     "--samples", "50", "--steps", "200"],
+    # rows whose decomposition fails beside certified rows
+    ["model-sweep", "--lambdas", L16, "--varpi-range", "0.5", "3", "--samples", "201",
+     "--compare-closed-form"],
+    # rows whose basis is too ill-conditioned; numpy warns as |H|_F overflows
+    pytest.param(["model-sweep", "--lambdas", "1e170,4e170", "--varpi-range", "0.5", "3",
+                  "--samples", "3", "--compare-closed-form"],
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+], ids=["scatter-sweep", "model-sweep-L16", "model-sweep-overflow"])
+def test_sweeps_build_no_per_row_objects(tmp_path, monkeypatch, argv):
+    # the rows come from each block's arrays: no certificate, spectral
+    # table, decomposition or witness set of a row is built
+    built = [count_calls(monkeypatch, owner, name) for owner, name in [
+        (certify, "Certificate"), (BlockSpectra, "tables"),
+        (blockdiag, "BlockDiagonalization"), (symmetry, "SymmetryOperators")]]
+    assert main(argv + ["--csv-out", str(tmp_path / "sweep.csv")]) == 0
+    assert built == [[], [], [], []]
+    # the counters see what decide_many builds: two rows, both certified
+    assert len(list(decide_many(np.stack([np.eye(2), np.zeros((2, 2))])))) == 2
+    assert [len(calls) for calls in built] == [2, 1, 2, 2]
 
 
 SWEEP = ["scatter-sweep", "--k", "1", "--x-range", "0", "1"]
@@ -437,7 +466,7 @@ class TestInputErrors:
             raise AssertionError("the work started before the output was opened")
 
         monkeypatch.setattr(cli, "decide", never)
-        monkeypatch.setattr(cli, "decide_many", never)
+        monkeypatch.setattr(cli, "_decide_blocks", never)
         argv = [write_matrix(tmp_path, np.eye(2)) if a is None else a for a in argv]
         assert main(argv + [str(tmp_path / "missing" / "out")]) == 3
         err = capsys.readouterr().err
@@ -485,6 +514,14 @@ class TestInputErrors:
         table.write_text("0.0 0.0\n0.5 inf\n1.0 0.0\n")
         assert main(SWEEP + ["--potential", f"sampled:{table}"]) == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["0.5 1.0 2.0", "0.5", "0.5 abc"],
+                             ids=["three-fields", "one-field", "not-a-number"])
+    def test_malformed_sampled_line_names_the_file_and_line(self, tmp_path, line, capsys):
+        table = tmp_path / "pot.csv"
+        table.write_text(f"# x v\n0.0 0.0\n\n{line}\n1.0 0.0\n")
+        assert main(SWEEP + ["--potential", f"sampled:{table}"]) == 3
+        assert capsys.readouterr().err == f'error: {table}:4: expected two numbers "x v"\n'
 
     @pytest.mark.parametrize("argv", [
         SWEEP + ["--potential", "rectangular:1,0,1", "--samples", "-2"],

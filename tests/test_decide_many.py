@@ -156,8 +156,8 @@ DEFAULT_ROWS = {1: 64, 2: 64, 8: 64, 10: 40, 16: 16, 64: 16}
 @pytest.mark.parametrize("n", list(DEFAULT_ROWS))
 def test_blocks_hold_block_rows(monkeypatch, n):
     blocks = []
-    monkeypatch.setattr(certify, "_decide_block",
-                        lambda Hs, tol: blocks.append(len(Hs)) or [None] * len(Hs))
+    monkeypatch.setattr(certify, "_decided", lambda Hs, tol: blocks.append(len(Hs)) or [len(Hs)])
+    monkeypatch.setattr(certify, "_certificates", lambda rows, tolerances: [None] * rows)
     rows = DEFAULT_ROWS[n]
     assert len(list(decide_many(np.zeros((2 * rows + 1, n, n))))) == 2 * rows + 1
     assert blocks == [rows, rows, 1]
@@ -218,10 +218,11 @@ def test_block_H0_S_and_C0_are_the_per_slot_rule():
                   for cs in chain_sets])
     spectra = BlockSpectra.of([SpectralTable(tuple(EigenCluster(E, tuple(ps)) for E, ps in st))
                                for st in BLOCK_STRUCTURES])
-    bds, (_, A, A_inv) = blockdiag._assemble(Hs, fro_rows(Hs), real, A, spectra)
+    block = blockdiag._assemble(Hs, fro_rows(Hs), real, A, spectra)
     labelings, shift = symmetry.label_block(spectra)
-    ops, _ = synthesize_stack(A, A_inv, real, spectra, shift)
-    for r, (bd, lab, w) in enumerate(zip(bds, labelings, ops)):
+    witnesses = synthesize_stack(block.A, block.A_inv, real, spectra, shift)
+    for r, (bd, lab) in enumerate(zip(blockdiag._decompositions(block), labelings)):
+        w = symmetry._operators(witnesses, r)
         assert lab == classify_spectrum(bd.table)
         assert [c.p_list for c in bd.table.clusters] == [tuple(p) for _, p in BLOCK_STRUCTURES[r]]
         assert bd.real == real[r]
