@@ -54,6 +54,7 @@ import numpy as np
 from .linalg import (
     EPS,
     EigensolveError,
+    _check_tol,
     as_matrix,
     eigensystem_stack,
     fro,
@@ -105,10 +106,6 @@ class EigenCluster:
 @dataclass(frozen=True)
 class SpectralTable:
     clusters: tuple[EigenCluster, ...]
-
-    @property
-    def dimension(self) -> int:
-        return sum(c.algebraic for c in self.clusters)
 
     def labels(self) -> list[tuple[int, int, int]]:
         """Canonical (cluster, chain, index) label of every basis slot."""
@@ -216,8 +213,7 @@ def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
     vals = np.asarray(raw, dtype=complex).ravel()
     if vals.size == 0:
         raise ValueError("cannot cluster an empty eigenvalue list")
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    _check_tol("tol", tol)
     H = np.asarray(H)
     vectors = np.asarray(vectors)
     scale = np.array([fro(H)])
@@ -429,6 +425,7 @@ def jordan_chains(H, center, tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]
     gauges every chain head.
     """
     A = as_matrix(H)
+    _check_tol("tol", tol)
     n = A.shape[0]
     center = complex(center)
     N = A - center * np.eye(n)
@@ -533,6 +530,7 @@ def block_diagonalize(H, tol: float = DEFAULT_TOL) -> BlockDiagonalization:
     A = as_matrix(H)
     if A.shape[0] == 0:
         raise ValueError("cannot decompose an empty matrix")
+    _check_tol("tol", tol)
     return _one(decompose_stack(A[None], tol, fro_rows(A[None])))
 
 
@@ -545,7 +543,7 @@ def _one(block: _Decomposed) -> BlockDiagonalization:
 
 def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> _Decomposed:
     """:func:`block_diagonalize` of each row of a validated (m, n, n) stack,
-    n >= 1, given ``|H|_F`` per row in ``scale``.
+    n >= 1, at a validated ``tol``, given ``|H|_F`` per row in ``scale``.
 
     The block's clusters, chains and bases are arrays from the start.  The
     eigensolve, the inversion of the eigenvectors, the clustering screen,
@@ -564,8 +562,6 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> _Decompose
     decomposes the rows one by one, so that a failure stays with its own
     row.
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
     m, n = Hs.shape[:2]
     values, vectors, real = eigensystem_stack(Hs)
     floor_tol = np.array([tol * s if s else tol for s in scale.tolist()])

@@ -26,7 +26,7 @@ from .blockdiag import (
     _decompositions,
     decompose_stack,
 )
-from .linalg import EigensolveError, as_matrix, as_stack, dagger, fro_rows, rows_of
+from .linalg import EigensolveError, _check_tol, as_matrix, as_stack, dagger, fro_rows, rows_of
 from .symmetry import (
     DEFAULT_PAIR_TOL,
     DEFAULT_REAL_TOL,
@@ -131,8 +131,7 @@ class ToleranceProfile:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            if not 0.0 <= value < np.inf:  # also refuses NaN
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+            _check_tol(name, value)
 
     def as_dict(self) -> dict[str, float]:
         """The profile's tolerances, then the fixed ones, as every

@@ -34,6 +34,12 @@ class SingularMatrixError(np.linalg.LinAlgError):
         self.cond_estimate = cond_estimate
 
 
+def _check_tol(name: str, value: float) -> None:
+    """Refuse a tolerance that is negative, infinite or NaN, naming it."""
+    if not 0.0 <= value < np.inf:  # also refuses NaN
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
 def as_matrix(M) -> np.ndarray:
     """Validate and return ``M`` as a square complex ndarray with finite
     entries."""

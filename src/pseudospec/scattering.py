@@ -24,8 +24,9 @@ Closed forms, in the gauge whose Jordan basis is
 Here ``tau = inv(A)^+ tau0 inv(A)``, whose matrix part is
 ``conj(inv(A)^T sigma1 inv(A))``; it is symmetric (Hermitian) but not an
 involution, as a witness of this kind need not be.  The module holds only
-these; ``tau0 = sigma1 . conj``, ``eta0 = sigma1``, ``X0 = conj`` and
-``eta`` follow from S, C0 and inv(A) by the derivation that
+these, with S and C0 as the index maps ``(1, 0)`` and ``(0, 1)`` of the
+two slots; ``tau0 = sigma1 . conj``, ``eta0 = sigma1``, ``X0 = conj`` and
+``eta`` follow from the two maps and inv(A) by the derivation that
 :mod:`pseudospec.symmetry` applies to every decomposition.
 """
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .blockdiag import BlockDiagonalization, block_diagonalize, from_chains
 from .linalg import as_matrix, inverse
 from .symmetry import SymmetryOperators, operators_from, synthesize_operators
 
-SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 #: integrator steps whose increments one numpy call forms; bounds the
@@ -242,14 +242,15 @@ def closed_form_jordan_basis(x: float, k: float, v: float = 1.0) -> np.ndarray:
 
 def closed_form_operators(x: float, k: float) -> SymmetryOperators:
     """The closed-form witness set of H(x), independent of v up to the
-    real scale of tau: S flips the one length-2 chain, C0 = I, and the rest
-    follows from them and the reference basis by
+    real scale of tau: S flips the one length-2 chain, its index map swaps
+    the two slots, C0 = I fixes them, and the rest follows from the two
+    maps and the reference basis by
     :func:`~pseudospec.symmetry.operators_from`."""
     u = np.exp(-2j * k * x)
     tau = AntilinearOp(np.array([[0.0, -1.0], [-1.0, -2.0 / u]]))
     X = AntilinearOp(np.diag([u, 1.0 / u]))
     A_inv = inverse(closed_form_jordan_basis(x, k))
-    return operators_from(SIGMA_1.astype(complex), np.eye(2, dtype=complex), A_inv, tau, X)
+    return operators_from(np.array([1, 0]), np.array([0, 1]), A_inv, tau, X)
 
 
 def pipeline_operators_reference_gauge(

@@ -16,10 +16,15 @@ there:
 * ``eta = inv(A)^+ eta0 inv(A)`` is a Hermitian metric with
   ``H^+ eta = eta H``.
 
-Given S, C0 and inv(A), one rule forms ``tau0``, ``eta0``, ``X0`` and
-``eta``: for the stacked synthesis of :func:`synthesize_stack`, and through
-:func:`operators_from` for the closed forms of the two drivers, which
-supply only their S, C0, basis, tau and X.
+S and C0 are permutations of the slots, and they are carried as index
+maps, ``S e_j = e_flip[j]`` and ``C0 e_j = e_swap[j]``: every witness is a
+Jordan-basis sandwich of a permutation, formed as a gather of the columns
+of one factor and one product with the other.  Given the two maps and
+inv(A), one rule forms ``eta``: for the stacked synthesis of
+:func:`synthesize_stack`, and through :func:`operators_from` for the closed
+forms of the two drivers, which supply only their maps, basis, tau and X.
+The dense matrices of S, Theta, tau0, C0, eta0 and X0 are formed from the
+maps only where a witness set is handed out.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ import numpy as np
 
 from .antilinear import AntilinearOp, conjugation
 from .blockdiag import BlockDiagonalization, BlockSpectra, SpectralTable
-from .linalg import dagger
+from .linalg import _check_tol, dagger
 
 DEFAULT_REAL_TOL = 1e-8
 DEFAULT_PAIR_TOL = 1e-8
@@ -71,17 +76,31 @@ class SymmetryOperators:
     eta: np.ndarray
 
 
-#: the witness sets of the rows of a block as stacks, in the field order of
-#: :class:`SymmetryOperators`; Theta, the conjugation, is every row's
-_WitnessStacks = namedtuple("_WitnessStacks", "S tau0 tau C0 eta0 X0 X eta")
+#: the witness sets of the rows of a block: each row's chain flip and pair
+#: swap as (m, n) index maps, ``S e_j = e_flip[j]`` and ``C0 e_j = e_swap[j]``,
+#: and the stacked matrix parts of tau and X and the stacked eta
+_WitnessStacks = namedtuple("_WitnessStacks", "flip swap tau X eta")
 
 
 def _operators(stacks: _WitnessStacks, r: int) -> SymmetryOperators:
-    """The :class:`SymmetryOperators` of row ``r`` of a block, views of its
-    stacks."""
-    S, tau0, tau, C0, eta0, X0, X, eta = [a[r] for a in stacks]
-    tau0, tau, X0, X = map(AntilinearOp.trusted, (tau0, tau, X0, X))
-    return SymmetryOperators(S, conjugation(len(S)), tau0, tau, C0, eta0, X0, X, eta)
+    """The :class:`SymmetryOperators` of row ``r`` of a block, whose tau, X
+    and eta are views of its stacks."""
+    trusted = AntilinearOp.trusted
+    return _witness_set(stacks.flip[r], stacks.swap[r], trusted(stacks.tau[r]),
+                        trusted(stacks.X[r]), stacks.eta[r])
+
+
+def _witness_set(flip, swap, tau: AntilinearOp, X: AntilinearOp, eta) -> SymmetryOperators:
+    """The witness set of one matrix whose chain flip and pair swap are the
+    index maps ``flip`` and ``swap``, with ``tau``, ``X`` and ``eta`` as
+    given: the dense S, Theta (the conjugation), ``tau0 = S . conjugation``,
+    C0, ``eta0 = S C0`` and ``X0 = eta0 . tau0``, each the columns of the
+    identity that its map picks."""
+    I, flip_swap = np.eye(len(flip)), flip[swap]
+    S, C0, eta0, X0 = (I.take(p, axis=1) for p in (flip, swap, flip_swap, flip_swap[flip]))
+    trusted = AntilinearOp.trusted
+    return SymmetryOperators(S, conjugation(len(S)), trusted(S.astype(complex)), tau, C0, eta0,
+                             trusted(X0.astype(complex)), X, eta)
 
 
 def label_block(spectra: BlockSpectra, real_tol: float = DEFAULT_REAL_TOL,
@@ -143,6 +162,8 @@ def classify_spectrum(
     ``pair_tol * (1 + |E|)``, ties broken by smaller cluster index.  The
     one-row case of :func:`label_block`.
     """
+    _check_tol("real_tol", real_tol)
+    _check_tol("pair_tol", pair_tol)
     return label_block(BlockSpectra.of([table]), real_tol, pair_tol)[0][0]
 
 
@@ -176,26 +197,36 @@ def _pairing_block(labelings: list[SpectralLabeling], spectra: BlockSpectra) -> 
 
 def _permutations(spectra: BlockSpectra, shift: np.ndarray) -> np.ndarray:
     """The chain flip S and the pair swap C0 of every row of a block of
-    one dimension, as two (m, n, n) stacks; ``shift`` holds each cluster's
-    offset to its partner, from :func:`label_block`, and is 0 where C0
-    fixes the cluster.
+    one dimension, as two (m, n) index maps ``flip`` and ``swap``, with
+    ``S e_j = e_flip[j]`` and ``C0 e_j = e_swap[j]``; ``shift`` holds each
+    cluster's offset to its partner, from :func:`label_block`, and is 0
+    where C0 fixes the cluster.
 
     Both are index rules over the flat index j of every slot of the
     block, from the block's chain lengths and cluster sizes, as
     :func:`blockdiag._assemble` places H0's superdiagonal.  S reverses each
-    chain: for a chain of length p whose head is slot h, the one in column
-    j lies in row ``2 h + p - 1 - j``.  C0 moves each slot of a cluster by
-    its shift, onto the partner cluster, whose Jordan dimensions the
-    pairing test has made equal: row ``j + shift``."""
+    chain: for a chain of length p whose head is slot h, it takes slot j to
+    ``2 h + p - 1 - j``.  C0 moves each slot of a cluster by its shift,
+    onto the partner cluster, whose Jordan dimensions the pairing test has
+    made equal: to ``j + shift``."""
     lengths, m = spectra.lengths, len(spectra.counts)
     slot = np.arange(lengths.sum())
     head = lengths.cumsum() - lengths
     n = len(slot) // m
-    col = slot % n
-    P = np.zeros((2, len(slot), n))
-    P[0, (2 * head + lengths - 1).repeat(lengths) - slot, col] = 1.0
-    P[1, slot + shift.repeat(spectra.sizes), col] = 1.0
-    return P.reshape(2, m, n, n)
+    flip = (2 * head + lengths - 1).repeat(lengths) - slot
+    return (np.stack([flip, slot + shift.repeat(spectra.sizes)]) % n).reshape(2, m, n)
+
+
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The index maps of the products of the permutations whose maps are
+    the rows of ``a`` and of ``b``: ``a[b]`` row by row."""
+    return a[np.arange(len(a))[:, None], b]
+
+
+def _gather(M: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``M P`` for each row of a stack, with ``P e_j = e_p[j]`` from the row
+    of the maps ``p``: the columns of ``M`` that ``p`` picks."""
+    return M[np.arange(len(M))[:, None, None], np.arange(M.shape[-1])[:, None], p[:, None, :]]
 
 
 def build_tau(bd: BlockDiagonalization) -> AntilinearOp:
@@ -209,43 +240,33 @@ def build_tau(bd: BlockDiagonalization) -> AntilinearOp:
     symmetrized to keep Hermiticity exact against round-off.
     """
     spectra = BlockSpectra.of([bd.table])
-    S, _ = _permutations(spectra, np.zeros(len(spectra.sizes), dtype=np.intp))
-    return AntilinearOp.trusted(_tau(bd.A_inv, S[0].astype(complex)))
+    flip, _ = _permutations(spectra, np.zeros(len(spectra.sizes), dtype=np.intp))
+    return AntilinearOp.trusted(_tau(bd.A_inv[None], flip)[0])
 
 
-def _tau(A_inv: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Matrix part of :func:`build_tau`, also for stacks."""
-    K = np.conj(np.swapaxes(A_inv, -1, -2) @ S @ A_inv)
+def _tau(A_inv: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """Matrix part of :func:`build_tau` for a stack, from the maps of the
+    chain flips."""
+    K = np.conj(_gather(np.swapaxes(A_inv, -1, -2), flip) @ A_inv)
     return (K + np.swapaxes(K, -1, -2)) / 2.0
 
 
-def _lift(A: np.ndarray, K0: np.ndarray, A_inv: np.ndarray) -> np.ndarray:
-    """Similarity lift ``A K0 inv(A)`` of the matrix part of an antilinear
-    map (so the inverse factor enters conjugated), also for stacks."""
-    return A @ K0 @ np.conj(A_inv)
+def _eta(A_inv: np.ndarray, flip: np.ndarray, swap: np.ndarray) -> np.ndarray:
+    """The metric ``eta = inv(A)^+ eta0 inv(A)`` with ``eta0 = S C0`` for a
+    stack, from the maps of S and C0, symmetrized to keep it Hermitian
+    exactly against round-off."""
+    eta = _gather(dagger(A_inv), _compose(flip, swap)) @ A_inv
+    return (eta + dagger(eta)) / 2.0
 
 
-def _derive(S: np.ndarray, C0: np.ndarray, A_inv: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The matrix part of ``tau0 = S . conjugation``, ``eta0 = S C0``, the
-    matrix part of ``X0 = eta0 . tau0``, and the metric
-    ``eta = inv(A)^+ eta0 inv(A)``, symmetrized to keep it Hermitian exactly
-    against round-off: the witnesses that follow from S, C0 and inv(A) for
-    any block-diagonalizable H, also for stacks."""
-    tau0 = S.astype(complex)
-    eta0 = S @ C0
-    eta = dagger(A_inv) @ eta0 @ A_inv
-    return tau0, eta0, eta0 @ tau0, (eta + dagger(eta)) / 2.0
-
-
-def operators_from(S, C0, A_inv, tau: AntilinearOp, X: AntilinearOp) -> SymmetryOperators:
-    """The full witness set of one matrix from its chain flip ``S``, its
-    pair swap ``C0`` and the inverse ``A_inv`` of its Jordan basis, with
-    ``tau`` and ``X`` as given and Theta the conjugation: the derivation
-    of :func:`synthesize_stack`, for the closed forms of the drivers."""
-    tau0, eta0, X0, eta = _derive(S, C0, A_inv)
-    trusted = AntilinearOp.trusted
-    return SymmetryOperators(S, conjugation(len(S)), trusted(tau0), tau, C0, eta0,
-                             trusted(X0), X, eta)
+def operators_from(flip, swap, A_inv, tau: AntilinearOp, X: AntilinearOp) -> SymmetryOperators:
+    """The full witness set of one matrix from the index maps ``flip`` of
+    its chain flip and ``swap`` of its pair swap (``S e_j = e_flip[j]``,
+    ``C0 e_j = e_swap[j]``) and the inverse ``A_inv`` of its Jordan basis,
+    with ``tau`` and ``X`` as given and Theta the conjugation: eta by the
+    rule of :func:`synthesize_stack`, for the closed forms of the
+    drivers."""
+    return _witness_set(flip, swap, tau, X, _eta(A_inv[None], flip[None], swap[None])[0])
 
 
 def synthesize_operators(bd: BlockDiagonalization) -> SymmetryOperators:
@@ -267,26 +288,27 @@ def synthesize_stack(A, A_inv, real, spectra: BlockSpectra, shift) -> _WitnessSt
     """:func:`synthesize_operators` for the decompositions of one dimension
     whose bases and inverses are the stacks ``A`` and ``A_inv``, whose
     realness is ``real``, and whose spectra pass the pairing test, with
-    each cluster's ``shift`` to its partner from :func:`label_block`: S and
-    C0 of every row from one :func:`_permutations` call, every similarity
-    lift as one stacked product.  Returns the stacks alone; a row's
-    :class:`SymmetryOperators` is built only where one is handed out.
+    each cluster's ``shift`` to its partner from :func:`label_block`: the
+    maps of S and C0 of every row from one :func:`_permutations` call, and
+    tau, eta and X each as one gather of columns by a map and one stacked
+    product, X none in a block of real rows.  Returns the maps and stacks
+    alone; a row's :class:`SymmetryOperators`, with its dense
+    permutation-level matrices, is built only where one is handed out.
 
     For a real H, X is the conjugation exactly: it commutes with H and
     squares to 1 whatever the basis.  When in addition ``conj(A) == A C0``
     holds bit for bit, tau and eta are real in exact arithmetic, and they
     are stored real: their imaginary parts are product rounding."""
-    S, C0 = _permutations(spectra, shift)
-    tau0, eta0, X0, eta = _derive(S, C0, A_inv)
-    tau = _tau(A_inv, tau0)
-    if real.any():
-        X = np.repeat(np.eye(A.shape[-1], dtype=complex)[None], len(A), axis=0)
-        if not real.all():
-            X[~real] = _lift(A[~real], X0[~real], A_inv[~real])
-        # A C0 gathers the columns of A that the columns of C0 pick
-        AC0 = np.take_along_axis(A, C0.argmax(axis=1)[:, None, :], axis=2)
-        exact = real & (np.conj(A) == AC0).all(axis=(1, 2))
-        tau.imag[exact] = eta.imag[exact] = 0.0
+    flip, swap = _permutations(spectra, shift)
+    tau, eta = _tau(A_inv, flip), _eta(A_inv, flip, swap)
+    # the matrix part of X = A X0 inv(A) is A (S C0 S) conj(inv(A)), and I
+    # on a real row: a block of real rows forms no product
+    if real.all():
+        X = np.empty(A.shape, dtype=complex)
     else:
-        X = _lift(A, X0, A_inv)
-    return _WitnessStacks(S, tau0, tau, C0, eta0, X0, X, eta)
+        X = _gather(A, _compose(flip, _compose(swap, flip))) @ np.conj(A_inv)
+    if real.any():
+        X[real] = np.eye(A.shape[-1])
+        exact = real & (np.conj(A) == _gather(A, swap)).all(axis=(1, 2))
+        tau.imag[exact] = eta.imag[exact] = 0.0
+    return _WitnessStacks(flip, swap, tau, X, eta)

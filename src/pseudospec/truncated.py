@@ -16,14 +16,16 @@ carries the non-negative-imaginary eigenvalue.
 Exceptional points sit at ``w = sqrt(lambda_l)``, where the level-``l``
 pair coalesces into a length-2 chain.  Each closed form takes only the
 spec and holds in all three spectral regimes and at the exceptional
-points.  Every one is a per-level 2x2 block formula, placed on the slots
-``(l, L + l)`` by one index rule, with the coalesced level's block swapped
-in at an exceptional point.  The module holds only what the paper gives
-explicitly: :func:`closed_form_basis`, the Jordan basis with its inverse;
-:func:`closed_form_H0`; the chain flip S and the pair swap C0;
+points.  Every matrix among them is a per-level 2x2 block formula, placed
+on the slots ``(l, L + l)`` by one index rule, with the coalesced level's
+block swapped in at an exceptional point.  The module holds only what the
+paper gives explicitly: :func:`closed_form_basis`, the Jordan basis with
+its inverse; :func:`closed_form_H0`; the chain flip S and the pair swap
+C0, as index maps that swap or fix the two slots of each level;
 :func:`closed_form_tau`; and :func:`closed_form_X`.  The other witnesses
-(``tau0``, ``eta0``, ``X0`` and ``eta``) come from S, C0 and inv(A) by the
-derivation that :mod:`pseudospec.symmetry` applies to every decomposition.
+(``tau0``, ``eta0``, ``X0`` and ``eta``) come from the two maps and inv(A)
+by the derivation that :mod:`pseudospec.symmetry` applies to every
+decomposition.
 The witness ``X`` obtained by lifting ``X0`` through the Jordan basis
 collapses to plain componentwise conjugation in every regime (the model is
 a real matrix), while ``X0 = S C0 S`` itself keeps the regime-dependent
@@ -38,8 +40,6 @@ import numpy as np
 from .antilinear import AntilinearOp, conjugation
 from .blockdiag import BlockDiagonalization, from_chains
 from .symmetry import SymmetryOperators, build_tau, operators_from
-
-SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 EP_MATCH_TOL = 1e-12
 
@@ -199,16 +199,18 @@ def closed_form_X(spec: ModelSpec) -> AntilinearOp:
 
 def closed_form_operators(spec: ModelSpec) -> SymmetryOperators:
     """The full closed-form witness set, valid in all regimes including
-    exceptional points.  S flips the chain of the coalesced level and fixes
-    every other slot; C0 fixes the levels with a real or coalesced pair and
-    swaps the two slots of a level with an imaginary pair.  The rest follows
-    from them, :func:`closed_form_basis`, :func:`closed_form_tau` and
+    exceptional points.  S and C0 are index maps of the slots: S flips the
+    chain of the coalesced level, swapping its two slots, and fixes every
+    other slot; C0 fixes the levels with a real or coalesced pair and swaps
+    the two slots of a level with an imaginary pair.  The rest follows from
+    them, :func:`closed_form_basis`, :func:`closed_form_tau` and
     :func:`closed_form_X` by :func:`~pseudospec.symmetry.operators_from`."""
-    real = np.array(spec.lambdas) < spec.varpi**2
-    S = _place(spec, [[1.0, 0.0], [0.0, 1.0]], lambda s: SIGMA_1)
-    C0 = _place(spec, [[real, ~real], [~real, real]], lambda s: np.eye(2))
-    return operators_from(S, C0, closed_form_basis(spec)[1], closed_form_tau(spec),
-                          closed_form_X(spec))
+    slot = np.arange(2 * spec.L)
+    level, other = slot % spec.L, np.roll(slot, spec.L)  # other pairs slot l with slot L + l
+    star = exceptional_levels(spec.lambdas, np.array([spec.varpi]))[0]
+    imaginary = (np.array(spec.lambdas) >= spec.varpi**2)[level] & (level != star)
+    return operators_from(np.where(level == star, other, slot), np.where(imaginary, other, slot),
+                          closed_form_basis(spec)[1], closed_form_tau(spec), closed_form_X(spec))
 
 
 def closed_form_block_diagonalization(spec: ModelSpec) -> BlockDiagonalization:

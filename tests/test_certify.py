@@ -1,9 +1,17 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from pseudospec.antilinear import AntilinearOp, conjugation
+from pseudospec.blockdiag import (
+    EigenCluster,
+    SpectralTable,
+    block_diagonalize,
+    cluster_eigenvalues,
+    jordan_chains,
+)
 from pseudospec.certify import (
     INCONCLUSIVE,
     NOT_PSEUDO_HERMITIAN,
@@ -18,6 +26,7 @@ from pseudospec.certify import (
     residual_involution,
 )
 from pseudospec.linalg import fro
+from pseudospec.symmetry import classify_spectrum
 from pseudospec.truncated import ModelSpec, build_H
 from tests.test_blockdiag import jordan_matrix, scatter_hamiltonian, well_conditioned
 
@@ -185,6 +194,32 @@ class TestDecide:
     def test_certificate_records_tolerances(self):
         cert = decide(np.eye(2))
         assert cert.tolerances == ToleranceProfile().as_dict()
+
+
+J2 = np.array([[0.5, 1.0], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")],
+                         ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("call, name", [
+    (lambda t: ToleranceProfile(cluster_tol=t), "cluster_tol"),
+    (lambda t: block_diagonalize(J2, tol=t), "tol"),
+    (lambda t: jordan_chains(J2, 0.5, t), "tol"),
+    (lambda t: cluster_eigenvalues([0.5, 0.5], t, J2, np.eye(2)), "tol"),
+    (lambda t: classify_spectrum(SpectralTable((EigenCluster(0.5, (2,)),)), real_tol=t),
+     "real_tol"),
+    (lambda t: classify_spectrum(SpectralTable((EigenCluster(0.5, (2,)),)), pair_tol=t),
+     "pair_tol"),
+], ids=["ToleranceProfile", "block_diagonalize", "jordan_chains", "cluster_eigenvalues",
+        "classify_spectrum-real_tol", "classify_spectrum-pair_tol"])
+def test_every_public_tolerance_is_refused_out_of_range(call, name, value):
+    # each refuses as ToleranceProfile does: block_diagonalize(J2, tol=inf)
+    # used to return the Jordan structure (1, 1), tol=nan to raise "no
+    # numerical kernel", and a negative pair_tol to call every cluster
+    # unpaired
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and non-negative, "
+                                                   f"got {value!r}")):
+        call(value)
 
 
 def bitwise_conjugate(z: complex, w: complex) -> bool:

@@ -366,15 +366,17 @@ def test_overflowing_rows_are_inconclusive(tmp_path, args):
 ], ids=["scatter-sweep", "model-sweep-L16", "model-sweep-overflow"])
 def test_sweeps_build_no_per_row_objects(tmp_path, monkeypatch, argv):
     # the rows come from each block's arrays: no certificate, spectral
-    # table, decomposition or witness set of a row is built
+    # table, decomposition or witness set of a row is built, and no dense
+    # permutation matrix: S and C0 stay index maps
     built = [count_calls(monkeypatch, owner, name) for owner, name in [
         (certify, "Certificate"), (BlockSpectra, "tables"),
-        (blockdiag, "BlockDiagonalization"), (symmetry, "SymmetryOperators")]]
+        (blockdiag, "BlockDiagonalization"), (symmetry, "SymmetryOperators"),
+        (symmetry, "_witness_set")]]
     assert main(argv + ["--csv-out", str(tmp_path / "sweep.csv")]) == 0
-    assert built == [[], [], [], []]
+    assert built == [[], [], [], [], []]
     # the counters see what decide_many builds: two rows, both certified
     assert len(list(decide_many(np.stack([np.eye(2), np.zeros((2, 2))])))) == 2
-    assert [len(calls) for calls in built] == [2, 1, 2, 2]
+    assert [len(calls) for calls in built] == [2, 1, 2, 2, 2]
 
 
 SWEEP = ["scatter-sweep", "--k", "1", "--x-range", "0", "1"]

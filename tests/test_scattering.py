@@ -180,21 +180,25 @@ class TestClosedForms:
                                       (-2.5, 3.7)])
     def test_witness_set_is_the_written_out_products(self, x, k):
         # S flips the one length-2 chain and C0 = I; the rest are their
-        # products with the inverse of the reference basis, bit for bit
+        # products with the inverse of the reference basis, bit for bit.
+        # S, C0 and eta0 are real, as the pipeline's; the other six complex
         u = np.exp(-2j * k * x)
-        S, C0 = SIGMA_1.astype(complex), np.eye(2, dtype=complex)
+        S, C0 = SIGMA_1, np.eye(2)
         Ainv = inverse(closed_form_jordan_basis(x, k))
         eta0 = S @ C0
         eta = Ainv.conj().T @ eta0 @ Ainv
-        want = {"S": S, "Theta": np.eye(2, dtype=complex), "tau0": S, "C0": C0, "eta0": eta0,
-                "X0": eta0 @ S, "tau": np.array([[0.0, -1.0], [-1.0, -2.0 / u]], dtype=complex),
+        want = {"S": S, "Theta": np.eye(2, dtype=complex), "tau0": S.astype(complex), "C0": C0,
+                "eta0": eta0, "X0": (eta0 @ S).astype(complex),
+                "tau": np.array([[0.0, -1.0], [-1.0, -2.0 / u]], dtype=complex),
                 "X": np.diag([u, 1.0 / u]), "eta": (eta + eta.conj().T) / 2.0}
         assert np.array_equal(eta0, SIGMA_1) and np.array_equal(eta0 @ S, np.eye(2))
         ops = closed_form_operators(x, k)
         for name, M in want.items():
             got = getattr(ops, name)
             got = getattr(got, "matrix", got)
-            assert got.dtype == M.dtype == complex and got.tobytes() == M.tobytes(), name
+            real = name in ("S", "C0", "eta0")
+            assert got.dtype == M.dtype == (float if real else complex), name
+            assert got.tobytes() == M.tobytes(), name
 
 
 class TestPipelineAgainstClosedForms:

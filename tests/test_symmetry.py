@@ -1,9 +1,10 @@
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from pseudospec import symmetry
+from pseudospec import scattering, symmetry, truncated
 from pseudospec.antilinear import (
     AntilinearOp,
     compose_antilinear_antilinear,
@@ -24,6 +25,7 @@ from pseudospec.certify import (
 )
 from pseudospec.symmetry import (
     PairingError,
+    SymmetryOperators,
     build_tau,
     check_pairing,
     classify_spectrum,
@@ -88,9 +90,12 @@ class TestPairing:
 
 
 def permutations(tables):
-    """S and C0 of a block of tables, paired at the default tolerances."""
+    """S and C0 of a block of tables, paired at the default tolerances, as
+    the dense (m, n, n) stacks of their index maps: column j of S is
+    ``e_flip[j]`` and column j of C0 is ``e_swap[j]``."""
     spectra = BlockSpectra.of(tables)
-    return symmetry._permutations(spectra, symmetry.label_block(spectra)[1])
+    maps = symmetry._permutations(spectra, symmetry.label_block(spectra)[1])
+    return (np.arange(maps.shape[-1])[:, None] == maps[..., None, :]) * 1.0
 
 
 def S_and_C0(t):
@@ -123,6 +128,23 @@ class TestPermutationBuilders:
         assert np.array_equal(ops.Theta.matrix, np.eye(3))
         # matrix parts are complex, as AntilinearOp.trusted requires
         assert ops.tau0.matrix.dtype == ops.X0.matrix.dtype == complex
+
+    def test_pipeline_and_drivers_share_each_fields_dtype(self):
+        # S, C0 and eta0 are real wherever a witness set comes from: the
+        # same former makes the permutation-level matrices of all three
+        def dtypes(ops):
+            return {f.name: getattr(getattr(ops, f.name), "matrix", getattr(ops, f.name)).dtype
+                    for f in fields(SymmetryOperators)}
+
+        real = {"S", "C0", "eta0"}
+        want = {f.name: np.dtype(float if f.name in real else complex)
+                for f in fields(SymmetryOperators)}
+        spec = truncated.ModelSpec((1.0, 4.0), 1.5)
+        for ops in [decide(truncated.build_H(spec)).witnesses,
+                    decide(scatter_hamiltonian(0.3, 1.0)).witnesses,
+                    truncated.closed_form_operators(spec),
+                    scattering.closed_form_operators(0.3, 1.0)]:
+            assert dtypes(ops) == want
 
     def test_C0_identity_on_real_spectrum(self):
         assert np.array_equal(S_and_C0(table((0.0, [2])))[1], np.eye(2))

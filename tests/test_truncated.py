@@ -416,17 +416,18 @@ class TestClosedFormParity:
     def test_every_witness_is_the_written_out_product(self, w):
         spec = ModelSpec((1.0, 4.0, 9.0), w)
         star = exceptional_index(spec)
-        S, C0 = written_out_S_C0(spec, star)
+        # S, C0 and eta0 are real, as the pipeline's; the other six complex
+        S, C0 = (M.real for M in written_out_S_C0(spec, star))
         Ainv = written_out_basis(spec, star)[1]
         eta0 = S @ C0
         eta = Ainv.conj().T @ eta0 @ Ainv
         identity = np.eye(2 * spec.L, dtype=complex)
-        want = {"S": S, "Theta": identity, "tau0": S, "tau": written_out_tau(spec, star),
-                "C0": C0, "eta0": eta0, "X0": eta0 @ S, "X": identity,
-                "eta": (eta + eta.conj().T) / 2.0}
+        want = {"S": S, "Theta": identity, "tau0": S.astype(complex),
+                "tau": written_out_tau(spec, star), "C0": C0, "eta0": eta0,
+                "X0": (eta0 @ S).astype(complex), "X": identity, "eta": (eta + eta.conj().T) / 2.0}
         ops = closed_form_operators(spec)
         for name, M in want.items():
-            assert bits(getattr(ops, name)) == bits(M.astype(complex)), name
+            assert bits(getattr(ops, name)) == bits(M), name
 
     @pytest.mark.parametrize("w", PARITY_VARPIS)
     def test_derived_X0_is_the_piecewise_rule(self, w):
