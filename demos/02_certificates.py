@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Certify pseudo-Hermiticity of a few operators.
 
-The decision is the conjugate-pairing test on the Jordan data; the
-certificate carries synthesized witnesses (an antilinear Hermitian tau with
-H^+ = tau H inv(tau), a commuting antilinear involution X, a Hermitian
-metric eta) together with their residuals.
+A complex H whose spectrum is not closed under conjugation is refused from
+its eigensolve, with the margin sigma_min(H - conj(E)) / |H|_F and a lower
+bound on the condition number of every metric.  Otherwise the decision is
+the conjugate-pairing test on the Jordan data; the certificate carries
+synthesized witnesses (an antilinear Hermitian tau with H^+ = tau H
+inv(tau), a commuting antilinear involution X, a Hermitian metric eta)
+together with their residuals.
 """
 import numpy as np
 
@@ -30,6 +33,9 @@ for name, H in candidates.items():
         worst = max(cert.residuals.values())
         print(f"   worst witness residual: {worst:.2e}")
         print(f"   tau matrix part:\n{np.round(cert.witnesses.tau.matrix, 6)}")
+    if "refusal_sigma_min" in cert.residuals:
+        print(f"   refusal margin: {cert.residuals['refusal_sigma_min']:.3f} |H|_F, "
+              f"every metric has cond >= {cert.residuals['metric_cond_bound']:.1e}")
     if cert.diagnostics:
         print(f"   diagnostics: {cert.diagnostics}")
     print()

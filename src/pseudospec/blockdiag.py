@@ -541,9 +541,12 @@ def _one(block: _Decomposed) -> BlockDiagonalization:
     return _decompositions(block)[0]
 
 
-def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> _Decomposed:
+def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray, eigen=None) -> _Decomposed:
     """:func:`block_diagonalize` of each row of a validated (m, n, n) stack,
-    n >= 1, at a validated ``tol``, given ``|H|_F`` per row in ``scale``.
+    n >= 1, at a validated ``tol``, given ``|H|_F`` per row in ``scale``
+    and, when the caller has solved them already, the rows' eigenvalues,
+    unit eigenvectors and realness from
+    :func:`~pseudospec.linalg.eigensystem_stack` in ``eigen``.
 
     The block's clusters, chains and bases are arrays from the start.  The
     eigensolve, the inversion of the eigenvectors, the clustering screen,
@@ -563,7 +566,7 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray) -> _Decompose
     row.
     """
     m, n = Hs.shape[:2]
-    values, vectors, real = eigensystem_stack(Hs)
+    values, vectors, real = eigensystem_stack(Hs) if eigen is None else eigen
     floor_tol = np.array([tol * s if s else tol for s in scale.tolist()])
     screen = _merge_screen(values, _condition_numbers(vectors), floor_tol, scale)
     vals, dist, *_, order = screen

@@ -1,8 +1,10 @@
 """Residual-based verification and the top-level pseudo-Hermiticity decision.
 
-The decision procedure is: block-diagonalize, classify the spectrum, run the
-pairing test.  The pairing test *is* the verdict; the synthesized witnesses
-and their residuals are confirmation attached to the certificate.  Numerical
+The decision procedure is: eigensolve, refuse a complex matrix whose
+spectrum is not closed under conjugation by one sigma_min, and otherwise
+block-diagonalize, classify the spectrum and run the pairing test.  The
+pairing test *is* the verdict; the synthesized witnesses and their
+residuals are confirmation attached to the certificate.  Numerical
 breakdown (inconsistent rank staircase, ill-conditioned basis, blown witness
 residuals) yields the first-class verdict ``inconclusive`` rather than a
 binary lie.
@@ -26,7 +28,17 @@ from .blockdiag import (
     _decompositions,
     decompose_stack,
 )
-from .linalg import EigensolveError, _check_tol, as_matrix, as_stack, dagger, fro_rows, rows_of
+from .linalg import (
+    EPS,
+    EigensolveError,
+    _check_tol,
+    as_matrix,
+    as_stack,
+    dagger,
+    eigensystem_stack,
+    fro_rows,
+    rows_of,
+)
 from .symmetry import (
     DEFAULT_PAIR_TOL,
     DEFAULT_REAL_TOL,
@@ -194,9 +206,12 @@ def _witness_residuals(A, scale_A, tau, X, eta) -> tuple[np.ndarray, ...]:
 #: residual, in that order, as a row of ``residuals``, NaN where it has
 #: none; the block's decomposition, whose ``errors`` and ``rows`` number the
 #: rows of the block, and the labeling and pairing detail of each decomposed
-#: row; and the rows whose pairing holds, ``paired``, with their stacked
-#: ``witnesses``.  Certificates are built from it only by _certificates
-_Block = namedtuple("_Block", "verdicts residuals decomposed labelings details paired witnesses")
+#: row; the rows whose pairing holds, ``paired``, with their stacked
+#: ``witnesses``; and the spectral ``refusals`` of
+#: :func:`_spectral_refusals`, rows that were never decomposed.
+#: Certificates are built from it only by _certificates
+_Block = namedtuple("_Block",
+                    "verdicts residuals decomposed labelings details paired witnesses refusals")
 
 _VERDICTS = np.array([INCONCLUSIVE, NOT_PSEUDO_HERMITIAN, PSEUDO_HERMITIAN], dtype=object)
 #: the largest of each residual in a row of ``_Block.residuals`` that a
@@ -207,9 +222,12 @@ _LIMITS = np.array([WITNESS_TOL] * len(WITNESS_RESIDUALS) + [RECONSTRUCTION_TOL]
 def decide(H, tol: ToleranceProfile = ToleranceProfile()) -> Certificate:
     """Decide pseudo-Hermiticity of a square complex matrix.
 
-    Pipeline: block-diagonalize, classify the spectrum, pairing test.  When
-    the pairing holds the full witness set is synthesized and attached; when
-    it fails the certificate names the violating cluster or pair.
+    Pipeline: eigensolve, spectral refusal test, then block-diagonalize,
+    classify the spectrum, pairing test.  A spectral refusal names its
+    eigenvalue and carries its margin and a bound on every metric, with no
+    table.  When the pairing holds the full witness set is synthesized and
+    attached; when it fails the certificate names the violating cluster or
+    pair.
     Structural failures land in the ``inconclusive`` verdict with
     diagnostics, never in an exception.  The one-row case of
     :func:`decide_many`.
@@ -250,29 +268,89 @@ def _decide_blocks(stack, tol: ToleranceProfile = ToleranceProfile()) -> Iterato
 def _decided(Hs: np.ndarray, tol: ToleranceProfile) -> list[_Block]:
     """The decisions of a block, or of each of its rows when a stacked
     LAPACK call fails on it; a row on which one fails alone is
-    ``inconclusive``."""
-    scale = fro_rows(Hs)
+    ``inconclusive``.  One eigensolve serves the block: its values decide
+    the spectral refusals of :func:`_spectral_refusals`, and only the other
+    rows, sliced from the block with their eigensystems, are decomposed."""
     try:
-        dec = decompose_stack(Hs, tol.cluster_tol, scale)
+        eigen = eigensystem_stack(Hs)
+        refusals = _spectral_refusals(Hs, *eigen, tol.pair_tol)
+        keep = [r for r in range(len(Hs)) if r not in refusals]
+        # |H|_F of the kept rows only: that of a refused row may overflow
+        scale, dec = np.full(len(Hs), np.nan), _Decomposed({}, [], *[None] * 7)
+        if keep:
+            kept = rows_of(Hs, keep)
+            scale[keep] = kept_scale = fro_rows(kept)
+            dec = decompose_stack(kept, tol.cluster_tol, kept_scale,
+                                  tuple(rows_of(a, keep) for a in eigen))
+            # its rows numbered as in the block
+            dec = dec._replace(errors={keep[k]: exc for k, exc in dec.errors.items()},
+                               rows=[keep[k] for k in dec.rows])
     except (EigensolveError, np.linalg.LinAlgError) as exc:
         if len(Hs) > 1:
             return [block for r in range(len(Hs)) for block in _decided(Hs[r:r + 1], tol)]
-        dec = _Decomposed({0: exc}, [], *[None] * 7)
-    return [_decide_block(Hs, scale, dec, tol)]
+        refusals, scale, dec = {}, None, _Decomposed({0: exc}, [], *[None] * 7)
+    return [_decide_block(Hs, scale, dec, refusals, tol)]
 
 
-def _decide_block(Hs, scale, dec: _Decomposed, tol: ToleranceProfile) -> _Block:
+def _spectral_refusals(Hs, values, vectors, real, pair_tol: float) -> dict:
+    """The rows of a block that no metric can make pseudo-Hermitian, from
+    its eigensolve alone, as ``{row: (E, ratio, bound)}``.
+
+    A pseudo-Hermitian H has ``H^+ = eta H inv(eta)``, so
+    ``sigma_min(H - conj(z)) <= cond(eta) sigma_min(H - z)`` for every z,
+    and its spectrum is closed under conjugation.  Each complex row is
+    divided by the power of two ``2**e`` of its largest real or imaginary
+    part, which is exact and keeps every norm below overflow, and takes the
+    eigenvalue E whose conjugate lies farthest from its spectrum.  Where
+    that distance exceeds ``pair_tol |H|_F`` (below it the test cannot
+    fire, as ``sigma_min(H - zI) <= dist(z, spectrum)``), one stacked SVD
+    gives ``ratio = sigma_min(H - conj(E)) / |H|_F``, and the row is refused
+    when the ratio exceeds ``pair_tol``.  Its ``bound`` is ``sigma_min(H -
+    conj(E)) / (|(H - E) v| + n eps |H|_F)``, with v the unit eigenvector of
+    E, which bounds ``sigma_min(H - E)`` from above: a lower bound on
+    ``cond(eta)`` for every metric eta.  A real row is never tested: the
+    real eigensolve pairs its values exactly."""
+    rows = np.flatnonzero(~real)
+    if not rows.size:
+        return {}
+    parts = Hs[rows].view(np.float64)  # a copy; real and imaginary parts side by side
+    e = -np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
+    H = np.ldexp(parts, e[:, None, None]).view(complex)
+    w = np.ldexp(values[rows].view(np.float64), e[:, None]).view(complex)
+    diff = w.conj()[:, :, None] - w[:, None, :]
+    far = np.hypot(diff.real, diff.imag).min(axis=2)  # each conjugate's distance to the spectrum
+    k = far.argmax(axis=1)
+    norm = fro_rows(H)
+    test = (far.max(axis=1) > pair_tol * norm).nonzero()[0]
+    if not test.size:
+        return {}
+    H, k, norm, rows = (rows_of(a, test) for a in (H, k, norm, rows))
+    E = w[test, k]
+    n = H.shape[-1]
+    s = np.linalg.svd(H - E.conj()[:, None, None] * np.eye(n), compute_uv=False)[:, -1]
+    refused = (s > pair_tol * norm).nonzero()[0]
+    if not refused.size:
+        return {}
+    H, k, norm, rows, E, s = (rows_of(a, refused) for a in (H, k, norm, rows, E, s))
+    v = vectors[rows, :, k]
+    residual = fro_rows((H @ v[:, :, None])[:, :, 0] - E[:, None] * v)
+    return dict(zip(rows.tolist(), zip(values[rows, k].tolist(), (s / norm).tolist(),
+                                       (s / (residual + n * EPS * norm)).tolist())))
+
+
+def _decide_block(Hs, scale, dec: _Decomposed, refusals: dict, tol: ToleranceProfile) -> _Block:
     """The decisions of a block of matrices ``Hs`` with norms ``scale``,
-    given its decomposition: the labeling of its flat spectral arrays and
-    the pairing test of every row, then one stacked synthesis and one set
-    of stacked residual products for the rows whose pairing holds.  The
-    tolerance checks and the verdicts are array expressions over the block,
-    and no table, decomposition, witness set or certificate of a row is
-    built."""
+    given its spectral refusals and the decomposition of its other rows:
+    the labeling of its flat spectral arrays and the pairing test of every
+    decomposed row, then one stacked synthesis and one set of stacked
+    residual products for the rows whose pairing holds.  The tolerance
+    checks and the verdicts are array expressions over the block, and no
+    table, decomposition, witness set or certificate of a row is built."""
     residuals = np.full((len(Hs), len(_LIMITS)), np.nan)
-    if not dec.rows:
-        return _Block([INCONCLUSIVE] * len(Hs), residuals, dec, [], [], [], None)
     code = np.zeros(len(Hs), dtype=np.intp)  # each row's index into _VERDICTS
+    code[list(refusals)] = 1
+    if not dec.rows:
+        return _Block(_VERDICTS[code].tolist(), residuals, dec, [], [], [], None, refusals)
     residuals[dec.rows, -1] = dec.recon
     labelings, shift = label_block(dec.spectra, tol.real_tol, tol.pair_tol)
     details = _pairing_block(labelings, dec.spectra)
@@ -288,16 +366,24 @@ def _decide_block(Hs, scale, dec: _Decomposed, tol: ToleranceProfile) -> _Block:
                                             witnesses.X, witnesses.eta), dec.recon[ok]]).T
         residuals[paired] = res
         code[paired] = 2 * ~np.logical_or.reduce(res > _LIMITS, axis=1)
-    return _Block(_VERDICTS[code].tolist(), residuals, dec, labelings, details, paired, witnesses)
+    return _Block(_VERDICTS[code].tolist(), residuals, dec, labelings, details, paired, witnesses,
+                  refusals)
 
 
 def _certificates(block: _Block, tol: ToleranceProfile) -> list[Certificate]:
     """The certificates of the rows of a :data:`_Block`, each with its own
     copy of the tolerances; a row's table, decomposition and witness set
-    are built here, and its diagnostics where it has any."""
+    are built here, and its diagnostics where it has any.  A spectral
+    refusal has no table, labeling or decomposition: its residuals are its
+    ``refusal_sigma_min`` and ``metric_cond_bound``."""
     dec, tolerances = block.decomposed, tol.as_dict()
     certs = [Certificate(INCONCLUSIVE, False, {}, dict(tolerances), diagnostics=str(dec.errors[r]))
              if r in dec.errors else None for r in range(len(block.verdicts))]
+    for r, (E, ratio, bound) in block.refusals.items():
+        certs[r] = Certificate(
+            NOT_PSEUDO_HERMITIAN, False, {"refusal_sigma_min": ratio, "metric_cond_bound": bound},
+            dict(tolerances), diagnostics=f"eigenvalue E={E!r} has no conjugate partner: "
+            f"sigma_min(H - conj(E) I) = {ratio:.3e} |H|_F exceeds pair_tol |H|_F")
     bds, values = _decompositions(dec) if dec.rows else [], block.residuals.tolist()
     for r, bd, labeling, detail in zip(dec.rows, bds, block.labelings, block.details):
         verdict, (*res, recon) = block.verdicts[r], values[r]

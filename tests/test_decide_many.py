@@ -176,11 +176,17 @@ def test_mixed_stack_covers_every_verdict(small_blocks):
     certs = assert_rowwise(stack)
     assert {c.verdict for c in certs} == {PSEUDO_HERMITIAN, NOT_PSEUDO_HERMITIAN}
     # the first block holds real rows with simple clusters and with chains,
-    # whose X is exactly the conjugation, and complex rows
+    # whose X is exactly the conjugation, decomposed complex rows with
+    # chains, and complex rows refused from the spectrum, which have no table
     real = [not H.imag.any() for H in stack[:B]]
-    chains = [max(max(c.p_list) for c in cert.table.clusters) > 1 for cert in certs[:B]]
-    assert {(r, ch) for r, ch in zip(real, chains)} == {
-        (True, False), (True, True), (False, False), (False, True)}
+    decomposed = [(r, max(max(c.p_list) for c in cert.table.clusters) > 1)
+                  for r, cert in zip(real, certs[:B]) if cert.table is not None]
+    assert set(decomposed) == {(True, False), (True, True), (False, True)}
+    refused = [(r, cert) for r, cert in zip(real, certs[:B]) if cert.table is None]
+    assert refused
+    for r, cert in refused:
+        assert not r and cert.verdict == NOT_PSEUDO_HERMITIAN
+        assert cert.residuals["refusal_sigma_min"] > cert.tolerances["pair_tol"]
     for H, cert in zip(stack, certs):
         if not H.imag.any():
             assert np.array_equal(cert.witnesses.X.matrix, np.eye(4))
@@ -301,6 +307,75 @@ class TestLapackFailureIsolation:
         certs = list(decide_many(stack))
         for r, cert in enumerate(certs):
             if r == bad_row:
+                assert cert.verdict == INCONCLUSIVE
+                assert cert.diagnostics == "svd did not converge"
+            else:
+                assert certificate_bits(cert) == expected[r]
+
+
+class TestSpectralRefusalIsolation:
+    """Rows refused from the spectrum share blocks with decomposed rows and
+    with rows whose decomposition fails; each keeps its place and the
+    certificate that decide gives it alone."""
+
+    @staticmethod
+    def unpaired(rng):
+        W = well_conditioned(rng, 2)
+        return W @ np.diag([0.6 + 0.9j, -0.4]) @ np.linalg.inv(W)
+
+    def stack(self, m):
+        rng = np.random.default_rng(m)
+        rows, kinds = [], []
+        for i in range(m):
+            kind = ("refused", "real", "paired", "failed")[i % 4]
+            if kind == "refused":
+                H = self.unpaired(rng)
+            elif kind == "real":
+                H = rng.standard_normal((2, 2))
+            elif kind == "paired":
+                W = well_conditioned(rng, 2)
+                H = W @ np.diag([0.3 + 0.8j, 0.3 - 0.8j]) @ np.linalg.inv(W)
+            else:
+                H = overflowing_j2()
+            rows.append(H)
+            kinds.append(kind)
+        return np.stack(rows), kinds
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_mixed_rows_equal_decide_in_order(self, small_blocks, m):
+        stack, kinds = self.stack(m)
+        certs = assert_rowwise(stack)
+        for kind, cert in zip(kinds, certs):
+            refused = "refusal_sigma_min" in cert.residuals
+            assert refused == (kind == "refused")
+            assert (cert.table is None) == (kind in ("refused", "failed"))
+            if kind == "failed":
+                assert cert.verdict == INCONCLUSIVE and "condition number" in cert.diagnostics
+            elif kind != "refused":
+                assert cert.verdict == PSEUDO_HERMITIAN
+
+    def test_svd_failure_of_one_refusal(self, small_blocks, monkeypatch):
+        # the row's largest part lies in [0.5, 1), so the prescale keeps its
+        # bits and its H - conj(E) I still holds the marker entry
+        marker = 0.123456789 + 0.25j
+        bad = np.array([[0.9 + 0.3j, marker], [0.2, -0.4]])
+        stack, _ = self.stack(B + 1)
+        stack[5] = bad
+        assert "refusal_sigma_min" in decide(bad).residuals
+        expected = [certificate_bits(decide(H)) for H in stack]
+        original = np.linalg.svd
+
+        def patched(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.ndim == 3 and not kwargs.get("compute_uv", True) and (a[:, 0, 1] == marker).any():
+                raise np.linalg.LinAlgError("svd did not converge")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", patched)
+        certs = list(decide_many(stack))
+        assert len(certs) == len(stack)
+        for r, cert in enumerate(certs):
+            if r == 5:
                 assert cert.verdict == INCONCLUSIVE
                 assert cert.diagnostics == "svd did not converge"
             else:
