@@ -6,12 +6,7 @@ from .antilinear import (
     adjoint,
     apply,
     compose_antilinear_antilinear,
-    compose_antilinear_linear,
-    compose_linear_antilinear,
     conjugation,
-    inverse_antilinear,
-    is_antiunitary,
-    is_hermitian,
     is_involution,
 )
 from .blockdiag import (
@@ -34,10 +29,7 @@ from .certify import (
     decide,
     decide_many,
     residual_commute_antilinear,
-    residual_hermitian_metric,
     residual_intertwine_antilinear,
-    residual_intertwine_linear,
-    residual_involution,
 )
 from .linalg import EigensolveError, SingularMatrixError, inverse
 from .symmetry import (

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, fro, fro_rows, inverse
+from .linalg import as_matrix, fro_rows
 
-#: residual up to which :func:`is_hermitian`, :func:`is_involution` and
-#: :func:`is_antiunitary` hold
+#: residual up to which :func:`is_involution` holds
 PREDICATE_TOL = 1e-10
 
 
@@ -78,33 +77,8 @@ def product(K1: np.ndarray, K2: np.ndarray) -> np.ndarray:
     return K1 @ np.conj(K2)
 
 
-def compose_linear_antilinear(M, L: AntilinearOp) -> AntilinearOp:
-    A = as_matrix(M)
-    if A.shape[0] != L.dim:
-        raise ValueError("dimension mismatch")
-    return AntilinearOp(A @ L.matrix)
-
-
-def compose_antilinear_linear(L: AntilinearOp, M) -> AntilinearOp:
-    A = as_matrix(M)
-    if A.shape[0] != L.dim:
-        raise ValueError("dimension mismatch")
-    return AntilinearOp(L.matrix @ np.conj(A))
-
-
 def adjoint(L: AntilinearOp) -> AntilinearOp:
     return AntilinearOp(L.matrix.T)
-
-
-def inverse_antilinear(L: AntilinearOp) -> AntilinearOp:
-    return AntilinearOp(np.conj(inverse(L.matrix)))
-
-
-def is_hermitian(L: AntilinearOp) -> tuple[bool, float]:
-    """Hermiticity test.  Returns (verdict, residual ``|K - K^T| / |K|``)."""
-    scale = fro(L.matrix)
-    res = 0.0 if scale == 0.0 else fro(L.matrix - L.matrix.T) / scale
-    return res <= PREDICATE_TOL, res
 
 
 def is_involution(L: AntilinearOp) -> tuple[bool, float]:
@@ -116,9 +90,3 @@ def is_involution(L: AntilinearOp) -> tuple[bool, float]:
 def involution_residual(K: np.ndarray) -> np.ndarray:
     """``|K conj(K) - I|`` for each row of a stack of matrix parts."""
     return fro_rows(product(K, K) - np.eye(K.shape[-1]))
-
-
-def is_antiunitary(L: AntilinearOp) -> tuple[bool, float]:
-    """Antiunitarity test.  Returns (verdict, residual ``|K^+ K - I|``)."""
-    res = fro(L.matrix.conj().T @ L.matrix - np.eye(L.dim))
-    return res <= PREDICATE_TOL, res

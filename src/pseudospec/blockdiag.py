@@ -184,7 +184,8 @@ class BlockDiagonalization:
 #: decomposed rows' spectra, bases, inverses, H0, relative reconstruction
 #: residuals, condition numbers and realness, and are ``None`` when no row
 #: was decomposed
-_Decomposed = namedtuple("_Decomposed", "errors rows spectra A A_inv H0 recon cond real")
+_Decomposed = namedtuple("_Decomposed", "errors rows spectra A A_inv H0 recon cond real",
+                         defaults=(None,) * 7)
 
 
 def _decompositions(block: _Decomposed) -> list[BlockDiagonalization]:
@@ -211,8 +212,8 @@ def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
     the result does not depend on the eigensolver's output order.
     """
     vals = np.asarray(raw, dtype=complex).ravel()
-    if vals.size == 0:
-        raise ValueError("cannot cluster an empty eigenvalue list")
+    if vals.size == 0 or not np.isfinite(vals).all():
+        raise ValueError("raw must hold one or more eigenvalues, all finite")
     _check_tol("tol", tol)
     H = np.asarray(H)
     vectors = np.asarray(vectors)
@@ -531,7 +532,7 @@ def block_diagonalize(H, tol: float = DEFAULT_TOL) -> BlockDiagonalization:
     if A.shape[0] == 0:
         raise ValueError("cannot decompose an empty matrix")
     _check_tol("tol", tol)
-    return _one(decompose_stack(A[None], tol, fro_rows(A[None])))
+    return _one(decompose_stack(A[None], tol, fro_rows(A[None]), eigensystem_stack(A[None])))
 
 
 def _one(block: _Decomposed) -> BlockDiagonalization:
@@ -541,18 +542,17 @@ def _one(block: _Decomposed) -> BlockDiagonalization:
     return _decompositions(block)[0]
 
 
-def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray, eigen=None) -> _Decomposed:
+def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray, eigen: tuple) -> _Decomposed:
     """:func:`block_diagonalize` of each row of a validated (m, n, n) stack,
     n >= 1, at a validated ``tol``, given ``|H|_F`` per row in ``scale``
-    and, when the caller has solved them already, the rows' eigenvalues,
-    unit eigenvectors and realness from
+    and the rows' eigenvalues, unit eigenvectors and realness from
     :func:`~pseudospec.linalg.eigensystem_stack` in ``eigen``.
 
     The block's clusters, chains and bases are arrays from the start.  The
-    eigensolve, the inversion of the eigenvectors, the clustering screen,
-    the simple-head checks, their gauge and the assembly are stacked; a row
-    with no merge candidate gets its clusters from one array expression,
-    and only a row with a candidate runs the union-find.  Only a cluster
+    inversion of the eigenvectors, the clustering screen, the simple-head
+    checks, their gauge and the assembly are stacked; a row with no merge
+    candidate gets its clusters from one array expression, and only a row
+    with a candidate runs the union-find.  Only a cluster
     that is not simple and well separated runs the staircase, which takes
     its scale from its own ``H - E`` and ``E``, not from ``|H|_2``, and
     gauges its chain heads in one call.  Every basis column is scattered
@@ -566,7 +566,7 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray, eigen=None) -
     row.
     """
     m, n = Hs.shape[:2]
-    values, vectors, real = eigensystem_stack(Hs) if eigen is None else eigen
+    values, vectors, real = eigen
     floor_tol = np.array([tol * s if s else tol for s in scale.tolist()])
     screen = _merge_screen(values, _condition_numbers(vectors), floor_tol, scale)
     vals, dist, *_, order = screen
@@ -614,7 +614,7 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray, eigen=None) -
         A[i, :, at:at + size] = np.array([v for chain in chain_set for v in chain]).T
         p_lists[i, k, :len(p_list)] = p_list
     if len(errors) == m:  # nothing is left to assemble
-        return _Decomposed(errors, [], *[None] * 7)
+        return _Decomposed(errors, [])
     sizes[list(errors)] = 0
     present = sizes > 0
     p_lists = p_lists[present]
@@ -636,12 +636,16 @@ def from_chains(H, centers, chain_sets) -> BlockDiagonalization:
     the reconstruction residual is taken relative to ``|H|_F``.  Raises
     :class:`IllConditionedBasisError` when ``cond(A)`` exceeds
     :data:`COND_LIMIT`, a singular basis included, as
-    :func:`block_diagonalize` does.
+    :func:`block_diagonalize` does, and ValueError, before any
+    arithmetic, when ``centers`` and ``chain_sets`` differ in length or
+    hold a value that is not finite.
     """
     H = as_matrix(H)
+    if len(centers) != len(chain_sets) or not np.isfinite(np.asarray(centers, complex)).all():
+        raise ValueError(f"centers must be {len(chain_sets)} finite values, one per chain set")
     A = np.array([v for chains in chain_sets for chain in chains for v in chain], dtype=complex).T
-    if A.shape != H.shape:
-        raise ValueError(f"the chains span {A.shape[1]} columns of dimension {A.shape[0]}")
+    if A.shape != H.shape or not np.isfinite(A).all():
+        raise ValueError(f"chain_sets must give {len(H)} finite columns of dimension {len(H)}")
     table = SpectralTable(tuple(EigenCluster(E, tuple(map(len, chains)))
                                 for E, chains in zip(centers, chain_sets)))
     return _one(_assemble(H[None], np.array([fro(H)]), np.array([not H.imag.any()]), A[None],

@@ -18,7 +18,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .antilinear import AntilinearOp, involution_residual, is_involution, product
+from .antilinear import AntilinearOp, involution_residual, product
 from .blockdiag import (
     COND_LIMIT,
     DEFAULT_TOL,
@@ -94,25 +94,6 @@ def residual_commute_antilinear(H, L: AntilinearOp) -> float:
     """Relative residual of ``[H, L] = 0``: ``H K = K conj(H)``."""
     A, fA, K = _one_row(H, L.matrix)
     return float(_relative_residuals(fA, [(K, A, np.conj(A))])[0][0][0])
-
-
-def residual_involution(L: AntilinearOp) -> float:
-    """``|K conj(K) - I|``."""
-    return is_involution(L)[1]
-
-
-def residual_hermitian_metric(H, eta) -> tuple[float, float]:
-    """(Hermiticity, intertwining) residuals of a metric candidate:
-    ``|eta - eta^+| / |eta|`` and ``|H^+ eta - eta H| / (|H| |eta|)``."""
-    A, fA, G = _one_row(H, as_matrix(eta))
-    (res,), (size,) = _relative_residuals(fA, [(G, dagger(A), A)])
-    return float(fro_rows(G - dagger(G))[0]) / float(size[0]), float(res[0])
-
-
-def residual_intertwine_linear(H, G) -> float:
-    """Relative residual of ``H^+ G = G H`` for a linear automorphism G."""
-    A, fA, K = _one_row(H, as_matrix(G))
-    return float(_relative_residuals(fA, [(K, dagger(A), A)])[0][0][0])
 
 
 #: largest relative reconstruction residual ``|H - A H0 inv(A)| / |H|_F``,
@@ -276,7 +257,7 @@ def _decided(Hs: np.ndarray, tol: ToleranceProfile) -> list[_Block]:
         refusals = _spectral_refusals(Hs, *eigen, tol.pair_tol)
         keep = [r for r in range(len(Hs)) if r not in refusals]
         # |H|_F of the kept rows only: that of a refused row may overflow
-        scale, dec = np.full(len(Hs), np.nan), _Decomposed({}, [], *[None] * 7)
+        scale, dec = np.full(len(Hs), np.nan), _Decomposed({}, [])
         if keep:
             kept = rows_of(Hs, keep)
             scale[keep] = kept_scale = fro_rows(kept)
@@ -288,7 +269,7 @@ def _decided(Hs: np.ndarray, tol: ToleranceProfile) -> list[_Block]:
     except (EigensolveError, np.linalg.LinAlgError) as exc:
         if len(Hs) > 1:
             return [block for r in range(len(Hs)) for block in _decided(Hs[r:r + 1], tol)]
-        refusals, scale, dec = {}, None, _Decomposed({0: exc}, [], *[None] * 7)
+        refusals, scale, dec = {}, None, _Decomposed({0: exc}, [])
     return [_decide_block(Hs, scale, dec, refusals, tol)]
 
 

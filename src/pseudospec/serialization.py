@@ -40,12 +40,6 @@ def _fill(blocks: list) -> None:
         stub["entries"] = np.column_stack((A.real.ravel(), A.imag.ravel())).tolist()
 
 
-def matrix_to_doc(M) -> dict:
-    stub, A = _matrix_stub(M)
-    _fill([(stub, A)])
-    return stub
-
-
 def _pair_array(entries: list):
     """``entries`` as an (m, 2) float array when every entry is a list of
     two finite JSON numbers, else None.  The type checks are C-level set

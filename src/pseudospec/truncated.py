@@ -39,7 +39,7 @@ import numpy as np
 
 from .antilinear import AntilinearOp, conjugation
 from .blockdiag import BlockDiagonalization, from_chains
-from .symmetry import SymmetryOperators, build_tau, operators_from
+from .symmetry import SymmetryOperators, operators_from
 
 EP_MATCH_TOL = 1e-12
 
@@ -233,9 +233,3 @@ def closed_form_block_diagonalization(spec: ModelSpec) -> BlockDiagonalization:
     entries.sort(key=lambda t: (t[0].real, t[0].imag))
 
     return from_chains(build_H(spec), [E for E, _ in entries], [[chain] for _, chain in entries])
-
-
-def reference_gauge_tau(spec: ModelSpec) -> AntilinearOp:
-    """tau synthesized by the generic construction from the closed-form
-    Jordan basis; matches :func:`closed_form_tau` entrywise."""
-    return build_tau(closed_form_block_diagonalization(spec))

@@ -6,12 +6,7 @@ from pseudospec.antilinear import (
     adjoint,
     apply,
     compose_antilinear_antilinear,
-    compose_antilinear_linear,
-    compose_linear_antilinear,
     conjugation,
-    inverse_antilinear,
-    is_antiunitary,
-    is_hermitian,
     is_involution,
 )
 
@@ -62,25 +57,24 @@ def test_compose_two_antilinears_is_linear():
 
 
 def test_compose_with_linear_maps():
+    # M . L has matrix M K and L . M has matrix K conj(M)
     rng = np.random.default_rng(2)
     L = rand_op(rng, 3)
-    assert np.allclose(compose_linear_antilinear(np.eye(3), L).matrix, L.matrix)
     for _ in range(20):
         M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        left = apply(compose_linear_antilinear(M, L), v)
+        left = apply(AntilinearOp(M @ L.matrix), v)
         assert np.max(np.abs(left - M @ apply(L, v))) < 1e-12
-        right = apply(compose_antilinear_linear(L, M), v)
+        right = apply(AntilinearOp(L.matrix @ np.conj(M)), v)
         assert np.max(np.abs(right - apply(L, M @ v))) < 1e-12
 
 
 def test_sandwich_of_conjugation_by_scatter_basis():
     # A . conj . inv(A) for the two-level chain basis has matrix
-    # exp(-2ikx sigma3); frozen from the family's closed form
+    # A conj(inv(A)) = exp(-2ikx sigma3); frozen from the family's closed form
     for k, x in [(1.0, 0.0), (0.7, 0.4), (2.0, 1.1)]:
         A = scatter_basis(x, k)
-        L = compose_linear_antilinear(A, conjugation(2))
-        L = compose_antilinear_linear(L, np.linalg.inv(A))
+        L = AntilinearOp(A @ np.conj(np.linalg.inv(A)))
         want = np.diag([np.exp(-2j * k * x), np.exp(2j * k * x)])
         assert np.max(np.abs(L.matrix - want)) < 1e-12
 
@@ -104,22 +98,11 @@ def test_adjoint_is_an_involution_exactly():
     assert np.array_equal(adjoint(adjoint(L)).matrix, L.matrix)
 
 
-def test_adjoint_of_mixed_composition():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        L = rand_op(rng, 3)
-        lhs = adjoint(compose_linear_antilinear(M, L)).matrix
-        rhs = compose_antilinear_linear(adjoint(L), M.conj().T).matrix
-        assert np.max(np.abs(lhs - rhs)) < 1e-13
-
-
 def test_inverse_antilinear():
-    assert np.allclose(inverse_antilinear(conjugation(3)).matrix, np.eye(3))
     rng = np.random.default_rng(6)
     for _ in range(20):
         L = rand_op(rng, 4)
-        comp = compose_antilinear_antilinear(inverse_antilinear(L), L)
+        comp = compose_antilinear_antilinear(AntilinearOp(np.conj(np.linalg.inv(L.matrix))), L)
         assert np.max(np.abs(comp - np.eye(4))) < 1e-10 * np.linalg.cond(L.matrix)
 
 
@@ -131,23 +114,19 @@ def test_inverse_of_chain_reversal_sandwich():
         A = scatter_basis(x, k)
         L = AntilinearOp(A @ SIGMA_1 @ A.T)
         want = np.array([[0.0, -1.0], [-1.0, -2.0 * np.exp(2j * k * x)]])
-        assert np.max(np.abs(inverse_antilinear(L).matrix - want)) < 1e-12
+        assert np.max(np.abs(np.conj(np.linalg.inv(L.matrix)) - want)) < 1e-12
 
 
 def test_predicates_on_conjugation():
-    T = conjugation(3)
-    for pred in (is_hermitian, is_involution, is_antiunitary):
-        ok, res = pred(T)
-        assert ok and res == 0.0
+    assert is_involution(conjugation(3)) == (True, 0.0)
 
 
 def test_predicates_on_scattering_tau():
     # the closed-form tau at kx = pi/4 is Hermitian but not an involution
     k, x = 1.0, np.pi / 4
-    tau = AntilinearOp(np.array([[0.0, -1.0], [-1.0, -2.0 * np.exp(2j * k * x)]]))
-    herm, _ = is_hermitian(tau)
-    inv, res = is_involution(tau)
-    assert herm
+    K = np.array([[0.0, -1.0], [-1.0, -2.0 * np.exp(2j * k * x)]])
+    inv, res = is_involution(AntilinearOp(K))
+    assert np.array_equal(K, K.T)
     assert not inv and res > 0.1
 
 
@@ -164,7 +143,7 @@ def test_involution_implies_self_inverse():
     K = q @ np.diag([1.0, 1.0, -1.0, -1.0]) @ q.T  # real symmetric orthogonal
     L = AntilinearOp(K)
     assert is_involution(L)[0]
-    assert np.max(np.abs(inverse_antilinear(L).matrix - L.matrix)) < 1e-12
+    assert np.max(np.abs(np.conj(np.linalg.inv(K)) - K)) < 1e-12
 
 
 def test_antiunitary_involution_is_hermitian():
@@ -172,7 +151,6 @@ def test_antiunitary_involution_is_hermitian():
     for _ in range(10):
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         K = q @ np.diag(rng.choice([-1.0, 1.0], size=5)) @ q.T
-        L = AntilinearOp(K)
-        assert is_antiunitary(L)[1] <= 1e-12
-        assert is_involution(L)[1] <= 1e-12
-        assert is_hermitian(L)[1] <= 1e-12
+        assert np.linalg.norm(K.conj().T @ K - np.eye(5)) <= 1e-12
+        assert is_involution(AntilinearOp(K))[1] <= 1e-12
+        assert np.linalg.norm(K - K.T) <= 1e-12 * np.linalg.norm(K)

@@ -63,6 +63,12 @@ def cluster_diagonal(raw, tol):
 
 
 class TestClusterEigenvalues:
+    @pytest.mark.parametrize("raw", [[], [1.0, np.nan]], ids=["empty", "nan"])
+    def test_empty_or_non_finite_values_are_refused(self, raw):
+        # unchecked, a NaN value comes back as a NaN center
+        with pytest.raises(ValueError, match="raw must hold one or more eigenvalues, all finite"):
+            cluster_eigenvalues(raw, 1e-8, np.eye(len(raw)), np.eye(len(raw)))
+
     def test_basic_merge(self):
         out = cluster_diagonal([1.0, 1.0 + 1e-14, 2.0], 1e-10)
         assert out.centers == (pytest.approx(1.0), pytest.approx(2.0))
@@ -275,7 +281,8 @@ class TestJordanChains:
 
         Hs = np.random.default_rng(6).standard_normal((3, 4, 4)) + 0j
         monkeypatch.setattr(blockdiag, "_canonical_gauge", refuse_third)
-        block = blockdiag.decompose_stack(Hs, blockdiag.DEFAULT_TOL, fro_rows(Hs))
+        block = blockdiag.decompose_stack(Hs, blockdiag.DEFAULT_TOL, fro_rows(Hs),
+                                          eigensystem_stack(Hs))
         assert list(block.errors) == [0] and block.rows == [1, 2]
         assert isinstance(block.errors[0], JordanStructureError)
         assert str(block.errors[0]) == "chain head is zero or not finite"
@@ -378,6 +385,21 @@ class TestFromChainsAcceptance:
         H[0, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             from_chains(H, [1.0, 2.0], [[[self.e1]], [[self.e2]]])
+
+    # each is refused before any arithmetic, which would drop an extra
+    # center, fail in a reshape on a missing one, give a NaN reconstruction
+    # for a non-finite center and a failed SVD for a NaN chain entry
+    @pytest.mark.parametrize("centers, chain_sets, match", [
+        ([1.0, 2.0, 3.0], [[[e1]], [[e2]]], "centers must be 2 finite values"),
+        ([1.0], [[[e1]], [[e2]]], "centers must be 2 finite values"),
+        ([np.inf, 2.0], [[[e1]], [[e2]]], "centers must be 2 finite values"),
+        ([np.nan, 2.0], [[[e1]], [[e2]]], "centers must be 2 finite values"),
+        ([1.0, 2.0], [[[np.array([np.nan, 0.0])]], [[e2]]],
+         "chain_sets must give 2 finite columns of dimension 2"),
+    ], ids=["extra-center", "missing-center", "inf-center", "nan-center", "nan-chain-entry"])
+    def test_malformed_centers_or_chains_are_refused(self, centers, chain_sets, match):
+        with pytest.raises(ValueError, match=match):
+            from_chains(self.H, centers, chain_sets)
 
 
 class TestBiorthonormalComplement:

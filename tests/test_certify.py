@@ -20,10 +20,7 @@ from pseudospec.certify import (
     decide,
     decide_many,
     residual_commute_antilinear,
-    residual_hermitian_metric,
     residual_intertwine_antilinear,
-    residual_intertwine_linear,
-    residual_involution,
 )
 from pseudospec.linalg import fro
 from pseudospec.symmetry import classify_spectrum
@@ -55,14 +52,15 @@ class TestResiduals:
 
     def test_constant_metrics_of_the_example_families(self):
         H = scatter_hamiltonian(0.7, 1.3)
-        assert residual_hermitian_metric(H, np.diag([1.0, -1.0])) == (0.0, 0.0)
+        eta = np.diag([1.0, -1.0])
+        assert np.array_equal(H.conj().T @ eta, eta @ H)
         # two-band model at several couplings: sigma3 (spin-major) is exact
         from pseudospec.truncated import ModelSpec, build_H
 
         for w in (0.5, 1.0, 1.5, 2.0, 3.0):
             spec = ModelSpec((1.0, 4.0), w)
-            eta = np.kron(np.diag([1.0, -1.0]), np.eye(2))
-            assert residual_hermitian_metric(build_H(spec), eta) == (0.0, 0.0)
+            H, eta = build_H(spec), np.kron(np.diag([1.0, -1.0]), np.eye(2))
+            assert np.array_equal(H.conj().T @ eta, eta @ H)
 
 
 def _complex_5x5(rng):
@@ -80,17 +78,10 @@ class TestResidualFormulas:
         scale = fro(H) * fro(K)
         assert residual_intertwine_antilinear(H, L) == fro(H.conj().T @ K - K @ np.conj(H)) / scale
         assert residual_commute_antilinear(H, L) == fro(H @ K - K @ np.conj(H)) / scale
-        assert residual_involution(L) == fro(K @ np.conj(K) - np.eye(5))
-        assert residual_hermitian_metric(H, K) == (
-            fro(K - K.conj().T) / fro(K), fro(H.conj().T @ K - K @ H) / scale
-        )
-        assert residual_intertwine_linear(H, K) == fro(H.conj().T @ K - K @ H) / scale
 
     @pytest.mark.parametrize("residual, wrap", [
         (residual_intertwine_antilinear, AntilinearOp),
         (residual_commute_antilinear, AntilinearOp),
-        (residual_hermitian_metric, np.asarray),
-        (residual_intertwine_linear, np.asarray),
     ])
     def test_dimension_mismatch_raises(self, residual, wrap):
         rng = np.random.default_rng(7)

@@ -409,6 +409,15 @@ class TestOneFailureChannel:
         assert cert.verdict == INCONCLUSIVE
         assert cert.diagnostics == "chain head is zero or not finite"
 
+    def test_non_finite_cluster_center_is_inconclusive(self):
+        # the eigenvalues of an all-1e308 matrix overflow, and a cluster is
+        # centered at inf+nanj: the staircase's SVD fails on it, and that
+        # LinAlgError ends the row, where a ValueError would escape decide
+        with np.errstate(over="ignore", invalid="ignore"):
+            cert = decide(np.full((4, 4), 1e308))
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.diagnostics == "SVD did not converge"
+
     def test_overflowing_row_beside_finite_rows(self):
         rows = list(np.random.default_rng(5).standard_normal((5, 2, 2)))
         rows.insert(2, overflowing_j2())
