@@ -31,7 +31,7 @@ from .certify import (
     residual_commute_antilinear,
     residual_intertwine_antilinear,
 )
-from .linalg import EigensolveError, SingularMatrixError, inverse
+from .linalg import EigensolveError
 from .symmetry import (
     PairingError,
     SpectralLabeling,

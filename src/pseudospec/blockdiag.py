@@ -59,7 +59,6 @@ from .linalg import (
     eigensystem_stack,
     fro,
     fro_rows,
-    inverse_and_cond_stack,
     rows_of,
 )
 
@@ -209,14 +208,18 @@ def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
     skipped, as is a midpoint that a rejected SVD nearby already settles:
     ``sigma_min(H - zI)`` is 1-Lipschitz in ``z``.  Cluster centers are the
     member means.  Input is sorted lexicographically by (Re, Im) first, so
-    the result does not depend on the eigensolver's output order.
+    the result does not depend on the eigensolver's output order.  Raises
+    ValueError, before any arithmetic, unless ``raw`` holds n finite values
+    and ``H`` and ``vectors`` are both n x n.
     """
     vals = np.asarray(raw, dtype=complex).ravel()
     if vals.size == 0 or not np.isfinite(vals).all():
         raise ValueError("raw must hold one or more eigenvalues, all finite")
     _check_tol("tol", tol)
-    H = np.asarray(H)
-    vectors = np.asarray(vectors)
+    H, vectors = np.asarray(H), np.asarray(vectors)
+    for name, M in (("H", H), ("vectors", vectors)):
+        if M.shape != (vals.size, vals.size):
+            raise ValueError(f"{name} must be n x n for the n = {vals.size} values, got {M.shape}")
     scale = np.array([fro(H)])
     screen = _merge_screen(vals[None], _condition_numbers(vectors[None]), np.array([tol]), scale)
     (centers,), (sizes,), _, errors = _clusters(screen, H[None])
@@ -655,12 +658,13 @@ def from_chains(H, centers, chain_sets) -> BlockDiagonalization:
 def _assemble(Hs, scale, real, A, spectra) -> _Decomposed:
     """:func:`from_chains` for each row of a stack, given its matrices
     ``Hs``, ``|H|_F``, realness, spectra and Jordan bases ``A``, columns
-    in canonical order.  H0 is set from the flat arrays, and one stacked
-    SVD and inversion serve all bases.  A row whose basis has ``cond(A)``
-    above :data:`COND_LIMIT`, or not finite, gets an
-    :class:`IllConditionedBasisError`; a basis singular to working
-    tolerance is one of them.  Returns the arrays of the other rows and
-    the errors as a :class:`_Decomposed`, rows numbered as in ``Hs``."""
+    in canonical order.  H0 is set from the flat arrays.  One stacked SVD
+    gives every ``cond(A)``, infinite for a singular basis, and this is the
+    one rule on a Jordan basis: a row with ``cond(A)`` above
+    :data:`COND_LIMIT`, or not finite, gets an
+    :class:`IllConditionedBasisError`, and one stacked inversion serves
+    the others.  Returns the arrays of the other rows and the errors as a
+    :class:`_Decomposed`, rows numbered as in ``Hs``."""
     m, n = A.shape[:2]
     # H0 holds each slot's cluster value on the diagonal and a 1 above
     # every slot that is not a chain head, set for the whole block at once
@@ -670,14 +674,16 @@ def _assemble(Hs, scale, real, A, spectra) -> _Decomposed:
     link = np.ones((m, n))
     link.flat[spectra.lengths.cumsum() - spectra.lengths] = 0.0  # the chain heads
     entries[:, 1::n + 1] = link[:, 1:]
-    A_inv, regular, cond = inverse_and_cond_stack(A)
-    good = cond <= COND_LIMIT  # so regular: COND_LIMIT < 1 / SINGULARITY_CUTOFF
+    s = np.linalg.svd(A, compute_uv=False)
+    cond = np.divide(s[:, 0], s[:, -1], out=np.full(m, np.inf), where=s[:, -1] != 0.0)
+    good = cond <= COND_LIMIT
     errors = {k: IllConditionedBasisError(
         f"Jordan basis condition number {c:.3e} exceeds limit {COND_LIMIT:.1e}")
         for k, (g, c) in enumerate(zip(good.tolist(), cond.tolist())) if not g}
     if errors:  # also inf and NaN
-        A_inv, spectra = A_inv[good[regular]], spectra.take(good)
+        spectra = spectra.take(good)
         Hs, scale, real, A, H0, cond = (a[good] for a in (Hs, scale, real, A, H0, cond))
+    A_inv = np.linalg.inv(A) if len(A) else A  # no row left to invert
     recon = fro_rows(Hs - A @ H0 @ A_inv) / np.where(scale != 0.0, scale, 1.0) if len(A) else scale
     return _Decomposed(errors, good.nonzero()[0].tolist(), spectra, A, A_inv, H0, recon, cond, real)
 

@@ -7,7 +7,9 @@ the analysis breaks down, or 3 on an input error, which includes an H
 beyond the float range.  Every command exits 3 on a malformed command
 line and on a file it cannot read or write.  Sweep commands emit CSV with
 a fixed column order; float cells use shortest round-trip repr, so
-identical inputs give byte-identical output.
+identical inputs give byte-identical output on one numpy and BLAS build at
+one BLAS thread count (``OPENBLAS_NUM_THREADS``): another thread count can
+change the last bits of a LAPACK result.
 
 The sweeps form their rows from the arrays of each decided block of
 samples (:func:`certify._decide_blocks`): verdicts, residuals, spectra and

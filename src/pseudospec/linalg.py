@@ -2,14 +2,13 @@
 
 Everything downstream (Jordan structure, symmetry synthesis, certificates)
 is built on the primitives here: input validation, one eigensolve for
-values and unit vectors, inversion checked against a condition number from
-one SVD, and the Frobenius norm.  All operators are dense complex numpy
-arrays; the one tolerance, the singularity cutoff, is relative to the
-largest singular value.  The eigensolve, the inversion and the norm also
-take an (m, n, n) stack and treat its rows as separate matrices, bit for
-bit equal to one call per row.  A row with no imaginary part is
-eigensolved in real arithmetic, so that real input keeps its exact
-conjugate symmetry.
+values and unit vectors, and the Frobenius norm.  All operators are dense
+complex numpy arrays.  The eigensolve and the norm also take an (m, n, n)
+stack and treat its rows as separate matrices, bit for bit equal to one
+call per row.  A row with no imaginary part is eigensolved in real
+arithmetic, so that real input keeps its exact conjugate symmetry.
+Which Jordan bases are inverted, and how, is decided in one place,
+:mod:`pseudospec.blockdiag`.
 """
 from __future__ import annotations
 
@@ -17,21 +16,9 @@ import numpy as np
 
 EPS = float(np.finfo(np.float64).eps)
 
-#: smallest-to-largest singular value ratio below which a matrix is treated
-#: as singular by :func:`inverse`
-SINGULARITY_CUTOFF = 1e3 * EPS
-
 
 class EigensolveError(RuntimeError):
     """The QR iteration failed to converge."""
-
-
-class SingularMatrixError(np.linalg.LinAlgError):
-    """Input is singular to working tolerance.  Carries a condition estimate."""
-
-    def __init__(self, message: str, cond_estimate: float = float("inf")):
-        super().__init__(message)
-        self.cond_estimate = cond_estimate
 
 
 def _check_tol(name: str, value: float) -> None:
@@ -128,34 +115,3 @@ def eigensystem_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if not norms.all():
         raise EigensolveError("eigensolver returned a zero vector")
     return values, vectors / norms[..., None, :], real
-
-
-def inverse_and_cond_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverses and 2-norm condition numbers of the rows of a validated
-    (m, n, n) stack, n >= 1, from one stacked SVD and one stacked inversion.
-
-    Returns the inverses of the rows that are not singular to working
-    tolerance, those rows as a boolean mask, and every row's condition
-    estimate.
-    """
-    s = np.linalg.svd(A, compute_uv=False)
-    smax, smin = s[:, 0], s[:, -1]
-    regular = (smin > SINGULARITY_CUTOFF * smax) & (smax != 0.0)
-    est = np.divide(smax, smin, out=np.zeros(len(s)) + np.inf, where=smin != 0.0)
-    return np.linalg.inv(A if regular.all() else A[regular]), regular, est
-
-
-def inverse(M) -> np.ndarray:
-    """Matrix inverse with an explicit singularity check: raises
-    :class:`SingularMatrixError` (carrying the condition estimate) when the
-    smallest singular value is below ``SINGULARITY_CUTOFF`` times the
-    largest."""
-    A = as_matrix(M)
-    if A.size == 0:
-        return A.copy()
-    inv, regular, est = inverse_and_cond_stack(A[None])
-    if not regular[0]:
-        raise SingularMatrixError(
-            f"matrix is singular to working tolerance (cond >= {est[0]:.3e})", float(est[0])
-        )
-    return inv[0]

@@ -37,7 +37,7 @@ import numpy as np
 
 from .antilinear import AntilinearOp
 from .blockdiag import BlockDiagonalization, block_diagonalize, from_chains
-from .linalg import as_matrix, inverse
+from .linalg import as_matrix
 from .symmetry import SymmetryOperators, operators_from, synthesize_operators
 
 SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -228,28 +228,34 @@ def barrier_transfer(spec: PotentialSpec, x_minus: float, x: float) -> np.ndarra
     return np.diag([np.exp(-1j * k * x), np.exp(1j * k * x)]) @ U
 
 
-def closed_form_jordan_basis(x: float, k: float, v: float = 1.0) -> np.ndarray:
-    """Reference Jordan basis of H(x): columns are the eigenvector
-    ``exp(-ikx sigma3) (1, -1)^T`` and the chain tail scaled so that
-    ``H tail = head`` holds for the given v (the natural tail picks up the
-    factor 2k/v)."""
-    if v == 0.0:
-        raise ValueError("the chain basis degenerates at v = 0")
+def closed_form_jordan_basis(x: float, k: float, v: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Reference Jordan basis A of H(x) and inv(A), both in closed form.
+
+    The columns of A are the eigenvector ``exp(-ikx sigma3) (1, -1)^T``
+    and the chain tail scaled so that ``H tail = head`` holds for the
+    given v (the natural tail picks up the factor 2k/v), and
+    ``inv(A) = diag(1, v/2k) [[0, -1], [1, 1]] exp(ikx sigma3)``.  The
+    phases of inv(A) are taken from ``kx`` itself; a square root of
+    ``exp(-2ikx)`` would flip their sign once ``|kx| > pi/2``."""
+    if v == 0.0 or k == 0.0:
+        raise ValueError("the chain basis degenerates at v = 0 and at k = 0")
     D = np.diag([np.exp(-1j * k * x), np.exp(1j * k * x)])
     F = np.array([[1.0, 1.0], [-1.0, 0.0]])
-    return D @ F @ np.diag([1.0, 2.0 * k / v])
+    F_inv = np.array([[0.0, -1.0], [1.0, 1.0]])
+    D_inv = np.diag(np.exp([1j * k * x, -1j * k * x]))
+    return D @ F @ np.diag([1.0, 2.0 * k / v]), np.diag([1.0, v / (2.0 * k)]) @ F_inv @ D_inv
 
 
 def closed_form_operators(x: float, k: float) -> SymmetryOperators:
     """The closed-form witness set of H(x), independent of v up to the
     real scale of tau: S flips the one length-2 chain, its index map swaps
     the two slots, C0 = I fixes them, and the rest follows from the two
-    maps and the reference basis by
+    maps and inv(A) of the closed-form reference basis A by
     :func:`~pseudospec.symmetry.operators_from`."""
     u = np.exp(-2j * k * x)
     tau = AntilinearOp(np.array([[0.0, -1.0], [-1.0, -2.0 / u]]))
     X = AntilinearOp(np.diag([u, 1.0 / u]))
-    A_inv = inverse(closed_form_jordan_basis(x, k))
+    A_inv = closed_form_jordan_basis(x, k)[1]
     return operators_from(np.array([1, 0]), np.array([0, 1]), A_inv, tau, X)
 
 
@@ -275,7 +281,7 @@ def pipeline_operators_reference_gauge(
     if abs(table.clusters[0].value) > 1e-8:
         raise RuntimeError("cluster center strayed from zero")
 
-    A_ref = closed_form_jordan_basis(x, k, v)
+    A_ref = closed_form_jordan_basis(x, k, v)[0]
     head_pipe = bd.A[:, 0]
     head_ref = A_ref[:, 0] / np.linalg.norm(A_ref[:, 0])
     overlap = abs(np.vdot(head_ref, head_pipe))

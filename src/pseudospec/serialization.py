@@ -4,7 +4,10 @@ Matrices travel as ``{"rows": r, "cols": c, "entries": [[re, im], ...]}``
 in row-major order; complex numbers are always [re, im] pairs, never
 strings.  Serialization is deterministic (fixed key order, shortest
 round-trip float formatting) so identical inputs produce byte-identical
-documents, and parse -> serialize round-trips are lossless.
+documents, and parse -> serialize round-trips are lossless.  A
+certificate's numbers come from LAPACK, whose last bits can change with
+the numpy and BLAS build and the BLAS thread count; identical input gives
+identical bytes when both are fixed.
 """
 from __future__ import annotations
 

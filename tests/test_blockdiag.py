@@ -4,15 +4,19 @@ import pytest
 from pseudospec import blockdiag
 from pseudospec.certify import INCONCLUSIVE, NOT_PSEUDO_HERMITIAN, PSEUDO_HERMITIAN, decide
 from pseudospec.blockdiag import (
+    COND_LIMIT,
+    BlockSpectra,
+    EigenCluster,
     IllConditionedBasisError,
     JordanStructureError,
+    SpectralTable,
     biorthonormal_complement,
     block_diagonalize,
     cluster_eigenvalues,
     from_chains,
     jordan_chains,
 )
-from pseudospec.linalg import EigensolveError, eigensystem, eigensystem_stack, fro, fro_rows
+from pseudospec.linalg import EPS, EigensolveError, eigensystem, eigensystem_stack, fro, fro_rows
 from pseudospec.truncated import ModelSpec, build_H, closed_form_block_diagonalization
 
 
@@ -68,6 +72,17 @@ class TestClusterEigenvalues:
         # unchecked, a NaN value comes back as a NaN center
         with pytest.raises(ValueError, match="raw must hold one or more eigenvalues, all finite"):
             cluster_eigenvalues(raw, 1e-8, np.eye(len(raw)), np.eye(len(raw)))
+
+    # unchecked, a larger H and vectors gave a result, a smaller vectors
+    # an IndexError inside numpy, and a non-square H was accepted
+    @pytest.mark.parametrize("raw, H, vectors, name", [
+        ([1.0, 2.0], np.eye(3), np.eye(3), "H"),
+        ([1.0, 2.0, 3.0], np.eye(3), np.eye(2), "vectors"),
+        ([1.0, 2.0], np.ones((2, 3)), np.eye(2), "H"),
+    ], ids=["larger-H-and-vectors", "smaller-vectors", "non-square-H"])
+    def test_H_and_vectors_must_match_the_values(self, raw, H, vectors, name):
+        with pytest.raises(ValueError, match=f"^{name} must be n x n for the n = {len(raw)} values"):
+            cluster_eigenvalues(raw, 0.1, H, vectors)
 
     def test_basic_merge(self):
         out = cluster_diagonal([1.0, 1.0 + 1e-14, 2.0], 1e-10)
@@ -379,6 +394,34 @@ class TestFromChainsAcceptance:
     def test_basis_beyond_the_condition_limit_is_refused(self, tail):
         with pytest.raises(IllConditionedBasisError, match="exceeds limit 1.0e[+]12"):
             from_chains(self.H, [1.0, 2.0], [[[self.e1]], [[self.e1 + tail * self.e2]]])
+
+    def test_refused_basis_is_never_inverted(self, monkeypatch):
+        # cond 2e12 lies between COND_LIMIT and 1 / (1e3 eps), about 4.5e12,
+        # which an explicit inversion would still accept: the one rule on
+        # cond(A) refuses it before any inversion
+        tail = self.e1 + 1e-12 * self.e2
+        assert COND_LIMIT < np.linalg.cond(np.column_stack((self.e1, tail))) < 1 / (1e3 * EPS)
+        invs = count_calls(monkeypatch, np.linalg, "inv")
+        with pytest.raises(IllConditionedBasisError, match="exceeds limit 1.0e[+]12"):
+            from_chains(self.H, [1.0, 2.0], [[[self.e1]], [[tail]]])
+        assert invs == []
+
+    def test_mixed_block_inverts_only_its_accepted_rows(self, monkeypatch):
+        # a well-conditioned basis, one at cond 2e12, another and a singular
+        # one: inv sees rows 0 and 2 alone, in one call, and each keeps the
+        # bits of its own inversion
+        A = np.array([np.eye(2), [[1.0, 1.0], [0.0, 1e-12]], [[1.0, 0.5], [0.0, 1.0]],
+                      [[1.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        Hs = np.stack([self.H] * 4)
+        table = SpectralTable((EigenCluster(1.0, (1,)), EigenCluster(2.0, (1,))))
+        invs = count_calls(monkeypatch, np.linalg, "inv")
+        block = blockdiag._assemble(Hs, fro_rows(Hs), np.ones(4, dtype=bool), A,
+                                    BlockSpectra.of([table] * 4))
+        assert block.rows == [0, 2] and sorted(block.errors) == [1, 3]
+        assert all(isinstance(e, IllConditionedBasisError) for e in block.errors.values())
+        assert len(invs) == 1 and np.array_equal(invs[0][0], A[[0, 2]])
+        for r, row in enumerate((0, 2)):
+            assert block.A_inv[r].tobytes() == np.linalg.inv(A[row]).tobytes()
 
     def test_non_finite_H_is_refused(self):
         H = self.H.copy()

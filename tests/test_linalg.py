@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudospec.linalg import (
-    SingularMatrixError,
-    eigensystem,
-    eigensystem_stack,
-    fro,
-    fro_rows,
-    inverse,
-)
+from pseudospec.linalg import eigensystem, eigensystem_stack, fro, fro_rows
 
 
 def random_similarity(rng, n, spread=(0.5, 2.0)):
@@ -67,32 +60,6 @@ def test_eigensystem_rejects_non_square():
         eigensystem(np.ones((2, 3)))
     with pytest.raises(ValueError):
         eigensystem(np.array([[np.nan, 0], [0, 1]]))
-
-
-def test_inverse_identity_and_frozen_example():
-    assert np.allclose(inverse(np.eye(2)), np.eye(2))
-    F = np.array([[1.0, 1.0], [-1.0, 0.0]])
-    assert np.max(np.abs(inverse(F) - np.array([[0.0, -1.0], [1.0, 1.0]]))) < 1e-14
-
-
-def test_inverse_residual_random():
-    rng = np.random.default_rng(5)
-    M = random_similarity(rng, 8)
-    assert fro(M @ inverse(M) - np.eye(8)) < 1e-10
-
-
-def test_inverse_involution_property():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        M = random_similarity(rng, 5)
-        c = np.linalg.cond(M)
-        assert fro(inverse(inverse(M)) - M) <= 1e-9 * c**2 * max(fro(M), 1.0)
-
-
-def test_inverse_rejects_singular_with_condition_estimate():
-    with pytest.raises(SingularMatrixError) as err:
-        inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert err.value.cond_estimate > 1e12
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])

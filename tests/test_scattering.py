@@ -10,7 +10,7 @@ from pseudospec.certify import (
     residual_commute_antilinear,
     residual_intertwine_antilinear,
 )
-from pseudospec.linalg import fro, inverse
+from pseudospec.linalg import fro
 from pseudospec.scattering import (
     PotentialSpec,
     RectangularBarrier,
@@ -175,16 +175,39 @@ class TestClosedForms:
             assert residual_commute_antilinear(H, ops.X) < 1e-12
             assert is_involution(ops.X)[0]
 
+    # kx = 2 and -9.25 lie beyond pi/2, where a square root of exp(-2ikx)
+    # would take the other branch
+    @pytest.mark.parametrize("x, k, v", [(0.0, 1.0, 1.0), (0.3, 1.0, 2.0), (np.pi / 4, 2.0, 1.0),
+                                         (1.0, 0.5, -0.7), (2.0, 1.0, 1.0), (-2.5, 3.7, 0.3)])
+    def test_inverse_basis_inverts_the_basis(self, x, k, v):
+        A, Ainv = closed_form_jordan_basis(x, k, v)
+        assert np.max(np.abs(Ainv @ A - np.eye(2))) <= 1e-15
+        assert np.max(np.abs(A @ Ainv - np.eye(2))) <= 1e-15
+
+    def test_basis_frozen_example(self):
+        # at x = 0 and k = v/2 the basis is F = [[1, 1], [-1, 0]], exactly
+        A, Ainv = closed_form_jordan_basis(0.0, 0.5)
+        assert np.array_equal(A, [[1.0, 1.0], [-1.0, 0.0]])
+        assert np.array_equal(Ainv, [[0.0, -1.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("k, v", [(0.0, 1.0), (1.0, 0.0)])
+    def test_basis_degenerates_at_zero_k_or_v(self, k, v):
+        with pytest.raises(ValueError, match="degenerates"):
+            closed_form_jordan_basis(0.3, k, v)
+        if v:
+            with pytest.raises(ValueError, match="degenerates"):
+                closed_form_operators(0.3, k)
 
     @pytest.mark.parametrize("x, k", [(0.0, 1.0), (0.3, 1.0), (np.pi / 4, 2.0), (1.0, 0.5),
                                       (-2.5, 3.7)])
     def test_witness_set_is_the_written_out_products(self, x, k):
         # S flips the one length-2 chain and C0 = I; the rest are their
-        # products with the inverse of the reference basis, bit for bit.
-        # S, C0 and eta0 are real, as the pipeline's; the other six complex
+        # products with the closed-form inverse of the reference basis, bit
+        # for bit.  S, C0 and eta0 are real, as the pipeline's; the other
+        # six complex
         u = np.exp(-2j * k * x)
         S, C0 = SIGMA_1, np.eye(2)
-        Ainv = inverse(closed_form_jordan_basis(x, k))
+        Ainv = closed_form_jordan_basis(x, k)[1]
         eta0 = S @ C0
         eta = Ainv.conj().T @ eta0 @ Ainv
         want = {"S": S, "Theta": np.eye(2, dtype=complex), "tau0": S.astype(complex), "C0": C0,
