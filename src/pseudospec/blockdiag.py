@@ -20,7 +20,10 @@ a Jordan chain that rounding split is one cluster again (Edelman, Elmroth &
 Kagstrom, SIAM J. Matrix Anal. Appl. 18, 1997).  Its eigenvectors are the
 basis columns of every simple, well-separated cluster.  Every other cluster
 runs the SVD rank staircase of Kagstrom & Ruhe (ACM TOMS 6, 1980) on
-``H - E``.  With no close clusters a decomposition therefore costs O(n^3):
+``H - E``, which stops as soon as its kernel holds the cluster's
+eigenvalue count: a cluster whose longest chain is q costs q SVDs, and a
+QR only where descended chain links join a kernel basis, below the top
+power.  With no close clusters a decomposition therefore costs O(n^3):
 one eigensolve, one inversion of the eigenvectors, and one SVD plus one
 inversion of ``A``, whose inverse and condition number travel with the
 result.
@@ -341,10 +344,14 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> list[list]:
     return [list(a) + [0] * (n - len(a)) for a in zip(*clusters)]
 
 
-def _kernel_staircase(N: np.ndarray, tol: float, center: complex):
-    """Kernel bases of N^0, N, N^2, ... up to the power q at which they
-    stabilize, as one list ``[ker N^0, ..., ker N^q]``, and the one cutoff
-    of every rank decision, for ``N = H - center``.
+def _kernel_staircase(N: np.ndarray, tol: float, center: complex, size: int):
+    """Kernel bases of N^0, N, N^2, ... up to the first power q whose kernel
+    holds ``size`` dimensions or more, or at which they stop growing, as one
+    list ``[ker N^0, ..., ker N^q]``, and the one cutoff of every rank
+    decision, for ``N = H - center``.  ``size`` is the cluster's eigenvalue
+    count, so a cluster whose longest chain is q costs q SVDs, with no SVD
+    that only confirms the kernel has stopped growing; at ``size = n`` the
+    staircase runs until nothing is left to deflate.
 
     No power of N is formed.  The staircase deflates instead (Golub &
     Wilkinson, SIAM Rev. 18, 1976; Kagstrom & Ruhe, ACM TOMS 6, 1980): x
@@ -376,7 +383,7 @@ def _kernel_staircase(N: np.ndarray, tol: float, center: complex):
                 )
             return kernels, cutoff
         kernels.append(vh[n - k:, :].conj().T)
-        if k == n:  # nothing is left to deflate
+        if k >= size:  # the cluster is spanned, or overshot, which the caller refuses
             return kernels, cutoff
         _, s, vh = np.linalg.svd(vh[:n - k] @ N)
 
@@ -416,24 +423,34 @@ def _gauged(factor, *chain: np.ndarray) -> list[np.ndarray]:
     return [factor * v for v in chain]
 
 
-def jordan_chains(H, center, tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]:
+def jordan_chains(H, center, tol: float = DEFAULT_TOL,
+                  size: int | None = None) -> list[list[np.ndarray]]:
     """Jordan chains of ``H`` at an eigenvalue cluster center.
 
     Returns a list of chains, each chain a list ``[v_1, ..., v_p]`` with
     ``(H - E) v_1 ~ 0`` and ``(H - E) v_i = v_{i-1}`` exactly by
     construction for ``i >= 2``.  Chains are built top-down from the
-    staircase of :func:`_kernel_staircase`: at each power l, from the
-    largest down, every open chain descends one link by ``N``, and the new
-    tops are a basis of ``ker N^l`` modulo ``ker N^{l-1}`` and those links.
-    Each link is formed once, and one call of :func:`_canonical_gauge`
-    gauges every chain head.
+    staircase of :func:`_kernel_staircase`, which stops once the kernel
+    holds ``size`` dimensions, the cluster's eigenvalue count (default n:
+    it stops when the kernel stops growing).  A kernel that passes
+    ``size`` gives chains whose lengths sum past it.  At each power l, from
+    the largest down, every open chain descends one link by ``N``, and the
+    new tops are a basis of ``ker N^l`` modulo ``ker N^{l-1}`` and those
+    links.  At the largest power no link has joined the kernel basis,
+    whose columns are orthonormal from its SVD, so only the lower powers
+    run a QR.  Each link is formed once, and one call of
+    :func:`_canonical_gauge` gauges every chain head.
     """
     A = as_matrix(H)
     _check_tol("tol", tol)
     n = A.shape[0]
+    if size is None:
+        size = n
+    elif not (isinstance(size, (int, np.integer)) and 1 <= size <= n):
+        raise ValueError(f"size must be an integer in 1..{n}, got {size!r}")
     center = complex(center)
     N = A - center * np.eye(n)
-    kernels, cutoff = _kernel_staircase(N, tol, center)
+    kernels, cutoff = _kernel_staircase(N, tol, center, size)
 
     q = len(kernels) - 1
     increments = [kernels[l].shape[1] - kernels[l - 1].shape[1] for l in range(1, q + 1)]
@@ -451,10 +468,11 @@ def jordan_chains(H, center, tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]
         want = increments[l - 1] - (increments[l] if l < q else 0)
         if want == 0:
             continue
-        # spans what the new tops must avoid
-        Q = np.concatenate([kernels[l - 1]] + [chain[-1][:, None] for chain in chains], axis=1)
-        if Q.shape[1]:
-            Q, _ = np.linalg.qr(Q)
+        # spans what the new tops must avoid: orthonormal as it comes until
+        # descended links join it
+        Q = kernels[l - 1]
+        if chains:
+            Q, _ = np.linalg.qr(np.concatenate([Q] + [c[-1][:, None] for c in chains], axis=1))
         cands = kernels[l].copy()  # C order: the layout sets how the products round
         for _ in range(want):
             resid = cands - Q @ (Q.conj().T @ cands)
@@ -557,8 +575,8 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray, eigen: tuple)
     candidate gets its clusters from one array expression, and only a row
     with a candidate runs the union-find.  Only a cluster
     that is not simple and well separated runs the staircase, which takes
-    its scale from its own ``H - E`` and ``E``, not from ``|H|_2``, and
-    gauges its chain heads in one call.  Every basis column is scattered
+    its scale from its own ``H - E`` and ``E``, not from ``|H|_2``, stops
+    at the cluster's size and gauges its chain heads in one call.  Every basis column is scattered
     into the block's A, and H0 is set from the flat arrays of
     :class:`BlockSpectra`.
 
@@ -604,7 +622,7 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray, eigen: tuple)
             continue
         center, size, at = complex(centers[i, k]), int(sizes[i, k]), int(col[i, k])
         try:
-            chain_set = jordan_chains(Hs[i], center, tol)
+            chain_set = jordan_chains(Hs[i], center, tol, size)
             p_list = list(map(len, chain_set))
             if sum(p_list) != size:
                 raise JordanStructureError(

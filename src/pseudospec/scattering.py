@@ -236,9 +236,15 @@ def closed_form_jordan_basis(x: float, k: float, v: float = 1.0) -> tuple[np.nda
     given v (the natural tail picks up the factor 2k/v), and
     ``inv(A) = diag(1, v/2k) [[0, -1], [1, 1]] exp(ikx sigma3)``.  The
     phases of inv(A) are taken from ``kx`` itself; a square root of
-    ``exp(-2ikx)`` would flip their sign once ``|kx| > pi/2``."""
+    ``exp(-2ikx)`` would flip their sign once ``|kx| > pi/2``.  Refuses,
+    before any arithmetic, v = 0 and k = 0, where the basis degenerates, a
+    k that :func:`hamiltonian` refuses and an x that is not finite."""
     if v == 0.0 or k == 0.0:
         raise ValueError("the chain basis degenerates at v = 0 and at k = 0")
+    if not 0 < k < np.inf:
+        raise ValueError("wavenumber k must be positive and finite")
+    if not np.isfinite(x):
+        raise ValueError(f"position x must be finite, got {x!r}")
     D = np.diag([np.exp(-1j * k * x), np.exp(1j * k * x)])
     F = np.array([[1.0, 1.0], [-1.0, 0.0]])
     F_inv = np.array([[0.0, -1.0], [1.0, 1.0]])
@@ -251,11 +257,12 @@ def closed_form_operators(x: float, k: float) -> SymmetryOperators:
     real scale of tau: S flips the one length-2 chain, its index map swaps
     the two slots, C0 = I fixes them, and the rest follows from the two
     maps and inv(A) of the closed-form reference basis A by
-    :func:`~pseudospec.symmetry.operators_from`."""
+    :func:`~pseudospec.symmetry.operators_from`.  Refuses x and k as
+    :func:`closed_form_jordan_basis` does."""
+    A_inv = closed_form_jordan_basis(x, k)[1]
     u = np.exp(-2j * k * x)
     tau = AntilinearOp(np.array([[0.0, -1.0], [-1.0, -2.0 / u]]))
     X = AntilinearOp(np.diag([u, 1.0 / u]))
-    A_inv = closed_form_jordan_basis(x, k)[1]
     return operators_from(np.array([1, 0]), np.array([0, 1]), A_inv, tau, X)
 
 

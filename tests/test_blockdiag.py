@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,53 @@ class TestJordanChains:
                 (j,) = np.flatnonzero(values + 0.0 == bd.table.clusters[n].value)
                 (want,) = per_vector_gauge([vectors[:, j]])
                 assert bd.A[:, col].tobytes() == want.tobytes()
+
+
+class TestStaircaseStop:
+    """The staircase stops once its kernel holds the cluster's size: a
+    cluster whose longest chain is q makes q SVDs.  Each H has one more,
+    simple, eigenvalue, so that a staircase run to stabilization, the rule
+    of a direct call without ``size``, makes one SVD more."""
+
+    @staticmethod
+    def behind_a_basis(ps, seed=0):
+        J = jordan_matrix([(0.5, ps), (-1.0, [1])])
+        W = well_conditioned(np.random.default_rng(seed), J.shape[0])
+        return W @ J @ np.linalg.inv(W)
+
+    @pytest.mark.parametrize("ps", [[2], [3], [4], [5], [3, 1], [1, 1]],
+                             ids=["J2", "J3", "J4", "J5", "J3+J1", "semisimple-double"])
+    def test_a_cluster_with_longest_chain_q_makes_q_svds(self, monkeypatch, ps):
+        H = self.behind_a_basis(ps)
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        stopped = jordan_chains(H, 0.5, size=sum(ps))
+        assert len(svds) == max(ps)
+        assert [len(c) for c in stopped] == ps
+        # without size the staircase confirms with one more SVD, and the
+        # chains keep every bit
+        full = jordan_chains(H, 0.5)
+        assert len(svds) == 2 * max(ps) + 1
+        assert ([[v.tobytes() for v in c] for c in full]
+                == [[v.tobytes() for v in c] for c in stopped])
+
+    def test_decompose_passes_each_cluster_its_size(self, monkeypatch):
+        calls = count_calls(monkeypatch, blockdiag, "jordan_chains")
+        bd = block_diagonalize(self.behind_a_basis([3, 1]))
+        assert [c.p_list for c in bd.table.clusters] == [(1,), (3, 1)]
+        assert [args[3] for args in calls] == [4]
+
+    def test_a_kernel_past_the_size_gives_chains_past_it(self):
+        # J2 + J2 at a size of 3: the kernel jumps from 2 to 4 dimensions,
+        # and decompose_stack refuses the sum 4 as disagreeing with the
+        # clustered eigenvalue count
+        chains = jordan_chains(self.behind_a_basis([2, 2]), 0.5, size=3)
+        assert [len(c) for c in chains] == [2, 2]
+
+    @pytest.mark.parametrize("size", [0, 4, 2.0, "2"])
+    def test_size_must_be_an_integer_in_1_to_n(self, size):
+        with pytest.raises(ValueError, match=re.escape(f"size must be an integer in 1..3, "
+                                                       f"got {size!r}")):
+            jordan_chains(jordan_matrix([(0.5, [2]), (1.0, [1])]), 0.5, size=size)
 
 
 class TestBlockDiagonalize:

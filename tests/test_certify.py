@@ -190,26 +190,29 @@ class TestDecide:
 J2 = np.array([[0.5, 1.0], [0.0, 0.5]])
 
 
+TOL_RANGE = "must be finite and non-negative"
+
+
 @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")],
                          ids=["negative", "nan", "inf"])
-@pytest.mark.parametrize("call, name", [
-    (lambda t: ToleranceProfile(cluster_tol=t), "cluster_tol"),
-    (lambda t: block_diagonalize(J2, tol=t), "tol"),
-    (lambda t: jordan_chains(J2, 0.5, t), "tol"),
-    (lambda t: cluster_eigenvalues([0.5, 0.5], t, J2, np.eye(2)), "tol"),
+@pytest.mark.parametrize("call, refusal", [
+    (lambda t: ToleranceProfile(cluster_tol=t), f"cluster_tol {TOL_RANGE}"),
+    (lambda t: block_diagonalize(J2, tol=t), f"tol {TOL_RANGE}"),
+    (lambda t: jordan_chains(J2, 0.5, t), f"tol {TOL_RANGE}"),
+    (lambda t: jordan_chains(J2, 0.5, size=t), "size must be an integer in 1..2"),
+    (lambda t: cluster_eigenvalues([0.5, 0.5], t, J2, np.eye(2)), f"tol {TOL_RANGE}"),
     (lambda t: classify_spectrum(SpectralTable((EigenCluster(0.5, (2,)),)), real_tol=t),
-     "real_tol"),
+     f"real_tol {TOL_RANGE}"),
     (lambda t: classify_spectrum(SpectralTable((EigenCluster(0.5, (2,)),)), pair_tol=t),
-     "pair_tol"),
-], ids=["ToleranceProfile", "block_diagonalize", "jordan_chains", "cluster_eigenvalues",
-        "classify_spectrum-real_tol", "classify_spectrum-pair_tol"])
-def test_every_public_tolerance_is_refused_out_of_range(call, name, value):
+     f"pair_tol {TOL_RANGE}"),
+], ids=["ToleranceProfile", "block_diagonalize", "jordan_chains", "jordan_chains-size",
+        "cluster_eigenvalues", "classify_spectrum-real_tol", "classify_spectrum-pair_tol"])
+def test_every_public_tolerance_is_refused_out_of_range(call, refusal, value):
     # each refuses as ToleranceProfile does: block_diagonalize(J2, tol=inf)
     # used to return the Jordan structure (1, 1), tol=nan to raise "no
     # numerical kernel", and a negative pair_tol to call every cluster
-    # unpaired
-    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and non-negative, "
-                                                   f"got {value!r}")):
+    # unpaired; the staircase's stop, a cluster size, is refused alike
+    with pytest.raises(ValueError, match=re.escape(f"{refusal}, got {value!r}")):
         call(value)
 
 

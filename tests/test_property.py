@@ -1,11 +1,12 @@
 """Fixed-seed property suite: prescribed Jordan structures, chains up to
-length 6, at every scale from 1e-300 to 1e300.  decide may answer
-``inconclusive``, but it never raises and never gives a wrong firm verdict.
+length 6, at every scale from 1e-300 to 1e300, and spirals of Jordan blocks
+near n = 64.  decide may answer ``inconclusive``, but it never raises and
+never gives a wrong firm verdict.
 """
 import numpy as np
 import pytest
 
-from pseudospec.certify import NOT_PSEUDO_HERMITIAN, PSEUDO_HERMITIAN, decide
+from pseudospec.certify import INCONCLUSIVE, NOT_PSEUDO_HERMITIAN, PSEUDO_HERMITIAN, decide
 from tests.test_blockdiag import jordan_matrix, well_conditioned
 
 KINDS = ("real", "complex_paired", "complex_unpaired")
@@ -93,3 +94,47 @@ def test_no_exception_and_no_wrong_firm_verdict(kind, scale):
         if verdict == wrong:
             faults.append(f"matrix {i}: wrong firm verdict {verdict}")
     assert faults == []
+
+
+def spiral(p, clusters, seed, paired=True):
+    """``H / |H|_F`` for ``H = W J inv(W)``, J of ``clusters`` J_p blocks on
+    a spiral.  Paired: the values ``exp(2 pi i (j + 1/2) / clusters) (1 +
+    j / clusters)``, ``j < clusters / 2``, all in the upper half plane, each
+    with a complex Gaussian basis Z and its conjugate partner with conj(Z),
+    so that H is real up to rounding and is taken real.  Unpaired: every
+    ``j < clusters``, whose conjugates the spiral's growing radius leaves
+    out, each with its own complex Gaussian basis."""
+    rng = np.random.default_rng(seed)
+    n = clusters * p
+    j = np.arange(clusters)
+    values = np.exp(2j * np.pi * (j + 0.5) / clusters) * (1 + j / clusters)
+    groups, bases = [], []
+    for z in values[:clusters // 2] if paired else values:
+        Z = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+        groups.append((complex(z), [p]))
+        bases.append(Z)
+        if paired:
+            groups.append((complex(z).conjugate(), [p]))
+            bases.append(Z.conj())
+    W = np.concatenate(bases, axis=1)
+    H = W @ jordan_matrix(groups) @ np.linalg.inv(W)
+    if paired:
+        H = H.real
+    return H / np.linalg.norm(H)
+
+
+# (p, clusters, paired, seed): J2 and J3 pairs certify with every cluster's
+# chain; the unpaired J2 spiral is refused; J4 pairs may end inconclusive,
+# as seeds 0 and 1 do through false merges into one 16-member and one
+# 64-member cluster (ROADMAP item Q), but never with a wrong firm verdict
+@pytest.mark.parametrize("p, clusters, paired, seed", [
+    (2, 32, True, 0), (3, 20, True, 0), (2, 32, False, 0),
+    (4, 16, True, 0), (4, 16, True, 1), (4, 16, True, 2),
+], ids=["J2-pairs-n64", "J3-pairs-n60", "J2-unpaired-n64", "J4-pairs-n64-seed0",
+        "J4-pairs-n64-seed1", "J4-pairs-n64-seed2"])
+def test_defective_spirals_near_n64(p, clusters, paired, seed):
+    cert = decide(spiral(p, clusters, seed, paired))
+    truth = PSEUDO_HERMITIAN if paired else NOT_PSEUDO_HERMITIAN
+    assert cert.verdict in ((truth, INCONCLUSIVE) if p == 4 else (truth,)), cert.diagnostics
+    if cert.verdict == PSEUDO_HERMITIAN:
+        assert [c.p_list for c in cert.table.clusters] == [(p,)] * clusters

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -197,6 +198,23 @@ class TestClosedForms:
         if v:
             with pytest.raises(ValueError, match="degenerates"):
                 closed_form_operators(0.3, k)
+
+    @pytest.mark.parametrize("x, k, match", [
+        (0.3, -1.0, "wavenumber k must be positive and finite"),
+        (0.3, np.inf, "wavenumber k must be positive and finite"),
+        (0.3, np.nan, "wavenumber k must be positive and finite"),
+        (np.nan, 1.0, "position x must be finite, got nan"),
+        (np.inf, 1.0, "position x must be finite, got inf"),
+    ], ids=["negative-k", "inf-k", "nan-k", "nan-x", "inf-x"])
+    def test_refuses_what_hamiltonian_refuses_before_any_arithmetic(self, x, k, match):
+        # a negative k gave a finite witness set for an H(x) that hamiltonian
+        # refuses, and a non-finite x or k reached AntilinearOp's "matrix
+        # entries must be finite" after a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (closed_form_jordan_basis, closed_form_operators):
+                with pytest.raises(ValueError, match=re.escape(match)):
+                    call(x, k)
 
     @pytest.mark.parametrize("x, k", [(0.0, 1.0), (0.3, 1.0), (np.pi / 4, 2.0), (1.0, 0.5),
                                       (-2.5, 3.7)])
