@@ -18,7 +18,8 @@ rule: two join when they lie within ``tol |H|_F``, or when their first-order
 perturbation discs overlap and one pseudospectral component holds both, so
 a Jordan chain that rounding split is one cluster again (Edelman, Elmroth &
 Kagstrom, SIAM J. Matrix Anal. Appl. 18, 1997).  Its eigenvectors are the
-basis columns of every simple, well-separated cluster.  Every other cluster
+basis columns of every simple cluster, one that the rule leaves with one
+member, whose eigenvector passes the residual check.  Every other cluster
 runs the SVD rank staircase of Kagstrom & Ruhe (ACM TOMS 6, 1980) on
 ``H - E``, which stops as soon as its kernel holds the cluster's
 eigenvalue count: a cluster whose longest chain is q costs q SVDs, and a
@@ -41,7 +42,7 @@ first significant component real positive.  That fixes the per-chain scale
 and phase; the residual in-chain mixing freedom is resolved
 deterministically by the top-down construction below.  The rule runs in
 array form, once per stack of heads: once per decomposed block for all its
-simple, well-separated heads and once per staircase cluster for its
+simple heads and once per staircase cluster for its
 chains.  It takes the pivot's modulus with ``np.hypot``, so a head gets
 the same bits in any stack as alone.
 """
@@ -223,11 +224,10 @@ def cluster_eigenvalues(raw, tol: float, H, vectors) -> ClusteredSpectrum:
     for name, M in (("H", H), ("vectors", vectors)):
         if M.shape != (vals.size, vals.size):
             raise ValueError(f"{name} must be n x n for the n = {vals.size} values, got {M.shape}")
-    scale = np.array([fro(H)])
-    screen = _merge_screen(vals[None], _condition_numbers(vectors[None]), np.array([tol]), scale)
-    (centers,), (sizes,), _, errors = _clusters(screen, H[None])
-    if errors:
-        raise errors[0]
+    out = _clusters(vals[None], vectors[None], H[None], np.array([tol]), np.array([fro(H)]))
+    if out.errors:
+        raise out.errors[0]
+    (centers,), (sizes,) = out.centers, out.sizes
     return ClusteredSpectrum(*(tuple(a[sizes > 0].tolist()) for a in (centers, sizes)))
 
 
@@ -255,54 +255,53 @@ def _condition_numbers(vectors: np.ndarray) -> np.ndarray:
         return np.linalg.norm(Vinv, axis=-1)
 
 
-def _merge_screen(values, kappa, tol, scale) -> tuple:
-    """Sort each row of ``values`` by (Re, Im) and find its pairs within
-    the absolute floor ``tol`` or with overlapping perturbation discs;
-    ``kappa`` holds the condition numbers in raw order.  Returns the
-    sorted values, their distances, both pair masks, each pair once, as
-    ``(i, j)`` with ``i < j``, ``scale``, the rows with a pair that may
-    merge and the raw index of each sorted value."""
+#: the clustering of a block of rows, from :func:`_clusters`: each row's
+#: eigenvalues sorted by (Re, Im), their pairwise distances and raw indices;
+#: its clusters in canonical order, as (m, n) arrays whose rows are padded
+#: with size 0: their centers, sizes and the index of each one's first
+#: member among the sorted values; and the error of each row whose
+#: clustering failed, which has no cluster
+_Clusters = namedtuple("_Clusters", "vals dist order centers sizes first errors")
+
+
+def _clusters(values, vectors, Hs, floor, scale) -> _Clusters:
+    """The union-find clustering of every row of a block, given its
+    eigenvalues, unit eigenvectors, matrices, absolute floors and
+    ``|H|_F``; see :func:`cluster_eigenvalues`.
+
+    A pair may merge when it lies within the floor or its perturbation
+    discs overlap.  A row with no such pair has one cluster per value,
+    centered at the value plus 0.0, as the mean of one member forms it: one
+    array expression serves all such rows.  Only the other rows run the
+    union-find of :func:`_cluster_row`."""
     m, n = values.shape
     order = np.lexsort((values.imag, values.real), axis=-1)
     by_value = (np.arange(m)[:, None], order)
     vals = values[by_value]
     dist = np.abs(vals[:, :, None] - vals[:, None, :])
     upper = np.arange(n)[:, None] < np.arange(n)  # dist and both masks are symmetric
-    floor = (dist <= tol[:, None, None]) & upper
+    joined = (dist <= floor[:, None, None]) & upper
     with np.errstate(over="ignore", invalid="ignore"):
-        r = kappa[by_value] * (n * EPS * scale)[:, None]
+        r = _condition_numbers(vectors)[by_value] * (n * EPS * scale)[:, None]
         overlap = (dist <= r[:, :, None] + r[:, None, :]) & upper
-    candidates = (floor | overlap).any(axis=(1, 2))
-    return vals, dist, floor, overlap, scale, candidates, order
-
-
-def _clusters(screen: tuple, Hs: np.ndarray) -> tuple:
-    """The clusters of every row of a merge screen in canonical order, as
-    (m, n) arrays whose rows are padded with size 0: their centers, sizes
-    and the index of each one's first member among the sorted values; and
-    the error of each row whose clustering failed, which has no cluster.
-
-    A row with no merge candidate has one cluster per value, centered at
-    the value plus 0.0, as the mean of one member forms it: one array
-    expression serves all such rows.  Only the candidate rows run the
-    union-find of :func:`_cluster_row`."""
-    vals, *_, candidates, _ = screen
     centers, sizes = vals + 0.0, np.ones(vals.shape, dtype=np.intp)
     first, errors = np.indices(vals.shape)[1], {}
-    for i in candidates.nonzero()[0].tolist():
+    for i in (joined | overlap).any(axis=(1, 2)).nonzero()[0].tolist():
         try:
-            centers[i], sizes[i], first[i] = _cluster_row(screen, i, Hs[i])
-        except DECOMPOSITION_ERRORS as exc:  # its frames hold the screen: a cycle
+            centers[i], sizes[i], first[i] = _cluster_row(
+                vals[i], dist[i], joined[i], overlap[i], Hs[i], scale[i])
+        except DECOMPOSITION_ERRORS as exc:  # its frames hold the block's arrays: a cycle
             errors[i], sizes[i] = exc.with_traceback(None), 0
-    return centers, sizes, first, errors
+    return _Clusters(vals, dist, order, centers, sizes, first, errors)
 
 
-def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> list[list]:
-    """Union-find clustering of one row of a merge screen; see
-    :func:`cluster_eigenvalues`.  Returns the cluster centers, their sizes
-    and the index of each one's first member among the sorted values, in
-    canonical order, each list padded with 0 to one entry per value."""
-    vals, dist, floor, overlap, scale = (a[row] for a in screen[:5])
+def _cluster_row(vals, dist, joined, overlap, H, scale) -> list[list]:
+    """Union-find clustering of one row: its sorted eigenvalues, their
+    distances, the pairs within the floor and those whose discs overlap,
+    each pair once as ``(i, j)`` with ``i < j``, its matrix and ``|H|_F``;
+    see :func:`cluster_eigenvalues`.  Returns the cluster centers, their
+    sizes and the index of each one's first member among the sorted values,
+    in canonical order, each list padded with 0 to one entry per value."""
     n = vals.size
     parent = list(range(n))
 
@@ -317,7 +316,7 @@ def _cluster_row(screen: tuple, row: int, H: np.ndarray) -> list[list]:
         parent[max(ri, rj)] = min(ri, rj)
 
     dist = dist.ravel()  # pair (i, j) at i * n + j
-    for k in floor.ravel().nonzero()[0].tolist():
+    for k in joined.ravel().nonzero()[0].tolist():
         join(*divmod(k, n))
     overlap = overlap.ravel().nonzero()[0]
     cutoff = np.sqrt(n * EPS) * scale
@@ -502,30 +501,25 @@ def _simple_heads(H, vectors, vals, dist, order, tol: float, scale):
     take their basis vector straight from the eigensolve.
 
     ``vals``, ``dist`` and ``order`` are the rows' sorted eigenvalues,
-    their pairwise distances and their raw indices, from
-    :func:`_merge_screen`; :func:`_cluster_row` centers a simple cluster at
-    its one member plus 0.0, as ``np.mean`` forms it.  A cluster qualifies
-    when its nearest other eigenvalue is farther than ``tol * (|H|_F +
-    |E|)``.  A Jordan chain that rounding split into nearby simple
-    eigenvalues does not qualify: :func:`cluster_eigenvalues` has merged it
-    back into one cluster.  The vector, column ``order`` of ``vectors``,
-    must also pass the staircase's eigenvector-residual check, ``|(H - E)
-    v| <= 10 max(tol |H - E|_2, 64 n eps (|H - E|_2 + |E|))``, evaluated
-    with the lower bounds ``rho(H - E)`` and ``|H|_F / sqrt(n) <= |H|_2 <=
-    |H - E|_2 + |E|`` in place of the 2-norms, so its cutoff is never
-    looser.  Rows need a finite ``|H|_F``.  Returns the (m, n) verdicts in
-    sorted order.
+    their pairwise distances and their raw indices, from :func:`_clusters`;
+    :func:`_cluster_row` centers a simple cluster at its one member plus
+    0.0, as ``np.mean`` forms it.  The clustering alone decides which
+    clusters are simple: a Jordan chain that rounding split into nearby
+    eigenvalues is one cluster again.  The vector, column ``order`` of
+    ``vectors``, qualifies when it passes the staircase's
+    eigenvector-residual check, ``|(H - E) v| <= 10 max(tol |H - E|_2, 64
+    n eps (|H - E|_2 + |E|))``, evaluated with the lower bounds ``rho(H -
+    E)`` and ``|H|_F / sqrt(n) <= |H|_2 <= |H - E|_2 + |E|`` in place of
+    the 2-norms, so its cutoff is never looser.  Rows need a finite
+    ``|H|_F``.  Returns the (m, n) verdicts in sorted order.
     """
     m, n = vals.shape
     centers = vals + 0.0
     rho = dist.max(axis=2)  # spectral radius of H - E
-    nearest = np.where(np.eye(n, dtype=bool), np.inf, dist).min(axis=2)
-    ok = nearest > tol * (scale[:, None] + np.abs(centers))
     V = vectors[np.arange(m)[:, None, None], np.arange(n)[:, None], order[:, None, :]]
     resid = np.linalg.norm(H @ V - V * centers[:, None, :], axis=1)
     floor = 64 * n * EPS * scale / np.sqrt(n)
-    ok &= resid <= 10 * np.maximum(tol * rho, floor[:, None])
-    return ok
+    return resid <= 10 * np.maximum(tol * rho, floor[:, None])
 
 
 #: failures that make one decomposition, and only that one, inconclusive.
@@ -541,11 +535,12 @@ def block_diagonalize(H, tol: float = DEFAULT_TOL) -> BlockDiagonalization:
 
     ``tol`` is relative to ``|H|_F`` and controls both the clustering floor
     and rank decisions; split Jordan chains merge through the disc rule of
-    :func:`cluster_eigenvalues` at any ``tol``.  Simple, well-separated
-    clusters take their basis vector from the eigensolve; the rest run
-    :func:`jordan_chains`.  Raises :class:`JordanStructureError` when the
-    staircase is inconsistent (including a cluster whose chain census does
-    not reproduce its eigenvalue count) and
+    :func:`cluster_eigenvalues` at any ``tol``.  Simple clusters take their
+    basis vector from the eigensolve when it passes the residual check;
+    the rest run :func:`jordan_chains`.  Raises
+    :class:`JordanStructureError` when the staircase is inconsistent
+    (including a cluster whose chain census does not reproduce its
+    eigenvalue count) and
     :class:`IllConditionedBasisError` when ``cond(A)`` exceeds
     :data:`COND_LIMIT`.  The one-row case of :func:`decompose_stack`.
     """
@@ -570,14 +565,15 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray, eigen: tuple)
     :func:`~pseudospec.linalg.eigensystem_stack` in ``eigen``.
 
     The block's clusters, chains and bases are arrays from the start.  The
-    inversion of the eigenvectors, the clustering screen, the simple-head
-    checks, their gauge and the assembly are stacked; a row with no merge
-    candidate gets its clusters from one array expression, and only a row
-    with a candidate runs the union-find.  Only a cluster
-    that is not simple and well separated runs the staircase, which takes
-    its scale from its own ``H - E`` and ``E``, not from ``|H|_2``, stops
-    at the cluster's size and gauges its chain heads in one call.  Every basis column is scattered
-    into the block's A, and H0 is set from the flat arrays of
+    inversion of the eigenvectors, the floor and disc tests of
+    :func:`_clusters`, the simple-head checks, their gauge and the assembly
+    are stacked; a row with no merge candidate gets its clusters from one
+    array expression, and only a row with a candidate runs the union-find.
+    Only a cluster that is not simple, or whose eigenvector fails the
+    residual check, runs the staircase, which takes its scale from its own
+    ``H - E`` and ``E``, not from ``|H|_2``, stops at the cluster's size
+    and gauges its chain heads in one call.  Every basis column is
+    scattered into the block's A, and H0 is set from the flat arrays of
     :class:`BlockSpectra`.
 
     Returns the block's arrays and each failed row's error as a
@@ -588,10 +584,8 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray, eigen: tuple)
     """
     m, n = Hs.shape[:2]
     values, vectors, real = eigen
-    floor_tol = np.array([tol * s if s else tol for s in scale.tolist()])
-    screen = _merge_screen(values, _condition_numbers(vectors), floor_tol, scale)
-    vals, dist, *_, order = screen
-    centers, sizes, first, errors = _clusters(screen, Hs)
+    floor = np.array([tol * s if s else tol for s in scale.tolist()])
+    vals, dist, order, centers, sizes, first, errors = _clusters(values, vectors, Hs, floor, scale)
     # one head check of all values of the rows with a finite |H|_F and a
     # simple cluster
     single = sizes == 1
@@ -600,8 +594,8 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray, eigen: tuple)
     if check.size:
         ok[check] = _simple_heads(*(rows_of(a, check) for a in (Hs, vectors, vals, dist, order)),
                                   tol, scale[check])
-    # and one gauge of all their simple, well-separated heads, one multiply
-    # with the factor first, as _gauged forms factor * v, into their slots
+    # and one gauge of all their simple heads, one multiply with the factor
+    # first, as _gauged forms factor * v, into their slots
     simple = single & ok[np.arange(m)[:, None], first]
     col = sizes.cumsum(1) - sizes  # the first slot of each cluster
     A = np.zeros(Hs.shape, dtype=complex)

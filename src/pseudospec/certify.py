@@ -110,8 +110,9 @@ class ToleranceProfile:
     ``cluster_tol`` is the ``tol`` of
     :func:`~pseudospec.blockdiag.block_diagonalize`: the clustering floor,
     relative to ``|H|_F``, the rank tolerance of the Jordan staircase,
-    relative to ``|H - E|_2``, and the separation and residual tolerance
-    of an eigenvector taken straight from the eigensolve.  The eigenvalues
+    relative to ``|H - E|_2``, and the residual tolerance of an
+    eigenvector taken straight from the eigensolve for a cluster that the
+    clustering leaves with one member.  The eigenvalues
     of a length-p chain, which rounding scatters like ``eps**(1/p)``, merge
     through overlapping perturbation discs at any value (see
     :func:`~pseudospec.blockdiag.cluster_eigenvalues`), so no study near

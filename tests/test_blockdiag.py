@@ -358,6 +358,33 @@ class TestStaircaseStop:
             jordan_chains(jordan_matrix([(0.5, [2]), (1.0, [1])]), 0.5, size=size)
 
 
+class TestStaircaseInconsistency:
+    """Kernel staircases that no matrix gives, stubbed in, end the chain
+    build with a JordanStructureError."""
+
+    @staticmethod
+    def stub(monkeypatch, kernels):
+        monkeypatch.setattr(blockdiag, "_kernel_staircase",
+                            lambda N, tol, center, size: (kernels, 1e-12))
+
+    def test_a_growing_kernel_increment_is_refused(self, monkeypatch):
+        # ker N gains 1 dimension and ker N^2 then 2: a Jordan structure
+        # has no more chains of length 2 or more than of length 1 or more
+        e = np.eye(3, dtype=complex)
+        self.stub(monkeypatch, [e[:, :0], e[:, :1], e])
+        with pytest.raises(JordanStructureError, match="kernel dimensions are inconsistent at "
+                                                       "power 2: increment grew from 1 to 2"):
+            jordan_chains(np.zeros((3, 3)), 0.0)
+
+    def test_a_chain_top_inside_the_lower_kernel_is_refused(self, monkeypatch):
+        # ker N^2 given as two copies of ker N: no new top lies outside it
+        e = np.eye(2, dtype=complex)
+        self.stub(monkeypatch, [e[:, :0], e[:, :1], e[:, [0, 0]]])
+        with pytest.raises(JordanStructureError,
+                           match="could not find an independent chain top at power 2"):
+            jordan_chains(jordan_matrix([(0.0, [2])]), 0.0)
+
+
 class TestBlockDiagonalize:
     def test_hermitian_diagonal(self):
         bd = block_diagonalize(np.diag([3.0, 1.0, 2.0]))
@@ -672,6 +699,19 @@ class TestDiscClustering:
         out = cluster_eigenvalues([-1.0, 1.0, 0.0, 0.0], 1e-8 * fro(H), H, vectors)
         assert out.multiplicities == (1, 2, 1)
 
+    def test_a_failed_merge_confirmation_raises(self, monkeypatch):
+        # the error that ends the union-find of the one row is raised, where
+        # a row of a block would end inconclusive
+        H = split_chain_pair(0)
+        values, vectors = np.linalg.eig(H)
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            cluster_eigenvalues(values, 1e-8 * fro(H), H, vectors)
+
     def test_overlap_needs_pseudospectral_confirmation(self):
         # lambda = (1, 4), varpi = 2: the coalesced pair at 0 has kappa near
         # 6e15, so its disc (radius 18) covers +-sqrt(3), but sigma_min of
@@ -680,6 +720,25 @@ class TestDiscClustering:
         assert cert.verdict == PSEUDO_HERMITIAN
         assert [c.algebraic for c in cert.table.clusters] == [1, 2, 1]
         assert cert.table.clusters[1].p_list == (2,)
+
+
+def union_find_rows(Hs):
+    """The clustering of a block by :func:`blockdiag._clusters` at the
+    default floor, and the rows on which it ran the union-find."""
+    rows = []
+    cluster_row = blockdiag._cluster_row
+
+    def spy(vals, dist, joined, overlap, H, scale):
+        (row,) = [i for i, M in enumerate(Hs) if np.array_equal(M, H)]
+        rows.append(row)
+        return cluster_row(vals, dist, joined, overlap, H, scale)
+
+    values, vectors, _ = eigensystem_stack(Hs)
+    scale = fro_rows(Hs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blockdiag, "_cluster_row", spy)
+        out = blockdiag._clusters(values, vectors, Hs, blockdiag.DEFAULT_TOL * scale, scale)
+    return out, rows
 
 
 def test_plain_rows_get_the_union_find_clusters():
@@ -695,18 +754,16 @@ def test_plain_rows_get_the_union_find_clusters():
         Hs[5] = np.diag(-np.arange(n) + 0j)
         Hs[5].imag = -0.0
         Hs[5, -1, 0] += 1e-3j if n > 1 else 0.0
-        values, vectors, _ = eigensystem_stack(Hs)
-        scale = fro_rows(Hs)
-        screen = blockdiag._merge_screen(values, blockdiag._condition_numbers(vectors),
-                                         blockdiag.DEFAULT_TOL * scale, scale)
-        centers, sizes, first, errors = blockdiag._clusters(screen, Hs)
-        plain = np.flatnonzero(~screen[5])
-        assert len(plain) > 30 and not errors and 5 in plain
-        assert np.signbit(screen[0][5].imag).all() or n == 1
+        out, merge_rows = union_find_rows(Hs)
+        plain = [i for i in range(len(Hs)) if i not in merge_rows]
+        assert len(plain) > 30 and not out.errors and 5 in plain
+        assert np.signbit(out.vals[5].imag).all() or n == 1
+        none, scale = np.zeros((n, n), dtype=bool), fro_rows(Hs)  # a plain row has no pair
         for i in plain:
-            want, want_sizes, want_first = blockdiag._cluster_row(screen, i, Hs[i])
-            assert centers[i].tobytes() == np.array(want).tobytes()
-            assert sizes[i].tolist() == want_sizes and first[i].tolist() == want_first
+            want, want_sizes, want_first = blockdiag._cluster_row(
+                out.vals[i], out.dist[i], none, none, Hs[i], scale[i])
+            assert out.centers[i].tobytes() == np.array(want).tobytes()
+            assert out.sizes[i].tolist() == want_sizes and out.first[i].tolist() == want_first
 
 
 class TestStoredInverse:

@@ -177,10 +177,23 @@ class TestDecide:
 
     def test_over_clustered_input_is_inconclusive(self):
         # a huge clustering tolerance merges two genuinely distinct
-        # eigenvalues; the staircase then finds no kernel at the center
-        cert = decide(np.diag([0.3, -0.3]), ToleranceProfile(cluster_tol=1.0))
+        # eigenvalues: the floor 2 |H|_F = 0.85 exceeds their distance 0.6.
+        # The staircase's cutoff 2 |H - 0|_2 = 0.6 counts both singular
+        # values as kernel, so the cluster gets two chains of length 1 at 0,
+        # and A H0 inv(A) = 0 misses H by all of |H|_F
+        cert = decide(np.diag([0.3, -0.3]), ToleranceProfile(cluster_tol=2.0))
         assert cert.verdict == INCONCLUSIVE
-        assert cert.diagnostics is not None
+        assert [(c.value, c.p_list) for c in cert.table.clusters] == [(0.0, (1, 1))]
+        assert cert.residuals["reconstruction"] == 1.0
+
+    def test_a_single_member_cluster_is_simple_at_any_tolerance(self):
+        # at cluster_tol = 1 the floor |H|_F = 0.42 keeps 0.3 and -0.3
+        # apart, so each value is a cluster of its own and takes its
+        # eigenvector from the eigensolve: no staircase at a cutoff of
+        # |H - E|_2 = 0.6 counts the other value's direction as kernel
+        cert = decide(np.diag([0.3, -0.3]), ToleranceProfile(cluster_tol=1.0))
+        assert cert.verdict == PSEUDO_HERMITIAN
+        assert [(c.value, c.p_list) for c in cert.table.clusters] == [(-0.3, (1,)), (0.3, (1,))]
 
     def test_certificate_records_tolerances(self):
         cert = decide(np.eye(2))

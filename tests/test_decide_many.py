@@ -19,7 +19,7 @@ from pseudospec.linalg import eigensystem_stack, fro_rows
 from pseudospec.scattering import PotentialSpec, RectangularBarrier, hamiltonian_at
 from pseudospec.symmetry import classify_spectrum, synthesize_stack
 from pseudospec.truncated import ModelSpec, build_H, build_H_stack
-from tests.test_blockdiag import count_calls, jordan_matrix, well_conditioned
+from tests.test_blockdiag import count_calls, jordan_matrix, union_find_rows, well_conditioned
 from tests.test_symmetry import permutations, reference_layout
 
 #: the block depth of most tests here, whatever n, so that the stacks
@@ -312,6 +312,36 @@ class TestLapackFailureIsolation:
             else:
                 assert certificate_bits(cert) == expected[r]
 
+    def test_merge_svd_failure_on_one_row(self, monkeypatch):
+        # a merge confirmation that fails is caught where the union-find
+        # runs: its row alone ends inconclusive, and the block is not
+        # redone row by row.  Row 14 of the mixed stack is a real 4 x 4 with
+        # a split J2 beside two simple values; seven other rows run merge
+        # confirmations too
+        stack, bad_row = mixed(B), 14
+        expected = self.expected(stack)
+        off = ~np.eye(4, dtype=bool)  # H - zI keeps the off-diagonal of H
+        original = np.linalg.svd
+        merges = []
+
+        def patched(a, *args, **kwargs):
+            if a.ndim == 2 and kwargs.get("compute_uv") is False:
+                merges.append(a)
+                if np.array_equal(a[off], stack[bad_row][off]):
+                    raise np.linalg.LinAlgError("SVD did not converge")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", patched)
+        blocks = count_calls(monkeypatch, certify, "decompose_stack")
+        certs = list(decide_many(stack))
+        assert len(blocks) == 1 and len(merges) > 1
+        for r, cert in enumerate(certs):
+            if r == bad_row:
+                assert cert.verdict == INCONCLUSIVE
+                assert cert.diagnostics == "SVD did not converge"
+            else:
+                assert certificate_bits(cert) == expected[r]
+
 
 class TestSpectralRefusalIsolation:
     """Rows refused from the spectrum share blocks with decomposed rows and
@@ -527,11 +557,7 @@ def test_merge_rows_beside_plain_rows_at_n32():
     varpis = np.linspace(0.5, 3.0, 201)
     stack = build_H_stack(lambdas, varpis)
     assert block_rows(32) == 16
-    values, vectors, _ = eigensystem_stack(stack)
-    scale = fro_rows(stack)
-    screen = blockdiag._merge_screen(values, blockdiag._condition_numbers(vectors),
-                                     blockdiag.DEFAULT_TOL * scale, scale)
-    candidates = np.flatnonzero(screen[5])
+    _, candidates = union_find_rows(stack)
     for varpi in (1.5, 2.5):
         (row,) = np.flatnonzero(np.isclose(varpis, varpi))
         block = np.arange(row - row % 16, row - row % 16 + 16)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pseudospec.linalg import eigensystem, eigensystem_stack, fro, fro_rows
+from pseudospec.certify import INCONCLUSIVE, decide
+from pseudospec.linalg import EigensolveError, eigensystem, eigensystem_stack, fro, fro_rows
 
 
 def random_similarity(rng, n, spread=(0.5, 2.0)):
@@ -93,3 +94,21 @@ def test_real_rows_give_exactly_conjugate_pairs():
         for k in nonreal:
             (j,) = np.flatnonzero(values[r] == np.conj(values[r, k]))
             assert np.array_equal(vectors[r][:, j], np.conj(vectors[r][:, k]))
+
+
+def test_a_zero_eigenvector_is_refused(monkeypatch):
+    # stubbed in, since LAPACK returns none for finite input: normalized,
+    # it would be a column of NaN
+    original = np.linalg.eig
+
+    def zero_column(a):
+        values, vectors = original(a)
+        vectors[..., 0] = 0.0
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eig", zero_column)
+    with pytest.raises(EigensolveError, match="^eigensolver returned a zero vector$"):
+        eigensystem_stack(np.diag([1.0, 2.0 + 1j])[None])
+    cert = decide(np.diag([1.0, 2.0]))
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.diagnostics == "eigensolver returned a zero vector"

@@ -138,3 +138,25 @@ def test_defective_spirals_near_n64(p, clusters, paired, seed):
     assert cert.verdict in ((truth, INCONCLUSIVE) if p == 4 else (truth,)), cert.diagnostics
     if cert.verdict == PSEUDO_HERMITIAN:
         assert [c.p_list for c in cert.table.clusters] == [(p,)] * clusters
+
+
+# a spectrum spread over s |H|_F, inside the clustering floor, is one
+# cluster whose staircase may find no kernel (ROADMAP item Q), as at
+# diag(1, 1 + s) for s in [1e-13, 1e-8]: decide may then answer
+# inconclusive, but a real symmetric or Hermitian H is never refused
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real-symmetric", "hermitian"])
+def test_near_scalar_spectra_are_never_refused(hermitian):
+    rng = np.random.default_rng(int(hermitian))
+    faults = []
+    for n in range(2, 6):
+        for s in np.logspace(-14, -7, 15):
+            Z = rng.standard_normal((n, n))
+            if hermitian:
+                Z = Z + 1j * rng.standard_normal((n, n))
+            Q = np.linalg.qr(Z)[0]
+            d = 1.0 + s * np.concatenate([[0.0], rng.uniform(0.5, 1.0, n - 1).cumsum()])
+            H = Q @ np.diag(d) @ Q.conj().T
+            verdict = decide((H + H.conj().T) / 2).verdict
+            if verdict == NOT_PSEUDO_HERMITIAN:
+                faults.append(f"n = {n}, s = {s:.1e}: {verdict}")
+    assert faults == []

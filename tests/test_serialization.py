@@ -258,7 +258,10 @@ class TestArrayWriter:
         assert verdicts == {"pseudo_hermitian", "not_pseudo_hermitian"}
 
     def test_inconclusive_certificate(self):
-        cert = decide(np.diag([0.3, -0.3]), ToleranceProfile(cluster_tol=1.0))
+        # J2(0.5) at |H|_F = 1e150: its Jordan basis is refused, so the
+        # certificate has no cond_A and no witnesses
+        J = np.array([[0.5, 1.0], [0.0, 0.5]])
+        cert = decide(J * (1e150 / np.linalg.norm(J)))
         doc = certificate_to_doc(cert)
         assert doc["verdict"] == "inconclusive" and "detail" in doc["pairing"]
         assert "cond_A" not in doc and "witnesses" not in doc
