@@ -49,6 +49,7 @@ the same bits in any stack as alone.
 from __future__ import annotations
 
 import cmath
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -251,8 +252,9 @@ def _condition_numbers(vectors: np.ndarray) -> np.ndarray:
         regular = np.linalg.slogdet(vectors)[0] != 0
         Vinv = np.zeros_like(vectors)
         Vinv[regular] = np.linalg.inv(vectors[regular])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.norm(Vinv, axis=-1)
+    # np.linalg.norm(Vinv, axis=-1) without its wrapper; the caller ignores
+    # overflow
+    return np.sqrt(np.add.reduce((Vinv.conj() * Vinv).real, axis=-1))
 
 
 #: the clustering of a block of rows, from :func:`_clusters`: each row's
@@ -285,7 +287,7 @@ def _clusters(values, vectors, Hs, floor, scale) -> _Clusters:
         r = _condition_numbers(vectors)[by_value] * (n * EPS * scale)[:, None]
         overlap = (dist <= r[:, :, None] + r[:, None, :]) & upper
     centers, sizes = vals + 0.0, np.ones(vals.shape, dtype=np.intp)
-    first, errors = np.indices(vals.shape)[1], {}
+    first, errors = sizes.cumsum(1) - 1, {}  # each value its own cluster's first member
     for i in (joined | overlap).any(axis=(1, 2)).nonzero()[0].tolist():
         try:
             centers[i], sizes[i], first[i] = _cluster_row(
@@ -303,31 +305,30 @@ def _cluster_row(vals, dist, joined, overlap, H, scale) -> list[list]:
     sizes and the index of each one's first member among the sorted values,
     in canonical order, each list padded with 0 to one entry per value."""
     n = vals.size
-    parent = list(range(n))
+    label = list(range(n))  # each value's cluster, named by its first member
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def join(i, j):
-        ri, rj = find(i), find(j)
-        parent[max(ri, rj)] = min(ri, rj)
+    def join(i, j):  # of two values in different clusters
+        a, b = label[i], label[j]
+        if a > b:
+            a, b = b, a
+        label[:] = [a if c == b else c for c in label]
 
     dist = dist.ravel()  # pair (i, j) at i * n + j
     for k in joined.ravel().nonzero()[0].tolist():
-        join(*divmod(k, n))
+        i, j = divmod(k, n)
+        if label[i] != label[j]:
+            join(i, j)
     overlap = overlap.ravel().nonzero()[0]
     cutoff = np.sqrt(n * EPS) * scale
-    eye = np.eye(n)
+    eye = None
     rejected = []  # (z, m): sigma_min(H - z'I) > cutoff wherever |z' - z| < m
     for k in overlap[dist[overlap].argsort(kind="stable")].tolist():
         i, j = divmod(k, n)
-        if find(i) != find(j):
+        if label[i] != label[j]:
             z = (vals[i] + vals[j]) / 2
             if any(abs(z - z0) < m for z0, m in rejected):
                 continue
+            eye = np.eye(n) if eye is None else eye
             s_min = np.linalg.svd(H - z * eye, compute_uv=False)[-1]
             if s_min <= cutoff:
                 join(i, j)
@@ -336,10 +337,13 @@ def _cluster_row(vals, dist, joined, overlap, H, scale) -> list[list]:
                 rejected.append((z, s_min - cutoff - n * EPS * scale))
 
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [(complex(vals[g].sum() / len(g)), len(g), g[0]) for g in groups.values()]
-    clusters.sort(key=lambda c: (c[0].real, c[0].imag))  # centers as np.mean forms them
+    for i, c in enumerate(label):
+        groups.setdefault(c, []).append(i)
+    # centers as np.mean forms them: the sum of one member is that member
+    # plus 0.0
+    clusters = [(complex((np.add.reduce(vals[g]) if len(g) > 1 else vals[g[0]] + 0.0) / len(g)),
+                 len(g), g[0]) for g in groups.values()]
+    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
     return [list(a) + [0] * (n - len(a)) for a in zip(*clusters)]
 
 
@@ -402,7 +406,7 @@ def _canonical_gauge(heads: np.ndarray) -> np.ndarray:
     """
     norms = fro_rows(heads)
     mags = np.abs(heads)
-    sig = (mags > 1e-12 * mags.max(axis=1, keepdims=True)).argmax(axis=1)
+    sig = (mags > 1e-12 * np.maximum.reduce(mags, axis=1, keepdims=True)).argmax(axis=1)
     # a norm of 0 or inf sends 0 * inf, 0 / 0 or inf / inf into the factor,
     # and a NaN norm its NaN, so a refused head's factor is NaN
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -428,27 +432,43 @@ def jordan_chains(H, center, tol: float = DEFAULT_TOL,
 
     Returns a list of chains, each chain a list ``[v_1, ..., v_p]`` with
     ``(H - E) v_1 ~ 0`` and ``(H - E) v_i = v_{i-1}`` exactly by
-    construction for ``i >= 2``.  Chains are built top-down from the
-    staircase of :func:`_kernel_staircase`, which stops once the kernel
+    construction for ``i >= 2``.  The staircase stops once the kernel
     holds ``size`` dimensions, the cluster's eigenvalue count (default n:
-    it stops when the kernel stops growing).  A kernel that passes
-    ``size`` gives chains whose lengths sum past it.  At each power l, from
-    the largest down, every open chain descends one link by ``N``, and the
-    new tops are a basis of ``ker N^l`` modulo ``ker N^{l-1}`` and those
-    links.  At the largest power no link has joined the kernel basis,
-    whose columns are orthonormal from its SVD, so only the lower powers
-    run a QR.  Each link is formed once, and one call of
-    :func:`_canonical_gauge` gauges every chain head.
+    it stops when the kernel stops growing), and a kernel that passes
+    ``size`` gives chains whose lengths sum past it.  Validates its input
+    and runs :func:`_chains`, the kernel that :func:`decompose_stack`
+    calls on the rows it was handed.
     """
     A = as_matrix(H)
     _check_tol("tol", tol)
     n = A.shape[0]
     if size is None:
         size = n
-    elif not (isinstance(size, (int, np.integer)) and 1 <= size <= n):
+    # type(), not isinstance(): a bool is an int
+    elif not ((type(size) is int or isinstance(size, np.integer)) and 1 <= size <= n):
         raise ValueError(f"size must be an integer in 1..{n}, got {size!r}")
-    center = complex(center)
-    N = A - center * np.eye(n)
+    return _chains(A, complex(center), tol, size)
+
+
+def _chains(H: np.ndarray, center: complex, tol: float, size: int) -> list[list[np.ndarray]]:
+    """:func:`jordan_chains` of a validated n x n ``H`` at a complex
+    ``center``, with a validated ``tol`` and ``size``.
+
+    Chains are built top-down from the staircase of
+    :func:`_kernel_staircase`.  At each power l, from the largest down,
+    every open chain descends one link by ``N``, and the new tops are a
+    basis of ``ker N^l`` modulo ``ker N^{l-1}`` and those links.  At the
+    largest power no link has joined the kernel basis, whose columns are
+    orthonormal from its SVD, so only the lower powers run a QR.  Each link
+    is formed once, and one call of :func:`_canonical_gauge` gauges every
+    chain head.  Each norm is numpy's own formula without the wrapper of
+    ``np.linalg.norm``, so it keeps its bits: a column norm is
+    ``sqrt(sum(conj(x) x))``, and a head residual ``|N v_1|`` is ``sqrt(re
+    . re + im . im)`` of the real and imaginary parts of ``N v_1``, two
+    BLAS dot products.
+    """
+    n = H.shape[0]
+    N = H - center * np.eye(n)
     kernels, cutoff = _kernel_staircase(N, tol, center, size)
 
     q = len(kernels) - 1
@@ -468,14 +488,15 @@ def jordan_chains(H, center, tol: float = DEFAULT_TOL,
         if want == 0:
             continue
         # spans what the new tops must avoid: orthonormal as it comes until
-        # descended links join it
+        # descended links join it, and empty below a first power with no chain
         Q = kernels[l - 1]
         if chains:
             Q, _ = np.linalg.qr(np.concatenate([Q] + [c[-1][:, None] for c in chains], axis=1))
         cands = kernels[l].copy()  # C order: the layout sets how the products round
-        for _ in range(want):
-            resid = cands - Q @ (Q.conj().T @ cands)
-            norms = np.linalg.norm(resid, axis=0)
+        for t in range(want):
+            # an empty Q takes nothing away: cands - 0 keeps every bit
+            resid = cands - Q @ (Q.conj().T @ cands) if Q.shape[1] else cands
+            norms = np.sqrt(np.add.reduce((resid.conj() * resid).real, axis=0))
             j = int(norms.argmax())
             if norms[j] < _INDEPENDENCE_CUTOFF:
                 raise JordanStructureError(
@@ -483,14 +504,16 @@ def jordan_chains(H, center, tol: float = DEFAULT_TOL,
                 )
             new = resid[:, j] / norms[j]
             chains.append([new])
-            Q = np.concatenate([Q, new[:, None]], axis=1)
+            if t + 1 < want:
+                Q = np.concatenate([Q, new[:, None]], axis=1)
 
     out = []
     for factor, chain in zip(_canonical_gauge(np.array([c[-1] for c in chains])), chains):
-        chain.reverse()  # head first
-        if float(np.linalg.norm(N @ chain[0])) > 10 * cutoff:
+        r = N @ chain[-1]
+        re, im = r.real, r.imag
+        if math.sqrt(re.dot(re) + im.dot(im)) > 10 * cutoff:
             raise JordanStructureError("chain head failed the eigenvector residual check")
-        out.append(_gauged(factor, *chain))
+        out.append(_gauged(factor, *chain[::-1]))  # head first
     if len(out) > 1:  # one chain needs no order, nor a key
         out.sort(key=lambda c: (-len(c), int(abs(c[0]).argmax())))
     return out
@@ -517,7 +540,8 @@ def _simple_heads(H, vectors, vals, dist, order, tol: float, scale):
     centers = vals + 0.0
     rho = dist.max(axis=2)  # spectral radius of H - E
     V = vectors[np.arange(m)[:, None, None], np.arange(n)[:, None], order[:, None, :]]
-    resid = np.linalg.norm(H @ V - V * centers[:, None, :], axis=1)
+    R = H @ V - V * centers[:, None, :]
+    resid = np.sqrt(np.add.reduce((R.conj() * R).real, axis=1))  # np.linalg.norm(R, axis=1)
     floor = 64 * n * EPS * scale / np.sqrt(n)
     return resid <= 10 * np.maximum(tol * rho, floor[:, None])
 
@@ -606,8 +630,9 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray, eigen: tuple)
         factors = _canonical_gauge(heads)
         A[r, :, col[r, k]] = factors[:, None] * heads
         refused = np.isnan(factors)
-        failed = dict(zip(r[refused][::-1].tolist(), k[refused][::-1].tolist()))  # each row's first
-        errors.update((i, JordanStructureError(_REFUSED_HEAD)) for i in failed)
+        if refused.any():  # each row's first refused head ends it
+            failed = dict(zip(r[refused][::-1].tolist(), k[refused][::-1].tolist()))
+            errors.update((i, JordanStructureError(_REFUSED_HEAD)) for i in failed)
     # the chain lengths of each cluster, where a simple cluster has one chain;
     # every other cluster runs the staircase, in order, up to a failure in its row
     p_lists = sizes[:, :, None] * (np.arange(n) == 0)
@@ -616,7 +641,7 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray, eigen: tuple)
             continue
         center, size, at = complex(centers[i, k]), int(sizes[i, k]), int(col[i, k])
         try:
-            chain_set = jordan_chains(Hs[i], center, tol, size)
+            chain_set = _chains(Hs[i], center, tol, size)
             p_list = list(map(len, chain_set))
             if sum(p_list) != size:
                 raise JordanStructureError(
@@ -630,13 +655,15 @@ def decompose_stack(Hs: np.ndarray, tol: float, scale: np.ndarray, eigen: tuple)
         p_lists[i, k, :len(p_list)] = p_list
     if len(errors) == m:  # nothing is left to assemble
         return _Decomposed(errors, [])
-    sizes[list(errors)] = 0
+    if errors:
+        sizes[list(errors)] = 0
     present = sizes > 0
     p_lists = p_lists[present]
+    chains = p_lists > 0
     rows = [i for i in range(m) if i not in errors]
-    spectra = BlockSpectra(centers[present], sizes[present], (p_lists > 0).sum(1),
-                           p_lists[p_lists > 0], present.sum(1)[rows])
-    block = _assemble(rows_of(Hs, rows), scale[rows], real[rows], rows_of(A, rows), spectra)
+    spectra = BlockSpectra(centers[present], sizes[present], chains.sum(1), p_lists[chains],
+                           rows_of(present.sum(1), rows))
+    block = _assemble(*(rows_of(a, rows) for a in (Hs, scale, real, A)), spectra)
     errors.update((rows[k], exc) for k, exc in block.errors.items())
     return _Decomposed(errors, [rows[k] for k in block.rows], *block[2:])
 

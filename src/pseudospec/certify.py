@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import chain, repeat
 
 import numpy as np
@@ -22,10 +22,8 @@ from .antilinear import AntilinearOp, involution_residual, product
 from .blockdiag import (
     COND_LIMIT,
     DEFAULT_TOL,
-    BlockDiagonalization,
     SpectralTable,
     _Decomposed,
-    _decompositions,
     decompose_stack,
 )
 from .linalg import (
@@ -132,9 +130,13 @@ class ToleranceProfile:
         certificate records them."""
         # not dataclasses.asdict: it deep-copies every value, which makes it
         # about 20 times slower, and decide calls this for every block
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+        return {**{name: getattr(self, name) for name in _PROFILE_FIELDS},
                 "reconstruction_tol": RECONSTRUCTION_TOL, "witness_tol": WITNESS_TOL,
                 "cond_limit": COND_LIMIT}
+
+
+#: the names of the settable tolerances, in the order certificates hold them
+_PROFILE_FIELDS = tuple(f.name for f in fields(ToleranceProfile))
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,6 @@ class Certificate:
     witnesses: SymmetryOperators | None = None
     cond_A: float = float("nan")
     diagnostics: str | None = None
-    decomposition: BlockDiagonalization | None = field(default=None, repr=False)
 
 
 def block_rows(n: int) -> int:
@@ -195,7 +196,6 @@ def _witness_residuals(A, scale_A, tau, X, eta) -> tuple[np.ndarray, ...]:
 _Block = namedtuple("_Block",
                     "verdicts residuals decomposed labelings details paired witnesses refusals")
 
-_VERDICTS = np.array([INCONCLUSIVE, NOT_PSEUDO_HERMITIAN, PSEUDO_HERMITIAN], dtype=object)
 #: the largest of each residual in a row of ``_Block.residuals`` that a
 #: ``pseudo_hermitian`` certificate allows
 _LIMITS = np.array([WITNESS_TOL] * len(WITNESS_RESIDUALS) + [RECONSTRUCTION_TOL])
@@ -264,9 +264,9 @@ def _decided(Hs: np.ndarray, tol: ToleranceProfile) -> list[_Block]:
             scale[keep] = kept_scale = fro_rows(kept)
             dec = decompose_stack(kept, tol.cluster_tol, kept_scale,
                                   tuple(rows_of(a, keep) for a in eigen))
-            # its rows numbered as in the block
-            dec = dec._replace(errors={keep[k]: exc for k, exc in dec.errors.items()},
-                               rows=[keep[k] for k in dec.rows])
+            if len(keep) < len(Hs):  # its rows numbered as in the block
+                dec = dec._replace(errors={keep[k]: exc for k, exc in dec.errors.items()},
+                                   rows=[keep[k] for k in dec.rows])
     except (EigensolveError, np.linalg.LinAlgError) as exc:
         if len(Hs) > 1:
             return [block for r in range(len(Hs)) for block in _decided(Hs[r:r + 1], tol)]
@@ -292,25 +292,27 @@ def _spectral_refusals(Hs, values, vectors, real, pair_tol: float) -> dict:
     E, which bounds ``sigma_min(H - E)`` from above: a lower bound on
     ``cond(eta)`` for every metric eta.  A real row is never tested: the
     real eigensolve pairs its values exactly."""
-    rows = np.flatnonzero(~real)
+    rows = (~real).nonzero()[0]
     if not rows.size:
         return {}
     parts = Hs[rows].view(np.float64)  # a copy; real and imaginary parts side by side
-    e = -np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
+    e = -np.frexp(np.maximum.reduce(np.abs(parts).reshape(len(rows), -1), axis=1))[1]
     H = np.ldexp(parts, e[:, None, None]).view(complex)
     w = np.ldexp(values[rows].view(np.float64), e[:, None]).view(complex)
     diff = w.conj()[:, :, None] - w[:, None, :]
-    far = np.hypot(diff.real, diff.imag).min(axis=2)  # each conjugate's distance to the spectrum
+    # each conjugate's distance to the spectrum
+    far = np.minimum.reduce(np.hypot(diff.real, diff.imag), axis=2)
     k = far.argmax(axis=1)
     norm = fro_rows(H)
-    test = (far.max(axis=1) > pair_tol * norm).nonzero()[0]
+    limit = pair_tol * norm
+    test = (far[np.arange(len(k)), k] > limit).nonzero()[0]
     if not test.size:
         return {}
-    H, k, norm, rows = (rows_of(a, test) for a in (H, k, norm, rows))
+    H, k, norm, limit, rows = (rows_of(a, test) for a in (H, k, norm, limit, rows))
     E = w[test, k]
     n = H.shape[-1]
     s = np.linalg.svd(H - E.conj()[:, None, None] * np.eye(n), compute_uv=False)[:, -1]
-    refused = (s > pair_tol * norm).nonzero()[0]
+    refused = (s > limit).nonzero()[0]
     if not refused.size:
         return {}
     H, k, norm, rows, E, s = (rows_of(a, refused) for a in (H, k, norm, rows, E, s))
@@ -326,37 +328,41 @@ def _decide_block(Hs, scale, dec: _Decomposed, refusals: dict, tol: TolerancePro
     the labeling of its flat spectral arrays and the pairing test of every
     decomposed row, then one stacked synthesis and one set of stacked
     residual products for the rows whose pairing holds.  The tolerance
-    checks and the verdicts are array expressions over the block, and no
-    table, decomposition, witness set or certificate of a row is built."""
+    checks are array expressions over the block, and no table,
+    decomposition, witness set or certificate of a row is built."""
     residuals = np.full((len(Hs), len(_LIMITS)), np.nan)
-    code = np.zeros(len(Hs), dtype=np.intp)  # each row's index into _VERDICTS
-    code[list(refusals)] = 1
+    verdicts = [INCONCLUSIVE] * len(Hs)
+    for r in refusals:
+        verdicts[r] = NOT_PSEUDO_HERMITIAN
     if not dec.rows:
-        return _Block(_VERDICTS[code].tolist(), residuals, dec, [], [], [], None, refusals)
+        return _Block(verdicts, residuals, dec, [], [], [], None, refusals)
     residuals[dec.rows, -1] = dec.recon
     labelings, shift = label_block(dec.spectra, tol.real_tol, tol.pair_tol)
     details = _pairing_block(labelings, dec.spectra)
     ok = np.array([d is None for d in details])
-    code[dec.rows] = 1 + ok
     paired, witnesses = [r for r, d in zip(dec.rows, details) if d is None], None
+    for r, d in zip(dec.rows, details):
+        if d is not None:
+            verdicts[r] = NOT_PSEUDO_HERMITIAN
     if paired:
         at, spectra = ok.nonzero()[0], dec.spectra
         witnesses = synthesize_stack(
             rows_of(dec.A, at), rows_of(dec.A_inv, at), dec.real[ok],
             spectra if ok.all() else spectra.take(ok), shift[ok.repeat(spectra.counts)])
-        res = np.array([*_witness_residuals(rows_of(Hs, paired), scale[paired], witnesses.tau,
-                                            witnesses.X, witnesses.eta), dec.recon[ok]]).T
+        res = np.array([*_witness_residuals(rows_of(Hs, paired), rows_of(scale, paired),
+                                            witnesses.tau, witnesses.X, witnesses.eta),
+                        dec.recon[ok]]).T
         residuals[paired] = res
-        code[paired] = 2 * ~np.logical_or.reduce(res > _LIMITS, axis=1)
-    return _Block(_VERDICTS[code].tolist(), residuals, dec, labelings, details, paired, witnesses,
-                  refusals)
+        for r, bad in zip(paired, (res > _LIMITS).any(axis=1).tolist()):
+            verdicts[r] = INCONCLUSIVE if bad else PSEUDO_HERMITIAN
+    return _Block(verdicts, residuals, dec, labelings, details, paired, witnesses, refusals)
 
 
 def _certificates(block: _Block, tol: ToleranceProfile) -> list[Certificate]:
     """The certificates of the rows of a :data:`_Block`, each with its own
-    copy of the tolerances; a row's table, decomposition and witness set
-    are built here, and its diagnostics where it has any.  A spectral
-    refusal has no table, labeling or decomposition: its residuals are its
+    copy of the tolerances; a row's table, taken from the block's spectra,
+    and its witness set are built here, and its diagnostics where it has
+    any.  A spectral refusal has no table or labeling: its residuals are its
     ``refusal_sigma_min`` and ``metric_cond_bound``."""
     dec, tolerances = block.decomposed, tol.as_dict()
     certs = [Certificate(INCONCLUSIVE, False, {}, dict(tolerances), diagnostics=str(dec.errors[r]))
@@ -366,18 +372,22 @@ def _certificates(block: _Block, tol: ToleranceProfile) -> list[Certificate]:
             NOT_PSEUDO_HERMITIAN, False, {"refusal_sigma_min": ratio, "metric_cond_bound": bound},
             dict(tolerances), diagnostics=f"eigenvalue E={E!r} has no conjugate partner: "
             f"sigma_min(H - conj(E) I) = {ratio:.3e} |H|_F exceeds pair_tol |H|_F")
-    bds, values = _decompositions(dec) if dec.rows else [], block.residuals.tolist()
-    for r, bd, labeling, detail in zip(dec.rows, bds, block.labelings, block.details):
+    if not dec.rows:
+        return certs
+    values, witnessed = block.residuals.tolist(), 0  # the paired rows before this one
+    for r, table, cond, labeling, detail in zip(dec.rows, dec.spectra.tables(), dec.cond.tolist(),
+                                                block.labelings, block.details):
         verdict, (*res, recon) = block.verdicts[r], values[r]
         residuals, w = {"reconstruction": recon}, None
         if detail is None:  # the pairing holds
             residuals.update(zip(WITNESS_RESIDUALS, res))
             if verdict == PSEUDO_HERMITIAN:
-                w = _operators(block.witnesses, block.paired.index(r))
+                w = _operators(block.witnesses, witnessed)
             else:
                 listed = ", ".join(f"{name}={v:.3e}" for name, v in residuals.items())
                 detail = f"witness residuals exceeded tolerance: {listed}"
+            witnessed += 1
         certs[r] = Certificate(verdict, verdict != NOT_PSEUDO_HERMITIAN, residuals,
-                               dict(tolerances), table=bd.table, labeling=labeling, witnesses=w,
-                               cond_A=bd.cond_A, diagnostics=detail, decomposition=bd)
+                               dict(tolerances), table=table, labeling=labeling, witnesses=w,
+                               cond_A=cond, diagnostics=detail)
     return certs

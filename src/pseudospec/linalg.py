@@ -22,8 +22,10 @@ class EigensolveError(RuntimeError):
 
 
 def _check_tol(name: str, value: float) -> None:
-    """Refuse a tolerance that is negative, infinite or NaN, naming it."""
-    if not 0.0 <= value < np.inf:  # also refuses NaN
+    """Refuse a tolerance that is negative, infinite, NaN or a bool, naming
+    it."""
+    # type(), not isinstance(): a bool is an int, and would pass as 0 or 1
+    if type(value) in (bool, np.bool_) or not 0.0 <= value < np.inf:  # also refuses NaN
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
@@ -99,7 +101,7 @@ def eigensystem_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     complex eigensolve for the others, and no scatter when every row is of
     one kind; a failure on any row fails the call.  Also returns which
     rows are real, as a boolean mask."""
-    real = ~A.imag.reshape(len(A), -1).any(axis=1)
+    real = ~A.imag.any(axis=(1, 2))
     all_real = bool(real.all())
     try:
         if all_real or not real.any():
@@ -111,7 +113,8 @@ def eigensystem_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
                 values[rows], vectors[rows] = np.linalg.eig(part(A[rows]))
     except np.linalg.LinAlgError as exc:  # non-convergence is reported, never silent
         raise EigensolveError(f"eigenvalue iteration did not converge: {exc}") from exc
-    norms = np.linalg.norm(vectors, axis=-2)
+    # np.linalg.norm(vectors, axis=-2) without its wrapper
+    norms = np.sqrt(np.add.reduce((vectors.conj() * vectors).real, axis=-2))
     if not norms.all():
         raise EigensolveError("eigensolver returned a zero vector")
     return values, vectors / norms[..., None, :], real

@@ -163,8 +163,9 @@ def dumps_certificate(cert: Certificate) -> str:
 
 def write_certificate(cert: Certificate, fh) -> None:
     """Write ``dumps_certificate(cert)`` and a newline to the text file
-    ``fh`` piece by piece, once every piece is rendered, so that the whole
-    text is never held, nor encoded, at once."""
+    ``fh`` piece by piece, once every piece is rendered.  Every piece is
+    held at once before the first write; what is avoided is one joined
+    string of the whole text and one encode of it."""
     fh.writelines([*_render(*_skeleton(cert)), "\n"])
 
 

@@ -338,8 +338,22 @@ class TestStaircaseStop:
         assert ([[v.tobytes() for v in c] for c in full]
                 == [[v.tobytes() for v in c] for c in stopped])
 
+    @pytest.mark.parametrize("ps", [[2], [3], [4], [5], [3, 1], [1, 1]],
+                             ids=["J2", "J3", "J4", "J5", "J3+J1", "semisimple-double"])
+    def test_jordan_chains_is_the_kernel_on_validated_input(self, ps):
+        # the public call validates its input and runs the kernel that
+        # decompose_stack calls on its rows: the same chains, bit for bit,
+        # with the stop at the cluster's size and without it
+        H = self.behind_a_basis(ps)
+        for size in (sum(ps), None):
+            got = jordan_chains(H, 0.5, size=size)
+            want = blockdiag._chains(H.astype(complex), 0.5 + 0j, blockdiag.DEFAULT_TOL,
+                                     size or len(H))
+            assert ([[v.tobytes() for v in c] for c in got]
+                    == [[v.tobytes() for v in c] for c in want])
+
     def test_decompose_passes_each_cluster_its_size(self, monkeypatch):
-        calls = count_calls(monkeypatch, blockdiag, "jordan_chains")
+        calls = count_calls(monkeypatch, blockdiag, "_chains")
         bd = block_diagonalize(self.behind_a_basis([3, 1]))
         assert [c.p_list for c in bd.table.clusters] == [(1,), (3, 1)]
         assert [args[3] for args in calls] == [4]
@@ -569,7 +583,7 @@ def count_calls(monkeypatch, owner, name):
 class TestEigensolverHeads:
     def test_simple_spectrum_skips_the_staircase(self, monkeypatch):
         H = np.random.default_rng(64).standard_normal((64, 64))
-        calls = count_calls(monkeypatch, blockdiag, "jordan_chains")
+        calls = count_calls(monkeypatch, blockdiag, "_chains")
         bd = block_diagonalize(H)
         assert calls == []
         assert all(c.p_list == (1,) for c in bd.table.clusters)
@@ -602,7 +616,7 @@ class TestEigensolverHeads:
             W = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             H = W @ J @ np.linalg.inv(W)
             H /= np.linalg.norm(H)
-            calls = count_calls(monkeypatch, blockdiag, "jordan_chains")
+            calls = count_calls(monkeypatch, blockdiag, "_chains")
             assert decide(H).verdict != NOT_PSEUDO_HERMITIAN
             assert calls
             monkeypatch.undo()
@@ -615,7 +629,7 @@ class TestEigensolverHeads:
         W = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         H = W @ J @ np.linalg.inv(W)
         scale = np.linalg.norm(H)
-        calls = count_calls(monkeypatch, blockdiag, "jordan_chains")
+        calls = count_calls(monkeypatch, blockdiag, "_chains")
         bd = block_diagonalize(H / scale)
         assert [c.p_list for c in bd.table.clusters] == [(1,), (2,), (1,)]
         assert len(calls) == 1 and abs(calls[0][1] - 0.75 / scale) < 1e-6
@@ -632,7 +646,7 @@ class TestEigensolverHeads:
         monkeypatch.setattr(np.linalg, "norm", no_two_norm)
         J = jordan_matrix([(0.75, [3, 1]), (-1.0, [1])])
         W = well_conditioned(np.random.default_rng(2), 5)
-        calls = count_calls(monkeypatch, blockdiag, "jordan_chains")
+        calls = count_calls(monkeypatch, blockdiag, "_chains")
         bd = block_diagonalize(W @ J @ np.linalg.inv(W), tol=1e-6)
         assert calls
         assert [c.p_list for c in bd.table.clusters] == [(1,), (3, 1)]

@@ -206,8 +206,8 @@ J2 = np.array([[0.5, 1.0], [0.0, 0.5]])
 TOL_RANGE = "must be finite and non-negative"
 
 
-@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")],
-                         ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), True],
+                         ids=["negative", "nan", "inf", "bool"])
 @pytest.mark.parametrize("call, refusal", [
     (lambda t: ToleranceProfile(cluster_tol=t), f"cluster_tol {TOL_RANGE}"),
     (lambda t: block_diagonalize(J2, tol=t), f"tol {TOL_RANGE}"),
@@ -224,7 +224,10 @@ def test_every_public_tolerance_is_refused_out_of_range(call, refusal, value):
     # each refuses as ToleranceProfile does: block_diagonalize(J2, tol=inf)
     # used to return the Jordan structure (1, 1), tol=nan to raise "no
     # numerical kernel", and a negative pair_tol to call every cluster
-    # unpaired; the staircase's stop, a cluster size, is refused alike
+    # unpaired; the staircase's stop, a cluster size, is refused alike.  A
+    # bool is an int, but no tolerance or size: jordan_chains(J2, 0.5,
+    # size=True) used to return one chain of length 1, and
+    # ToleranceProfile(cluster_tol=True) to record True in every certificate
     with pytest.raises(ValueError, match=re.escape(f"{refusal}, got {value!r}")):
         call(value)
 

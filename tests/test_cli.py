@@ -374,9 +374,10 @@ def test_sweeps_build_no_per_row_objects(tmp_path, monkeypatch, argv):
         (symmetry, "_witness_set")]]
     assert main(argv + ["--csv-out", str(tmp_path / "sweep.csv")]) == 0
     assert built == [[], [], [], [], []]
-    # the counters see what decide_many builds: two rows, both certified
+    # the counters see what decide_many builds: two rows, both certified,
+    # each with its table and witness set but no decomposition
     assert len(list(decide_many(np.stack([np.eye(2), np.zeros((2, 2))])))) == 2
-    assert [len(calls) for calls in built] == [2, 1, 2, 2, 2]
+    assert [len(calls) for calls in built] == [2, 1, 0, 2, 2]
 
 
 SWEEP = ["scatter-sweep", "--k", "1", "--x-range", "0", "1"]
